@@ -55,15 +55,18 @@ from .spin_chain import (
     build_transfer,
 )
 from .tensor_core import (
+    RESIDUAL_FLOOR,
     Operator,
+    aux_blocks,
     basis_matrix,
+    comm_residual,
     embed_at,
     frob,
     permutation_swap,
+    rel_residual,
+    sym_residual,
 )
 from .yang_baxter import Gauge
-
-_FLOOR = 1e-300
 
 
 def _lab(family: TElementFamily, i: int, j: int) -> TElementLabel:
@@ -575,20 +578,17 @@ def asymptotic_charges_residual(
     p = replace(params, sites=N)
     spec = ChainSpec(params=p)
     lam = complex(re_lambda)
-    dr = build_double_row(spec, lam).mat
-    charges = build_boundary_charges(p, N)
     n = p.n
     d = n**N
-
-    def block(i, j):
-        return dr[(i - 1) * d : i * d, (j - 1) * d : j * d]
+    blk = double_row_blocks(spec, lam)
+    charges = build_boundary_charges(p, N)
 
     surviving = set(charges.entries)
     num = 0.0j
     den = 0.0
     for i, j in surviving:
         qm = charges.entries[(i, j)].mat
-        num += np.vdot(qm, block(i, j))
+        num += np.vdot(qm, blk[i, j])
         den += np.vdot(qm, qm).real
     s = num / den
     err = 0.0
@@ -597,13 +597,13 @@ def asymptotic_charges_residual(
         for j in range(1, n + 1):
             if (i, j) == (n, n):
                 continue
-            b = block(i, j)
+            b = blk[i, j]
             qm = _charge_block(charges, i, j, d)
             err += np.linalg.norm(b - s * qm) ** 2
             norm += np.linalg.norm(b) ** 2
     res = np.sqrt(err / norm)
-    scaled = block(n, n) / cmath.exp(-2 * lam)
-    res_aff = np.linalg.norm(scaled - s * charges.affine.mat) / np.linalg.norm(scaled)
+    scaled = blk[n, n] / cmath.exp(-2 * lam)
+    res_aff = rel_residual(s * charges.affine.mat, scaled)
     return float(max(res, res_aff)), complex(s)
 
 
@@ -641,7 +641,7 @@ def principal_asymptotic_residual(
     zero_pos = ((1, 1), (2, 3), (3, 2))
 
     def block(m, i, j):
-        return m[(i - 1) * d : i * d, (j - 1) * d : j * d]
+        return aux_blocks(m, n)[i - 1, :, j - 1, :]
 
     # the overall scalar carries its own grade; find it as the class where
     # the leading blocks actually live
@@ -715,11 +715,8 @@ def braid_exchange_residuals(
         t2 += np.kron(idn, np.kron(basis_matrix(n, i, j), op.mat))
 
     def res(sign):
-        lhs = r[sign] @ t1 @ rhat[+1] @ t2
-        rhs = t2 @ r[+1] @ t1 @ rhat[sign]
-        return float(
-            np.linalg.norm(lhs - rhs)
-            / max(np.linalg.norm(lhs), np.linalg.norm(rhs), _FLOOR)
+        return sym_residual(
+            r[sign] @ t1 @ rhat[+1] @ t2, t2 @ r[+1] @ t1 @ rhat[sign]
         )
 
     return res(+1), res(-1)
@@ -732,11 +729,10 @@ def braid_exchange_residuals(
 
 def double_row_blocks(spec: ChainSpec, lam: complex) -> dict:
     """Auxiliary-space blocks of the double row at one spectral parameter."""
-    p = spec.params
-    n, d = p.n, p.n**p.sites
-    dr = build_double_row(spec, lam).mat
+    n = spec.params.n
+    blocks = aux_blocks(build_double_row(spec, lam).mat, n)
     return {
-        (i, j): dr[(i - 1) * d : i * d, (j - 1) * d : j * d]
+        (i, j): blocks[i - 1, :, j - 1, :]
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     }
@@ -753,35 +749,15 @@ def affine_transfer_defect(
     come out nonzero: the affine charge is genuinely outside the symmetry.
     """
     p = spec.params
-    n, d = p.n, p.n**p.sites
+    n = p.n
     t = build_transfer(spec, lam).mat
     tnn = charges.affine.mat
-    comm = t @ tnn - tnn @ t
-    dr = build_double_row(spec, lam).mat
-    b1n = dr[0:d, (n - 1) * d :]
-    cn1 = dr[(n - 1) * d :, 0:d]
+    blk = double_row_blocks(spec, lam)
     closed = (
-        2j * p.w * cmath.sinh(2 * lam + 1j * n * p.mu) * ((b1n - cn1) @ e11enn)
+        2j * p.w * cmath.sinh(2 * lam + 1j * n * p.mu) * ((blk[1, n] - blk[n, 1]) @ e11enn)
     )
-    scale = max(frob(t) * frob(tnn), _FLOOR)
-    return (
-        float(np.linalg.norm(comm - closed) / scale),
-        float(np.linalg.norm(comm) / scale),
-    )
-
-
-def _comm_zero(a: np.ndarray, b: np.ndarray) -> float:
-    return float(
-        np.linalg.norm(a @ b - b @ a)
-        / max(np.linalg.norm(a) * np.linalg.norm(b), _FLOOR)
-    )
-
-
-def _eq_res(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return float(
-        np.linalg.norm(lhs - rhs)
-        / max(np.linalg.norm(lhs), np.linalg.norm(rhs), _FLOOR)
-    )
+    scale = max(frob(t) * frob(tnn), RESIDUAL_FLOOR)
+    return frob(t @ tnn - tnn @ t - closed) / scale, comm_residual(t, tnn)
 
 
 def exchange_relation_residuals(
@@ -823,14 +799,14 @@ def exchange_relation_residuals(
         ecur = e_cop(jj)
         hm = cache["hm"][jj]
         c = blk[(jj + 1, jj)]
-        res.append(_eq_res(ecur @ a_blk[jj] - a_blk[jj] @ ecur, -1.0 / qh * hm @ c))
+        res.append(sym_residual(ecur @ a_blk[jj] - a_blk[jj] @ ecur, -1.0 / qh * hm @ c))
         res.append(
-            _eq_res(ecur @ a_blk[jj + 1] - a_blk[jj + 1] @ ecur, qh * c @ hm)
+            sym_residual(ecur @ a_blk[jj + 1] - a_blk[jj + 1] @ ecur, qh * c @ hm)
         )
         for other in range(1, n + 1):
             if other in (jj, jj + 1):
                 continue
-            res.append(_comm_zero(ecur, a_blk[other]))
+            res.append(comm_residual(ecur, a_blk[other]))
     if res:
         out["com2"] = max(res)
 
@@ -839,29 +815,29 @@ def exchange_relation_residuals(
         fcur = f_cop(jj)
         hm = cache["hm"][jj]
         b = blk[(jj, jj + 1)]
-        res.append(_eq_res(fcur @ a_blk[jj] - a_blk[jj] @ fcur, 1.0 / qh * b @ hm))
+        res.append(sym_residual(fcur @ a_blk[jj] - a_blk[jj] @ fcur, 1.0 / qh * b @ hm))
         res.append(
-            _eq_res(fcur @ a_blk[jj + 1] - a_blk[jj + 1] @ fcur, -qh * hm @ b)
+            sym_residual(fcur @ a_blk[jj + 1] - a_blk[jj + 1] @ fcur, -qh * hm @ b)
         )
         for other in range(1, n + 1):
             if other in (jj, jj + 1):
                 continue
-            res.append(_comm_zero(fcur, a_blk[other]))
+            res.append(comm_residual(fcur, a_blk[other]))
     if res:
         out["com3"] = max(res)
 
     res = []
     for jj in range(2, n):
         for other in range(1, n + 1):
-            res.append(_comm_zero(eps(jj), a_blk[other]))
+            res.append(comm_residual(eps(jj), a_blk[other]))
     for jj in range(2, n - 1):
         hp, hm = cache["hp"][jj], cache["hm"][jj]
         b = blk[(jj, jj + 1)]
         c = blk[(jj + 1, jj)]
-        res.append(_eq_res(qh * hp @ b, 1.0 / qh * b @ hp))
-        res.append(_eq_res(1.0 / qh * hm @ b, qh * b @ hm))
-        res.append(_eq_res(1.0 / qh * hp @ c, qh * c @ hp))
-        res.append(_eq_res(qh * hm @ c, 1.0 / qh * c @ hm))
+        res.append(sym_residual(qh * hp @ b, 1.0 / qh * b @ hp))
+        res.append(sym_residual(1.0 / qh * hm @ b, qh * b @ hm))
+        res.append(sym_residual(1.0 / qh * hp @ c, qh * c @ hp))
+        res.append(sym_residual(qh * hm @ c, 1.0 / qh * c @ hm))
     if res:
         out["com4"] = max(res)
 
@@ -881,13 +857,13 @@ def exchange_relation_residuals(
         lhs_e = e_cop(jj) @ tsum - tsum @ e_cop(jj)
         rhs_e = pref * (-qh * hm @ c + 1.0 / qh * c @ hm)
         den_e = max(
-            frob(e_cop(jj)) * frob(tsum), abs(pref) * frob(hm) * frob(c), 1e-300
+            frob(e_cop(jj)) * frob(tsum), abs(pref) * frob(hm) * frob(c), RESIDUAL_FLOOR
         )
         res.append(frob(lhs_e - rhs_e) / den_e)
         lhs_f = f_cop(jj) @ tsum - tsum @ f_cop(jj)
         rhs_f = pref * (qh * b @ hm - 1.0 / qh * hm @ b)
         den_f = max(
-            frob(f_cop(jj)) * frob(tsum), abs(pref) * frob(hm) * frob(b), 1e-300
+            frob(f_cop(jj)) * frob(tsum), abs(pref) * frob(hm) * frob(b), RESIDUAL_FLOOR
         )
         res.append(frob(lhs_f - rhs_f) / den_f)
     if res:
@@ -906,13 +882,13 @@ def exchange_relation_residuals(
             return x @ y - y @ x
 
         out["com5"] = max(
-            _eq_res(comm(a_blk[1], t12), -em * w / q * b12 @ e22sq),
-            _eq_res(comm(a_blk[3], t12), 1j * w * c32 @ corners),
-            _eq_res(
+            sym_residual(comm(a_blk[1], t12), -em * w / q * b12 @ e22sq),
+            sym_residual(comm(a_blk[3], t12), 1j * w * c32 @ corners),
+            sym_residual(
                 comm(a_blk[2], t12),
                 em * w / q * e22sq @ b12 - 1j * w / q * corners @ c32,
             ),
-            _eq_res(
+            sym_residual(
                 comm(t12, c21),
                 1j * w / q * corners @ c31
                 - em * w / q * e22sq @ a_blk[1]
@@ -920,13 +896,13 @@ def exchange_relation_residuals(
             ),
         )
         out["com6"] = max(
-            _eq_res(comm(a_blk[1], t21), em * w / q * e22sq @ c21),
-            _eq_res(comm(a_blk[3], t21), -1j * w * corners @ b23),
-            _eq_res(
+            sym_residual(comm(a_blk[1], t21), em * w / q * e22sq @ c21),
+            sym_residual(comm(a_blk[3], t21), -1j * w * corners @ b23),
+            sym_residual(
                 comm(a_blk[2], t21),
                 -em * w / q * c21 @ e22sq + 1j * w / q * b23 @ corners,
             ),
-            _eq_res(
+            sym_residual(
                 comm(t21, b12),
                 -1j * w / q * b13 @ corners
                 + em * w / q * a_blk[1] @ e22sq
@@ -934,31 +910,31 @@ def exchange_relation_residuals(
             ),
         )
         out["com7"] = max(
-            _eq_res(
+            sym_residual(
                 comm(a_blk[1], t11),
                 -w / q * b12 @ t21
                 + 1j * w / q * b13 @ corners
                 + w / q * t12 @ c21
                 - 1j * w / q * corners @ c31,
             ),
-            _eq_res(
+            sym_residual(
                 comm(a_blk[2], t11),
                 -w * q * c21 @ t12
                 + w * q * t21 @ b12
                 + em * w * w * (e22sq @ a_blk[2] - a_blk[2] @ e22sq),
             ),
-            _eq_res(
+            sym_residual(
                 comm(a_blk[3], t11),
                 -1j * w * q * corners @ b13 + 1j * w * q * c31 @ corners,
             ),
         )
         out["com9"] = max(
-            _eq_res(q * corners @ c32, c32 @ corners),
-            _eq_res(e22sq @ b12, q * q * b12 @ e22sq),
-            _eq_res(corners @ b23, q * b23 @ corners),
-            _eq_res(q * q * e22sq @ c21, c21 @ e22sq),
-            _comm_zero(corners, b13),
-            _comm_zero(corners, c31),
+            sym_residual(q * corners @ c32, c32 @ corners),
+            sym_residual(e22sq @ b12, q * q * b12 @ e22sq),
+            sym_residual(corners @ b23, q * b23 @ corners),
+            sym_residual(q * q * e22sq @ c21, c21 @ e22sq),
+            comm_residual(corners, b13),
+            comm_residual(corners, c31),
         )
 
     e11enn = cache["eps"][1] @ cache["eps"][n]
@@ -967,19 +943,19 @@ def exchange_relation_residuals(
     tnn = charges.affine.mat
     ep, emm = cmath.exp(2 * lam), cmath.exp(-2 * lam)
     res = [
-        _eq_res(
+        sym_residual(
             a_blk[1] @ tnn - tnn @ a_blk[1],
             1j * w * q * ep * (b1n @ e11enn - e11enn @ cn1),
         ),
-        _eq_res(
+        sym_residual(
             a_blk[n] @ tnn - tnn @ a_blk[n],
             1j * w / q * emm * (cn1 @ e11enn - e11enn @ b1n),
         ),
     ]
     for jj in range(2, n):
-        res.append(_comm_zero(a_blk[jj], tnn))
+        res.append(comm_residual(a_blk[jj], tnn))
     out["com8"] = max(res)
-    out["com11"] = max(_comm_zero(e11enn, b1n), _comm_zero(e11enn, cn1))
+    out["com11"] = max(comm_residual(e11enn, b1n), comm_residual(e11enn, cn1))
     return out
 
 
@@ -1017,7 +993,7 @@ def degeneracy_witness(
         for m, nm in zip(ops, opnorms):
             y = m @ v
             off = y - v * np.vdot(v, y)
-            worst = max(worst, float(np.linalg.norm(off) / max(nm, _FLOOR)))
+            worst = max(worst, float(np.linalg.norm(off) / max(nm, RESIDUAL_FLOOR)))
     return worst
 
 
@@ -1074,7 +1050,7 @@ def verify_symmetry_suite(
     for l in range(N):
         gen = rep_boundary(p) if l == 0 else rep_bulk(p, l)
         res = max(
-            _comm_zero(gen.mat, charges.entries[pos].mat) for pos in all_positions
+            comm_residual(gen.mat, charges.entries[pos].mat) for pos in all_positions
         )
         rb.add(f"symmetry.prop41_l{l}", res, tol)
 
@@ -1082,7 +1058,7 @@ def verify_symmetry_suite(
     try:
         h = build_hamiltonian(hspec)
         res = max(
-            _comm_zero(h.mat, charges.entries[pos].mat) for pos in all_positions
+            comm_residual(h.mat, charges.entries[pos].mat) for pos in all_positions
         )
         rb.add("symmetry.corollary", res, tol)
     except DegenerateParameters:
@@ -1090,49 +1066,15 @@ def verify_symmetry_suite(
 
     # single-site closed forms against the defining products
     lam0 = sample_spectral(rng, p, 1)[0]
+    one_site = build_boundary_charges(p, 1, first_site_lambda=lam0)
     res = 0.0
-    em = cmath.exp(1j * p.mu * p.m)
-    ch2 = em + 1.0 / em
-    one = {
-        (fam, a, b): t_element_rep(p, _lab(fam, a, b), L=1, first_site_lambda=lam0).mat
-        for fam in (_T.t, _T.t_hat)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if (fam == _T.t and a <= b) or (fam == _T.t_hat and a >= b)
-    }
-
-    def prod_entry(pos):
-        i, j = pos
-        if pos == (1, 1):
-            acc = ch2 * one[(_T.t, 1, 1)] @ one[(_T.t_hat, 1, 1)]
-            acc = acc - 1j * one[(_T.t, 1, n)] @ one[(_T.t_hat, 1, 1)]
-            acc = acc - 1j * one[(_T.t, 1, 1)] @ one[(_T.t_hat, n, 1)]
-            for jj in range(2, n):
-                acc = acc + em * one[(_T.t, 1, jj)] @ one[(_T.t_hat, jj, 1)]
-            return acc
-        if i == 1:
-            acc = -1j * one[(_T.t, 1, 1)] @ one[(_T.t_hat, n, j)]
-            for jj in range(j, n):
-                acc = acc + em * one[(_T.t, 1, jj)] @ one[(_T.t_hat, jj, j)]
-            return acc
-        if j == 1:
-            acc = -1j * one[(_T.t, i, n)] @ one[(_T.t_hat, 1, 1)]
-            for jj in range(i, n):
-                acc = acc + em * one[(_T.t, i, jj)] @ one[(_T.t_hat, jj, 1)]
-            return acc
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for jj in range(max(i, j), n):
-            acc = acc + em * one[(_T.t, i, jj)] @ one[(_T.t_hat, jj, j)]
-        return acc
-
     for pos in boundary_entry_indices(n):
-        res = max(res, _eq_res(eval_Q_rep(p, pos, lam0).mat, prod_entry(pos)))
-    aff1 = build_affine_charge(p, 1, first_site_lambda=lam0)
-    res = max(res, _eq_res(eval_Q_rep(p, (n, n), lam0).mat, aff1.mat))
+        res = max(res, sym_residual(eval_Q_rep(p, pos, lam0), one_site.entries[pos]))
+    res = max(res, sym_residual(eval_Q_rep(p, (n, n), lam0), one_site.affine))
     rb.add("symmetry.evalq", res, 1e-11)
 
     res = max(
-        _eq_res(eval_Q_rep(p, (i, 1), lam0).mat, eval_Q_rep(p, (1, i), lam0).mat.T)
+        sym_residual(eval_Q_rep(p, (i, 1), lam0).mat, eval_Q_rep(p, (1, i), lam0).mat.T)
         for i in range(2, n + 1)
     )
     rb.add("symmetry.evalq_transpose", res, 1e-12)
@@ -1143,9 +1085,9 @@ def verify_symmetry_suite(
     shift_inv = shift.transpose()  # permutation, so the transpose inverts it
     for pos in all_positions:
         built = coproduct_charges(p, N, pos)
-        res = max(res, _eq_res(built.mat, charges.entries[pos].mat))
+        res = max(res, sym_residual(built.mat, charges.entries[pos].mat))
     built = coproduct_charges(p, N, (n, n))
-    res = max(res, _eq_res(built.mat, charges.affine.mat))
+    res = max(res, sym_residual(built.mat, charges.affine.mat))
     rb.add("symmetry.recursion", res, 1e-11)
 
     res = 0.0
@@ -1154,7 +1096,7 @@ def verify_symmetry_suite(
         ref = (
             charges.affine.mat if pos == (n, n) else charges.entries[pos].mat
         )
-        res = max(res, _eq_res(primed.mat, (shift @ Operator(ref, (n,) * N) @ shift_inv).mat))
+        res = max(res, sym_residual(primed.mat, (shift @ Operator(ref, (n,) * N) @ shift_inv).mat))
     rb.add("symmetry.recursion_prime", res, 1e-11)
 
     # block closed forms of the primed coproducts with one evaluated site
@@ -1173,7 +1115,7 @@ def verify_symmetry_suite(
         generic = coproduct_charges(
             p, N + 1, pos_of[wname], "delta_prime", first_site_lambda=lam0
         )
-        res = max(res, _eq_res(generic.mat, closed.mat))
+        res = max(res, sym_residual(generic.mat, closed.mat))
     rb.add("symmetry.block_closed", res, 1e-11)
 
     # asymptotic read-off, both gradations
@@ -1206,10 +1148,10 @@ def verify_symmetry_suite(
     for s, lam in enumerate(lams):
         t_open = build_transfer(hspec, lam).mat
         if gl_small:
-            res = max(_comm_zero(t_open, gen) for gen in gl_small)
+            res = max(comm_residual(t_open, gen) for gen in gl_small)
             rb.add(f"symmetry.prop42.s{s}", res, tol)
         res = max(
-            _comm_zero(t_open, charges.entries[pos].mat) for pos in all_positions
+            comm_residual(t_open, charges.entries[pos].mat) for pos in all_positions
         )
         rb.add(f"symmetry.prop43.s{s}", res, tol)
 
@@ -1219,21 +1161,21 @@ def verify_symmetry_suite(
 
         t_aff = build_transfer(aspec, lam).mat
         rb.add(
-            f"symmetry.fin_affine.s{s}", _comm_zero(t_aff, charges.affine.mat), tol
+            f"symmetry.fin_affine.s{s}", comm_residual(t_aff, charges.affine.mat), tol
         )
         if gl_small:
-            res = max(_comm_zero(t_aff, gen) for gen in gl_small)
+            res = max(comm_residual(t_aff, gen) for gen in gl_small)
             rb.add(f"symmetry.fin_gl.s{s}", res, tol)
         if n == 3:
-            size = _comm_zero(t_aff, charges.entries[(1, 2)].mat)
+            size = comm_residual(t_aff, charges.entries[(1, 2)].mat)
             rb.add_flag(f"symmetry.fin_witness.s{s}", size > 1e-3, residual=size)
 
         t_triv = build_transfer(tspec, lam).mat
-        res = max(_comm_zero(t_triv, gen) for gen in gl_full)
+        res = max(comm_residual(t_triv, gen) for gen in gl_full)
         rb.add(f"symmetry.trivial_k.s{s}", res, tol)
 
         t_diag = build_transfer(dspec, lam).mat
-        res = max(_comm_zero(t_diag, gen) for gen in gl_pair)
+        res = max(comm_residual(t_diag, gen) for gen in gl_pair)
         rb.add(f"symmetry.diagonal_k.s{s}", res, tol)
 
         kmat = build_k_explicit(p, lam, Gauge.homogeneous).mat
@@ -1241,7 +1183,7 @@ def verify_symmetry_suite(
         for pos in list(boundary_entry_indices(n)) + [(n, n)]:
             left = eval_Q_rep(p, pos, lam).mat @ kmat
             right = kmat @ eval_Q_rep(p, pos, -lam).mat
-            res = max(res, _eq_res(left, right))
+            res = max(res, sym_residual(left, right))
         rb.add(f"symmetry.ik.s{s}", res, 1e-11)
 
         for name, value in exchange_relation_residuals(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,10 +31,22 @@ from .reporting import (
     report_to_dict,
     set_timings_default,
 )
-from .spin_chain import ChainSpec, build_hamiltonian, verify_chain_suite
+from .spin_chain import RIGHT_FAMILIES, ChainSpec, build_hamiltonian, verify_chain_suite
 from .yang_baxter import Gauge, verify_ybe_suite
 
-SUITE_ORDER = ("hecke", "ybe", "reflection", "algebra", "chain", "symmetry")
+# Suite runners in report order, each called as runner(spec, samples=, tol=,
+# seed=). The lambdas look the suite functions up by module-global name at
+# call time, so a rebinding of those names (e.g. by a profiler) takes effect.
+SUITES = {
+    "hecke": lambda spec, **kw: verify_hecke_suite(spec.params, **kw),
+    "ybe": lambda spec, **kw: verify_ybe_suite(spec.params, **kw),
+    "reflection": lambda spec, **kw: verify_reflection_suite(
+        spec.params, diag_block=spec.diag_block, xi=spec.xi, **kw),
+    "algebra": lambda spec, **kw: verify_algebra_suite(spec.params, **kw),
+    "chain": lambda spec, **kw: verify_chain_suite(spec, **kw),
+    "symmetry": lambda spec, **kw: verify_symmetry_suite(spec, **kw),
+}
+SUITE_ORDER = tuple(SUITES)
 SPECTRUM_DIM_CAP = 4096
 CLUSTER_TOL = 1e-8
 
@@ -134,7 +147,7 @@ def _coerce_config_value(key: str, raw: str):
         allowed = {
             "gauge": {g.value for g in Gauge},
             "left": {k.value for k in LeftBoundaryKind},
-            "right": {"explicit", "ansatz", "diagonal", "trivial"},
+            "right": set(RIGHT_FAMILIES),
             "suite": set(SUITE_ORDER) | {"all"},
             "format": {"json", "text"},
         }.get(key)
@@ -170,9 +183,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gauge", choices=[g.value for g in Gauge], default=None)
     sub.add_argument("--left", choices=[k.value for k in LeftBoundaryKind],
                      default=None)
-    sub.add_argument("--right",
-                     choices=["explicit", "ansatz", "diagonal", "trivial"],
-                     default=None)
+    sub.add_argument("--right", choices=RIGHT_FAMILIES, default=None)
     sub.add_argument("--diag-block", type=int, default=None,
                      help="split row for the diagonal right boundary")
     sub.add_argument("--xi", type=_complex_flag, default=None,
@@ -250,23 +261,15 @@ def run_verify(settings: dict) -> tuple[int, list]:
     spec = _chain_spec(settings, params)
     samples = settings["samples"]
     tol = settings["tol"]
-    seed = settings["seed"]
     suites = SUITE_ORDER if settings["suite"] == "all" else (settings["suite"],)
-    runners = {
-        "hecke": lambda: verify_hecke_suite(params, tol=tol, samples=samples,
-                                            seed=seed),
-        "ybe": lambda: verify_ybe_suite(params, samples=samples, tol=tol, seed=seed),
-        "reflection": lambda: verify_reflection_suite(
-            params, samples=samples, tol=tol, seed=seed,
-            diag_block=settings["diag-block"], xi=settings["xi"]),
-        "algebra": lambda: verify_algebra_suite(params, samples=samples, tol=tol,
-                                                seed=seed),
-        "chain": lambda: verify_chain_suite(spec, samples=samples, tol=tol,
-                                            seed=seed),
-        "symmetry": lambda: verify_symmetry_suite(spec, samples=samples, tol=tol,
-                                                  seed=seed),
-    }
-    reports = [runners[name]() for name in suites]
+    if samples < 1:
+        raise CliError(f"samples must be at least 1, got {samples}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise CliError(f"tol must be finite and positive, got {tol}")
+    if "hecke" in suites and params.sites < 2:
+        raise CliError("the hecke suite needs at least two sites")
+    reports = [SUITES[name](spec, samples=samples, tol=tol, seed=settings["seed"])
+               for name in suites]
     code = 0 if all(r.passed for r in reports) else 1
     return code, reports
 

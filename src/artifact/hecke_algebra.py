@@ -26,7 +26,8 @@ import numpy as np
 from .params import ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model
-from .tensor_core import Operator, basis_matrix, commutator, embed_at, frob, prop_check
+from .tensor_core import (RESIDUAL_FLOOR, Operator, basis_matrix, comm_residual, embed_at,
+                          frob, prop_check, sym_residual)
 
 __all__ = [
     "build_bulk_generator",
@@ -80,11 +81,6 @@ def rep_boundary(params: ModelParams) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def _ident_residual(a: Operator, b: Operator) -> float:
-    scale = max(frob(a), frob(b), 1e-300)
-    return frob(a - b) / scale
-
-
 def verify_hecke_suite(
     params: ModelParams,
     tol: float = 1e-10,
@@ -114,7 +110,7 @@ def verify_hecke_suite(
         for l, ul in enumerate(bulk, start=1):
             rb.add(
                 f"hecke.quad.s{s}l{l}",
-                _ident_residual(ul @ ul, p.delta * ul),
+                sym_residual(ul @ ul, p.delta * ul),
                 tol,
             )
         for l in range(1, N - 1):
@@ -123,21 +119,19 @@ def verify_hecke_suite(
             rhs = b @ a @ b - b
             rb.add(
                 f"hecke.braid.s{s}l{l}",
-                frob(lhs - rhs) / max(frob(a), 1e-300),
+                frob(lhs - rhs) / max(frob(a), RESIDUAL_FLOOR),
                 tol,
             )
         gens = {0: bdry, **{l: bulk[l - 1] for l in range(1, N)}}
         for la in gens:
             for lb in gens:
                 if lb - la > 1:
-                    res = frob(commutator(gens[la], gens[lb])) / max(
-                        frob(gens[la]) * frob(gens[lb]), 1e-300
-                    )
-                    rb.add(f"hecke.comm.s{s}l{la}l{lb}", res, tol)
+                    rb.add(f"hecke.comm.s{s}l{la}l{lb}",
+                           comm_residual(gens[la], gens[lb]), tol)
 
         rb.add(
             f"hecke.bquad.s{s}",
-            _ident_residual(bdry @ bdry, p.delta0_rescaled * bdry),
+            sym_residual(bdry @ bdry, p.delta0_rescaled * bdry),
             tol,
         )
 
@@ -149,15 +143,15 @@ def verify_hecke_suite(
         # holds), so normalize by the size of the four-letter words rather
         # than by the near-zero sides themselves
         word_scale = max(frob(u1 @ bdry @ u1 @ bdry), abs(kap) * frob(u1 @ bdry))
-        rb.add(f"hecke.mixed.s{s}", frob(lhs - rhs) / max(word_scale, 1e-300), tol)
+        rb.add(f"hecke.mixed.s{s}", frob(lhs - rhs) / max(word_scale, RESIDUAL_FLOOR), tol)
         rb.add(
             f"hecke.quotient.s{s}",
-            _ident_residual(u1 @ bdry @ u1 @ bdry, kap * (u1 @ bdry)),
+            sym_residual(u1 @ bdry @ u1 @ bdry, kap * (u1 @ bdry)),
             tol,
         )
         rb.add(
             f"hecke.quotient_rev.s{s}",
-            _ident_residual(bdry @ u1 @ bdry @ u1, kap * (bdry @ u1)),
+            sym_residual(bdry @ u1 @ bdry @ u1, kap * (bdry @ u1)),
             tol,
         )
 
@@ -167,7 +161,7 @@ def verify_hecke_suite(
         fit = prop_check(u1 @ bdry @ u1 @ bdry, u1 @ bdry, tol)
         rb.add(
             f"hecke.kappa_fit.s{s}",
-            abs(fit.scalar - kap) / max(abs(kap), 1e-300),
+            abs(fit.scalar - kap) / max(abs(kap), RESIDUAL_FLOOR),
             tol,
             scalar=fit.scalar,
         )

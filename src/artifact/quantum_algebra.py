@@ -34,6 +34,7 @@ from .params import DegenerateParameters, ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
+    RESIDUAL_FLOOR,
     Operator,
     basis_matrix,
     embed_at,
@@ -42,6 +43,7 @@ from .tensor_core import (
     permutation_swap,
     prop_check,
     rel_residual,
+    sym_residual,
 )
 from .yang_baxter import Gauge, build_gauge_V, build_r, build_rcheck
 
@@ -591,9 +593,7 @@ def _intertwine_residual(params, label, lam, gauge, r=None) -> float:
         r = build_r(params, lam, gauge)
     dp = coproduct_rep(params, label, 2, "delta_prime", lam, gauge)
     d = coproduct_rep(params, label, 2, "delta", lam, gauge)
-    lhs = dp @ r
-    rhs = r @ d
-    return frob(lhs - rhs) / max(frob(lhs), frob(rhs), 1e-300)
+    return sym_residual(dp @ r, r @ d)
 
 
 def _serre_residual(params, ctx: _RepCtx, kind, i, j) -> float:
@@ -604,7 +604,7 @@ def _serre_residual(params, ctx: _RepCtx, kind, i, j) -> float:
         lhs = xi @ xi @ xj - box * (xi @ xj @ xi) + xj @ xi @ xi
     else:
         lhs = xi @ xj - xj @ xi
-    scale = max(frob(xi @ xi @ xj), frob(xi @ xj), 1e-300)
+    scale = max(frob(xi @ xi @ xj), frob(xi @ xj), RESIDUAL_FLOOR)
     return frob(lhs) / scale
 
 
@@ -617,7 +617,7 @@ def _ef_relation_residual(params, ctx: _RepCtx, i, j) -> float:
         rhs = (h @ h - np.linalg.inv(h @ h)) / (params.q - 1.0 / params.q)
     else:
         rhs = np.zeros_like(lhs)
-    return frob(lhs - rhs) / max(frob(e) * frob(f), 1e-300)
+    return frob(lhs - rhs) / max(frob(e) * frob(f), RESIDUAL_FLOOR)
 
 
 def _coproduct_recursive(params, label, L, lams_gauge) -> np.ndarray:
@@ -680,10 +680,8 @@ def verify_algebra_suite(
             r12 = embed_at(build_r(p, lam - lam2, gauge), [1, 2], [n, n, n])
             la = embed_at(lax1, [1, 3], [n, n, n])
             lb = embed_at(lax2, [2, 3], [n, n, n])
-            lhs = r12 @ la @ lb
-            rhs = lb @ la @ r12
             rb.add(f"algebra.rll.{gauge.value}.s{s}",
-                   frob(lhs - rhs) / max(frob(lhs), frob(rhs)), tol)
+                   sym_residual(r12 @ la @ lb, lb @ la @ r12), tol)
             pr = prop_check(lax1, build_r(p, lam, gauge), tol)
             rb.add(f"algebra.lax_is_r.{gauge.value}.s{s}", pr.residual, tol,
                    scalar=pr.scalar)
@@ -714,10 +712,8 @@ def verify_algebra_suite(
             )
 
         rab = embed_at(build_r(p, lam - lam2, Gauge.homogeneous), [1, 2], [n] * 4)
-        lhs = rab @ dl(lam) @ dl_b(lam2)
-        rhs = dl_b(lam2) @ dl(lam) @ rab
         rb.add(f"algebra.lax_cop.s{s}",
-               frob(lhs - rhs) / max(frob(lhs), frob(rhs)), tol)
+               sym_residual(rab @ dl(lam) @ dl_b(lam2), dl_b(lam2) @ dl(lam) @ rab), tol)
         try:
             hat1 = build_lax_hat(p, lam)
             dlhat = embed_at(hat1, [1, 2], [n, n, n]) @ embed_at(
@@ -747,7 +743,7 @@ def verify_algebra_suite(
                     continue  # affine generators are excluded from this symmetry
                 x = coproduct_rep(p, lab, sites)
                 num = frob(rcl @ x - x @ rcl)
-                worst = max(worst, num / max(frob(x) * frob(rc), 1e-300))
+                worst = max(worst, num / max(frob(x) * frob(rc), RESIDUAL_FLOOR))
         rb.add(f"algebra.rcheck_comm.s{s}", worst, tol)
 
     # ---- structural checks (parameter set of the call, once) -------------

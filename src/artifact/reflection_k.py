@@ -39,13 +39,14 @@ from .params import ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
+    RESIDUAL_FLOOR,
     Operator,
     identity_op,
     kron,
     permutation_swap,
     prop_check,
     rel_residual,
-    frob,
+    sym_residual,
 )
 from .yang_baxter import Gauge, build_gauge_V, build_r, build_rcheck
 
@@ -152,7 +153,7 @@ class AbadRiosParams:
     def constraint_residual(self) -> float:
         lhs = self.rho_c * self.rho_d
         rhs = self.rho_b * (self.rho_b + self.rho_a * cmath.exp(-self.eps_plus))
-        return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        return abs(lhs - rhs) / max(abs(lhs), RESIDUAL_FLOOR)
 
 
 def map_abad_rios(params: ModelParams) -> AbadRiosParams:
@@ -212,7 +213,7 @@ def reflection_residual(params, k_of_lam, l1: complex, l2: complex,
     k1b = kron(eye, k_of_lam(l2))
     lhs = r12(l1 - l2) @ k1a @ r21(l1 + l2) @ k1b
     rhs = k1b @ r12(l1 + l2) @ k1a @ r21(l1 - l2)
-    return frob(lhs - rhs) / max(frob(lhs), frob(rhs), 1e-300)
+    return sym_residual(lhs, rhs)
 
 
 def _braid_reflection_residual(params, k_of_lam, l1, l2) -> float:
@@ -226,7 +227,7 @@ def _braid_reflection_residual(params, k_of_lam, l1, l2) -> float:
     k1b = kron(k_of_lam(l2), eye)
     lhs = c(l1 - l2) @ k1a @ c(l1 + l2) @ k1b
     rhs = k1b @ c(l1 + l2) @ k1a @ c(l1 - l2)
-    return frob(lhs - rhs) / max(frob(lhs), frob(rhs), 1e-300)
+    return sym_residual(lhs, rhs)
 
 
 def verify_reflection_suite(

@@ -22,7 +22,7 @@ fixes the overall normalization that the closed form above expects.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +39,10 @@ from .reflection_k import (
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_spectral
 from .tensor_core import (
+    RESIDUAL_FLOOR,
     Operator,
-    commutator,
+    aux_blocks,
+    comm_residual,
     embed_at,
     frob,
     identity_op,
@@ -76,6 +78,8 @@ class ChainSpec:
             raise ValueError("need at least one site")
         if self.right_boundary not in RIGHT_FAMILIES:
             raise ValueError(f"unknown right boundary family {self.right_boundary!r}")
+        if not 1 <= self.diag_block < self.params.n:
+            raise ValueError(f"diagonal block {self.diag_block} out of range 1..{self.params.n - 1}")
 
     @property
     def space(self):
@@ -126,13 +130,18 @@ def left_k(spec: ChainSpec, lam: complex) -> Operator:
     return base
 
 
+def _site_product(r: Operator, sites, space) -> Operator:
+    """Ordered product of ``r`` acting on (auxiliary, site) for each of
+    ``sites`` in turn, left to right."""
+    acc = identity_op(space)
+    for site in sites:
+        acc = acc @ embed_at(r, [1, site + 1], space)
+    return acc
+
+
 def build_monodromy(spec: ChainSpec, lam: complex) -> Operator:
     p = spec.params
-    acc = identity_op(spec.space)
-    r = build_r(p, lam, spec.gauge)
-    for site in range(p.sites, 0, -1):
-        acc = acc @ embed_at(r, [1, site + 1], spec.space)
-    return acc
+    return _site_product(build_r(p, lam, spec.gauge), range(p.sites, 0, -1), spec.space)
 
 
 def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") -> Operator:
@@ -145,11 +154,8 @@ def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") 
             raise DegenerateParameters(f"monodromy singular at lambda = {-lam}")
         return t.inv()
     if method == "per_site":
-        acc = identity_op(spec.space)
         rinv = build_r_inverse(p, -lam, spec.gauge)
-        for site in range(1, p.sites + 1):
-            acc = acc @ embed_at(rinv, [1, site + 1], spec.space)
-        return acc
+        return _site_product(rinv, range(1, p.sites + 1), spec.space)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -265,16 +271,15 @@ def _open_transfer_transposed_route(spec: ChainSpec, lam: complex) -> Operator:
     normalization the derivative route differentiates."""
     p = spec.params
     space = spec.space
-    acc = identity_op(space)
     r = build_r(p, lam, spec.gauge)
-    for site in range(p.sites, 0, -1):
-        acc = acc @ embed_at(r, [1, site + 1], space)
-    acc = acc @ embed_at(right_k(spec, lam), [1], space)
     rt = Operator(r.mat.T.copy(), (p.n, p.n))
-    for site in range(1, p.sites + 1):
-        acc = acc @ embed_at(rt, [1, site + 1], space)
+    dr = (
+        _site_product(r, range(p.sites, 0, -1), space)
+        @ embed_at(right_k(spec, lam), [1], space)
+        @ _site_product(rt, range(1, p.sites + 1), space)
+    )
     m0 = embed_at(build_M(p, spec.gauge), [1], space)
-    return partial_trace_first(m0 @ acc)
+    return partial_trace_first(m0 @ dr)
 
 
 def transfer_derivative_numeric(spec: ChainSpec, h: float = 1e-4) -> Operator:
@@ -305,22 +310,24 @@ def _gensol_eval(params: ModelParams, k_of_lam, lamp: complex, lam: complex, gau
     return build_r(params, lamp - lam, gauge) @ k0 @ build_r_hat(params, lamp + lam, gauge)
 
 
+def _blockwise_exchange_residual(plus, minus, k, n: int) -> float:
+    """Worst rel_residual(plus_ij k, k minus_ij) over the auxiliary blocks."""
+    bp, bm = aux_blocks(plus, n), aux_blocks(minus, n)
+    return max(
+        rel_residual(bp[i, :, j, :] @ k, k @ bm[i, :, j, :])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def boundary_commutation_residual(
     params: ModelParams, k_of_lam, lamp: complex, lam: complex, gauge: Gauge = Gauge.homogeneous
 ) -> float:
     """Entrywise exchange of the evaluated reflection-algebra elements with
     the c-number K matrix."""
-    n = params.n
     plus = _gensol_eval(params, k_of_lam, lamp, lam, gauge).mat
     minus = _gensol_eval(params, k_of_lam, lamp, -lam, gauge).mat
-    k = k_of_lam(lam).mat
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            bp = plus[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            bm = minus[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            worst = max(worst, rel_residual(bp @ k, k @ bm))
-    return worst
+    return _blockwise_exchange_residual(plus, minus, k_of_lam(lam).mat, params.n)
 
 
 def _double_row_intertwiner(spec: ChainSpec, lamp: complex, lam: complex) -> np.ndarray:
@@ -339,18 +346,10 @@ def _double_row_intertwiner(spec: ChainSpec, lamp: complex, lam: complex) -> np.
 def double_row_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex) -> float:
     """The double-row operator exchanges the realized reflection-algebra
     entries at lambda with the ones at -lambda."""
-    p = spec.params
-    d = p.n ** (p.sites + 1)
     plus = _double_row_intertwiner(spec, lamp, lam)
     minus = _double_row_intertwiner(spec, lamp, -lam)
     t = build_double_row(spec, lam).mat
-    worst = 0.0
-    for i in range(p.n):
-        for j in range(p.n):
-            bp = plus[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            bm = minus[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            worst = max(worst, rel_residual(bp @ t, t @ bm))
-    return worst
+    return _blockwise_exchange_residual(plus, minus, t, spec.params.n)
 
 
 def _monodromy_sandwich(spec: ChainSpec, lamp: complex, lam: complex) -> np.ndarray:
@@ -371,19 +370,10 @@ def _monodromy_sandwich(spec: ChainSpec, lamp: complex, lam: complex) -> np.ndar
 def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex) -> float:
     """Same exchange property for the unprimed coproduct realization against
     the c-number K on the evaluation site."""
-    p = spec.params
-    d = p.n ** (p.sites + 1)
     plus = _monodromy_sandwich(spec, lamp, lam)
     minus = _monodromy_sandwich(spec, lamp, -lam)
-    space = (p.n,) * (p.sites + 1)
-    k = embed_at(right_k(spec, lam), [1], space).mat
-    worst = 0.0
-    for i in range(p.n):
-        for j in range(p.n):
-            bp = plus[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            bm = minus[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            worst = max(worst, rel_residual(bp @ k, k @ bm))
-    return worst
+    k = embed_at(right_k(spec, lam), [1], spec.space).mat
+    return _blockwise_exchange_residual(plus, minus, k, spec.params.n)
 
 
 def monodromy_intertwine_residual(spec: ChainSpec, label: GeneratorLabel, lam: complex) -> float:
@@ -444,12 +434,9 @@ def transfer_from_diagonal(spec: ChainSpec, lam: complex) -> Operator:
     must reassemble the open transfer matrix when the left boundary is present
     only through M."""
     p = spec.params
-    d = p.n**p.sites
-    dr = build_double_row(spec, lam).mat
+    blocks = aux_blocks(build_double_row(spec, lam).mat, p.n)
     weights = np.diag(build_M(p, spec.gauge).mat)
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for j in range(p.n):
-        acc += weights[j] * dr[j * d:(j + 1) * d, j * d:(j + 1) * d]
+    acc = sum(weights[j] * blocks[j, :, j, :] for j in range(p.n))
     return Operator(acc, (p.n,) * p.sites)
 
 
@@ -458,12 +445,11 @@ def affine_limit_transfer_combination(spec: ChainSpec, lam: complex) -> Operator
     double-row diagonal, the closed form the affine-limit left boundary
     produces."""
     p = spec.params
-    d = p.n**p.sites
-    dr = build_double_row(spec, lam).mat
+    blocks = aux_blocks(build_double_row(spec, lam).mat, p.n)
     q = p.q
 
     def block(j):
-        return dr[j * d:(j + 1) * d, j * d:(j + 1) * d]
+        return blocks[j, :, j, :]
 
     acc = cmath.exp(-2 * lam - 1j * p.mu) * block(0)
     acc = acc + cmath.exp(2 * lam + 1j * p.mu) * block(p.n - 1)
@@ -477,13 +463,8 @@ def monodromy_asymptotic_residual(spec: ChainSpec, re_lambda: float = 15.0) -> f
     the homogeneous gradation."""
     p = spec.params
     t = build_monodromy(spec, re_lambda).mat * cmath.exp(-p.sites * re_lambda)
-    d = p.n**p.sites
-    scale = frob(t)
-    worst = 0.0
-    for i in range(p.n):
-        for j in range(i):
-            worst = max(worst, frob(t[i * d:(i + 1) * d, j * d:(j + 1) * d]) / scale)
-    return worst
+    blocks = aux_blocks(t, p.n)
+    return max(frob(blocks[i, :, j, :]) for i in range(p.n) for j in range(i)) / frob(t)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +484,10 @@ def verify_chain_suite(
          "right": spec.right_boundary},
     )
 
-    pspec = ChainSpec(p, Gauge.principal, spec.right_boundary,
-                      LeftBoundaryKind.identity, spec.diag_block, spec.xi)
+    hspec0 = replace(spec, gauge=Gauge.homogeneous)
+    pspec = replace(spec, gauge=Gauge.principal)
+    ispec = replace(hspec0, left_boundary=LeftBoundaryKind.identity)
+    aspec = replace(hspec0, left_boundary=LeftBoundaryKind.affine_limit)
     labels = [GeneratorLabel(kind, i) for kind in (GeneratorKind.E, GeneratorKind.F)
               for i in range(1, p.n + 1)]
     labels += [GeneratorLabel(GeneratorKind.KCARTAN, i) for i in range(1, p.n + 1)]
@@ -519,24 +502,16 @@ def verify_chain_suite(
                rel_residual(that, build_monodromy_hat(spec, l1, "per_site")), 1e-11)
         rb.add(f"chain.re_double.s{s}", _double_row_re_residual(spec, l1, l2), tol)
         v0 = embed_at(build_gauge_V(p, l1), [1], spec.space)
-        hspec0 = ChainSpec(p, Gauge.homogeneous, spec.right_boundary,
-                           spec.left_boundary, spec.diag_block, spec.xi)
         rb.add(f"chain.tp_gauge.s{s}",
                rel_residual(v0 @ build_double_row(hspec0, l1) @ v0, build_double_row(pspec, l1)),
                1e-11)
         rb.add(f"chain.tp_transfer.s{s}",
-               rel_residual(build_transfer(ChainSpec(p, Gauge.principal, spec.right_boundary,
-                                                     spec.left_boundary, spec.diag_block, spec.xi),
-                            l1),
-                            build_transfer(hspec0, l1)), 1e-11)
-        tc1 = build_transfer(spec, l1, closed=True)
-        tc2 = build_transfer(spec, l2, closed=True)
+               rel_residual(build_transfer(pspec, l1), build_transfer(hspec0, l1)), 1e-11)
         rb.add(f"chain.ttcomm_closed.s{s}",
-               frob(commutator(tc1, tc2)) / max(frob(tc1) * frob(tc2), 1e-300), tol)
-        to1 = build_transfer(spec, l1)
-        to2 = build_transfer(spec, l2)
+               comm_residual(build_transfer(spec, l1, closed=True),
+                             build_transfer(spec, l2, closed=True)), tol)
         rb.add(f"chain.ttcomm_open.s{s}",
-               frob(commutator(to1, to2)) / max(frob(to1) * frob(to2), 1e-300), tol)
+               comm_residual(build_transfer(spec, l1), build_transfer(spec, l2)), tol)
         rb.add(f"chain.intert.s{s}",
                max(monodromy_intertwine_residual(spec, lab, l1) for lab in labels), tol)
         rb.add(f"chain.intert_hat.s{s}",
@@ -547,33 +522,25 @@ def verify_chain_suite(
                tol)
         rb.add(f"chain.it0.s{s}", double_row_commutation_residual(spec, l1, l2), tol)
         rb.add(f"chain.iik.s{s}", coproduct_commutation_residual(spec, l1, l2), tol)
-        ispec = ChainSpec(p, Gauge.homogeneous, spec.right_boundary,
-                          LeftBoundaryKind.identity, spec.diag_block, spec.xi)
         rb.add(f"chain.tr2.s{s}",
                rel_residual(build_transfer(ispec, l1), transfer_from_diagonal(ispec, l1)), 1e-13)
-        aspec = ChainSpec(p, Gauge.homogeneous, spec.right_boundary,
-                          LeftBoundaryKind.affine_limit, spec.diag_block, spec.xi)
         rb.add(f"chain.tt3.s{s}",
                rel_residual(build_transfer(aspec, l1),
                             affine_limit_transfer_combination(aspec, l1)), 1e-13)
 
-    hom = ChainSpec(p, Gauge.homogeneous, spec.right_boundary,
-                    LeftBoundaryKind.identity, spec.diag_block, spec.xi)
-    rb.add("chain.asym", monodromy_asymptotic_residual(hom), 1e-10)
+    rb.add("chain.asym", monodromy_asymptotic_residual(ispec), 1e-10)
 
     # transfer commutativity across boundary configurations
     l1, l2 = sample_spectral(rng, p, 2)
     combos = [(left, "explicit") for left in LeftBoundaryKind]
     combos += [(LeftBoundaryKind.identity, fam) for fam in ("ansatz", "diagonal", "trivial")]
     for left, fam in combos:
-        cspec = ChainSpec(p, Gauge.homogeneous, fam, left, spec.diag_block, spec.xi)
-        ta = build_transfer(cspec, l1)
-        tb = build_transfer(cspec, l2)
+        cspec = replace(hspec0, right_boundary=fam, left_boundary=left)
         rb.add(f"chain.ttcomm_{left.name}_{fam}",
-               frob(commutator(ta, tb)) / max(frob(ta) * frob(tb), 1e-300), tol)
+               comm_residual(build_transfer(cspec, l1), build_transfer(cspec, l2)), tol)
 
     # Hamiltonian routes
-    hspec = ChainSpec(p, Gauge.homogeneous, "ansatz", LeftBoundaryKind.identity)
+    hspec = ChainSpec(params=p, right_boundary="ansatz")
     try:
         p.require_hamiltonian_ok()
         h1 = build_hamiltonian(hspec, "hecke_form")
@@ -587,9 +554,7 @@ def verify_chain_suite(
         dt_fd = transfer_derivative_numeric(hspec)
         rb.add("chain.tderiv_fd", rel_residual(dt_an, dt_fd), 1e-7)
         lam = sample_spectral(rng, p, 1)[0]
-        th = build_transfer(hspec, lam)
-        rb.add("chain.hcomm",
-               frob(commutator(h1, th)) / max(frob(h1) * frob(th), 1e-300), tol)
+        rb.add("chain.hcomm", comm_residual(h1, build_transfer(hspec, lam)), tol)
     except DegenerateParameters:
         rb.add_flag("chain.hroutes_skipped_degenerate", True)
 
@@ -603,5 +568,5 @@ def _affine_fit(a: np.ndarray, b: np.ndarray):
     basis = np.stack([b.ravel(), eye.ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(basis, a.ravel(), rcond=None)
     alpha, beta = coef
-    res = np.linalg.norm(a - alpha * b - beta * eye) / max(np.linalg.norm(a), 1e-300)
+    res = np.linalg.norm(a - alpha * b - beta * eye) / max(np.linalg.norm(a), RESIDUAL_FLOOR)
     return alpha, beta, res

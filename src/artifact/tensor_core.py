@@ -8,7 +8,19 @@ to re-supply them.
 
 Conventions: the first tensor factor is the slow (most significant) index,
 i.e. ``kron(A, B)`` puts A on the first factor. Basis states of C^d1 (x) C^d2
-are enumerated as |11>, |12>, ..., |1 d2>, |21>, ... in row-major order.
+are enumerated as |11>, |12>, ..., |1 d2>, |21>, ... in row-major order. The
+first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
+its (n, n) grid of blocks.
+
+Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
+(distance from a reference), ``sym_residual`` (two equal-standing sides) and
+``comm_residual`` (a commutator over the product of the factors' norms). Each
+divides by max(scale, RESIDUAL_FLOOR), so exact zeros give 0, not NaN. Checks
+whose sides cancel to (near) zero keep a bespoke scale built from the
+uncancelled words (Hecke braid and mixed relations, Serre and [e, f], the
+weighted-sum exchange relations), [M (x) M, R] and [Rcheck, coproduct] keep
+their own commutator scales; these and the scalar relative errors take the
+same floor.
 """
 
 from __future__ import annotations
@@ -32,11 +44,13 @@ __all__ = [
     "identity_op",
     "frob",
     "rel_residual",
+    "sym_residual",
+    "comm_residual",
+    "aux_blocks",
+    "RESIDUAL_FLOOR",
 ]
 
-# Relative residuals divide by max(norm, _FLOOR) so an exactly-zero reference
-# never produces NaN.
-_FLOOR = 1e-300
+RESIDUAL_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -116,11 +130,36 @@ def frob(a: Operator | np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def _as_mat(a: Operator | np.ndarray) -> np.ndarray:
+    return a.mat if isinstance(a, Operator) else np.asarray(a)
+
+
 def rel_residual(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float:
     """|| A - B ||_F / max(||B||_F, floor)."""
-    ma = a.mat if isinstance(a, Operator) else np.asarray(a)
-    mb = b.mat if isinstance(b, Operator) else np.asarray(b)
-    return float(np.linalg.norm(ma - mb) / max(np.linalg.norm(mb), _FLOOR))
+    ma, mb = _as_mat(a), _as_mat(b)
+    return float(np.linalg.norm(ma - mb) / max(np.linalg.norm(mb), RESIDUAL_FLOOR))
+
+
+def sym_residual(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float:
+    """|| A - B ||_F / max(||A||_F, ||B||_F, floor); symmetric in A and B."""
+    ma, mb = _as_mat(a), _as_mat(b)
+    scale = max(np.linalg.norm(ma), np.linalg.norm(mb), RESIDUAL_FLOOR)
+    return float(np.linalg.norm(ma - mb) / scale)
+
+
+def comm_residual(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float:
+    """|| AB - BA ||_F / max(||A||_F ||B||_F, floor)."""
+    ma, mb = _as_mat(a), _as_mat(b)
+    scale = max(np.linalg.norm(ma) * np.linalg.norm(mb), RESIDUAL_FLOOR)
+    return float(np.linalg.norm(ma @ mb - mb @ ma) / scale)
+
+
+def aux_blocks(m: np.ndarray, n: int) -> np.ndarray:
+    """``m`` on C^n (x) C^d as an (n, d, n, d) array: block (i, j) of the
+    first (auxiliary) factor is ``[i, :, j, :]``, 0-based. A view when ``m``
+    is C-contiguous."""
+    d = m.shape[0] // n
+    return m.reshape(n, d, n, d)
 
 
 def basis_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -220,10 +259,8 @@ def prop_check(a: Operator, b: Operator, tol: float = 1e-9) -> ProportionalityRe
     """Best-fit A ≈ c B in Frobenius inner product; c = <B,A>/<B,B>."""
     a._require_same_side(b)
     bb = np.vdot(b.mat, b.mat)
-    if abs(bb) < _FLOOR:
+    if abs(bb) < RESIDUAL_FLOOR:
         raise ValueError("reference operator is numerically zero")
     c = complex(np.vdot(b.mat, a.mat) / bb)
-    residual = float(
-        np.linalg.norm(a.mat - c * b.mat) / max(np.linalg.norm(a.mat), _FLOOR)
-    )
+    residual = rel_residual(c * b.mat, a)
     return ProportionalityResult(scalar=c, residual=residual, passed=residual <= tol)

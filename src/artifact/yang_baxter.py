@@ -37,6 +37,7 @@ from .params import ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
+    RESIDUAL_FLOOR,
     Operator,
     basis_matrix,
     commutator,
@@ -219,7 +220,7 @@ def verify_ybe_suite(
             r23 = embed_at(build_r(p, l2, gauge), [2, 3], space3)
             lhs = r12 @ r13 @ r23
             rhs = r23 @ r13 @ r12
-            rb.add(f"ybe.ybe.{tag}", frob(lhs - rhs) / max(frob(lhs), 1e-300), tol)
+            rb.add(f"ybe.ybe.{tag}", rel_residual(rhs, lhs), tol)
 
             ru = build_r(p, l1, gauge)
             uni = ru @ build_r_hat(p, -l1, gauge)
@@ -240,7 +241,7 @@ def verify_ybe_suite(
             mm = kron(m, m)
             rb.add(
                 f"ybe.mcomm.{tag}",
-                frob(commutator(mm, ru)) / max(frob(ru) * frob(mm.mat) / n, 1e-300),
+                frob(commutator(mm, ru)) / max(frob(ru) * frob(mm.mat) / n, RESIDUAL_FLOOR),
                 tol,
             )
 
@@ -253,7 +254,7 @@ def verify_ybe_suite(
         c23_f = embed_at(build_rcheck(p, l1 - l2), [2, 3], space3)
         lhs = c12_a @ c23_b @ c12_c
         rhs = c23_d @ c12_e @ c23_f
-        rb.add(f"ybe.braid.s{s}", frob(lhs - rhs) / max(frob(lhs), 1e-300), tol)
+        rb.add(f"ybe.braid.s{s}", rel_residual(rhs, lhs), tol)
 
         cu = build_rcheck(p, l1) @ build_rcheck(p, -l1)
         rb.add(
@@ -292,7 +293,7 @@ def verify_ybe_suite(
                scalar=rho_a)
         rb.add(
             f"ybe.crossing.drift.{gauge.value[:4]}",
-            abs(rho_a - rho_b) / max(abs(rho_a), 1e-300),
+            abs(rho_a - rho_b) / max(abs(rho_a), RESIDUAL_FLOOR),
             1e-8,
             scalar=rho_b,
         )

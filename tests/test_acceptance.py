@@ -7,12 +7,8 @@ configuration so the whole gate stays fast.
 """
 
 from artifact import ModelParams
-from artifact.boundary_charges import verify_symmetry_suite
-from artifact.hecke_algebra import verify_hecke_suite
-from artifact.quantum_algebra import verify_algebra_suite
-from artifact.reflection_k import verify_reflection_suite
-from artifact.spin_chain import ChainSpec, verify_chain_suite
-from artifact.yang_baxter import verify_ybe_suite
+from artifact.cli import SUITES
+from artifact.spin_chain import ChainSpec
 
 MU, M, ZETA = 0.41, 0.9 + 0.2j, 0.6
 
@@ -26,24 +22,8 @@ def _params(n, sites=1):
 def _suite(kind, n, sites=1, samples=5, seed=0, tol=1e-9):
     key = (kind, n, sites, samples, seed, tol)
     if key not in _CACHE:
-        p = _params(n, sites)
-        if kind == "hecke":
-            rep = verify_hecke_suite(p, tol=tol, samples=samples, seed=seed)
-        elif kind == "ybe":
-            rep = verify_ybe_suite(p, samples=samples, tol=tol, seed=seed)
-        elif kind == "reflection":
-            rep = verify_reflection_suite(p, samples=samples, tol=tol, seed=seed)
-        elif kind == "algebra":
-            rep = verify_algebra_suite(p, samples=samples, tol=tol, seed=seed)
-        elif kind == "chain":
-            rep = verify_chain_suite(ChainSpec(params=p), samples=samples,
-                                     tol=tol, seed=seed)
-        elif kind == "symmetry":
-            rep = verify_symmetry_suite(ChainSpec(params=p), samples=samples,
-                                        tol=tol, seed=seed)
-        else:
-            raise ValueError(kind)
-        _CACHE[key] = rep
+        _CACHE[key] = SUITES[kind](ChainSpec(params=_params(n, sites)),
+                                   samples=samples, tol=tol, seed=seed)
     return _CACHE[key]
 
 

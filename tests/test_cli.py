@@ -55,11 +55,37 @@ def test_impossible_tolerance_exits_one(capsys):
     assert json.loads(out)["pass"] is False
 
 
-def test_degenerate_mu_exits_two(capsys):
-    code = main(["verify", "--suite", "ybe", "--mu", "0"])
-    err = capsys.readouterr().err
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["--suite", "ybe", "--mu", "0"], "sinh(i*mu)",
+                     id="degenerate-mu"),
+        pytest.param(["--suite", "hecke", "--sites", "1"], "two sites",
+                     id="hecke-one-site"),
+        pytest.param(["--suite", "all", "--sites", "1"], "two sites",
+                     id="all-one-site"),
+        pytest.param(["--suite", "chain", "--diag-block", "7"], "diagonal block",
+                     id="diag-block-high"),
+        pytest.param(["--suite", "chain", "--diag-block", "0"], "diagonal block",
+                     id="diag-block-zero"),
+        pytest.param(["--suite", "hecke", "--samples", "0"], "samples",
+                     id="samples-zero"),
+        pytest.param(["--suite", "hecke", "--samples", "-1"], "samples",
+                     id="samples-negative"),
+        pytest.param(["--suite", "hecke", "--tol", "nan"], "tol", id="tol-nan"),
+        pytest.param(["--suite", "hecke", "--tol", "inf"], "tol", id="tol-inf"),
+        pytest.param(["--suite", "hecke", "--tol", "0"], "tol", id="tol-zero"),
+        pytest.param(["--suite", "hecke", "--tol=-1e-9"], "tol",
+                     id="tol-negative"),
+    ],
+)
+def test_invalid_input_exits_two(args, message, capsys):
+    code = main(["verify", "--n", "2"] + args)
+    captured = capsys.readouterr()
     assert code == 2
-    assert "sinh(i*mu)" in err
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_bad_flag_value_exits_two():

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from artifact.tensor_core import (
     Operator,
+    aux_blocks,
     basis_matrix,
+    comm_residual,
     commutator,
     embed_at,
     identity_op,
@@ -13,6 +15,7 @@ from artifact.tensor_core import (
     partial_transpose,
     permutation_swap,
     prop_check,
+    sym_residual,
 )
 
 
@@ -184,3 +187,31 @@ def test_prop_check():
     assert abs(res2.residual - expected) < 1e-12
     with pytest.raises(ValueError):
         prop_check(b, Operator(np.zeros((4, 4)), (4,)))
+
+
+def test_aux_blocks_is_a_view_of_the_slices():
+    rng = np.random.default_rng(3)
+    n, d = 3, 4
+    m = rng.normal(size=(n * d, n * d)) + 1j * rng.normal(size=(n * d, n * d))
+    blocks = aux_blocks(m, n)
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(blocks[i, :, j, :],
+                                  m[i * d:(i + 1) * d, j * d:(j + 1) * d])
+    assert np.shares_memory(blocks, m)
+
+
+def test_sym_residual_is_symmetric():
+    rng = np.random.default_rng(4)
+    a = op(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 2))
+    b = 3.0 * a.mat + 0.1
+    assert sym_residual(a, b) == sym_residual(b, a)
+    assert sym_residual(a, b) == pytest.approx(
+        np.linalg.norm(a.mat - b) / np.linalg.norm(b))
+
+
+def test_residuals_are_zero_not_nan_on_zero_operands():
+    zero = np.zeros((3, 3), dtype=complex)
+    assert sym_residual(zero, zero) == 0.0
+    assert comm_residual(zero, zero) == 0.0
+    assert comm_residual(op(zero, (3,)), identity_op([3])) == 0.0
