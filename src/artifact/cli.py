@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -75,8 +76,12 @@ class CliError(Exception):
 
 
 def parse_complex(text: str) -> complex:
-    """Accept 'a+bi' (or plain reals, or 'bi') with either i or j."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """Accept 'a+bi' (or plain reals, or 'bi') with either i or j.
+
+    The i of "inf" is not the imaginary unit, so "inf" parses; non-finite
+    values are then refused by ModelParams and ChainSpec.
+    """
+    cleaned = re.sub(r"i(?!nf)", "j", text.strip().replace(" ", ""))
     try:
         return complex(cleaned)
     except ValueError:

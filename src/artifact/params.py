@@ -35,6 +35,10 @@ class ModelParams:
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "m", complex(self.m))
         object.__setattr__(self, "zeta", complex(self.zeta))
+        for name in ("mu", "m", "zeta"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise DegenerateParameters(f"{name} must be finite, got {value}")
         if abs(cmath.sinh(1j * self.mu)) <= 1e-8:
             raise DegenerateParameters(
                 f"sinh(i*mu) = {cmath.sinh(1j*self.mu):.3e} too small (q = ±1)"

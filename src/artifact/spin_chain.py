@@ -49,6 +49,7 @@ from .tensor_core import (
     partial_trace_first,
     permutation_swap,
     rel_residual,
+    worst_of,
 )
 from .yang_baxter import (
     Gauge,
@@ -78,6 +79,8 @@ class ChainSpec:
             raise ValueError("need at least one site")
         if self.right_boundary not in RIGHT_FAMILIES:
             raise ValueError(f"unknown right boundary family {self.right_boundary!r}")
+        if not cmath.isfinite(complex(self.xi)):
+            raise ValueError(f"xi must be finite, got {self.xi}")
         if not 1 <= self.diag_block < self.params.n:
             raise ValueError(f"diagonal block {self.diag_block} out of range 1..{self.params.n - 1}")
 
@@ -313,7 +316,7 @@ def _gensol_eval(params: ModelParams, k_of_lam, lamp: complex, lam: complex, gau
 def _blockwise_exchange_residual(plus, minus, k, n: int) -> float:
     """Worst rel_residual(plus_ij k, k minus_ij) over the auxiliary blocks."""
     bp, bm = aux_blocks(plus, n), aux_blocks(minus, n)
-    return max(
+    return worst_of(
         rel_residual(bp[i, :, j, :] @ k, k @ bm[i, :, j, :])
         for i in range(n)
         for j in range(n)
@@ -464,7 +467,7 @@ def monodromy_asymptotic_residual(spec: ChainSpec, re_lambda: float = 15.0) -> f
     p = spec.params
     t = build_monodromy(spec, re_lambda).mat * cmath.exp(-p.sites * re_lambda)
     blocks = aux_blocks(t, p.n)
-    return max(frob(blocks[i, :, j, :]) for i in range(p.n) for j in range(i)) / frob(t)
+    return worst_of(frob(blocks[i, :, j, :]) for i in range(p.n) for j in range(i)) / frob(t)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +516,9 @@ def verify_chain_suite(
         rb.add(f"chain.ttcomm_open.s{s}",
                comm_residual(build_transfer(spec, l1), build_transfer(spec, l2)), tol)
         rb.add(f"chain.intert.s{s}",
-               max(monodromy_intertwine_residual(spec, lab, l1) for lab in labels), tol)
+               worst_of(monodromy_intertwine_residual(spec, lab, l1) for lab in labels), tol)
         rb.add(f"chain.intert_hat.s{s}",
-               max(monodromy_hat_intertwine_residual(spec, lab, l1) for lab in labels), tol)
+               worst_of(monodromy_hat_intertwine_residual(spec, lab, l1) for lab in labels), tol)
         rb.add(f"chain.bcomm.s{s}",
                boundary_commutation_residual(
                    p, lambda u: build_k_explicit(p, u, spec.gauge), l1, l2, spec.gauge),

@@ -20,7 +20,7 @@ whose sides cancel to (near) zero keep a bespoke scale built from the
 uncancelled words (Hecke braid and mixed relations, Serre and [e, f], the
 weighted-sum exchange relations), [M (x) M, R] and [Rcheck, coproduct] keep
 their own commutator scales; these and the scalar relative errors take the
-same floor.
+same floor. ``worst_of`` combines several residuals into one check.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "rel_residual",
     "sym_residual",
     "comm_residual",
+    "worst_of",
     "aux_blocks",
     "RESIDUAL_FLOOR",
 ]
@@ -152,6 +153,19 @@ def comm_residual(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float:
     ma, mb = _as_mat(a), _as_mat(b)
     scale = max(np.linalg.norm(ma) * np.linalg.norm(mb), RESIDUAL_FLOOR)
     return float(np.linalg.norm(ma @ mb - mb @ ma) / scale)
+
+
+def worst_of(residuals) -> float:
+    """Largest of the residuals, or NaN if any of them is NaN.
+
+    A running ``max`` started at 0.0 would drop a NaN (``max(0.0, nan)`` is
+    0.0) and let a residual that could not be computed pass as exact. An
+    empty input raises: a check with nothing to compare must not pass.
+    """
+    values = [float(r) for r in residuals]
+    if not values:
+        raise ValueError("worst_of needs at least one residual")
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def aux_blocks(m: np.ndarray, n: int) -> np.ndarray:

@@ -49,6 +49,7 @@ from .tensor_core import (
     permutation_swap,
     prop_check,
     rel_residual,
+    worst_of,
 )
 
 __all__ = [
@@ -289,7 +290,7 @@ def verify_ybe_suite(
     for gauge in (Gauge.homogeneous, Gauge.principal):
         rho_a, res_a = fit_crossing_shift(params, lam_a, gauge)
         rho_b, res_b = fit_crossing_shift(params, lam_b, gauge)
-        rb.add(f"ybe.crossing.fit.{gauge.value[:4]}", max(res_a, res_b), tol,
+        rb.add(f"ybe.crossing.fit.{gauge.value[:4]}", worst_of((res_a, res_b)), tol,
                scalar=rho_a)
         rb.add(
             f"ybe.crossing.drift.{gauge.value[:4]}",

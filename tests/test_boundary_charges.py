@@ -14,6 +14,7 @@ import pytest
 
 from artifact import ModelParams
 from artifact.boundary_charges import (
+    _t_prime_rep,
     asymptotic_charges_residual,
     boundary_entry_indices,
     braid_exchange_residuals,
@@ -139,14 +140,32 @@ def test_recursion_matches_products():
 
 
 def test_recursion_prime_is_cycled_recursion():
+    # every position; n = 4 reaches the rows and columns i >= 3, and the
+    # interior and (1, n) / (n, 1) entries that go through _t_prime_rep
+    for n in (3, 4):
+        p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
+        shift = cyclic_shift(n, 3)
+        inv = Operator(shift.mat.conj().T, shift.dims)
+        for pos in boundary_entry_indices(n) + ((n, n),):
+            plain = coproduct_charges(p, 3, pos)
+            primed = coproduct_charges(p, 3, pos, "delta_prime")
+            cycled = shift @ plain @ inv
+            assert rel_residual(primed.mat, cycled.mat) < 1e-12, (n, pos)
+
+
+def test_t_prime_rep_is_cycled_tower():
     p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
     shift = cyclic_shift(3, 3)
     inv = Operator(shift.mat.conj().T, shift.dims)
-    for pos in ((1, 1), (1, 2), (2, 1), (3, 3)):
-        plain = coproduct_charges(p, 3, pos)
-        primed = coproduct_charges(p, 3, pos, "delta_prime")
-        cycled = shift @ plain @ inv
-        assert rel_residual(primed.mat, cycled.mat) < 1e-12
+    labels = [TElementLabel(TElementFamily.t, i, j) for i in (1, 2, 3) for j in (1, 2, 3)
+              if i <= j]
+    labels += [TElementLabel(TElementFamily.t_hat, i, j) for i in (1, 2, 3)
+               for j in (1, 2, 3) if i >= j]
+    labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
+               TElementLabel(TElementFamily.t0hat_1n, 1, 3)]
+    for lab in labels:
+        cycled = shift @ t_element_rep(p, lab, L=3) @ inv
+        assert rel_residual(_t_prime_rep(p, lab, 3), cycled.mat) < 1e-12, lab
 
 
 def test_block_closed_forms_match_generic_coproduct():

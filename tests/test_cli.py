@@ -77,6 +77,14 @@ def test_impossible_tolerance_exits_one(capsys):
         pytest.param(["--suite", "hecke", "--tol", "0"], "tol", id="tol-zero"),
         pytest.param(["--suite", "hecke", "--tol=-1e-9"], "tol",
                      id="tol-negative"),
+        pytest.param(["--samples", "1", "--m", "nan"], "m must be finite",
+                     id="m-nan"),
+        pytest.param(["--samples", "1", "--zeta", "nan"], "zeta must be finite",
+                     id="zeta-nan"),
+        pytest.param(["--suite", "ybe", "--mu", "inf"], "mu must be finite",
+                     id="mu-inf"),
+        pytest.param(["--suite", "chain", "--xi", "nan"], "xi must be finite",
+                     id="xi-nan"),
     ],
 )
 def test_invalid_input_exits_two(args, message, capsys):

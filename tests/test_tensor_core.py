@@ -16,6 +16,7 @@ from artifact.tensor_core import (
     permutation_swap,
     prop_check,
     sym_residual,
+    worst_of,
 )
 
 
@@ -215,3 +216,13 @@ def test_residuals_are_zero_not_nan_on_zero_operands():
     assert sym_residual(zero, zero) == 0.0
     assert comm_residual(zero, zero) == 0.0
     assert comm_residual(op(zero, (3,)), identity_op([3])) == 0.0
+
+
+def test_worst_of_keeps_nan_and_refuses_empty():
+    assert worst_of([0.0, 2e-16, np.float64(1e-15)]) == 1e-15
+    assert type(worst_of([np.float64(3.0)])) is float
+    for order in ([float("nan"), 1.0], [1.0, float("nan")], [0.0, float("nan")]):
+        assert np.isnan(worst_of(order))
+    assert np.isnan(worst_of(r for r in (1e-16, float("nan"), 1e-14)))
+    with pytest.raises(ValueError):
+        worst_of([])
