@@ -49,6 +49,11 @@ SUITES = {
 }
 SUITE_ORDER = tuple(SUITES)
 SPECTRUM_DIM_CAP = 4096
+# Largest dense side verify builds: n^(sites+2) for the chain suite's
+# double-row intertwiner, n^(sites+1) for the symmetry suite's charges on one
+# more site, n^sites for the others, and four-site products in every suite.
+VERIFY_DIM_CAP = 4096
+_EXTRA_SITES = {"chain": 2, "symmetry": 1}
 CLUSTER_TOL = 1e-8
 
 DEFAULTS = {
@@ -273,6 +278,13 @@ def run_verify(settings: dict) -> tuple[int, list]:
         raise CliError(f"tol must be finite and positive, got {tol}")
     if "hecke" in suites and params.sites < 2:
         raise CliError("the hecke suite needs at least two sites")
+    for name in suites:
+        power = max(params.sites + _EXTRA_SITES.get(name, 0), 4)
+        if params.n**power > VERIFY_DIM_CAP:
+            raise CliError(
+                f"the {name} suite needs dense matrices of side n^{power} = "
+                f"{params.n ** power}, over the cap {VERIFY_DIM_CAP}"
+            )
     reports = [SUITES[name](spec, samples=samples, tol=tol, seed=settings["seed"])
                for name in suites]
     code = 0 if all(r.passed for r in reports) else 1

@@ -22,6 +22,11 @@ Conventions that the checks pin down empirically:
 
 Everything is realized as dense matrices on (C^n)^{(x) L}; the first tensor
 slot optionally carries the spectral parameter, all the others sit at 0.
+A ``Tower`` fixes (params, L, first-site lambda, gauge) and builds each plain
+generator coproduct, root element and tower entry once; every L-site image
+any module reads comes from one, and ``t_element_rep`` is its one-shot
+wrapper. The checks that compare independent routes call ``coproduct_rep``
+(both orders) and ``_coproduct_recursive`` directly.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
     RESIDUAL_FLOOR,
     Operator,
+    aux_blocks,
     basis_matrix,
     embed_at,
     frob,
@@ -56,6 +62,7 @@ __all__ = [
     "GeneratorLabel",
     "TElementFamily",
     "TElementLabel",
+    "Tower",
     "eval_generator",
     "coproduct_rep",
     "t_element_rep",
@@ -217,8 +224,21 @@ def coproduct_rep(
 # ---------------------------------------------------------------------------
 
 
-class _RepCtx:
-    """Memoized realization context: fixed fold count, first-site lambda, gauge."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Tower:
+    """Memoized images on L sites: fixed fold count, first-site lambda, gauge.
+
+    ``gen`` holds the plain L-fold coproducts of the Chevalley generators,
+    ``root`` the root elements of the averaged recursion and ``t_image`` the
+    tower entries, ``t(i, j)`` and ``h(i, j)`` being the t and t-hat ones.
+    Each image is built once and every later read returns the same array,
+    made read-only because it is shared. A tower lives as long as the builder
+    call that made it; nothing is cached across calls.
+    """
 
     def __init__(self, params, L=1, first_site_lambda=None, gauge=Gauge.homogeneous):
         self.params = params
@@ -227,18 +247,19 @@ class _RepCtx:
         self.gauge = gauge
         self._gen: dict = {}
         self._roots: dict = {}
+        self._t: dict = {}
 
     def gen(self, kind: GeneratorKind, index: int, inverse: bool = False) -> np.ndarray:
         key = (kind, index, inverse)
         if key not in self._gen:
-            self._gen[key] = coproduct_rep(
+            self._gen[key] = _frozen(coproduct_rep(
                 self.params,
                 GeneratorLabel(kind, index, inverse),
                 self.L,
                 "delta",
                 self.first_site_lambda,
                 self.gauge,
-            ).mat
+            ).mat)
         return self._gen[key]
 
     def root(self, i: int, j: int, hat: bool) -> np.ndarray:
@@ -262,10 +283,21 @@ class _RepCtx:
                 a, b = self.root(i, k, hat), self.root(k, j, hat)
                 acc += a @ b - qfac * (b @ a)
             out = acc / (abs(i - j) - 1)
-        self._roots[key] = out
+        self._roots[key] = _frozen(out)
         return out
 
+    def t(self, i: int, j: int) -> np.ndarray:
+        return self.t_image(TElementLabel(TElementFamily.t, i, j))
+
+    def h(self, i: int, j: int) -> np.ndarray:
+        return self.t_image(TElementLabel(TElementFamily.t_hat, i, j))
+
     def t_image(self, label: TElementLabel) -> np.ndarray:
+        if label not in self._t:
+            self._t[label] = _frozen(self._build_t(label))
+        return self._t[label]
+
+    def _build_t(self, label: TElementLabel) -> np.ndarray:
         p, n = self.params, self.params.n
         fam, i, j = label.family, label.i, label.j
         w = p.w
@@ -319,8 +351,8 @@ def t_element_rep(
     first_site_lambda=None,
     gauge: Gauge = Gauge.homogeneous,
 ) -> Operator:
-    ctx = _RepCtx(params, L, first_site_lambda, gauge)
-    return Operator(ctx.t_image(label), (params.n,) * L)
+    return Operator(Tower(params, L, first_site_lambda, gauge).t_image(label),
+                    (params.n,) * L)
 
 
 def _coproduct_pairs(n: int, label: TElementLabel) -> list:
@@ -352,8 +384,8 @@ def t_coproduct_sum(
     """Right-hand side of the factorized two-fold coproduct sums: the sum of
     first (x) second over the label pairs of ``_coproduct_pairs``."""
     n = params.n
-    first = _RepCtx(params, 1, first_site_lambda, gauge)
-    second = _RepCtx(params, 1, None, gauge)
+    first = Tower(params, 1, first_site_lambda, gauge)
+    second = Tower(params, 1, None, gauge)
     acc = sum(
         np.kron(first.t_image(a), second.t_image(b))
         for a, b in _coproduct_pairs(n, label)
@@ -380,48 +412,45 @@ def build_lax(
     t_1n / t-minus_n1.
     """
     n = params.n
-    ctx = _RepCtx(params, quantum_sites, None, Gauge.homogeneous)
-    dims = (n,) * (1 + quantum_sites)
+    tower = Tower(params, quantum_sites)
     dq = n**quantum_sites
     total = np.zeros((n * dq, n * dq), dtype=np.complex128)
+    blocks = aux_blocks(total, n)
 
     def put(i, j, coeff, block):
-        nonlocal total
-        total += coeff * np.kron(basis_matrix(n, i, j), block)
+        blocks[i - 1, :, j - 1, :] += coeff * block
 
+    minus = TElementFamily.t_minus
+    ep, em = cmath.exp(lam), cmath.exp(-lam)
     if gauge == Gauge.homogeneous:
-        ep, em = cmath.exp(lam), cmath.exp(-lam)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                put(i, j, ep, ctx.t_image(TElementLabel(TElementFamily.t, i, j)))
+                put(i, j, ep, tower.t(i, j))
         for i in range(1, n + 1):
             for j in range(1, i + 1):
-                put(i, j, -em,
-                    ctx.t_image(TElementLabel(TElementFamily.t_minus, i, j)))
-        return Operator(total, dims)
+                put(i, j, -em, tower.t_image(TElementLabel(minus, i, j)))
+        return Operator(total, (n,) * (1 + quantum_sites))
 
-    ep, em = cmath.exp(lam), cmath.exp(-lam)
     for i in range(1, n + 1):
-        tii = ctx.t_image(TElementLabel(TElementFamily.t, i, i))
-        tii_inv = ctx.t_image(TElementLabel(TElementFamily.t_minus, i, i))
-        put(i, i, 1.0, ep * tii - em * tii_inv)
+        tii_inv = tower.t_image(TElementLabel(minus, i, i))
+        put(i, i, 1.0, ep * tower.t(i, i) - em * tii_inv)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if (i, j) == (1, n):
                 continue
             coeff = cmath.exp(((i - j) * 2.0 / n + 1.0) * lam)
-            put(i, j, coeff, ctx.t_image(TElementLabel(TElementFamily.t, i, j)))
+            put(i, j, coeff, tower.t(i, j))
     put(n, 1, cmath.exp(lam - 2.0 * lam / n),
-        ctx.t_image(TElementLabel(TElementFamily.t0_n1, n, 1)))
+        tower.t_image(TElementLabel(TElementFamily.t0_n1, n, 1)))
     for i in range(1, n + 1):
         for j in range(1, i):
             if (i, j) == (n, 1):
                 continue
             coeff = cmath.exp(((i - j) * 2.0 / n - 1.0) * lam)
-            put(i, j, -coeff, ctx.t_image(TElementLabel(TElementFamily.t_minus, i, j)))
+            put(i, j, -coeff, tower.t_image(TElementLabel(minus, i, j)))
     put(1, n, -cmath.exp(-lam + 2.0 * lam / n),
-        ctx.t_image(TElementLabel(TElementFamily.t0_minus_1n, 1, n)))
-    return Operator(total, dims)
+        tower.t_image(TElementLabel(TElementFamily.t0_minus_1n, 1, n)))
+    return Operator(total, (n,) * (1 + quantum_sites))
 
 
 def build_lax_hat(
@@ -465,23 +494,20 @@ def block_closed_rep(
         raise ValueError("need at least one quantum site")
     q = params.q
     qh = _qpow(params, 0.5)
-    dq = n**N
-    blocks = [[np.zeros((dq, dq), dtype=np.complex128) for _ in range(n)]
-              for _ in range(n)]
-
-    def cop(kind, idx, inverse=False):
-        return coproduct_rep(params, GeneratorLabel(kind, idx, inverse), N).mat
+    tower = Tower(params, N)
+    zero = np.zeros((n**N, n**N), dtype=np.complex128)
+    blocks = [[zero] * n for _ in range(n)]
 
     if which in ("chevalley_e", "chevalley_f"):
         if index is None or not (1 <= index <= n):
             raise ValueError("chevalley form needs a generator index in 1..n")
         i = index
         kind = GeneratorKind.E if which == "chevalley_e" else GeneratorKind.F
-        diag = cop(kind, i)
-        hinv = cop(GeneratorKind.HCARTAN, i, inverse=True)
+        diag = tower.gen(kind, i)
+        hinv = tower.gen(GeneratorKind.HCARTAN, i, inverse=True)
+        for k in range(n):
+            blocks[k][k] = diag
         if i < n:
-            for k in range(1, n + 1):
-                blocks[k - 1][k - 1] = diag.copy()
             blocks[i - 1][i - 1] = qh * diag
             blocks[i][i] = diag / qh
             if which == "chevalley_e":
@@ -489,8 +515,6 @@ def block_closed_rep(
             else:
                 blocks[i][i - 1] = hinv
         else:
-            for k in range(1, n + 1):
-                blocks[k - 1][k - 1] = diag.copy()
             blocks[0][0] = diag / qh
             blocks[n - 1][n - 1] = qh * diag
             if which == "chevalley_e":
@@ -500,10 +524,9 @@ def block_closed_rep(
     elif which == "cartan_eps":
         if index is None or not (1 <= index <= n):
             raise ValueError("cartan form needs an index in 1..n")
-        half = cop(GeneratorKind.KCARTAN, index)
-        e_full = half @ half
-        for k in range(1, n + 1):
-            blocks[k - 1][k - 1] = e_full.copy()
+        e_full = tower.t(index, index)
+        for k in range(n):
+            blocks[k][k] = e_full
         blocks[index - 1][index - 1] = q * e_full
     elif which in ("Q11", "Q12", "Q21", "Qnn"):
         if charges is None:
@@ -511,23 +534,18 @@ def block_closed_rep(
         if which != "Qnn" and n != 3:
             raise ValueError(f"{which} closed form is recorded for n=3 only")
         w = params.w
-
-        def e_sq(idx):
-            half = cop(GeneratorKind.KCARTAN, idx)
-            return half @ half
-
         if which == "Qnn":
             tnn = charges["Tnn"]
-            corner = e_sq(1) @ e_sq(n)
-            for k in range(1, n + 1):
-                blocks[k - 1][k - 1] = tnn.copy()
+            corner = tower.t(1, 1) @ tower.t(n, n)
+            for k in range(n):
+                blocks[k][k] = tnn
             blocks[n - 1][n - 1] = q * q * tnn
             blocks[0][n - 1] = -1j * cmath.exp(2 * lam) * q * w * corner
             blocks[n - 1][0] = -1j * cmath.exp(-2 * lam) * q * w * corner
         else:
             t11, t12, t21 = charges["T11"], charges["T12"], charges["T21"]
-            e22sq = e_sq(2) @ e_sq(2)
-            corners = e_sq(1) @ e_sq(3)
+            e22sq = tower.t(2, 2) @ tower.t(2, 2)
+            corners = tower.t(1, 1) @ tower.t(3, 3)
             em = cmath.exp(1j * params.mu * params.m)
             if which == "Q11":
                 blocks[0][0] = q * q * t11
@@ -536,27 +554,23 @@ def block_closed_rep(
                 blocks[1][0] = w * q * t21
                 blocks[1][1] = t11 + em * w * w * e22sq
                 blocks[2][0] = -1j * w * q * corners
-                blocks[2][2] = t11.copy()
+                blocks[2][2] = t11
             elif which == "Q12":
                 blocks[0][0] = q * t12
                 blocks[1][0] = em * w * e22sq
                 blocks[1][1] = q * t12
                 blocks[1][2] = -1j * w * corners
-                blocks[2][2] = t12.copy()
+                blocks[2][2] = t12
             else:
                 blocks[0][0] = q * t21
                 blocks[0][1] = em * w * e22sq
                 blocks[1][1] = q * t21
                 blocks[2][1] = -1j * w * corners
-                blocks[2][2] = t21.copy()
+                blocks[2][2] = t21
     else:
         raise ValueError(f"unknown closed form {which!r}")
 
-    total = np.zeros((n * dq, n * dq), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            total += np.kron(basis_matrix(n, k + 1, l + 1), blocks[k][l])
-    return Operator(total, (n,) * (N + 1))
+    return Operator(np.block(blocks), (n,) * (N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +596,9 @@ def _intertwine_residual(params, label, lam, gauge, r=None) -> float:
     return sym_residual(dp @ r, r @ d)
 
 
-def _serre_residual(params, ctx: _RepCtx, kind, i, j) -> float:
-    xi = ctx.gen(kind, i)
-    xj = ctx.gen(kind, j)
+def _serre_residual(params, tower: Tower, kind, i, j) -> float:
+    xi = tower.gen(kind, i)
+    xj = tower.gen(kind, j)
     if abs(i - j) == 1:
         box = params.q + 1.0 / params.q
         lhs = xi @ xi @ xj - box * (xi @ xj @ xi) + xj @ xi @ xi
@@ -594,10 +608,10 @@ def _serre_residual(params, ctx: _RepCtx, kind, i, j) -> float:
     return frob(lhs) / scale
 
 
-def _ef_relation_residual(params, ctx: _RepCtx, i, j) -> float:
-    e = ctx.gen(GeneratorKind.E, i)
-    f = ctx.gen(GeneratorKind.F, j)
-    h = ctx.gen(GeneratorKind.HCARTAN, i)
+def _ef_relation_residual(params, tower: Tower, i, j) -> float:
+    e = tower.gen(GeneratorKind.E, i)
+    f = tower.gen(GeneratorKind.F, j)
+    h = tower.gen(GeneratorKind.HCARTAN, i)
     lhs = e @ f - f @ e
     if i == j:
         rhs = (h @ h - np.linalg.inv(h @ h)) / (params.q - 1.0 / params.q)
@@ -720,23 +734,24 @@ def verify_algebra_suite(
         # bulk commutation of the braid R with fold-N coproducts
         sites = max(2, params.sites)
         rc = build_rcheck(p, lam)
+        tower = Tower(p, sites)
         res = []
         for l in range(1, sites):
-            rcl = embed_at(rc, [l, l + 1], [n] * sites)
+            rcl = embed_at(rc, [l, l + 1], [n] * sites).mat
             for lab in _all_labels(n):
                 if lab.kind in (GeneratorKind.E, GeneratorKind.F) and lab.index == n:
                     continue  # affine generators are excluded from this symmetry
-                x = coproduct_rep(p, lab, sites)
+                x = tower.gen(lab.kind, lab.index, lab.inverse)
                 num = frob(rcl @ x - x @ rcl)
                 res.append(num / max(frob(x) * frob(rc), RESIDUAL_FLOOR))
         rb.add(f"algebra.rcheck_comm.s{s}", worst_of(res), tol)
 
     # ---- structural checks (parameter set of the call, once) -------------
-    ctx1 = _RepCtx(params, 1)
-    ctx2 = _RepCtx(params, 2)
+    tower1 = Tower(params, 1)
+    tower2 = Tower(params, 2)
 
     rb.add("algebra.root_pi0", worst_of(
-        rel_residual(ctx1.root(i, j, hat), basis_matrix(n, i, j))
+        rel_residual(tower1.root(i, j, hat), basis_matrix(n, i, j))
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         if i != j
@@ -744,20 +759,20 @@ def verify_algebra_suite(
     ), 1e-12)
 
     rb.add("algebra.ef_relation", worst_of(
-        _ef_relation_residual(params, ctx, i, j)
-        for ctx in (ctx1, ctx2)
+        _ef_relation_residual(params, tower, i, j)
+        for tower in (tower1, tower2)
         for i in range(1, n)
         for j in range(1, n)
     ), 1e-12)
 
     if n >= 3:
         rb.add("algebra.serre", worst_of(
-            _serre_residual(params, ctx, kind, i, j)
+            _serre_residual(params, tower, kind, i, j)
             for kind in (GeneratorKind.E, GeneratorKind.F)
             for i in range(1, n)
             for j in range(1, n)
             if i != j
-            for ctx in (ctx1, ctx2)
+            for tower in (tower1, tower2)
         ), 1e-12)
 
     # primed two-fold coproduct is the swapped one
@@ -812,16 +827,16 @@ def verify_algebra_suite(
     qmh = _qpow(params, -0.5)
     for i in range(3, n + 1):
         for j in range(1, i - 1):
-            lhs = ctx2.root(i, j, hat=False)
+            lhs = tower2.root(i, j, hat=False)
 
             def kq(idx, sgn):
-                return ctx1.gen(GeneratorKind.KCARTAN, idx, sgn < 0)
+                return tower1.gen(GeneratorKind.KCARTAN, idx, sgn < 0)
 
-            rhs = np.kron(kq(j, -1) @ np.linalg.inv(kq(i, -1)), ctx1.root(i, j, False))
-            rhs += np.kron(ctx1.root(i, j, False), kq(j, +1) @ np.linalg.inv(kq(i, +1)))
+            rhs = np.kron(kq(j, -1) @ np.linalg.inv(kq(i, -1)), tower1.root(i, j, False))
+            rhs += np.kron(tower1.root(i, j, False), kq(j, +1) @ np.linalg.inv(kq(i, +1)))
             for k in range(j + 1, i):
-                left = kq(j, -1) @ kq(k, +1) @ ctx1.root(i, k, False)
-                right = kq(k, +1) @ kq(i, -1) @ ctx1.root(k, j, False)
+                left = kq(j, -1) @ kq(k, +1) @ tower1.root(i, k, False)
+                right = kq(k, +1) @ kq(i, -1) @ tower1.root(k, j, False)
                 rhs += qmh * w * np.kron(left, right)
             res.append(rel_residual(lhs, rhs))
     if n >= 3:
@@ -834,10 +849,10 @@ def verify_algebra_suite(
             if abs(i - j) < 2:
                 continue
             for hat in (False, True):
-                avg = ctx1.root(i, j, hat)
+                avg = tower1.root(i, j, hat)
                 qfac = _root_qfac(params, i, j, hat)
                 for k in range(min(i, j) + 1, max(i, j)):
-                    a, b = ctx1.root(i, k, hat), ctx1.root(k, j, hat)
+                    a, b = tower1.root(i, k, hat), tower1.root(k, j, hat)
                     single = a @ b - qfac * (b @ a)
                     res.append(rel_residual(avg, single))
     if n >= 3:

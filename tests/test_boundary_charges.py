@@ -8,11 +8,12 @@ dominant-balance limit of the affine charge at large boundary parameter.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from artifact import ModelParams
+from artifact import ModelParams, quantum_algebra
 from artifact.boundary_charges import (
     _t_prime_rep,
     asymptotic_charges_residual,
@@ -29,12 +30,10 @@ from artifact.boundary_charges import (
     verify_symmetry_suite,
 )
 from artifact.quantum_algebra import (
-    GeneratorKind,
-    GeneratorLabel,
     TElementFamily,
     TElementLabel,
+    Tower,
     block_closed_rep,
-    coproduct_rep,
     t_element_rep,
 )
 from artifact.spin_chain import ChainSpec
@@ -127,7 +126,7 @@ def test_affine_charge_dominant_balance():
     p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6 - 50j, sites=2)
     c2 = 2 * cmath.cosh(2j * p.mu * p.zeta)
     tnn = t_element_rep(p, TElementLabel(TElementFamily.t, 3, 3), L=2).mat
-    assert rel_residual(build_affine_charge(p, 2).mat, -c2 * tnn @ tnn) < 1e-12
+    assert rel_residual(build_affine_charge(Tower(p, 2)).mat, -c2 * tnn @ tnn) < 1e-12
 
 
 def test_recursion_matches_products():
@@ -163,9 +162,30 @@ def test_t_prime_rep_is_cycled_tower():
                for j in (1, 2, 3) if i >= j]
     labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
                TElementLabel(TElementFamily.t0hat_1n, 1, 3)]
+    first, rest = Tower(p, 1), Tower(p, 2)
     for lab in labels:
         cycled = shift @ t_element_rep(p, lab, L=3) @ inv
-        assert rel_residual(_t_prime_rep(p, lab, 3), cycled.mat) < 1e-12, lab
+        assert rel_residual(_t_prime_rep(first, rest, lab), cycled.mat) < 1e-12, lab
+
+
+def test_charges_build_each_coproduct_once(monkeypatch):
+    # n = 4 on three sites needs twelve distinct generator coproducts: the
+    # four half Cartans, e_i and f_i for i < n, and e_n, f_n for the corners
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
+    calls = []
+    inner = quantum_algebra.coproduct_rep
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quantum_algebra, "coproduct_rep", counted)
+    build_boundary_charges(p, 3)
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
+    calls.clear()
+    coproduct_charges(p, 3, (1, 1), "delta_prime")
+    assert len(calls) <= 84
 
 
 def test_block_closed_forms_match_generic_coproduct():
@@ -203,8 +223,7 @@ def test_braid_exchange_single_site():
 def test_exchange_relations_n3_displays():
     spec = ChainSpec(params=P32)
     charges = build_boundary_charges(P32, 2)
-    cache = _generator_cache(P32, 2)
-    out = exchange_relation_residuals(spec, 0.31 - 0.13j, charges, cache)
+    out = exchange_relation_residuals(spec, 0.31 - 0.13j, charges, Tower(P32, 2))
     for name in ("com4", "com5", "com6", "com7", "com8", "com9", "com11"):
         assert out[name] < 1e-12, name
     # the strictly-interior ladder relations need n >= 4
@@ -215,27 +234,9 @@ def test_exchange_relations_nonvacuous_n4():
     p = ModelParams(n=4, mu=0.37, m=1.1 + 0.15j, zeta=0.52, sites=2)
     spec = ChainSpec(params=p)
     charges = build_boundary_charges(p, 2)
-    cache = _generator_cache(p, 2)
-    out = exchange_relation_residuals(spec, 0.21 + 0.17j, charges, cache)
+    out = exchange_relation_residuals(spec, 0.21 + 0.17j, charges, Tower(p, 2))
     for name in ("com2", "com3", "com4", "com4b", "com8", "com11"):
         assert out[name] < 1e-12, name
-
-
-def _generator_cache(p, N):
-    n = p.n
-    return {
-        "e": {i: coproduct_rep(p, GeneratorLabel(GeneratorKind.E, i), N).mat
-              for i in range(1, n)},
-        "f": {i: coproduct_rep(p, GeneratorLabel(GeneratorKind.F, i), N).mat
-              for i in range(1, n)},
-        "hp": {i: coproduct_rep(p, GeneratorLabel(GeneratorKind.HCARTAN, i), N).mat
-               for i in range(1, n)},
-        "hm": {i: coproduct_rep(
-                   p, GeneratorLabel(GeneratorKind.HCARTAN, i, inverse=True), N).mat
-               for i in range(1, n)},
-        "eps": {i: t_element_rep(p, TElementLabel(TElementFamily.t, i, i), L=N).mat
-                for i in range(1, n + 1)},
-    }
 
 
 def test_bad_positions_and_variants_raise():
@@ -251,6 +252,11 @@ def test_bad_positions_and_variants_raise():
 
 def test_degeneracy_witness():
     assert degeneracy_witness(P32, 2) < 1e-8
+
+
+def test_degeneracy_witness_without_isolated_eigenvalue_is_nan():
+    # a cluster tolerance this wide merges the whole spectrum into one cluster
+    assert math.isnan(degeneracy_witness(P32, 2, cluster_tol=1e6))
 
 
 def test_suite_green_n3():

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from artifact import cli
 from artifact.cli import CliError, main, parse_complex, read_config
 from artifact.reporting import (
     CheckResult,
@@ -163,6 +164,39 @@ def test_spectrum_size_cap_exits_two(capsys):
     code = main(["spectrum", "--n", "4", "--sites", "7"])
     assert code == 2
     assert "4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, sites",
+    [("all", 5), ("chain", 5), ("symmetry", 6), ("algebra", 7)],
+)
+def test_verify_size_cap_exits_two_before_any_suite(suite, sites, monkeypatch, capsys):
+    # at n = 4 these need dense sides of 4^7 = 16384: refused before a suite runs
+    def refuse(spec, **kw):
+        pytest.fail("a suite ran on a request over the size cap")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, refuse)
+    code = main(["verify", "--n", "4", "--sites", str(sites), "--suite", suite])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "4096" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_size_cap_admits_the_cap(monkeypatch, capsys):
+    # the chain suite at n = 4, four sites needs side 4^6 = 4096, the cap itself
+    ran = []
+
+    def record(spec, **kw):
+        ran.append(spec)
+        return VerificationReport(suite="chain", params={})
+
+    monkeypatch.setitem(cli.SUITES, "chain", record)
+    assert main(["verify", "--n", "4", "--sites", "4", "--suite", "chain"]) == 0
+    assert len(ran) == 1
+    capsys.readouterr()
 
 
 def test_text_format_has_summary_line(capsys):

@@ -18,6 +18,7 @@ from artifact.quantum_algebra import (
     GeneratorLabel,
     TElementFamily,
     TElementLabel,
+    Tower,
     block_closed_rep,
     build_lax,
     build_lax_hat,
@@ -110,15 +111,42 @@ def test_coproduct_three_site_prime_structure():
 
 def test_root_elements_at_pi0():
     p = ModelParams(n=4, mu=0.29, m=0.7 + 0.1j, zeta=0.5)
-    from artifact.quantum_algebra import _RepCtx
-
-    ctx = _RepCtx(p)
+    tower = Tower(p)
     for i in range(1, 5):
         for j in range(1, 5):
             if i != j:
                 for hat in (False, True):
-                    assert rel_residual(ctx.root(i, j, hat),
+                    assert rel_residual(tower.root(i, j, hat),
                                         basis_matrix(4, i, j)) < 1e-13
+
+
+def test_tower_memoizes_every_image():
+    tower = Tower(P3, 2, 0.23)
+    e1 = tower.gen(GeneratorKind.E, 1)
+    t13 = tower.t(1, 3)
+    assert tower.gen(GeneratorKind.E, 1) is e1
+    assert tower.t(1, 3) is t13
+    assert tower.t_image(TElementLabel(TElementFamily.t, 1, 3)) is t13
+    assert tower.root(3, 1, False) is tower.root(3, 1, False)
+    with pytest.raises(ValueError):
+        t13 += 1.0  # shared images are read-only
+
+
+def test_tower_entries_equal_one_shot_images():
+    tower = Tower(P3, 2, 0.23)
+    labels = [TElementLabel(TElementFamily.t, i, j) for i in (1, 2, 3)
+              for j in (1, 2, 3) if i <= j]
+    labels += [TElementLabel(TElementFamily.t_hat, i, j) for i in (1, 2, 3)
+               for j in (1, 2, 3) if i >= j]
+    labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
+               TElementLabel(TElementFamily.t0hat_1n, 1, 3)]
+    for lab in labels:
+        one_shot = t_element_rep(P3, lab, L=2, first_site_lambda=0.23).mat
+        assert np.array_equal(tower.t_image(lab), one_shot), lab
+        if lab.family == TElementFamily.t:
+            assert tower.t(lab.i, lab.j) is tower.t_image(lab)
+        if lab.family == TElementFamily.t_hat:
+            assert tower.h(lab.i, lab.j) is tower.t_image(lab)
 
 
 def test_t_elements_at_pi0():
