@@ -412,7 +412,7 @@ def _charge_block(charges: ChargeSet, i: int, j: int, d: int) -> np.ndarray:
 
 
 def asymptotic_charges_residual(
-    params: ModelParams, N: int, re_lambda: float = 15.0
+    charges: ChargeSet, re_lambda: float = 15.0
 ) -> tuple[float, complex]:
     """Homogeneous-gradation read-off of the charges from the double row.
 
@@ -421,15 +421,14 @@ def asymptotic_charges_residual(
     the remaining positions vanish at that order. The (n, n) block sits one
     order down: it approaches the affine charge times the same scalar
     suppressed by exactly exp(-2*lam), and the fit enforces that with no
-    extra freedom.
+    extra freedom. The double row is built on the sites of ``charges``.
     """
-    p = replace(params, sites=N)
+    p = replace(charges.params, sites=charges.sites)
     spec = ChainSpec(params=p)
     lam = complex(re_lambda)
     n = p.n
-    d = n**N
+    d = n**p.sites
     blk = double_row_blocks(spec, lam)
-    charges = build_boundary_charges(p, N)
 
     surviving = set(charges.entries)
     num = 0.0j
@@ -455,9 +454,7 @@ def asymptotic_charges_residual(
     return worst_of((res, res_aff)), complex(s)
 
 
-def principal_asymptotic_residual(
-    params: ModelParams, N: int, re_lambda: float = 12.0
-) -> float:
+def principal_asymptotic_residual(charges: ChargeSet, re_lambda: float = 12.0) -> float:
     """Principal-gradation split of the double row against the charges.
 
     For n = 3 the leading order occupies the antidiagonal blocks (1,3),
@@ -465,14 +462,15 @@ def principal_asymptotic_residual(
     occupies (1,2), (2,1) and the affine (3,3). One common scalar must fit
     both orders. Grade classes are separated exactly by evaluating at
     lam + i*pi*k and Fourier-projecting over k = 0, 1, 2; the remaining
-    within-class truncation falls off like exp(-2*lam).
+    within-class truncation falls off like exp(-2*lam). The double row is
+    built on the sites of ``charges``.
     """
-    if params.n != 3:
+    if charges.params.n != 3:
         raise ValueError("the principal asymptotic split is recorded for n=3")
     n = 3
-    p = replace(params, sites=N)
+    p = replace(charges.params, sites=charges.sites)
     spec = ChainSpec(params=p, gauge=Gauge.principal)
-    d = n**N
+    d = n**p.sites
     mats = [
         build_double_row(spec, complex(re_lambda, np.pi * k)).mat for k in range(3)
     ]
@@ -483,7 +481,6 @@ def principal_asymptotic_residual(
             acc = acc + cmath.exp(-2j * np.pi * k * g / 3) * mats[k]
         return acc / 3.0
 
-    charges = build_boundary_charges(p, N)
     lead_pos = ((1, 3), (2, 2), (3, 1))
     corr_pos = ((1, 2), (2, 1), (3, 3))
     zero_pos = ((1, 1), (2, 3), (3, 2))
@@ -805,9 +802,7 @@ def exchange_relation_residuals(
 # ---------------------------------------------------------------------------
 
 
-def degeneracy_witness(
-    params: ModelParams, N: int, cluster_tol: float = 1e-8
-) -> float:
+def degeneracy_witness(charges: ChargeSet, cluster_tol: float = 1e-8) -> float:
     """Largest off-ray defect of any charge on an isolated eigenvector.
 
     The charges commute with the Hamiltonian, so wherever a charge turns an
@@ -817,13 +812,13 @@ def degeneracy_witness(
     defect measures how far the worst one is from that, relative to the
     spectral norm of the charge, and should sit at solver noise. With no
     isolated eigenvalue there is nothing to witness and the result is NaN,
-    so a check on it cannot pass.
+    so a check on it cannot pass. The Hamiltonian is built on the sites of
+    ``charges``.
     """
-    p = replace(params, sites=N)
+    p = replace(charges.params, sites=charges.sites)
     h = build_hamiltonian(ChainSpec(params=p)).mat
     evals, vecs = np.linalg.eig(h)
     scale = max(1.0, float(np.max(np.abs(evals))))
-    charges = build_boundary_charges(p, N)
     ops = [op.mat for op in charges.entries.values()]
     opnorms = [np.linalg.norm(m, 2) for m in ops]
     defects = []
@@ -946,10 +941,10 @@ def verify_symmetry_suite(
     rb.add("symmetry.block_closed", worst_of(res), 1e-11)
 
     # asymptotic read-off, both gradations
-    res, _ = asymptotic_charges_residual(p, N)
+    res, _ = asymptotic_charges_residual(charges)
     rb.add("symmetry.asym_hom", res, 1e-8)
     if n == 3:
-        rb.add("symmetry.asym_principal", principal_asymptotic_residual(p, N), 1e-8)
+        rb.add("symmetry.asym_principal", principal_asymptotic_residual(charges), 1e-8)
 
     # braid exchange of the charge matrix; gates at one site, reported as a
     # diagnostic at two where the display leaves the normalization open
@@ -1020,6 +1015,6 @@ def verify_symmetry_suite(
             rb.add(f"symmetry.{name}.s{s}", value, tol)
 
     if n == 3 and N == 2:
-        rb.add("symmetry.degeneracy", degeneracy_witness(p, N), 1e-8)
+        rb.add("symmetry.degeneracy", degeneracy_witness(charges), 1e-8)
 
     return rb.report()

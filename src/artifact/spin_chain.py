@@ -18,6 +18,15 @@ assembled analytically by the product rule over every lambda-dependent
 factor. For the derivative route the inverse-monodromy factors are the
 transposed R matrices (for this R the total transpose equals P R P), which
 fixes the overall normalization that the closed form above expects.
+
+Every ordered chain product is built by right-applying its factors with
+``tensor_core.apply_right``: each R_{0k} or K factor acts on the auxiliary
+slot and at most one site, so it costs d^2 n^2 on the d = n^(N+1) space and
+is never embedded as a d x d matrix. The open transfer starts from
+M_0 K^{(l)}_0 and right-applies the whole double row. The derivative route
+carries the product rule forward: starting from (P, D) = (M_0, 0), each
+factor (v, v') takes (P, D) to (P v, D v + P v'). The intertwiner checks on
+two auxiliary spaces stay dense products of embeddings.
 """
 
 import cmath
@@ -41,6 +50,7 @@ from .sampling import rng_from_seed, sample_spectral
 from .tensor_core import (
     RESIDUAL_FLOOR,
     Operator,
+    apply_right,
     aux_blocks,
     comm_residual,
     embed_at,
@@ -133,18 +143,19 @@ def left_k(spec: ChainSpec, lam: complex) -> Operator:
     return base
 
 
-def _site_product(r: Operator, sites, space) -> Operator:
-    """Ordered product of ``r`` acting on (auxiliary, site) for each of
-    ``sites`` in turn, left to right."""
-    acc = identity_op(space)
+def _site_product(r: Operator, sites, space, start: np.ndarray | None = None) -> np.ndarray:
+    """``start`` (the identity by default) times the ordered product of ``r``
+    acting on (auxiliary, site) for each of ``sites`` in turn, left to right."""
+    acc = np.eye(math.prod(space), dtype=np.complex128) if start is None else start
     for site in sites:
-        acc = acc @ embed_at(r, [1, site + 1], space)
+        acc = apply_right(acc, r, [1, site + 1], space)
     return acc
 
 
 def build_monodromy(spec: ChainSpec, lam: complex) -> Operator:
     p = spec.params
-    return _site_product(build_r(p, lam, spec.gauge), range(p.sites, 0, -1), spec.space)
+    r = build_r(p, lam, spec.gauge)
+    return Operator(_site_product(r, range(p.sites, 0, -1), spec.space), spec.space)
 
 
 def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") -> Operator:
@@ -158,21 +169,31 @@ def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") 
         return t.inv()
     if method == "per_site":
         rinv = build_r_inverse(p, -lam, spec.gauge)
-        return _site_product(rinv, range(1, p.sites + 1), spec.space)
+        return Operator(_site_product(rinv, range(1, p.sites + 1), spec.space), spec.space)
     raise ValueError(f"unknown method {method!r}")
 
 
+def _double_row(spec: ChainSpec, lam: complex, start: np.ndarray | None = None) -> np.ndarray:
+    """``start`` (the identity by default) times T K^{(r)} That, with every
+    factor right-applied: T's R factors, K^{(r)} on the auxiliary slot, then
+    That's per-site inverses."""
+    p, space = spec.params, spec.space
+    acc = _site_product(build_r(p, lam, spec.gauge), range(p.sites, 0, -1), space, start)
+    acc = apply_right(acc, right_k(spec, lam), [1], space)
+    rinv = build_r_inverse(p, -lam, spec.gauge)
+    return _site_product(rinv, range(1, p.sites + 1), space, acc)
+
+
 def build_double_row(spec: ChainSpec, lam: complex) -> Operator:
-    k0 = embed_at(right_k(spec, lam), [1], spec.space)
-    return build_monodromy(spec, lam) @ k0 @ build_monodromy_hat(spec, lam, "per_site")
+    return Operator(_double_row(spec, lam), spec.space)
 
 
 def build_transfer(spec: ChainSpec, lam: complex, closed: bool = False) -> Operator:
     if closed:
         return partial_trace_first(build_monodromy(spec, lam))
-    m0 = embed_at(build_M(spec.params, spec.gauge), [1], spec.space)
-    kl0 = embed_at(left_k(spec, lam), [1], spec.space)
-    return partial_trace_first(m0 @ kl0 @ build_double_row(spec, lam))
+    mk = build_M(spec.params, spec.gauge) @ left_k(spec, lam)
+    start = embed_at(mk, [1], spec.space).mat
+    return partial_trace_first(Operator(_double_row(spec, lam, start), spec.space))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +240,14 @@ def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     raise ValueError(f"unknown route {route!r}")
 
 
-def _factor_profiles(spec: ChainSpec):
-    """Values and derivatives at lambda = 0 of every factor in the open
-    transfer product M_0 K^{(l)} T K^{(r)} That, with That the product of
-    transposed R matrices. The left boundary is the identity here."""
+def _factor_profiles(spec: ChainSpec) -> list:
+    """(value, derivative, slots) at lambda = 0 of each factor of
+    T K^{(r)} That, in order, with That the product of transposed R matrices.
+    With the identity left boundary these are all the factors of the open
+    transfer product after M_0. Each value and derivative is a one- or
+    two-site operator acting on ``slots``."""
     p = spec.params
     n = p.n
-    space = spec.space
     sh = cmath.sinh(1j * p.mu)
     perm = permutation_swap(n)
     u = build_bulk_generator(p)
@@ -237,36 +259,23 @@ def _factor_profiles(spec: ChainSpec):
     xp0 = 2.0 * cmath.sinh(1j * p.mu * p.m)
     yp0 = 4.0 * sh
     mstar = build_boundary_generator(p) * (1.0 / p.boundary_scale)
-    k_val = x0 * identity_op(space)
-    k_der = embed_at(xp0 * identity_op([n]) + yp0 * mstar, [1], space)
-    vals, ders = [], []
-    for site in range(p.sites, 0, -1):
-        vals.append(embed_at(r0, [1, site + 1], space))
-        ders.append(embed_at(rd0, [1, site + 1], space))
-    vals.append(k_val)
-    ders.append(k_der)
-    for site in range(1, p.sites + 1):
-        vals.append(embed_at(rt0, [1, site + 1], space))
-        ders.append(embed_at(rtd0, [1, site + 1], space))
-    return vals, ders
+    factors = [(r0, rd0, [1, site + 1]) for site in range(p.sites, 0, -1)]
+    factors.append((x0 * identity_op([n]), xp0 * identity_op([n]) + yp0 * mstar, [1]))
+    factors += [(rt0, rtd0, [1, site + 1]) for site in range(1, p.sites + 1)]
+    return factors
 
 
 def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
-    vals, ders = _factor_profiles(spec)
-    m = len(vals)
-    prefix = [identity_op(spec.space)]
-    for v in vals:
-        prefix.append(prefix[-1] @ v)
-    suffix = [identity_op(spec.space)]
-    for v in reversed(vals):
-        suffix.append(v @ suffix[-1])
-    suffix.reverse()
-    total = None
-    for k in range(m):
-        term = prefix[k] @ ders[k] @ suffix[k + 1]
-        total = term if total is None else total + term
-    m0 = embed_at(build_M(spec.params, spec.gauge), [1], spec.space)
-    return partial_trace_first(m0 @ total)
+    """tr_0 of M_0 (prod of factors)' at lambda = 0, by the product rule
+    carried forward: starting from (P, D) = (M_0, 0), each factor (v, v')
+    takes (P, D) to (P v, D v + P v')."""
+    space = spec.space
+    prod = embed_at(build_M(spec.params, spec.gauge), [1], space).mat
+    der = np.zeros_like(prod)
+    for val, dval, slots in _factor_profiles(spec):
+        der = apply_right(der, val, slots, space) + apply_right(prod, dval, slots, space)
+        prod = apply_right(prod, val, slots, space)
+    return partial_trace_first(Operator(der, space))
 
 
 def _open_transfer_transposed_route(spec: ChainSpec, lam: complex) -> Operator:
@@ -276,13 +285,11 @@ def _open_transfer_transposed_route(spec: ChainSpec, lam: complex) -> Operator:
     space = spec.space
     r = build_r(p, lam, spec.gauge)
     rt = Operator(r.mat.T.copy(), (p.n, p.n))
-    dr = (
-        _site_product(r, range(p.sites, 0, -1), space)
-        @ embed_at(right_k(spec, lam), [1], space)
-        @ _site_product(rt, range(1, p.sites + 1), space)
-    )
-    m0 = embed_at(build_M(p, spec.gauge), [1], space)
-    return partial_trace_first(m0 @ dr)
+    acc = embed_at(build_M(p, spec.gauge), [1], space).mat
+    acc = _site_product(r, range(p.sites, 0, -1), space, acc)
+    acc = apply_right(acc, right_k(spec, lam), [1], space)
+    acc = _site_product(rt, range(1, p.sites + 1), space, acc)
+    return partial_trace_first(Operator(acc, space))
 
 
 def transfer_derivative_numeric(spec: ChainSpec, h: float = 1e-4) -> Operator:

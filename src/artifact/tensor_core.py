@@ -12,6 +12,11 @@ are enumerated as |11>, |12>, ..., |1 d2>, |21>, ... in row-major order. The
 first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
 its (n, n) grid of blocks.
 
+``embed_at`` writes a local operator out as a dense matrix on the whole
+space. ``apply_right`` multiplies a dense matrix by such an embedding without
+forming it, at d^2 times the local operator's side per factor instead of d^3;
+the ordered chain products are built from it.
+
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
 ``comm_residual`` (a commutator over the product of the factors' norms). Each
@@ -35,6 +40,7 @@ __all__ = [
     "ProportionalityResult",
     "kron",
     "embed_at",
+    "apply_right",
     "permutation_swap",
     "partial_trace_first",
     "partial_transpose",
@@ -194,14 +200,8 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat), a.dims + b.dims)
 
 
-def embed_at(op: Operator, slots, space) -> Operator:
-    """Embed ``op`` so it acts on the named slots (1-based) of ``space``.
-
-    ``slots`` is an ordered list matching op.dims factor by factor; the
-    remaining slots carry the identity. Non-adjacent and permuted slot lists
-    are allowed, e.g. embed_at(R, [1, 3], [n, n, n]) puts the first factor of
-    R on slot 1 and the second on slot 3.
-    """
+def _checked_slots(op: Operator, slots, space) -> tuple[list[int], tuple[int, ...]]:
+    """``slots`` and ``space`` as ints, after checking that ``op`` fits them."""
     space = tuple(int(d) for d in space)
     slots = [int(s) for s in slots]
     k = len(space)
@@ -217,7 +217,19 @@ def embed_at(op: Operator, slots, space) -> Operator:
             )
     if len(slots) != len(op.dims):
         raise ValueError("slot count must match operator factor count")
+    return slots, space
 
+
+def embed_at(op: Operator, slots, space) -> Operator:
+    """Embed ``op`` so it acts on the named slots (1-based) of ``space``.
+
+    ``slots`` is an ordered list matching op.dims factor by factor; the
+    remaining slots carry the identity. Non-adjacent and permuted slot lists
+    are allowed, e.g. embed_at(R, [1, 3], [n, n, n]) puts the first factor of
+    R on slot 1 and the second on slot 3.
+    """
+    slots, space = _checked_slots(op, slots, space)
+    k = len(space)
     rest = [s for s in range(1, k + 1) if s not in slots]
     order = slots + rest  # factor order of op (x) identity
     rest_dim = math.prod(space[s - 1] for s in rest) if rest else 1
@@ -232,6 +244,28 @@ def embed_at(op: Operator, slots, space) -> Operator:
     axes = inverse + [k + p for p in inverse]
     out = tens.transpose(axes).reshape(math.prod(space), math.prod(space))
     return Operator(out, space)
+
+
+def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:
+    """``mat @ embed_at(op, slots, space).mat`` without forming the embedding.
+
+    The column index of ``mat`` is split into the legs of ``space`` and the
+    legs at ``slots`` are contracted with the row legs of ``op`` in one
+    ``tensordot``: d^2 * prod(op.dims) work instead of d^3. Returns a new
+    C-contiguous (d, d) array; ``mat`` is left as it was.
+    """
+    slots, space = _checked_slots(op, slots, space)
+    d = math.prod(space)
+    k = len(space)
+    tens = np.tensordot(
+        mat.reshape((d,) + space),
+        op.mat.reshape(op.dims + op.dims),
+        axes=(slots, list(range(len(slots)))),
+    )
+    # tens holds the row index, the untouched legs, then op's column legs
+    order = [s for s in range(1, k + 1) if s not in slots] + slots
+    axes = [0] + [1 + order.index(s) for s in range(1, k + 1)]
+    return tens.transpose(axes).reshape(d, d)
 
 
 def permutation_swap(d: int) -> Operator:

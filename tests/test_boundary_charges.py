@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from artifact import ModelParams, quantum_algebra
+from artifact import ModelParams, boundary_charges, quantum_algebra
 from artifact.boundary_charges import (
     _t_prime_rep,
     asymptotic_charges_residual,
@@ -205,14 +205,14 @@ def test_block_closed_forms_match_generic_coproduct():
 
 
 def test_asymptotic_readout_homogeneous():
-    res, scalar = asymptotic_charges_residual(P32, 2, re_lambda=15.0)
+    res, scalar = asymptotic_charges_residual(build_boundary_charges(P32, 2), re_lambda=15.0)
     assert res < 1e-8
     # the shared prefactor of the surviving blocks is e^{2 lam} / 2
     assert abs(scalar / (cmath.exp(30.0) / 2) - 1) < 1e-6
 
 
 def test_asymptotic_readout_principal():
-    assert principal_asymptotic_residual(P32, 2) < 1e-8
+    assert principal_asymptotic_residual(build_boundary_charges(P32, 2)) < 1e-8
 
 
 def test_braid_exchange_single_site():
@@ -251,12 +251,28 @@ def test_bad_positions_and_variants_raise():
 
 
 def test_degeneracy_witness():
-    assert degeneracy_witness(P32, 2) < 1e-8
+    assert degeneracy_witness(build_boundary_charges(P32, 2)) < 1e-8
 
 
 def test_degeneracy_witness_without_isolated_eigenvalue_is_nan():
     # a cluster tolerance this wide merges the whole spectrum into one cluster
-    assert math.isnan(degeneracy_witness(P32, 2, cluster_tol=1e6))
+    assert math.isnan(degeneracy_witness(build_boundary_charges(P32, 2), cluster_tol=1e6))
+
+
+def test_symmetry_suite_builds_its_charge_set_once(monkeypatch):
+    # at CLI defaults (n=3, N=2) the suite's own charge set serves every
+    # N-site check; only the braid exchange builds its two-site set anew
+    sizes = []
+    inner = boundary_charges.build_boundary_charges
+
+    def counted(params, N, *args, **kwargs):
+        sizes.append(N)
+        return inner(params, N, *args, **kwargs)
+
+    monkeypatch.setattr(boundary_charges, "build_boundary_charges", counted)
+    rep = verify_symmetry_suite(ChainSpec(params=P32))
+    assert rep.passed
+    assert sizes.count(2) == 2
 
 
 def test_suite_green_n3():

@@ -2,7 +2,8 @@
 
 Oracles here are built from scratch where feasible: explicit kron products
 for small monodromies, a hand-assembled N=1 double row, finite differences
-for the derivative route, dense eigensolves for commuting-family checks.
+for the derivative route, dense eigensolves for commuting-family checks, and
+products of embed_at embeddings for the right-applied chain builders.
 """
 
 import cmath
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from artifact import ModelParams
+from artifact import ModelParams, spin_chain
 from artifact.params import DegenerateParameters
 from artifact.hecke_algebra import rep_boundary, rep_bulk
 from artifact.reflection_k import LeftBoundaryKind, build_k_explicit
@@ -30,11 +31,21 @@ from artifact.spin_chain import (
     transfer_from_diagonal,
     transfer_derivative_numeric,
     verify_chain_suite,
+    _factor_profiles,
     _transfer_derivative_analytic,
+    left_k,
+    right_k,
 )
 from artifact.quantum_algebra import GeneratorKind, GeneratorLabel
-from artifact.tensor_core import commutator, frob, identity_op, rel_residual
-from artifact.yang_baxter import Gauge, build_r
+from artifact.tensor_core import (
+    commutator,
+    embed_at,
+    frob,
+    identity_op,
+    partial_trace_first,
+    rel_residual,
+)
+from artifact.yang_baxter import Gauge, build_M, build_r, build_r_inverse
 
 P32 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=2)
 P22 = ModelParams(n=2, mu=0.33, m=1.05 + 0.1j, zeta=0.47, sites=2)
@@ -224,3 +235,80 @@ def test_verify_chain_suite():
     prep = verify_chain_suite(ChainSpec(P32, gauge=Gauge.principal),
                               samples=2, tol=1e-9, seed=2)
     assert prep.passed, [c.id for c in prep.failing()]
+
+
+# Dense oracles: every factor embedded on the whole space with embed_at and
+# multiplied out, the way the chain products were formed before the
+# right-applied contraction engine.
+ORACLE_SIZES = ((2, 3), (3, 2), (4, 2))
+
+
+def _oracle_params(n, sites):
+    return ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=sites)
+
+
+def _dense_double_row(spec, lam):
+    p, space = spec.params, spec.space
+    r = build_r(p, lam, spec.gauge)
+    rinv = build_r_inverse(p, -lam, spec.gauge)
+    acc = identity_op(space)
+    for site in range(p.sites, 0, -1):
+        acc = acc @ embed_at(r, [1, site + 1], space)
+    acc = acc @ embed_at(right_k(spec, lam), [1], space)
+    for site in range(1, p.sites + 1):
+        acc = acc @ embed_at(rinv, [1, site + 1], space)
+    return acc
+
+
+def _dense_transfer(spec, lam):
+    m0 = embed_at(build_M(spec.params, spec.gauge), [1], spec.space)
+    kl0 = embed_at(left_k(spec, lam), [1], spec.space)
+    return partial_trace_first(m0 @ kl0 @ _dense_double_row(spec, lam))
+
+
+def _dense_transfer_derivative(spec):
+    space = spec.space
+    factors = _factor_profiles(spec)
+    vals = [embed_at(v, slots, space) for v, _, slots in factors]
+    ders = [embed_at(dv, slots, space) for _, dv, slots in factors]
+    prefix = [identity_op(space)]
+    for v in vals:
+        prefix.append(prefix[-1] @ v)
+    suffix = [identity_op(space)]
+    for v in reversed(vals):
+        suffix.append(v @ suffix[-1])
+    suffix.reverse()
+    total = prefix[0] @ ders[0] @ suffix[1]
+    for k in range(1, len(vals)):
+        total = total + prefix[k] @ ders[k] @ suffix[k + 1]
+    m0 = embed_at(build_M(spec.params, spec.gauge), [1], space)
+    return partial_trace_first(m0 @ total)
+
+
+@pytest.mark.parametrize("n,sites", ORACLE_SIZES)
+def test_chain_builders_match_dense_oracles(n, sites):
+    p = _oracle_params(n, sites)
+    lam = 0.31 - 0.12j
+    for spec in (ChainSpec(p), ChainSpec(p, gauge=Gauge.principal),
+                 ChainSpec(p, left_boundary=LeftBoundaryKind.affine_limit)):
+        assert rel_residual(build_double_row(spec, lam), _dense_double_row(spec, lam)) <= 1e-13
+        assert rel_residual(build_transfer(spec, lam), _dense_transfer(spec, lam)) <= 1e-13
+    spec = ChainSpec(p, right_boundary="ansatz")
+    assert rel_residual(_transfer_derivative_analytic(spec),
+                        _dense_transfer_derivative(spec)) <= 1e-13
+
+
+def test_open_transfer_and_derivative_embed_no_two_slot_operator(monkeypatch):
+    slot_counts = []
+    inner = spin_chain.embed_at
+
+    def counted(op, slots, space):
+        slot_counts.append(len(slots))
+        return inner(op, slots, space)
+
+    monkeypatch.setattr(spin_chain, "embed_at", counted)
+    spec = ChainSpec(P32, right_boundary="ansatz")
+    build_transfer(spec, 0.31 - 0.12j)
+    build_transfer(ChainSpec(P32, gauge=Gauge.principal), 0.31 - 0.12j)
+    build_hamiltonian(spec, "transfer_derivative")
+    assert slot_counts and max(slot_counts) == 1

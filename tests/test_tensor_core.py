@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from artifact.tensor_core import (
     Operator,
+    apply_right,
     aux_blocks,
     basis_matrix,
     comm_residual,
@@ -109,6 +114,44 @@ def test_embed_errors():
     u = op(np.eye(4), (2, 2))
     with pytest.raises(ValueError):
         embed_at(u, [1, 1], [2, 2])
+
+
+@st.composite
+def _local_operator_on_space(draw):
+    """(mat, op, slots, space): a random dense matrix on 2-4 factors of
+    dimension 1-3, and a random operator on an ordered list of 1-2 of its
+    slots, permuted and non-adjacent ones included."""
+    space = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    order = draw(st.permutations(range(1, len(space) + 1)))
+    slots = order[: draw(st.integers(1, 2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = math.prod(space)
+    dims = [space[s - 1] for s in slots]
+    side = math.prod(dims)
+    mat = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    local = rng.uniform(-1, 1, (side, side)) + 1j * rng.uniform(-1, 1, (side, side))
+    return mat, op(local, dims), slots, space
+
+
+@settings(max_examples=200, deadline=None)
+@given(_local_operator_on_space())
+def test_apply_right_equals_product_with_embedding(case):
+    mat, local, slots, space = case
+    before = mat.copy()
+    got = apply_right(mat, local, slots, space)
+    d = math.prod(space)
+    assert got.shape == (d, d)
+    assert got.flags.c_contiguous
+    assert_allclose(got, mat @ embed_at(local, slots, space).mat, rtol=0, atol=1e-13)
+    assert np.array_equal(mat, before)
+
+
+def test_apply_right_errors():
+    x = op(np.eye(2), (2,))
+    with pytest.raises(ValueError):
+        apply_right(np.eye(4), x, [3], [2, 2])
+    with pytest.raises(ValueError):
+        apply_right(np.eye(6), x, [1], [3, 2])
 
 
 def test_permutation_swap_basis_action():
