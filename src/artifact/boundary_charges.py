@@ -27,8 +27,12 @@ lam moderate and avoids subtractive loss between grades of very different
 size.
 
 Every tower entry, generator coproduct and Cartan square on a given site
-count and first-site lambda is read from one ``quantum_algebra.Tower``, made
-by the builder call that needs it and dropped with it.
+count and first-site lambda is read from one ``quantum_algebra.Tower``. A
+``ChargeSet`` carries the tower its charges were read from, so every check
+on the charge set (exchange relations, the affine defect, the block closed
+forms, the braid exchange) reads the same images. The coproduct recursion
+builds its own towers, one per (sites, first-site lambda) for a whole call,
+and never reads a ``ChargeSet``: it is the independent route.
 
 The recursion has a plain and a primed order. The primed one-site split is
 the plain split with its two legs exchanged, so each split is written once
@@ -42,7 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +59,7 @@ from .quantum_algebra import (
     TElementLabel,
     Tower,
     _coproduct_pairs,
+    _qpow,
     block_closed_rep,
 )
 from .reflection_k import LeftBoundaryKind, build_k_explicit
@@ -102,21 +107,38 @@ def boundary_entry_indices(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(idx)
 
 
+def _charge_positions(n: int) -> tuple[tuple[int, int], ...]:
+    """Every position that carries a charge: the entries and the affine (n, n)."""
+    return boundary_entry_indices(n) + ((n, n),)
+
+
 @dataclass(frozen=True)
 class ChargeSet:
-    """Boundary charges on ``sites`` quantum spaces.
+    """Boundary charges on ``sites`` quantum spaces, with the tower they came from.
 
     ``entries`` maps auxiliary positions from :func:`boundary_entry_indices`
     to operators; every one of them commutes with the boundary Hecke
     representation and with the open transfer matrix. ``affine`` is the
     (n, n) charge, the only entry carrying the affine corner generators, and
-    the only one with a nonvanishing transfer-matrix defect.
+    the only one with a nonvanishing transfer-matrix defect. ``tower`` is the
+    ``Tower`` on the same sites that every charge was read from.
     """
 
     params: ModelParams
     sites: int
     entries: dict
     affine: Operator
+    tower: Tower
+
+    def charge(self, pos: tuple) -> np.ndarray:
+        """Matrix at any auxiliary position: the affine charge at (n, n), zero
+        where no charge lives."""
+        if pos in self.entries:
+            return self.entries[pos].mat
+        n = self.params.n
+        if pos == (n, n):
+            return self.affine.mat
+        return np.zeros((n**self.sites,) * 2, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +208,7 @@ def build_boundary_charges(
                 acc = acc + em * (t(k, j) @ h(j, l))
             entries[(k, l)] = Operator(acc, dims)
     affine = build_affine_charge(tower)
-    return ChargeSet(params=params, sites=N, entries=entries, affine=affine)
+    return ChargeSet(params=params, sites=N, entries=entries, affine=affine, tower=tower)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +229,7 @@ def eval_Q_rep(params: ModelParams, which: tuple, lam: complex = 0.0) -> Operato
     q = params.q
     w = params.w
     i, j = which
-    allowed = set(boundary_entry_indices(n))
-    allowed.add((n, n))
-    if which not in allowed:
+    if which not in _charge_positions(n):
         raise ValueError(f"no boundary charge at position {which} for n={n}")
     em = cmath.exp(1j * params.mu * params.m)
     ish = 0.5j * w  # i sinh(i mu)
@@ -333,46 +353,59 @@ def coproduct_charges(
     primed variant is the plain top split with its two legs exchanged (see
     ``_split_terms``). Entries without a displayed recursion, namely (1, n),
     (n, 1) and the interior block, go through the homomorphism property of
-    the (primed) coproduct instead.
+    the (primed) coproduct instead. One call builds one ``Tower`` per
+    (sites, first-site lambda) and shares it across every level.
     """
     n = params.n
-    allowed = set(boundary_entry_indices(n))
-    allowed.add((n, n))
-    if which not in allowed:
+    if which not in _charge_positions(n):
         raise ValueError(f"no boundary charge at position {which} for n={n}")
     if variant not in ("delta", "delta_prime"):
         raise ValueError(f"unknown coproduct variant {variant!r}")
     if L < 1:
         raise ValueError("need at least one tensor factor")
+    tower = cache(partial(Tower, params))
+    mat = _recursive_charge(params, L, which, variant, first_site_lambda, tower)
+    return Operator(mat, (n,) * L)
+
+
+def _recursive_charge(
+    params: ModelParams,
+    L: int,
+    which: tuple,
+    variant: str,
+    first_site_lambda: complex | None,
+    tower: Callable[[int, complex | None], Tower],
+) -> np.ndarray:
+    """Matrix of ``coproduct_charges``; ``tower(sites, first_site_lambda)``
+    returns the one memoized ``Tower`` of the whole call."""
+    n = params.n
     lam0 = 0.0 if first_site_lambda is None else first_site_lambda
     if L == 1:
-        return eval_Q_rep(params, which, lam0)
+        return eval_Q_rep(params, which, lam0).mat
     i, j = which
     em = cmath.exp(1j * params.mu * params.m)
-    dims = (n,) * L
     dfull = n**L
 
-    first = Tower(params, 1, first_site_lambda)
-    rest = Tower(params, L - 1)
+    first = tower(1, first_site_lambda)
+    rest = tower(L - 1, None)
     interior = 2 <= i <= n - 1 and 2 <= j <= n - 1
     if which in ((1, n), (n, 1)) or interior:
         if variant == "delta":
-            img = Tower(params, L, first_site_lambda).t_image
+            img = tower(L, first_site_lambda).t_image
         else:
             img = partial(_t_prime_rep, first, rest)
         if which == (1, n):
-            mat = -1j * img(TElementLabel(_T.t, 1, 1)) @ img(TElementLabel(_T.t_hat, n, n))
-        elif which == (n, 1):
-            mat = -1j * img(TElementLabel(_T.t, n, n)) @ img(TElementLabel(_T.t_hat, 1, 1))
-        else:
-            mat = np.zeros((dfull, dfull), dtype=np.complex128)
-            for jj in range(max(i, j), n):
-                mat += em * (img(TElementLabel(_T.t, i, jj))
-                             @ img(TElementLabel(_T.t_hat, jj, j)))
-        return Operator(mat, dims)
+            return -1j * img(TElementLabel(_T.t, 1, 1)) @ img(TElementLabel(_T.t_hat, n, n))
+        if which == (n, 1):
+            return -1j * img(TElementLabel(_T.t, n, n)) @ img(TElementLabel(_T.t_hat, 1, 1))
+        mat = np.zeros((dfull, dfull), dtype=np.complex128)
+        for jj in range(max(i, j), n):
+            mat += em * (img(TElementLabel(_T.t, i, jj))
+                         @ img(TElementLabel(_T.t_hat, jj, j)))
+        return mat
 
     first_leg = _Leg(lambda pos: eval_Q_rep(params, pos, lam0).mat, first.t, first.h)
-    rest_leg = _Leg(lambda pos: coproduct_charges(params, L - 1, pos).mat,
+    rest_leg = _Leg(lambda pos: _recursive_charge(params, L - 1, pos, "delta", None, tower),
                     rest.t, rest.h)
     mat = np.zeros((dfull, dfull), dtype=np.complex128)
     for c, charge_leg, tower_leg in _split_terms(params, which):
@@ -380,7 +413,7 @@ def coproduct_charges(
             mat += c * np.kron(charge_leg(first_leg), tower_leg(rest_leg))
         else:
             mat += c * np.kron(tower_leg(first_leg), charge_leg(rest_leg))
-    return Operator(mat, dims)
+    return mat
 
 
 def cyclic_shift(n: int, N: int) -> Operator:
@@ -402,18 +435,7 @@ def cyclic_shift(n: int, N: int) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def _charge_block(charges: ChargeSet, i: int, j: int, d: int) -> np.ndarray:
-    if (i, j) in charges.entries:
-        return charges.entries[(i, j)].mat
-    n = charges.params.n
-    if (i, j) == (n, n):
-        return charges.affine.mat
-    return np.zeros((d, d), dtype=np.complex128)
-
-
-def asymptotic_charges_residual(
-    charges: ChargeSet, re_lambda: float = 15.0
-) -> tuple[float, complex]:
+def asymptotic_charges_residual(charges: ChargeSet) -> tuple[float, complex]:
     """Homogeneous-gradation read-off of the charges from the double row.
 
     At large real spectral parameter the auxiliary blocks on the surviving
@@ -421,13 +443,13 @@ def asymptotic_charges_residual(
     the remaining positions vanish at that order. The (n, n) block sits one
     order down: it approaches the affine charge times the same scalar
     suppressed by exactly exp(-2*lam), and the fit enforces that with no
-    extra freedom. The double row is built on the sites of ``charges``.
+    extra freedom. The double row is built on the sites of ``charges``, at
+    lam = 15.
     """
     p = replace(charges.params, sites=charges.sites)
     spec = ChainSpec(params=p)
-    lam = complex(re_lambda)
+    lam = complex(15.0)
     n = p.n
-    d = n**p.sites
     blk = double_row_blocks(spec, lam)
 
     surviving = set(charges.entries)
@@ -445,8 +467,7 @@ def asymptotic_charges_residual(
             if (i, j) == (n, n):
                 continue
             b = blk[i, j]
-            qm = _charge_block(charges, i, j, d)
-            err += np.linalg.norm(b - s * qm) ** 2
+            err += np.linalg.norm(b - s * charges.charge((i, j))) ** 2
             norm += np.linalg.norm(b) ** 2
     res = np.sqrt(err / norm)
     scaled = blk[n, n] / cmath.exp(-2 * lam)
@@ -454,7 +475,7 @@ def asymptotic_charges_residual(
     return worst_of((res, res_aff)), complex(s)
 
 
-def principal_asymptotic_residual(charges: ChargeSet, re_lambda: float = 12.0) -> float:
+def principal_asymptotic_residual(charges: ChargeSet) -> float:
     """Principal-gradation split of the double row against the charges.
 
     For n = 3 the leading order occupies the antidiagonal blocks (1,3),
@@ -463,14 +484,14 @@ def principal_asymptotic_residual(charges: ChargeSet, re_lambda: float = 12.0) -
     both orders. Grade classes are separated exactly by evaluating at
     lam + i*pi*k and Fourier-projecting over k = 0, 1, 2; the remaining
     within-class truncation falls off like exp(-2*lam). The double row is
-    built on the sites of ``charges``.
+    built on the sites of ``charges``, at lam = 12.
     """
     if charges.params.n != 3:
         raise ValueError("the principal asymptotic split is recorded for n=3")
     n = 3
     p = replace(charges.params, sites=charges.sites)
     spec = ChainSpec(params=p, gauge=Gauge.principal)
-    d = n**p.sites
+    re_lambda = 12.0
     mats = [
         build_double_row(spec, complex(re_lambda, np.pi * k)).mat for k in range(3)
     ]
@@ -503,7 +524,7 @@ def principal_asymptotic_residual(charges: ChargeSet, re_lambda: float = 12.0) -
     num = 0.0j
     den = 0.0
     for i, j in lead_pos:
-        qm = _charge_block(charges, i, j, d)
+        qm = charges.charge((i, j))
         num += np.vdot(qm, block(lead, i, j))
         den += np.vdot(qm, qm).real
     s = num / den
@@ -511,11 +532,11 @@ def principal_asymptotic_residual(charges: ChargeSet, re_lambda: float = 12.0) -
     err = 0.0
     norm = 0.0
     for i, j in lead_pos:
-        qm = _charge_block(charges, i, j, d)
+        qm = charges.charge((i, j))
         err += np.linalg.norm(block(lead, i, j) - s * qm) ** 2
         norm += np.linalg.norm(block(lead, i, j)) ** 2
     for i, j in corr_pos:
-        qm = _charge_block(charges, i, j, d)
+        qm = charges.charge((i, j))
         scaled = block(corr, i, j) / eps
         err += np.linalg.norm(scaled - s * qm) ** 2
         norm += np.linalg.norm(scaled) ** 2
@@ -530,9 +551,7 @@ def principal_asymptotic_residual(charges: ChargeSet, re_lambda: float = 12.0) -
 # ---------------------------------------------------------------------------
 
 
-def braid_exchange_residuals(
-    params: ModelParams, N: int, first_site_lambda: complex | None = None
-) -> tuple[float, float]:
+def braid_exchange_residuals(charges: ChargeSet) -> tuple[float, float]:
     """Four-term exchange of the braid image with the charge matrix.
 
     The charge matrix, spread over two auxiliary legs, plays the role of a
@@ -540,9 +559,9 @@ def braid_exchange_residuals(
     signs of the braid generator are exchanged against the plus realization
     on the inner factors. No spectral parameter enters.
     """
+    params = charges.params
     n = params.n
-    charges = build_boundary_charges(params, N, first_site_lambda)
-    dq = n**N
+    dq = n**charges.sites
     idq = np.eye(dq, dtype=np.complex128)
     idn = np.eye(n, dtype=np.complex128)
     u = build_bulk_generator(params).mat
@@ -584,7 +603,7 @@ def double_row_blocks(spec: ChainSpec, lam: complex) -> dict:
 
 
 def affine_transfer_defect(
-    spec: ChainSpec, lam: complex, charges: ChargeSet, e11enn: np.ndarray
+    spec: ChainSpec, lam: complex, charges: ChargeSet
 ) -> tuple[float, float]:
     """Defect of the affine charge against the open transfer matrix.
 
@@ -597,6 +616,7 @@ def affine_transfer_defect(
     n = p.n
     t = build_transfer(spec, lam).mat
     tnn = charges.affine.mat
+    e11enn = charges.tower.t(1, 1) @ charges.tower.t(n, n)
     blk = double_row_blocks(spec, lam)
     closed = (
         2j * p.w * cmath.sinh(2 * lam + 1j * n * p.mu) * ((blk[1, n] - blk[n, 1]) @ e11enn)
@@ -605,27 +625,24 @@ def affine_transfer_defect(
     return frob(t @ tnn - tnn @ t - closed) / scale, comm_residual(t, tnn)
 
 
-def exchange_relation_residuals(
-    spec: ChainSpec,
-    lam: complex,
-    charges: ChargeSet,
-    tower: Tower,
-) -> dict:
+def exchange_relation_residuals(spec: ChainSpec, lam: complex, charges: ChargeSet) -> dict:
     """Displayed exchange relations between double-row blocks and the
     unbroken quantum-group generators, grouped by display.
 
-    ``tower`` is the plain ``Tower`` on the chain's sites: it supplies the
-    coproducts of e_i, f_i and q^{+-h_i/2}, and the Cartan squares t(i, i).
-    Relations whose index range is empty at the given n are simply absent
-    from the result; at n = 3 the middle-index family degenerates to the
-    diagonal statements, which are kept.
+    The tower of ``charges``, on the chain's sites, supplies the coproducts
+    of e_i, f_i and q^{+-h_i/2}, and the Cartan squares t(i, i); q^{1/2} is
+    e^{i mu / 2}, the branch the tower's half Cartans take. Relations whose
+    index range is empty at the given n are simply absent from the result;
+    at n = 3 the middle-index family degenerates to the diagonal
+    statements, which are kept.
     """
     p = spec.params
     n = p.n
     q = p.q
     w = p.w
     em = cmath.exp(1j * p.mu * p.m)
-    qh = cmath.sqrt(q)  # principal branch, |mu| small enough at desk scale
+    qh = _qpow(p, 0.5)
+    tower = charges.tower
     blk = double_row_blocks(spec, lam)
     a_blk = {i: blk[(i, i)] for i in range(1, n + 1)}
     out: dict = {}
@@ -867,10 +884,8 @@ def verify_symmetry_suite(
         params=p, right_boundary="diagonal", diag_block=spec.diag_block, xi=spec.xi
     )
     charges = build_boundary_charges(p, N)
+    tower = charges.tower
     all_positions = list(charges.entries.keys())
-
-    tower = Tower(p, N)
-    e11enn = tower.t(1, 1) @ tower.t(n, n)
 
     # (a) every charge entry commutes with every boundary Hecke generator
     for l in range(N):
@@ -893,10 +908,9 @@ def verify_symmetry_suite(
     # single-site closed forms against the defining products
     lam0 = sample_spectral(rng, p, 1)[0]
     one_site = build_boundary_charges(p, 1, first_site_lambda=lam0)
-    res = [sym_residual(eval_Q_rep(p, pos, lam0), one_site.entries[pos])
-           for pos in boundary_entry_indices(n)]
-    res.append(sym_residual(eval_Q_rep(p, (n, n), lam0), one_site.affine))
-    rb.add("symmetry.evalq", worst_of(res), 1e-11)
+    res = worst_of(sym_residual(eval_Q_rep(p, pos, lam0).mat, one_site.charge(pos))
+                   for pos in _charge_positions(n))
+    rb.add("symmetry.evalq", res, 1e-11)
 
     res = worst_of(
         sym_residual(eval_Q_rep(p, (i, 1), lam0).mat, eval_Q_rep(p, (1, i), lam0).mat.T)
@@ -907,38 +921,26 @@ def verify_symmetry_suite(
     # coproduct recursion against the product construction, both variants
     shift = cyclic_shift(n, N)
     shift_inv = shift.transpose()  # permutation, so the transpose inverts it
-    res = [sym_residual(coproduct_charges(p, N, pos).mat, charges.entries[pos].mat)
-           for pos in all_positions]
-    res.append(sym_residual(coproduct_charges(p, N, (n, n)).mat, charges.affine.mat))
-    rb.add("symmetry.recursion", worst_of(res), 1e-11)
+    res = worst_of(sym_residual(coproduct_charges(p, N, pos).mat, charges.charge(pos))
+                   for pos in _charge_positions(n))
+    rb.add("symmetry.recursion", res, 1e-11)
 
-    res = []
-    for pos in all_positions + [(n, n)]:
-        primed = coproduct_charges(p, N, pos, "delta_prime")
-        ref = (
-            charges.affine.mat if pos == (n, n) else charges.entries[pos].mat
-        )
-        res.append(sym_residual(primed.mat, (shift @ Operator(ref, (n,) * N) @ shift_inv).mat))
-    rb.add("symmetry.recursion_prime", worst_of(res), 1e-11)
+    res = worst_of(
+        sym_residual(coproduct_charges(p, N, pos, "delta_prime").mat,
+                     (shift @ Operator(charges.charge(pos), (n,) * N) @ shift_inv).mat)
+        for pos in _charge_positions(n)
+    )
+    rb.add("symmetry.recursion_prime", res, 1e-11)
 
     # block closed forms of the primed coproducts with one evaluated site
-    which_list = ["Qnn"] if n != 3 else ["Qnn", "Q11", "Q12", "Q21"]
-    cd = {
-        "Tnn": charges.affine.mat,
-        "T11": charges.entries[(1, 1)].mat,
-    }
-    if n == 3:
-        cd["T12"] = charges.entries[(1, 2)].mat
-        cd["T21"] = charges.entries[(2, 1)].mat
-    pos_of = {"Qnn": (n, n), "Q11": (1, 1), "Q12": (1, 2), "Q21": (2, 1)}
-    res = []
-    for wname in which_list:
-        closed = block_closed_rep(p, wname, N, lam0, charges=cd)
-        generic = coproduct_charges(
-            p, N + 1, pos_of[wname], "delta_prime", first_site_lambda=lam0
+    res = worst_of(
+        sym_residual(
+            coproduct_charges(p, N + 1, pos, "delta_prime", first_site_lambda=lam0).mat,
+            block_closed_rep(p, pos, N, lam0, charges=charges).mat,
         )
-        res.append(sym_residual(generic.mat, closed.mat))
-    rb.add("symmetry.block_closed", worst_of(res), 1e-11)
+        for pos in ([(n, n), (1, 1), (1, 2), (2, 1)] if n == 3 else [(n, n)])
+    )
+    rb.add("symmetry.block_closed", res, 1e-11)
 
     # asymptotic read-off, both gradations
     res, _ = asymptotic_charges_residual(charges)
@@ -947,12 +949,14 @@ def verify_symmetry_suite(
         rb.add("symmetry.asym_principal", principal_asymptotic_residual(charges), 1e-8)
 
     # braid exchange of the charge matrix; gates at one site, reported as a
-    # diagnostic at two where the display leaves the normalization open
-    rp, rm = braid_exchange_residuals(p, 1)
+    # diagnostic at two where the display leaves the normalization open. The
+    # entries it reads do not depend on the one-site set's lam0.
+    rp, rm = braid_exchange_residuals(one_site)
     rb.add("symmetry.rr_plus", rp, tol)
     rb.add("symmetry.rr_minus", rm, tol)
     if N >= 2:
-        rp2, rm2 = braid_exchange_residuals(p, 2)
+        rp2, rm2 = braid_exchange_residuals(
+            charges if N == 2 else build_boundary_charges(p, 2))
         rb.add_flag("symmetry.rr_n2_diagnostic", True, residual=worst_of((rp2, rm2)))
 
     E, F = GeneratorKind.E, GeneratorKind.F
@@ -978,7 +982,7 @@ def verify_symmetry_suite(
         )
         rb.add(f"symmetry.prop43.s{s}", res, tol)
 
-        res, size = affine_transfer_defect(hspec, lam, charges, e11enn)
+        res, size = affine_transfer_defect(hspec, lam, charges)
         rb.add(f"symmetry.com12.s{s}", res, tol)
         rb.add_flag(f"symmetry.com12_nonzero.s{s}", size > 1e-3, residual=size)
 
@@ -1005,13 +1009,11 @@ def verify_symmetry_suite(
         res = worst_of(
             sym_residual(eval_Q_rep(p, pos, lam).mat @ kmat,
                          kmat @ eval_Q_rep(p, pos, -lam).mat)
-            for pos in list(boundary_entry_indices(n)) + [(n, n)]
+            for pos in _charge_positions(n)
         )
         rb.add(f"symmetry.ik.s{s}", res, 1e-11)
 
-        for name, value in exchange_relation_residuals(
-            hspec, lam, charges, tower
-        ).items():
+        for name, value in exchange_relation_residuals(hspec, lam, charges).items():
             rb.add(f"symmetry.{name}.s{s}", value, tol)
 
     if n == 3 and N == 2:

@@ -399,12 +399,9 @@ def t_coproduct_sum(
 
 
 def build_lax(
-    params: ModelParams,
-    lam: complex,
-    gauge: Gauge = Gauge.homogeneous,
-    quantum_sites: int = 1,
+    params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous
 ) -> Operator:
-    """Lax matrix on aux (x) (C^n)^{(x) quantum_sites}.
+    """Lax matrix on aux (x) one quantum site.
 
     Homogeneous: e^{lam} (upper-triangular t part) - e^{-lam} (lower t-minus
     part). Principal: diagonal 'e^{lam} t_ii - e^{-lam} t_ii^{-1}', gauge
@@ -412,9 +409,8 @@ def build_lax(
     t_1n / t-minus_n1.
     """
     n = params.n
-    tower = Tower(params, quantum_sites)
-    dq = n**quantum_sites
-    total = np.zeros((n * dq, n * dq), dtype=np.complex128)
+    tower = Tower(params)
+    total = np.zeros((n * n, n * n), dtype=np.complex128)
     blocks = aux_blocks(total, n)
 
     def put(i, j, coeff, block):
@@ -429,7 +425,7 @@ def build_lax(
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 put(i, j, -em, tower.t_image(TElementLabel(minus, i, j)))
-        return Operator(total, (n,) * (1 + quantum_sites))
+        return Operator(total, (n, n))
 
     for i in range(1, n + 1):
         tii_inv = tower.t_image(TElementLabel(minus, i, i))
@@ -450,17 +446,14 @@ def build_lax(
             put(i, j, -coeff, tower.t_image(TElementLabel(minus, i, j)))
     put(1, n, -cmath.exp(-lam + 2.0 * lam / n),
         tower.t_image(TElementLabel(TElementFamily.t0_minus_1n, 1, n)))
-    return Operator(total, (n,) * (1 + quantum_sites))
+    return Operator(total, (n, n))
 
 
 def build_lax_hat(
-    params: ModelParams,
-    lam: complex,
-    gauge: Gauge = Gauge.homogeneous,
-    quantum_sites: int = 1,
+    params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous
 ) -> Operator:
     """Inverse of the Lax matrix at -lam; rejects near-singular points."""
-    a = build_lax(params, -lam, gauge, quantum_sites)
+    a = build_lax(params, -lam, gauge)
     cond = np.linalg.cond(a.mat)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateParameters(
@@ -477,24 +470,26 @@ def build_lax_hat(
 
 def block_closed_rep(
     params: ModelParams,
-    which: str,
+    which: str | tuple,
     N: int,
     lam: complex,
     index: int | None = None,
-    charges: dict | None = None,
+    charges=None,
 ) -> Operator:
     """Block-matrix closed forms of (pi_lam (x) pi_0^N) primed coproducts.
 
-    which: chevalley_e | chevalley_f | cartan_eps (need index) or
-    Q11 | Q12 | Q21 (n=3 only) | Qnn. The Q forms need `charges`, a dict with
-    N-site realizations under keys "T11", "T12", "T21", "Tnn" as applicable.
+    which: chevalley_e | chevalley_f | cartan_eps (need index), or the
+    position of a boundary charge Q: (1, 1), (1, 2), (2, 1) (n=3 only) or
+    (n, n). A Q form needs ``charges``, the N-site
+    ``boundary_charges.ChargeSet``; its blocks read the charges by position
+    and the Cartan squares from the set's tower.
     """
     n = params.n
     if N < 1:
         raise ValueError("need at least one quantum site")
     q = params.q
     qh = _qpow(params, 0.5)
-    tower = Tower(params, N)
+    tower = Tower(params, N) if charges is None else charges.tower
     zero = np.zeros((n**N, n**N), dtype=np.complex128)
     blocks = [[zero] * n for _ in range(n)]
 
@@ -528,14 +523,14 @@ def block_closed_rep(
         for k in range(n):
             blocks[k][k] = e_full
         blocks[index - 1][index - 1] = q * e_full
-    elif which in ("Q11", "Q12", "Q21", "Qnn"):
+    elif which in ((1, 1), (1, 2), (2, 1), (n, n)):
         if charges is None:
-            raise ValueError(f"{which} needs the N-site charge realizations")
-        if which != "Qnn" and n != 3:
-            raise ValueError(f"{which} closed form is recorded for n=3 only")
+            raise ValueError(f"Q at {which} needs the N-site charge set")
+        if which != (n, n) and n != 3:
+            raise ValueError(f"Q at {which}: closed form is recorded for n=3 only")
         w = params.w
-        if which == "Qnn":
-            tnn = charges["Tnn"]
+        if which == (n, n):
+            tnn = charges.charge(which)
             corner = tower.t(1, 1) @ tower.t(n, n)
             for k in range(n):
                 blocks[k][k] = tnn
@@ -543,11 +538,11 @@ def block_closed_rep(
             blocks[0][n - 1] = -1j * cmath.exp(2 * lam) * q * w * corner
             blocks[n - 1][0] = -1j * cmath.exp(-2 * lam) * q * w * corner
         else:
-            t11, t12, t21 = charges["T11"], charges["T12"], charges["T21"]
+            t11, t12, t21 = (charges.charge(pos) for pos in ((1, 1), (1, 2), (2, 1)))
             e22sq = tower.t(2, 2) @ tower.t(2, 2)
             corners = tower.t(1, 1) @ tower.t(3, 3)
             em = cmath.exp(1j * params.mu * params.m)
-            if which == "Q11":
+            if which == (1, 1):
                 blocks[0][0] = q * q * t11
                 blocks[0][1] = w * q * t12
                 blocks[0][2] = -1j * w * q * corners
@@ -555,7 +550,7 @@ def block_closed_rep(
                 blocks[1][1] = t11 + em * w * w * e22sq
                 blocks[2][0] = -1j * w * q * corners
                 blocks[2][2] = t11
-            elif which == "Q12":
+            elif which == (1, 2):
                 blocks[0][0] = q * t12
                 blocks[1][0] = em * w * e22sq
                 blocks[1][1] = q * t12

@@ -4,7 +4,7 @@ The JSON layout is stable so runs can be diffed: a report is
 {"suite": ..., "params": {...}, "checks": [...], "pass": bool} and each check
 is {"id", "residual", "scalar", "pass", "millis"}. Complex numbers serialize
 as two-element [re, im] lists. Timings default to 0 so identical args + seed
-produce byte-identical output; pass collect_timings=True to record wall time.
+produce byte-identical output; set_timings_default(True) records wall time.
 """
 
 from __future__ import annotations
@@ -58,15 +58,11 @@ def set_timings_default(on: bool) -> None:
 class ReportBuilder:
     """Collects checks in a fixed order; ids are 'module.check.instance'."""
 
-    def __init__(
-        self, suite: str, params: dict, collect_timings: bool | None = None
-    ):
+    def __init__(self, suite: str, params: dict):
         self.suite = suite
         self.params = dict(params)
         self.checks: list[CheckResult] = []
-        if collect_timings is None:
-            collect_timings = _collect_timings_default
-        self.collect_timings = collect_timings
+        self.collect_timings = _collect_timings_default
         self._t0 = time.perf_counter()
 
     def _lap_ms(self) -> int:

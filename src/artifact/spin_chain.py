@@ -201,13 +201,9 @@ def build_transfer(spec: ChainSpec, lam: complex, closed: bool = False) -> Opera
 # ---------------------------------------------------------------------------
 
 
-def _x_of(params: ModelParams, lam: complex) -> complex:
-    return params.k_diag_x(lam)
-
-
 def _hamiltonian_constant(params: ModelParams) -> complex:
     sh = cmath.sinh(1j * params.mu)
-    x0 = _x_of(params, 0.0)
+    x0 = params.k_diag_x(0.0)
     xp0 = 2.0 * cmath.sinh(1j * params.mu * params.m)
     return -sh * xp0 / (4.0 * x0) - params.sites / 2.0 * cmath.cosh(1j * params.mu) - params.c0 / 2.0
 
@@ -223,7 +219,7 @@ def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     p.require_hamiltonian_ok()
     if route == "hecke_form":
         sh = cmath.sinh(1j * p.mu)
-        x0 = _x_of(p, 0.0)
+        x0 = p.k_diag_x(0.0)
         dim = p.n**p.sites
         h = np.zeros((dim, dim), dtype=np.complex128)
         for site in range(1, p.sites):
@@ -234,7 +230,7 @@ def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     if route == "transfer_derivative":
         sh = cmath.sinh(1j * p.mu)
         tr_m = cmath.sinh(1j * p.mu * p.n) / sh
-        x0 = _x_of(p, 0.0)
+        x0 = p.k_diag_x(0.0)
         pref = -(sh ** (-2 * p.sites + 1)) / (4.0 * x0 * tr_m)
         return pref * _transfer_derivative_analytic(spec)
     raise ValueError(f"unknown route {route!r}")
@@ -255,7 +251,7 @@ def _factor_profiles(spec: ChainSpec) -> list:
     rd0 = perm @ (cmath.cosh(1j * p.mu) * identity_op((n, n)) + u)
     rt0 = Operator(r0.mat.T.copy(), (n, n))
     rtd0 = Operator(rd0.mat.T.copy(), (n, n))
-    x0 = _x_of(p, 0.0)
+    x0 = p.k_diag_x(0.0)
     xp0 = 2.0 * cmath.sinh(1j * p.mu * p.m)
     yp0 = 4.0 * sh
     mstar = build_boundary_generator(p) * (1.0 / p.boundary_scale)
@@ -292,9 +288,10 @@ def _open_transfer_transposed_route(spec: ChainSpec, lam: complex) -> Operator:
     return partial_trace_first(Operator(acc, space))
 
 
-def transfer_derivative_numeric(spec: ChainSpec, h: float = 1e-4) -> Operator:
+def transfer_derivative_numeric(spec: ChainSpec) -> Operator:
     """Richardson-extrapolated central difference of the transposed-route
     transfer at zero; cross-check for the analytic product rule."""
+    h = 1e-4
 
     def central(step):
         up = _open_transfer_transposed_route(spec, step)
@@ -468,10 +465,11 @@ def affine_limit_transfer_combination(spec: ChainSpec, lam: complex) -> Operator
     return Operator(acc, (p.n,) * p.sites)
 
 
-def monodromy_asymptotic_residual(spec: ChainSpec, re_lambda: float = 15.0) -> float:
+def monodromy_asymptotic_residual(spec: ChainSpec) -> float:
     """Lower auxiliary blocks of e^{-N lambda} T vanish at large Re lambda in
-    the homogeneous gradation."""
+    the homogeneous gradation; read at lambda = 15."""
     p = spec.params
+    re_lambda = 15.0
     t = build_monodromy(spec, re_lambda).mat * cmath.exp(-p.sites * re_lambda)
     blocks = aux_blocks(t, p.n)
     return worst_of(frob(blocks[i, :, j, :]) for i in range(p.n) for j in range(i)) / frob(t)

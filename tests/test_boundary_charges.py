@@ -176,36 +176,32 @@ def test_charges_build_each_coproduct_once(monkeypatch):
     inner = quantum_algebra.coproduct_rep
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1:])
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(quantum_algebra, "coproduct_rep", counted)
     build_boundary_charges(p, 3)
     assert len(calls) == 12
     assert len(set(calls)) == 12
+    # the primed recursion needs sixteen distinct (label, sites, lambda)
+    # images, on one and two sites, across all its levels
     calls.clear()
     coproduct_charges(p, 3, (1, 1), "delta_prime")
-    assert len(calls) <= 84
+    assert len(calls) == 16
+    assert len(set(calls)) == 16
 
 
 def test_block_closed_forms_match_generic_coproduct():
     lam = 0.27 - 0.19j
     charges = build_boundary_charges(P32, 2)
-    cd = {
-        "Tnn": charges.affine.mat,
-        "T11": charges.entries[(1, 1)].mat,
-        "T12": charges.entries[(1, 2)].mat,
-        "T21": charges.entries[(2, 1)].mat,
-    }
-    pos_of = {"Qnn": (3, 3), "Q11": (1, 1), "Q12": (1, 2), "Q21": (2, 1)}
-    for wname, pos in pos_of.items():
-        closed = block_closed_rep(P32, wname, 2, lam, charges=cd)
+    for pos in ((3, 3), (1, 1), (1, 2), (2, 1)):
+        closed = block_closed_rep(P32, pos, 2, lam, charges=charges)
         generic = coproduct_charges(P32, 3, pos, "delta_prime", first_site_lambda=lam)
         assert rel_residual(generic.mat, closed.mat) < 1e-12
 
 
 def test_asymptotic_readout_homogeneous():
-    res, scalar = asymptotic_charges_residual(build_boundary_charges(P32, 2), re_lambda=15.0)
+    res, scalar = asymptotic_charges_residual(build_boundary_charges(P32, 2))
     assert res < 1e-8
     # the shared prefactor of the surviving blocks is e^{2 lam} / 2
     assert abs(scalar / (cmath.exp(30.0) / 2) - 1) < 1e-6
@@ -216,14 +212,14 @@ def test_asymptotic_readout_principal():
 
 
 def test_braid_exchange_single_site():
-    rp, rm = braid_exchange_residuals(P31, 1)
+    rp, rm = braid_exchange_residuals(build_boundary_charges(P31, 1))
     assert rp < 1e-12 and rm < 1e-12
 
 
 def test_exchange_relations_n3_displays():
     spec = ChainSpec(params=P32)
     charges = build_boundary_charges(P32, 2)
-    out = exchange_relation_residuals(spec, 0.31 - 0.13j, charges, Tower(P32, 2))
+    out = exchange_relation_residuals(spec, 0.31 - 0.13j, charges)
     for name in ("com4", "com5", "com6", "com7", "com8", "com9", "com11"):
         assert out[name] < 1e-12, name
     # the strictly-interior ladder relations need n >= 4
@@ -234,8 +230,19 @@ def test_exchange_relations_nonvacuous_n4():
     p = ModelParams(n=4, mu=0.37, m=1.1 + 0.15j, zeta=0.52, sites=2)
     spec = ChainSpec(params=p)
     charges = build_boundary_charges(p, 2)
-    out = exchange_relation_residuals(spec, 0.21 + 0.17j, charges, Tower(p, 2))
+    out = exchange_relation_residuals(spec, 0.21 + 0.17j, charges)
     for name in ("com2", "com3", "com4", "com4b", "com8", "com11"):
+        assert out[name] < 1e-12, name
+
+
+@pytest.mark.parametrize("mu", [3.5, -3.5])
+def test_exchange_relations_take_the_towers_half_power_of_q(mu):
+    # beyond |Re mu| = pi the principal square root of q = e^{i mu} is
+    # -e^{i mu / 2}; the relations hold with the tower's branch e^{i mu / 2}
+    p = ModelParams(n=4, mu=mu, m=0.9 + 0.2j, zeta=0.6, sites=2)
+    out = exchange_relation_residuals(ChainSpec(params=p), 0.21 + 0.17j,
+                                      build_boundary_charges(p, 2))
+    for name in ("com2", "com3", "com4", "com4b"):
         assert out[name] < 1e-12, name
 
 
@@ -261,7 +268,7 @@ def test_degeneracy_witness_without_isolated_eigenvalue_is_nan():
 
 def test_symmetry_suite_builds_its_charge_set_once(monkeypatch):
     # at CLI defaults (n=3, N=2) the suite's own charge set serves every
-    # N-site check; only the braid exchange builds its two-site set anew
+    # two-site check, the braid exchange included
     sizes = []
     inner = boundary_charges.build_boundary_charges
 
@@ -272,7 +279,7 @@ def test_symmetry_suite_builds_its_charge_set_once(monkeypatch):
     monkeypatch.setattr(boundary_charges, "build_boundary_charges", counted)
     rep = verify_symmetry_suite(ChainSpec(params=P32))
     assert rep.passed
-    assert sizes.count(2) == 2
+    assert sizes.count(2) == 1
 
 
 def test_suite_green_n3():

@@ -1,0 +1,102 @@
+"""Property tests of the R- and K-matrix identities over the sampling boxes.
+
+Model parameters and spectral points are drawn from the boxes of
+``artifact.sampling`` (mu in [0.15, 1.2] + i[-0.1, 0.1], m and zeta in
+[0.3, 2.0] + i[-0.5, 0.5], lambda in [-1.5, 1.5] + i[-0.8, 0.8]), with each
+coordinate drawn at one of its box ends about half the time so the corners
+are reached. Draws that ``sample_model`` or ``sample_spectral`` would reject
+(degenerate parameters, spectral points or their sums and differences within
+1e-3 of the poles ±i mu) are discarded with ``assume``.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from artifact import ModelParams
+from artifact.params import DegenerateParameters
+from artifact.reflection_k import build_k_explicit, reflection_residual
+from artifact.tensor_core import embed_at, identity_op, rel_residual
+from artifact.yang_baxter import Gauge, build_r, build_r_hat, unitarity_scalar
+
+PROPERTY = settings(max_examples=50, deadline=None)
+BOUND = 1e-12
+POLE_GAP = 1e-3
+
+
+def _coord(lo: float, hi: float):
+    return st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi))
+
+
+def _box(re_lo, re_hi, im_lo, im_hi):
+    return st.builds(complex, _coord(re_lo, re_hi), _coord(im_lo, im_hi))
+
+
+@st.composite
+def _model(draw):
+    try:
+        return ModelParams(
+            n=draw(st.integers(2, 4)),
+            mu=draw(_box(0.15, 1.2, -0.1, 0.1)),
+            m=draw(_box(0.3, 2.0, -0.5, 0.5)),
+            zeta=draw(_box(0.3, 2.0, -0.5, 0.5)),
+        )
+    except DegenerateParameters:
+        assume(False)
+
+
+def _off_poles(p: ModelParams, *values: complex) -> bool:
+    return all(abs(v - s * 1j * p.mu) >= POLE_GAP for v in values for s in (1, -1))
+
+
+_LAMBDA = _box(-1.5, 1.5, -0.8, 0.8)
+
+
+@PROPERTY
+@given(_model(), _LAMBDA)
+def test_r_unitarity(p, lam):
+    assume(_off_poles(p, lam))
+    eye = identity_op((p.n, p.n))
+    for gauge in Gauge:
+        prod = build_r(p, lam, gauge) @ build_r_hat(p, -lam, gauge)
+        assert rel_residual(prod, unitarity_scalar(p, lam) * eye) < BOUND, gauge
+
+
+@PROPERTY
+@given(_model(), _LAMBDA, _LAMBDA)
+def test_yang_baxter_equation(p, l1, l2):
+    assume(_off_poles(p, l1, l2, l1 + l2, l1 - l2))
+    space = (p.n,) * 3
+    for gauge in Gauge:
+        r12 = embed_at(build_r(p, l1 - l2, gauge), [1, 2], space)
+        r13 = embed_at(build_r(p, l1, gauge), [1, 3], space)
+        r23 = embed_at(build_r(p, l2, gauge), [2, 3], space)
+        assert rel_residual(r23 @ r13 @ r12, r12 @ r13 @ r23) < BOUND, gauge
+
+
+@PROPERTY
+@given(_model(), _LAMBDA, _LAMBDA)
+def test_reflection_equation_explicit_k(p, l1, l2):
+    assume(_off_poles(p, l1, l2, l1 + l2, l1 - l2))
+    for gauge in Gauge:
+        res = reflection_residual(p, lambda u: build_k_explicit(p, u, gauge), l1, l2, gauge)
+        assert res < BOUND, gauge
+
+
+@st.composite
+def _near_low_root_of_unity(draw):
+    # q = e^{i mu} with mu within 1e-8 of 2 pi a / b has |q^b - 1| < 1e-6
+    n = draw(st.integers(2, 4))
+    b = draw(st.integers(1, 2 * n))
+    a = draw(st.integers(-b, b))
+    return n, 2 * math.pi * a / b + draw(_box(-1e-8, 1e-8, -1e-8, 1e-8))
+
+
+@PROPERTY
+@given(_near_low_root_of_unity())
+def test_mu_near_low_root_of_unity_is_degenerate(n_mu):
+    n, mu = n_mu
+    with pytest.raises(DegenerateParameters):
+        ModelParams(n=n, mu=mu, m=0.9 + 0.2j, zeta=0.6)

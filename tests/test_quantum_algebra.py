@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from artifact import ModelParams
+from artifact.boundary_charges import build_boundary_charges
 from artifact.params import DegenerateParameters
 from artifact.quantum_algebra import (
     GeneratorKind,
@@ -262,9 +263,10 @@ def test_block_closed_cartan_and_errors():
     with pytest.raises(ValueError):
         block_closed_rep(P3, "chevalley_e", 1, lam)  # missing index
     with pytest.raises(ValueError):
-        block_closed_rep(P3, "Q11", 1, lam)  # missing charge realizations
+        block_closed_rep(P3, (1, 1), 1, lam)  # missing charge set
+    p4 = ModelParams(n=4, mu=0.3)
     with pytest.raises(ValueError):
-        block_closed_rep(ModelParams(n=4, mu=0.3), "Q12", 1, lam, charges={})
+        block_closed_rep(p4, (1, 2), 1, lam, charges=build_boundary_charges(p4, 1))
     with pytest.raises(ValueError):
         block_closed_rep(P3, "nonsense", 1, lam)
 
