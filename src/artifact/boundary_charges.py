@@ -31,8 +31,10 @@ count and first-site lambda is read from one ``quantum_algebra.Tower``. A
 ``ChargeSet`` carries the tower its charges were read from, so every check
 on the charge set (exchange relations, the affine defect, the block closed
 forms, the braid exchange) reads the same images. The coproduct recursion
-builds its own towers, one per (sites, first-site lambda) for a whole call,
-and never reads a ``ChargeSet``: it is the independent route.
+builds its own towers, one per (sites, first-site lambda) for a whole call
+(the suite shares one such memo across its three recursion checks), and
+never reads a ``ChargeSet``: it is the independent route. One least-squares
+ray fit (``_ray_scalar``, ``_ray_defect``) serves both asymptotic read-offs.
 
 The recursion has a plain and a primed order. The primed one-site split is
 the plain split with its two legs exchanged, so each split is written once
@@ -435,6 +437,29 @@ def cyclic_shift(n: int, N: int) -> Operator:
 # ---------------------------------------------------------------------------
 
 
+def _ray_scalar(pairs) -> complex:
+    """Least-squares s with block = s * charge over (charge, block) pairs."""
+    num = 0.0j
+    den = 0.0
+    for qm, b in pairs:
+        num += np.vdot(qm, b)
+        den += np.vdot(qm, qm).real
+    return num / den
+
+
+def _ray_defect(s: complex, pairs, vanishing=()) -> float:
+    """sqrt(sum ||block - s charge||^2 + sum ||vanishing||^2) over
+    sqrt(sum ||block||^2): how far the blocks sit from the ray s * charges."""
+    err = 0.0
+    norm = 0.0
+    for qm, b in pairs:
+        err += np.linalg.norm(b - s * qm) ** 2
+        norm += np.linalg.norm(b) ** 2
+    for b in vanishing:
+        err += np.linalg.norm(b) ** 2
+    return float(np.sqrt(err / norm))
+
+
 def asymptotic_charges_residual(charges: ChargeSet) -> tuple[float, complex]:
     """Homogeneous-gradation read-off of the charges from the double row.
 
@@ -447,32 +472,13 @@ def asymptotic_charges_residual(charges: ChargeSet) -> tuple[float, complex]:
     lam = 15.
     """
     p = replace(charges.params, sites=charges.sites)
-    spec = ChainSpec(params=p)
     lam = complex(15.0)
     n = p.n
-    blk = double_row_blocks(spec, lam)
-
-    surviving = set(charges.entries)
-    num = 0.0j
-    den = 0.0
-    for i, j in surviving:
-        qm = charges.entries[(i, j)].mat
-        num += np.vdot(qm, blk[i, j])
-        den += np.vdot(qm, qm).real
-    s = num / den
-    err = 0.0
-    norm = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) == (n, n):
-                continue
-            b = blk[i, j]
-            err += np.linalg.norm(b - s * charges.charge((i, j))) ** 2
-            norm += np.linalg.norm(b) ** 2
-    res = np.sqrt(err / norm)
-    scaled = blk[n, n] / cmath.exp(-2 * lam)
-    res_aff = rel_residual(s * charges.affine.mat, scaled)
-    return worst_of((res, res_aff)), complex(s)
+    blk = double_row_blocks(ChainSpec(params=p), lam)
+    pairs = [(charges.charge(pos), blk[pos]) for pos in blk if pos != (n, n)]
+    s = _ray_scalar(pairs)
+    res_aff = rel_residual(s * charges.affine.mat, blk[n, n] / cmath.exp(-2 * lam))
+    return worst_of((_ray_defect(s, pairs), res_aff)), complex(s)
 
 
 def principal_asymptotic_residual(charges: ChargeSet) -> float:
@@ -521,29 +527,10 @@ def principal_asymptotic_residual(charges: ChargeSet) -> float:
     corr = proj[(g0 - 1) % 3]
     eps = cmath.exp(-2.0 * re_lambda / 3.0)
 
-    num = 0.0j
-    den = 0.0
-    for i, j in lead_pos:
-        qm = charges.charge((i, j))
-        num += np.vdot(qm, block(lead, i, j))
-        den += np.vdot(qm, qm).real
-    s = num / den
-
-    err = 0.0
-    norm = 0.0
-    for i, j in lead_pos:
-        qm = charges.charge((i, j))
-        err += np.linalg.norm(block(lead, i, j) - s * qm) ** 2
-        norm += np.linalg.norm(block(lead, i, j)) ** 2
-    for i, j in corr_pos:
-        qm = charges.charge((i, j))
-        scaled = block(corr, i, j) / eps
-        err += np.linalg.norm(scaled - s * qm) ** 2
-        norm += np.linalg.norm(scaled) ** 2
-    for i, j in zero_pos:
-        err += np.linalg.norm(block(lead, i, j)) ** 2
-        err += np.linalg.norm(block(corr, i, j) / eps) ** 2
-    return float(np.sqrt(err / norm))
+    lead_pairs = [(charges.charge(pos), block(lead, *pos)) for pos in lead_pos]
+    corr_pairs = [(charges.charge(pos), block(corr, *pos) / eps) for pos in corr_pos]
+    vanishing = [b for pos in zero_pos for b in (block(lead, *pos), block(corr, *pos) / eps)]
+    return _ray_defect(_ray_scalar(lead_pairs), lead_pairs + corr_pairs, vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -918,15 +905,19 @@ def verify_symmetry_suite(
     )
     rb.add("symmetry.evalq_transpose", res, 1e-12)
 
-    # coproduct recursion against the product construction, both variants
+    # coproduct recursion against the product construction, both variants;
+    # the recursion's towers are its own, shared by these three checks and
+    # never the charge set's
+    rec_tower = cache(partial(Tower, p))
     shift = cyclic_shift(n, N)
     shift_inv = shift.transpose()  # permutation, so the transpose inverts it
-    res = worst_of(sym_residual(coproduct_charges(p, N, pos).mat, charges.charge(pos))
+    res = worst_of(sym_residual(_recursive_charge(p, N, pos, "delta", None, rec_tower),
+                                charges.charge(pos))
                    for pos in _charge_positions(n))
     rb.add("symmetry.recursion", res, 1e-11)
 
     res = worst_of(
-        sym_residual(coproduct_charges(p, N, pos, "delta_prime").mat,
+        sym_residual(_recursive_charge(p, N, pos, "delta_prime", None, rec_tower),
                      (shift @ Operator(charges.charge(pos), (n,) * N) @ shift_inv).mat)
         for pos in _charge_positions(n)
     )
@@ -935,7 +926,7 @@ def verify_symmetry_suite(
     # block closed forms of the primed coproducts with one evaluated site
     res = worst_of(
         sym_residual(
-            coproduct_charges(p, N + 1, pos, "delta_prime", first_site_lambda=lam0).mat,
+            _recursive_charge(p, N + 1, pos, "delta_prime", lam0, rec_tower),
             block_closed_rep(p, pos, N, lam0, charges=charges).mat,
         )
         for pos in ([(n, n), (1, 1), (1, 2), (2, 1)] if n == 3 else [(n, n)])

@@ -27,7 +27,7 @@ from .params import ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model
 from .tensor_core import (RESIDUAL_FLOOR, Operator, basis_matrix, comm_residual, embed_at,
-                          frob, prop_check, sym_residual)
+                          frob, prop_check, sym_residual, weight_preserving)
 
 __all__ = [
     "build_bulk_generator",
@@ -39,16 +39,9 @@ __all__ = [
 
 
 def build_bulk_generator(params: ModelParams) -> Operator:
-    n, q = params.n, params.q
-    u = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            u += np.kron(basis_matrix(n, i, j), basis_matrix(n, j, i))
-            sign = 1 if i > j else -1
-            u -= q ** (-sign) * np.kron(basis_matrix(n, i, i), basis_matrix(n, j, j))
-    return Operator(u, (n, n))
+    q = params.q
+    return weight_preserving(params.n, lambda i: 0.0,
+                             lambda i, j: -q ** (-1 if i > j else 1), lambda i, j: 1.0)
 
 
 def rep_bulk(params: ModelParams, l: int) -> Operator:

@@ -22,11 +22,14 @@ Conventions that the checks pin down empirically:
 
 Everything is realized as dense matrices on (C^n)^{(x) L}; the first tensor
 slot optionally carries the spectral parameter, all the others sit at 0.
-A ``Tower`` fixes (params, L, first-site lambda, gauge) and builds each plain
-generator coproduct, root element and tower entry once; every L-site image
-any module reads comes from one, and ``t_element_rep`` is its one-shot
-wrapper. The checks that compare independent routes call ``coproduct_rep``
-(both orders) and ``_coproduct_recursive`` directly.
+A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
+gradation, and builds each plain generator coproduct, root element and tower
+entry once; every L-site image any module reads comes from one, and
+``t_element_rep`` is its one-shot wrapper. The checks that compare
+independent routes call ``coproduct_rep`` (both orders) and
+``_coproduct_recursive`` directly. ``intertwine_residual`` is the linear
+intertwining relation Delta'(g) X = X Delta(g), written once for R, the
+monodromy and its hatted partner.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .tensor_core import (
     permutation_swap,
     prop_check,
     rel_residual,
+    rtt_residual,
     sym_residual,
     worst_of,
 )
@@ -70,6 +74,7 @@ __all__ = [
     "build_lax",
     "build_lax_hat",
     "block_closed_rep",
+    "intertwine_residual",
     "verify_algebra_suite",
 ]
 
@@ -230,7 +235,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class Tower:
-    """Memoized images on L sites: fixed fold count, first-site lambda, gauge.
+    """Memoized homogeneous images on L sites at one first-site lambda.
 
     ``gen`` holds the plain L-fold coproducts of the Chevalley generators,
     ``root`` the root elements of the averaged recursion and ``t_image`` the
@@ -240,11 +245,10 @@ class Tower:
     call that made it; nothing is cached across calls.
     """
 
-    def __init__(self, params, L=1, first_site_lambda=None, gauge=Gauge.homogeneous):
+    def __init__(self, params, L=1, first_site_lambda=None):
         self.params = params
         self.L = L
         self.first_site_lambda = first_site_lambda
-        self.gauge = gauge
         self._gen: dict = {}
         self._roots: dict = {}
         self._t: dict = {}
@@ -258,7 +262,6 @@ class Tower:
                 self.L,
                 "delta",
                 self.first_site_lambda,
-                self.gauge,
             ).mat)
         return self._gen[key]
 
@@ -345,14 +348,9 @@ class Tower:
 
 
 def t_element_rep(
-    params: ModelParams,
-    label: TElementLabel,
-    L: int = 1,
-    first_site_lambda=None,
-    gauge: Gauge = Gauge.homogeneous,
+    params: ModelParams, label: TElementLabel, L: int = 1, first_site_lambda=None
 ) -> Operator:
-    return Operator(Tower(params, L, first_site_lambda, gauge).t_image(label),
-                    (params.n,) * L)
+    return Operator(Tower(params, L, first_site_lambda).t_image(label), (params.n,) * L)
 
 
 def _coproduct_pairs(n: int, label: TElementLabel) -> list:
@@ -376,16 +374,13 @@ def _coproduct_pairs(n: int, label: TElementLabel) -> list:
 
 
 def t_coproduct_sum(
-    params: ModelParams,
-    label: TElementLabel,
-    first_site_lambda=None,
-    gauge: Gauge = Gauge.homogeneous,
+    params: ModelParams, label: TElementLabel, first_site_lambda=None
 ) -> Operator:
     """Right-hand side of the factorized two-fold coproduct sums: the sum of
     first (x) second over the label pairs of ``_coproduct_pairs``."""
     n = params.n
-    first = Tower(params, 1, first_site_lambda, gauge)
-    second = Tower(params, 1, None, gauge)
+    first = Tower(params, 1, first_site_lambda)
+    second = Tower(params, 1)
     acc = sum(
         np.kron(first.t_image(a), second.t_image(b))
         for a, b in _coproduct_pairs(n, label)
@@ -583,12 +578,14 @@ def _all_labels(n: int) -> list[GeneratorLabel]:
     return labs
 
 
-def _intertwine_residual(params, label, lam, gauge, r=None) -> float:
-    if r is None:
-        r = build_r(params, lam, gauge)
-    dp = coproduct_rep(params, label, 2, "delta_prime", lam, gauge)
-    d = coproduct_rep(params, label, 2, "delta", lam, gauge)
-    return sym_residual(dp @ r, r @ d)
+def intertwine_residual(params, label, x: Operator, lam, gauge, primed_left=True) -> float:
+    """sym_residual of Delta'(g) X = X Delta(g), or of Delta(g) X = X Delta'(g)
+    when ``primed_left`` is False, for the generator ``label``: both
+    coproducts are len(x.dims)-fold with the first site evaluated at ``lam``."""
+    dp, d = (coproduct_rep(params, label, len(x.dims), variant, lam, gauge)
+             for variant in ("delta_prime", "delta"))
+    left, right = (dp, d) if primed_left else (d, dp)
+    return sym_residual(left @ x, x @ right)
 
 
 def _serre_residual(params, tower: Tower, kind, i, j) -> float:
@@ -656,26 +653,20 @@ def verify_algebra_suite(
         for gauge in (Gauge.homogeneous, Gauge.principal):
             r = build_r(p, lam, gauge)
             rb.add(f"algebra.inter.{gauge.value}.s{s}", worst_of(
-                _intertwine_residual(p, lab, lam, gauge, r) for lab in _all_labels(n)
+                intertwine_residual(p, lab, r, lam, gauge) for lab in _all_labels(n)
             ), tol)
 
         # affine intertwiner with mismatched gauge pairing must fail
-        mis = _intertwine_residual(
-            p, GeneratorLabel(GeneratorKind.E, n), lam, Gauge.principal,
-            build_r(p, lam, Gauge.homogeneous),
-        )
+        mis = intertwine_residual(p, GeneratorLabel(GeneratorKind.E, n),
+                                  build_r(p, lam, Gauge.homogeneous), lam, Gauge.principal)
         rb.add_flag(f"algebra.inter_mismatch.s{s}", mis > 1e-3, mis)
 
         # RLL relation and the Lax/R identification
         lam, lam2 = sample_spectral(rng, p, 2)
         for gauge in (Gauge.homogeneous, Gauge.principal):
             lax1 = build_lax(p, lam, gauge)
-            lax2 = build_lax(p, lam2, gauge)
-            r12 = embed_at(build_r(p, lam - lam2, gauge), [1, 2], [n, n, n])
-            la = embed_at(lax1, [1, 3], [n, n, n])
-            lb = embed_at(lax2, [2, 3], [n, n, n])
-            rb.add(f"algebra.rll.{gauge.value}.s{s}",
-                   sym_residual(r12 @ la @ lb, lb @ la @ r12), tol)
+            rb.add(f"algebra.rll.{gauge.value}.s{s}", rtt_residual(
+                build_r(p, lam - lam2, gauge), lax1, build_lax(p, lam2, gauge)), tol)
             pr = prop_check(lax1, build_r(p, lam, gauge), tol)
             rb.add(f"algebra.lax_is_r.{gauge.value}.s{s}", pr.residual, tol,
                    scalar=pr.scalar)
@@ -694,30 +685,21 @@ def verify_algebra_suite(
 
         # coproduct maps on the Lax entries are given by the slot products;
         # their consistency shows up as the exchange relation for the
-        # two-site product and the inverse pairing of the two product orders
+        # two-site product L_{a,2} L_{a,1} and the inverse pairing of the two
+        # product orders
         def dl(u):
-            return embed_at(build_lax(p, u), [1, 4], [n] * 4) @ embed_at(
-                build_lax(p, u), [1, 3], [n] * 4
-            )
+            lax = build_lax(p, u)
+            return embed_at(lax, [1, 3], [n] * 3) @ embed_at(lax, [1, 2], [n] * 3)
 
-        def dl_b(u):
-            return embed_at(build_lax(p, u), [2, 4], [n] * 4) @ embed_at(
-                build_lax(p, u), [2, 3], [n] * 4
-            )
-
-        rab = embed_at(build_r(p, lam - lam2, Gauge.homogeneous), [1, 2], [n] * 4)
         rb.add(f"algebra.lax_cop.s{s}",
-               sym_residual(rab @ dl(lam) @ dl_b(lam2), dl_b(lam2) @ dl(lam) @ rab), tol)
+               rtt_residual(build_r(p, lam - lam2), dl(lam), dl(lam2)), tol)
         try:
             hat1 = build_lax_hat(p, lam)
             dlhat = embed_at(hat1, [1, 2], [n, n, n]) @ embed_at(
                 hat1, [1, 3], [n, n, n]
             )
-            dl3 = embed_at(build_lax(p, -lam), [1, 3], [n, n, n]) @ embed_at(
-                build_lax(p, -lam), [1, 2], [n, n, n]
-            )
             rb.add(f"algebra.laxhat_cop.s{s}",
-                   rel_residual(dlhat @ dl3, identity_op([n, n, n])), 1e-11)
+                   rel_residual(dlhat @ dl(-lam), identity_op([n, n, n])), 1e-11)
             rb.add(
                 f"algebra.laxhat_inv.s{s}",
                 rel_residual(hat1 @ build_lax(p, -lam), identity_op([n, n])),

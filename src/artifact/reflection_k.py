@@ -16,14 +16,17 @@ Right-boundary solutions on C^n:
   alpha = sinh(-lambda + i mu xi) e^{lambda}, beta = sinh(lambda + i mu xi)
   e^{-lambda} and a block size 1 <= l <= n-1.
 
-Left boundaries: identity, the transposed-and-shifted right family
-K(-lambda - i mu n/2)^t, and its boundary-parameter limit
+Left boundaries: identity, the transposed-and-shifted explicit right K
+K(-lambda - i mu n/2)^t (homogeneous gauge), and its boundary-parameter limit
 diag(e^{-2 lambda - i mu n}, ..., e^{2 lambda + i mu n}).
 
 A published diagonal+corner solution in the principal gradation is
 reproduced exactly under the parameter identifications implemented in
 ``map_abad_rios`` (theta = 2 lambda / n, both matrices rescaled as
 ``verify_reflection_suite`` does).
+
+``reflection_residual`` is Sklyanin's reflection equation, written once for
+every K on C^n and for the double row on the auxiliary space and the sites.
 """
 
 from __future__ import annotations
@@ -41,14 +44,14 @@ from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
     RESIDUAL_FLOOR,
     Operator,
+    embed_at,
     identity_op,
     kron,
-    permutation_swap,
     prop_check,
     rel_residual,
     sym_residual,
 )
-from .yang_baxter import Gauge, build_gauge_V, build_r, build_rcheck
+from .yang_baxter import Gauge, build_gauge_V, build_r, build_r_hat, build_rcheck
 
 __all__ = [
     "LeftBoundaryKind",
@@ -115,21 +118,14 @@ def build_k_diagonal(params: ModelParams, lam: complex, l: int, xi: complex) -> 
     return Operator(np.diag([alpha] * l + [beta] * (n - l)), (n,))
 
 
-def build_k_left(
-    params: ModelParams,
-    lam: complex,
-    kind: LeftBoundaryKind,
-    source=None,
-) -> Operator:
-    """Left-boundary matrix; `source` is a callable lambda -> Operator giving
-    the right-boundary family to transpose and shift."""
+def build_k_left(params: ModelParams, lam: complex, kind: LeftBoundaryKind) -> Operator:
+    """Left-boundary matrix; transpose-shift transposes and shifts the
+    homogeneous explicit right K."""
     n = params.n
     if kind == LeftBoundaryKind.identity:
         return identity_op([n])
     if kind == LeftBoundaryKind.transpose_shift:
-        if source is None:
-            raise ValueError("transpose-shift left boundary needs a source K family")
-        return source(-lam - 1j * params.mu * n / 2.0).transpose()
+        return build_k_explicit(params, -lam - 1j * params.mu * n / 2.0).transpose()
     if kind == LeftBoundaryKind.affine_limit:
         lead = cmath.exp(-2 * lam - 1j * params.mu * n)
         d = [lead] * (n - 1) + [cmath.exp(2 * lam + 1j * params.mu * n)]
@@ -196,23 +192,27 @@ def build_abad_rios_k(params: ModelParams, lam: complex, ar: AbadRiosParams) -> 
 
 def reflection_residual(params, k_of_lam, l1: complex, l2: complex,
                         gauge: Gauge = Gauge.homogeneous) -> float:
-    """Relative defect of
+    """sym_residual of the reflection equation
     R12(l1-l2) K1(l1) R21(l1+l2) K2(l2) = K2(l2) R12(l1+l2) K1(l1) R21(l1-l2).
+
+    ``k_of_lam(u)`` acts on one auxiliary space, optionally followed by
+    quantum spaces (the double row); K1 and K2 put it on auxiliary space 1
+    and 2 with the same quantum spaces.
     """
-    n = params.n
-    p = permutation_swap(n)
-    eye = identity_op([n])
+    ka, kb = k_of_lam(l1), k_of_lam(l2)
+    space = (params.n, params.n) + ka.dims[1:]
+    quantum = list(range(3, len(space) + 1))
+    k1 = embed_at(ka, [1] + quantum, space)
+    k2 = embed_at(kb, [2] + quantum, space)
 
     def r12(u):
-        return build_r(params, u, gauge)
+        return embed_at(build_r(params, u, gauge), [1, 2], space)
 
     def r21(u):
-        return p @ build_r(params, u, gauge) @ p
+        return embed_at(build_r_hat(params, u, gauge), [1, 2], space)
 
-    k1a = kron(k_of_lam(l1), eye)
-    k1b = kron(eye, k_of_lam(l2))
-    lhs = r12(l1 - l2) @ k1a @ r21(l1 + l2) @ k1b
-    rhs = k1b @ r12(l1 + l2) @ k1a @ r21(l1 - l2)
+    lhs = r12(l1 - l2) @ k1 @ r21(l1 + l2) @ k2
+    rhs = k2 @ r12(l1 + l2) @ k1 @ r21(l1 - l2)
     return sym_residual(lhs, rhs)
 
 

@@ -24,21 +24,13 @@ def _box(rng, re_lo, re_hi, im_lo, im_hi) -> complex:
     return complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
 
 
-def sample_model(
-    rng: np.random.Generator,
-    n: int,
-    sites: int = 1,
-    need_hamiltonian: bool = False,
-) -> ModelParams:
+def sample_model(rng: np.random.Generator, n: int, sites: int = 1) -> ModelParams:
     for _ in range(_MAX_TRIES):
         mu = _box(rng, 0.15, 1.2, -0.1, 0.1)
         m = _box(rng, 0.3, 2.0, -0.5, 0.5)
         zeta = _box(rng, 0.3, 2.0, -0.5, 0.5)
         try:
-            p = ModelParams(n=n, mu=mu, m=m, zeta=zeta, sites=sites)
-            if need_hamiltonian:
-                p.require_hamiltonian_ok()
-            return p
+            return ModelParams(n=n, mu=mu, m=m, zeta=zeta, sites=sites)
         except DegenerateParameters:
             continue
     raise RuntimeError("could not sample non-degenerate model parameters")

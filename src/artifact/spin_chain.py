@@ -32,18 +32,20 @@ two auxiliary spaces stay dense products of embeddings.
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .hecke_algebra import build_boundary_generator, build_bulk_generator, rep_boundary, rep_bulk
 from .params import DegenerateParameters, ModelParams
-from .quantum_algebra import GeneratorKind, GeneratorLabel, coproduct_rep
+from .quantum_algebra import GeneratorKind, GeneratorLabel, intertwine_residual
 from .reflection_k import (
     LeftBoundaryKind,
     build_k_ansatz,
     build_k_diagonal,
     build_k_explicit,
     build_k_left,
+    reflection_residual,
 )
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_spectral
@@ -59,6 +61,7 @@ from .tensor_core import (
     partial_trace_first,
     permutation_swap,
     rel_residual,
+    rtt_residual,
     worst_of,
 )
 from .yang_baxter import (
@@ -131,12 +134,7 @@ def left_k(spec: ChainSpec, lam: complex) -> Operator:
     exactly, which is how the principal-gradation results follow from the
     homogeneous ones in the first place.
     """
-    base = build_k_left(
-        spec.params,
-        lam,
-        spec.left_boundary,
-        source=lambda u: build_k_explicit(spec.params, u, Gauge.homogeneous),
-    )
+    base = build_k_left(spec.params, lam, spec.left_boundary)
     if spec.gauge == Gauge.principal:
         v = build_gauge_V(spec.params, -lam)
         return v @ build_M(spec.params, Gauge.homogeneous) @ base @ v
@@ -383,57 +381,9 @@ def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex)
     return _blockwise_exchange_residual(plus, minus, k, spec.params.n)
 
 
-def monodromy_intertwine_residual(spec: ChainSpec, label: GeneratorLabel, lam: complex) -> float:
-    """Primed-coproduct action times T equals T times unprimed action, the
-    auxiliary space carrying the spectral-parameter evaluation."""
-    p = spec.params
-    t = build_monodromy(spec, lam)
-    lhs = coproduct_rep(p, label, p.sites + 1, "delta_prime", lam, spec.gauge) @ t
-    rhs = t @ coproduct_rep(p, label, p.sites + 1, "delta", lam, spec.gauge)
-    return rel_residual(lhs, rhs)
-
-
-def monodromy_hat_intertwine_residual(spec: ChainSpec, label: GeneratorLabel, lam: complex) -> float:
-    p = spec.params
-    that = build_monodromy_hat(spec, lam, "per_site")
-    lhs = coproduct_rep(p, label, p.sites + 1, "delta", -lam, spec.gauge) @ that
-    rhs = that @ coproduct_rep(p, label, p.sites + 1, "delta_prime", -lam, spec.gauge)
-    return rel_residual(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
-
-
-def _rtt_residual(spec: ChainSpec, l1: complex, l2: complex) -> float:
-    p = spec.params
-    n = p.n
-    space = (n,) * (p.sites + 2)
-    quantum = list(range(3, p.sites + 3))
-    ta = embed_at(build_monodromy(spec, l1), [1] + quantum, space)
-    tb = embed_at(build_monodromy(spec, l2), [2] + quantum, space)
-    rab = embed_at(build_r(p, l1 - l2, spec.gauge), [1, 2], space)
-    return rel_residual(rab @ ta @ tb, tb @ ta @ rab)
-
-
-def _double_row_re_residual(spec: ChainSpec, l1: complex, l2: complex) -> float:
-    p = spec.params
-    n = p.n
-    space = (n,) * (p.sites + 2)
-    quantum = list(range(3, p.sites + 3))
-    t1 = embed_at(build_double_row(spec, l1), [1] + quantum, space)
-    t2 = embed_at(build_double_row(spec, l2), [2] + quantum, space)
-
-    def r12(u):
-        return embed_at(build_r(p, u, spec.gauge), [1, 2], space)
-
-    def r21(u):
-        return embed_at(build_r_hat(p, u, spec.gauge), [1, 2], space)
-
-    lhs = r12(l1 - l2) @ t1 @ r21(l1 + l2) @ t2
-    rhs = t2 @ r12(l1 + l2) @ t1 @ r21(l1 - l2)
-    return rel_residual(lhs, rhs)
 
 
 def transfer_from_diagonal(spec: ChainSpec, lam: complex) -> Operator:
@@ -502,13 +452,15 @@ def verify_chain_suite(
 
     for s in range(samples):
         l1, l2 = sample_spectral(rng, p, 2)
-        rb.add(f"chain.rtt.s{s}", _rtt_residual(spec, l1, l2), tol)
+        t, that_ps = build_monodromy(spec, l1), build_monodromy_hat(spec, l1, "per_site")
+        rb.add(f"chain.rtt.s{s}",
+               rtt_residual(build_r(p, l1 - l2, spec.gauge), t, build_monodromy(spec, l2)), tol)
         that = build_monodromy_hat(spec, l1, "inverse")
         rb.add(f"chain.that_inverse.s{s}",
                rel_residual(that @ build_monodromy(spec, -l1), identity_op(spec.space)), 1e-12)
-        rb.add(f"chain.that_methods.s{s}",
-               rel_residual(that, build_monodromy_hat(spec, l1, "per_site")), 1e-11)
-        rb.add(f"chain.re_double.s{s}", _double_row_re_residual(spec, l1, l2), tol)
+        rb.add(f"chain.that_methods.s{s}", rel_residual(that, that_ps), 1e-11)
+        rb.add(f"chain.re_double.s{s}",
+               reflection_residual(p, partial(build_double_row, spec), l1, l2, spec.gauge), tol)
         v0 = embed_at(build_gauge_V(p, l1), [1], spec.space)
         rb.add(f"chain.tp_gauge.s{s}",
                rel_residual(v0 @ build_double_row(hspec0, l1) @ v0, build_double_row(pspec, l1)),
@@ -520,10 +472,11 @@ def verify_chain_suite(
                              build_transfer(spec, l2, closed=True)), tol)
         rb.add(f"chain.ttcomm_open.s{s}",
                comm_residual(build_transfer(spec, l1), build_transfer(spec, l2)), tol)
-        rb.add(f"chain.intert.s{s}",
-               worst_of(monodromy_intertwine_residual(spec, lab, l1) for lab in labels), tol)
-        rb.add(f"chain.intert_hat.s{s}",
-               worst_of(monodromy_hat_intertwine_residual(spec, lab, l1) for lab in labels), tol)
+        rb.add(f"chain.intert.s{s}", worst_of(
+            intertwine_residual(p, lab, t, l1, spec.gauge) for lab in labels), tol)
+        rb.add(f"chain.intert_hat.s{s}", worst_of(
+            intertwine_residual(p, lab, that_ps, -l1, spec.gauge, primed_left=False)
+            for lab in labels), tol)
         rb.add(f"chain.bcomm.s{s}",
                boundary_commutation_residual(
                    p, lambda u: build_k_explicit(p, u, spec.gauge), l1, l2, spec.gauge),

@@ -15,7 +15,8 @@ its (n, n) grid of blocks.
 ``embed_at`` writes a local operator out as a dense matrix on the whole
 space. ``apply_right`` multiplies a dense matrix by such an embedding without
 forming it, at d^2 times the local operator's side per factor instead of d^3;
-the ordered chain products are built from it.
+the ordered chain products are built from it. ``weight_preserving`` fills the
+two-site pattern that R and the bulk Hecke generator share.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
@@ -26,6 +27,8 @@ uncancelled words (Hecke braid and mixed relations, Serre and [e, f], the
 weighted-sum exchange relations), [M (x) M, R] and [Rcheck, coproduct] keep
 their own commutator scales; these and the scalar relative errors take the
 same floor. ``worst_of`` combines several residuals into one check.
+``rtt_residual`` is the RTT (Yang-Baxter) exchange, written once for R, the
+Lax operators and the monodromy.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ __all__ = [
     "comm_residual",
     "worst_of",
     "aux_blocks",
+    "weight_preserving",
+    "rtt_residual",
     "RESIDUAL_FLOOR",
 ]
 
@@ -191,6 +196,21 @@ def basis_matrix(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
+def weight_preserving(n: int, diag, same, swap) -> Operator:
+    """sum_i diag(i) e_ii (x) e_ii + sum_{i != j} [same(i, j) e_ii (x) e_jj
+    + swap(i, j) e_ij (x) e_ji] on C^n (x) C^n, filled entry by entry
+    (indices 1-based)."""
+    m = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(1, n + 1):
+        m[(i - 1) * (n + 1), (i - 1) * (n + 1)] = diag(i)
+        for j in range(1, n + 1):
+            if i != j:
+                row = (i - 1) * n + j - 1
+                m[row, row] = same(i, j)
+                m[row, (j - 1) * n + i - 1] = swap(i, j)
+    return Operator(m, (n, n))
+
+
 def identity_op(dims) -> Operator:
     dims = tuple(int(d) for d in dims)
     return Operator(np.eye(math.prod(dims), dtype=np.complex128), dims)
@@ -301,6 +321,21 @@ def partial_transpose(a: Operator, slot: int) -> Operator:
 def commutator(a: Operator, b: Operator) -> Operator:
     a._require_same_side(b)
     return Operator(a.mat @ b.mat - b.mat @ a.mat, a.dims)
+
+
+def rtt_residual(r: Operator, xa: Operator, xb: Operator) -> float:
+    """sym_residual of R_ab X_a X_b = X_b X_a R_ab.
+
+    ``r`` acts on the auxiliary pair (a, b); ``xa`` and ``xb`` act on one
+    auxiliary space followed by the same quantum spaces, and are placed on
+    a and on b respectively.
+    """
+    space = r.dims + xa.dims[1:]
+    quantum = list(range(3, len(space) + 1))
+    rab = embed_at(r, [1, 2], space)
+    ta = embed_at(xa, [1] + quantum, space)
+    tb = embed_at(xb, [2] + quantum, space)
+    return sym_residual(rab @ ta @ tb, tb @ ta @ rab)
 
 
 def prop_check(a: Operator, b: Operator, tol: float = 1e-9) -> ProportionalityResult:

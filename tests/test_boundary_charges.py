@@ -282,6 +282,23 @@ def test_symmetry_suite_builds_its_charge_set_once(monkeypatch):
     assert sizes.count(2) == 1
 
 
+def test_symmetry_suite_shares_one_recursion_memo(monkeypatch):
+    # at CLI defaults the three recursion checks (recursion, recursion_prime,
+    # block_closed) read one set of recursion-side towers, apart from the
+    # charge set's own tower, instead of fresh towers per position
+    calls = []
+    inner = quantum_algebra.coproduct_rep
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quantum_algebra, "coproduct_rep", counted)
+    rep = verify_symmetry_suite(ChainSpec(params=P32))
+    assert rep.passed
+    assert len(calls) == 46
+
+
 def test_suite_green_n3():
     rep = verify_symmetry_suite(ChainSpec(params=P32), samples=3, tol=1e-9, seed=7)
     assert rep.passed

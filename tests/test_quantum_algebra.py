@@ -25,6 +25,7 @@ from artifact.quantum_algebra import (
     build_lax_hat,
     coproduct_rep,
     eval_generator,
+    intertwine_residual,
     t_coproduct_sum,
     t_element_rep,
     verify_algebra_suite,
@@ -272,14 +273,12 @@ def test_block_closed_cartan_and_errors():
 
 
 def test_intertwining_cross_gauge_fails():
-    from artifact.quantum_algebra import _intertwine_residual
-
     lam = 0.33 - 0.12j
     lab = GeneratorLabel(GeneratorKind.E, 3)
-    ok = _intertwine_residual(P3, lab, lam, Gauge.principal)
+    ok = intertwine_residual(P3, lab, build_r(P3, lam, Gauge.principal), lam, Gauge.principal)
     assert ok < 1e-13
-    mismatched = _intertwine_residual(
-        P3, lab, lam, Gauge.principal, build_r(P3, lam, Gauge.homogeneous)
+    mismatched = intertwine_residual(
+        P3, lab, build_r(P3, lam, Gauge.homogeneous), lam, Gauge.principal
     )
     assert mismatched > 1e-3
 

@@ -109,13 +109,10 @@ def test_reflection_equation_explicit_and_broken():
 
 def test_left_transpose_shift_and_identity():
     lam = 0.4 + 0.1j
-    kl = build_k_left(P3, lam, LeftBoundaryKind.transpose_shift,
-                      source=lambda u: build_k_explicit(P3, u))
+    kl = build_k_left(P3, lam, LeftBoundaryKind.transpose_shift)
     direct = build_k_explicit(P3, -lam - 1j * 0.41 * 3 / 2).transpose()
     assert rel_residual(kl, direct) < 1e-15
     assert np.allclose(build_k_left(P3, lam, LeftBoundaryKind.identity).mat, np.eye(3))
-    with pytest.raises(ValueError):
-        build_k_left(P3, lam, LeftBoundaryKind.transpose_shift)
 
 
 def test_left_affine_limit_matches_large_boundary_parameter():
@@ -124,8 +121,7 @@ def test_left_affine_limit_matches_large_boundary_parameter():
     mu = 0.41
     p_big = ModelParams(n=3, mu=mu, m=-40j / mu, zeta=0.6)
     lam = 0.23 - 0.11j
-    shifted = build_k_left(p_big, lam, LeftBoundaryKind.transpose_shift,
-                           source=lambda u: build_k_explicit(p_big, u))
+    shifted = build_k_left(p_big, lam, LeftBoundaryKind.transpose_shift)
     fixed = build_k_left(p_big, lam, LeftBoundaryKind.affine_limit)
     res = prop_check(shifted, fixed, 1e-9)
     assert res.residual < 1e-12

@@ -15,7 +15,7 @@ import pytest
 from artifact import ModelParams, spin_chain
 from artifact.params import DegenerateParameters
 from artifact.hecke_algebra import rep_boundary, rep_bulk
-from artifact.reflection_k import LeftBoundaryKind, build_k_explicit
+from artifact.reflection_k import LeftBoundaryKind, build_k_explicit, reflection_residual
 from artifact.spin_chain import (
     ChainSpec,
     affine_limit_transfer_combination,
@@ -27,7 +27,6 @@ from artifact.spin_chain import (
     build_transfer,
     double_row_commutation_residual,
     monodromy_asymptotic_residual,
-    monodromy_intertwine_residual,
     transfer_from_diagonal,
     transfer_derivative_numeric,
     verify_chain_suite,
@@ -36,7 +35,7 @@ from artifact.spin_chain import (
     left_k,
     right_k,
 )
-from artifact.quantum_algebra import GeneratorKind, GeneratorLabel
+from artifact.quantum_algebra import GeneratorKind, GeneratorLabel, intertwine_residual
 from artifact.tensor_core import (
     commutator,
     embed_at,
@@ -44,8 +43,10 @@ from artifact.tensor_core import (
     identity_op,
     partial_trace_first,
     rel_residual,
+    rtt_residual,
+    sym_residual,
 )
-from artifact.yang_baxter import Gauge, build_M, build_r, build_r_inverse
+from artifact.yang_baxter import Gauge, build_M, build_r, build_r_hat, build_r_inverse
 
 P32 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=2)
 P22 = ModelParams(n=2, mu=0.33, m=1.05 + 0.1j, zeta=0.47, sites=2)
@@ -194,9 +195,10 @@ def test_transfer_derivative_matches_finite_difference():
 def test_monodromy_intertwining():
     spec = ChainSpec(P32)
     lam = 0.33 - 0.12j
+    t = build_monodromy(spec, lam)
     for lab in (GeneratorLabel(GeneratorKind.E, 1), GeneratorLabel(GeneratorKind.E, 3),
                 GeneratorLabel(GeneratorKind.F, 2), GeneratorLabel(GeneratorKind.KCARTAN, 3)):
-        assert monodromy_intertwine_residual(spec, lab, lam) < 1e-13
+        assert intertwine_residual(P32, lab, t, lam, spec.gauge) < 1e-13
 
 
 def test_boundary_commutation():
@@ -312,3 +314,66 @@ def test_open_transfer_and_derivative_embed_no_two_slot_operator(monkeypatch):
     build_transfer(ChainSpec(P32, gauge=Gauge.principal), 0.31 - 0.12j)
     build_hamiltonian(spec, "transfer_derivative")
     assert slot_counts and max(slot_counts) == 1
+
+
+def _written_out_rtt(r, xa, xb):
+    """R_ab X_a X_b and X_b X_a R_ab, each factor embedded by hand."""
+    quantum = list(range(3, len(xa.dims) + 2))
+    space = (r.dims[0],) * (len(xa.dims) + 1)
+    rab = embed_at(r, [1, 2], space)
+    ta = embed_at(xa, [1] + quantum, space)
+    tb = embed_at(xb, [2] + quantum, space)
+    return rab @ ta @ tb, tb @ ta @ rab
+
+
+def test_rtt_residual_is_the_written_out_exchange():
+    l1, l2 = 0.31 - 0.12j, -0.44 + 0.2j
+    spec = ChainSpec(P32)
+    for gauge in Gauge:  # ybe.ybe: X = R itself, on (a, 3) and (b, 3)
+        args = build_r(P32, l1 - l2, gauge), build_r(P32, l1, gauge), build_r(P32, l2, gauge)
+        res = rtt_residual(*args)
+        assert res < 1e-13
+        assert res == pytest.approx(sym_residual(*_written_out_rtt(*args)), rel=1e-9, abs=1e-16)
+    # chain.rtt: X = the monodromy; a T at the wrong spectral point breaks it
+    r, ta = build_r(P32, l1 - l2), build_monodromy(spec, l1)
+    tb, wrong = build_monodromy(spec, l2), build_monodromy(spec, l2 + 0.3)
+    assert rtt_residual(r, ta, tb) < 1e-13
+    assert rtt_residual(r, ta, wrong) > 1e-3
+    for x in (tb, wrong):
+        assert rtt_residual(r, ta, x) == pytest.approx(
+            sym_residual(*_written_out_rtt(r, ta, x)), rel=1e-9, abs=1e-16)
+
+
+@pytest.mark.parametrize("n,sites", [(2, 2), (3, 1), (2, 3)])
+def test_reflection_residual_takes_the_double_row(n, sites):
+    p = _oracle_params(n, sites)
+    spec = ChainSpec(p)
+    l1, l2 = 0.31 - 0.12j, -0.44 + 0.2j
+    quantum = list(range(3, sites + 3))
+    space = (n,) * (sites + 2)
+
+    def written_out(dr):
+        t1 = embed_at(dr(l1), [1] + quantum, space)
+        t2 = embed_at(dr(l2), [2] + quantum, space)
+
+        def r12(u):
+            return embed_at(build_r(p, u), [1, 2], space)
+
+        def r21(u):
+            return embed_at(build_r_hat(p, u), [1, 2], space)
+
+        return sym_residual(r12(l1 - l2) @ t1 @ r21(l1 + l2) @ t2,
+                            t2 @ r12(l1 + l2) @ t1 @ r21(l1 - l2))
+
+    def double_row(u):
+        return build_double_row(spec, u)
+
+    def shifted(u):
+        return build_double_row(spec, u + 0.2)
+
+    res = reflection_residual(p, double_row, l1, l2)
+    assert res < 1e-12
+    assert res == pytest.approx(written_out(double_row), rel=1e-9, abs=1e-16)
+    wrong = reflection_residual(p, shifted, l1, l2)
+    assert wrong > 1e-3
+    assert wrong == pytest.approx(written_out(shifted), rel=1e-9)

@@ -21,6 +21,7 @@ from artifact.tensor_core import (
     permutation_swap,
     prop_check,
     sym_residual,
+    weight_preserving,
     worst_of,
 )
 
@@ -269,3 +270,24 @@ def test_worst_of_keeps_nan_and_refuses_empty():
     assert np.isnan(worst_of(r for r in (1e-16, float("nan"), 1e-14)))
     with pytest.raises(ValueError):
         worst_of([])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weight_preserving_equals_the_matrix_unit_sum(n):
+    rng = np.random.default_rng(n)
+
+    def coeffs():
+        c = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        return lambda i, j=None: c[i, i if j is None else j]
+
+    diag, same, swap = coeffs(), coeffs(), coeffs()
+    expected = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        expected += diag(i) * np.kron(basis_matrix(n, i, i), basis_matrix(n, i, i))
+        for j in range(1, n + 1):
+            if i != j:
+                expected += same(i, j) * np.kron(basis_matrix(n, i, i), basis_matrix(n, j, j))
+                expected += swap(i, j) * np.kron(basis_matrix(n, i, j), basis_matrix(n, j, i))
+    built = weight_preserving(n, diag, same, swap)
+    assert built.dims == (n, n)
+    assert np.array_equal(built.mat, expected)
