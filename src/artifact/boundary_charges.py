@@ -635,62 +635,29 @@ def exchange_relation_residuals(spec: ChainSpec, lam: complex, charges: ChargeSe
     out: dict = {}
 
     E, F, H = GeneratorKind.E, GeneratorKind.F, GeneratorKind.HCARTAN
-    res: list = []
-    for jj in range(2, n - 1):
-        ecur = tower.gen(E, jj)
-        hm = tower.gen(H, jj, True)
-        c = blk[(jj + 1, jj)]
-        res.append(sym_residual(ecur @ a_blk[jj] - a_blk[jj] @ ecur, -1.0 / qh * hm @ c))
-        res.append(
-            sym_residual(ecur @ a_blk[jj + 1] - a_blk[jj + 1] @ ecur, qh * c @ hm)
-        )
-        for other in range(1, n + 1):
-            if other in (jj, jj + 1):
-                continue
-            res.append(comm_residual(ecur, a_blk[other]))
-    if res:
-        out["com2"] = worst_of(res)
-
-    res = []
-    for jj in range(2, n - 1):
-        fcur = tower.gen(F, jj)
-        hm = tower.gen(H, jj, True)
-        b = blk[(jj, jj + 1)]
-        res.append(sym_residual(fcur @ a_blk[jj] - a_blk[jj] @ fcur, 1.0 / qh * b @ hm))
-        res.append(
-            sym_residual(fcur @ a_blk[jj + 1] - a_blk[jj + 1] @ fcur, -qh * hm @ b)
-        )
-        for other in range(1, n + 1):
-            if other in (jj, jj + 1):
-                continue
-            res.append(comm_residual(fcur, a_blk[other]))
-    if res:
-        out["com3"] = worst_of(res)
-
-    res = []
-    for jj in range(2, n):
-        for other in range(1, n + 1):
-            res.append(comm_residual(tower.t(jj, jj), a_blk[other]))
-    for jj in range(2, n - 1):
-        hp, hm = tower.gen(H, jj), tower.gen(H, jj, True)
-        b = blk[(jj, jj + 1)]
-        c = blk[(jj + 1, jj)]
-        res.append(sym_residual(qh * hp @ b, 1.0 / qh * b @ hp))
-        res.append(sym_residual(1.0 / qh * hm @ b, qh * b @ hm))
-        res.append(sym_residual(1.0 / qh * hp @ c, qh * c @ hp))
-        res.append(sym_residual(qh * hm @ c, 1.0 / qh * c @ hm))
-    if res:
-        out["com4"] = worst_of(res)
-
-    res = []
     tsum = np.zeros_like(a_blk[1])
     for idx in range(1, n + 1):
         tsum = tsum + q ** (n - 2 * idx + 1) * a_blk[idx]
+    com2, com3, com4b = [], [], []
+    com4 = [comm_residual(tower.t(jj, jj), a_blk[other])
+            for jj in range(2, n) for other in range(1, n + 1)]
     for jj in range(2, n - 1):
         ecur, fcur = tower.gen(E, jj), tower.gen(F, jj)
-        hm = tower.gen(H, jj, True)
+        hp, hm = tower.gen(H, jj), tower.gen(H, jj, True)
         b = blk[(jj, jj + 1)]
         c = blk[(jj + 1, jj)]
+        com2.append(sym_residual(ecur @ a_blk[jj] - a_blk[jj] @ ecur, -1.0 / qh * hm @ c))
+        com2.append(sym_residual(ecur @ a_blk[jj + 1] - a_blk[jj + 1] @ ecur, qh * c @ hm))
+        com3.append(sym_residual(fcur @ a_blk[jj] - a_blk[jj] @ fcur, 1.0 / qh * b @ hm))
+        com3.append(sym_residual(fcur @ a_blk[jj + 1] - a_blk[jj + 1] @ fcur, -qh * hm @ b))
+        for other in range(1, n + 1):
+            if other not in (jj, jj + 1):
+                com2.append(comm_residual(ecur, a_blk[other]))
+                com3.append(comm_residual(fcur, a_blk[other]))
+        com4.append(sym_residual(qh * hp @ b, 1.0 / qh * b @ hp))
+        com4.append(sym_residual(1.0 / qh * hm @ b, qh * b @ hm))
+        com4.append(sym_residual(1.0 / qh * hp @ c, qh * c @ hp))
+        com4.append(sym_residual(qh * hm @ c, 1.0 / qh * c @ hm))
         pref = q ** (n - 2 * jj)
         # Both sides of these weighted-sum relations cancel to zero at
         # generic parameters (the right side by the half-Cartan exchange
@@ -701,15 +668,16 @@ def exchange_relation_residuals(spec: ChainSpec, lam: complex, charges: ChargeSe
         den_e = max(
             frob(ecur) * frob(tsum), abs(pref) * frob(hm) * frob(c), RESIDUAL_FLOOR
         )
-        res.append(frob(lhs_e - rhs_e) / den_e)
+        com4b.append(frob(lhs_e - rhs_e) / den_e)
         lhs_f = fcur @ tsum - tsum @ fcur
         rhs_f = pref * (qh * b @ hm - 1.0 / qh * hm @ b)
         den_f = max(
             frob(fcur) * frob(tsum), abs(pref) * frob(hm) * frob(b), RESIDUAL_FLOOR
         )
-        res.append(frob(lhs_f - rhs_f) / den_f)
-    if res:
-        out["com4b"] = worst_of(res)
+        com4b.append(frob(lhs_f - rhs_f) / den_f)
+    for name, res in (("com2", com2), ("com3", com3), ("com4", com4), ("com4b", com4b)):
+        if res:
+            out[name] = worst_of(res)
 
     if n == 3:
         e22sq = tower.t(2, 2) @ tower.t(2, 2)
@@ -1008,6 +976,9 @@ def verify_symmetry_suite(
             rb.add(f"symmetry.{name}.s{s}", value, tol)
 
     if n == 3 and N == 2:
-        rb.add("symmetry.degeneracy", degeneracy_witness(charges), 1e-8)
+        try:
+            rb.add("symmetry.degeneracy", degeneracy_witness(charges), 1e-8)
+        except DegenerateParameters:
+            rb.add_flag("symmetry.degeneracy_skipped_degenerate", True)
 
     return rb.report()

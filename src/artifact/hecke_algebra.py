@@ -151,7 +151,7 @@ def verify_hecke_suite(
         # the rescaled kappa is also determined numerically from the quotient
         # and recorded (its value is not free: the delta0/kappa ratio is
         # renormalization-invariant)
-        fit = prop_check(u1 @ bdry @ u1 @ bdry, u1 @ bdry, tol)
+        fit = prop_check(u1 @ bdry @ u1 @ bdry, u1 @ bdry)
         rb.add(
             f"hecke.kappa_fit.s{s}",
             abs(fit.scalar - kap) / max(abs(kap), RESIDUAL_FLOOR),

@@ -667,7 +667,7 @@ def verify_algebra_suite(
             lax1 = build_lax(p, lam, gauge)
             rb.add(f"algebra.rll.{gauge.value}.s{s}", rtt_residual(
                 build_r(p, lam - lam2, gauge), lax1, build_lax(p, lam2, gauge)), tol)
-            pr = prop_check(lax1, build_r(p, lam, gauge), tol)
+            pr = prop_check(lax1, build_r(p, lam, gauge))
             rb.add(f"algebra.lax_is_r.{gauge.value}.s{s}", pr.residual, tol,
                    scalar=pr.scalar)
             rb.add(f"algebra.lax_scale.{gauge.value}.s{s}",

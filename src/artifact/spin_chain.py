@@ -17,7 +17,9 @@ and the normalized derivative of the open transfer matrix at lambda = 0,
 assembled analytically by the product rule over every lambda-dependent
 factor. For the derivative route the inverse-monodromy factors are the
 transposed R matrices (for this R the total transpose equals P R P), which
-fixes the overall normalization that the closed form above expects.
+fixes the overall normalization that the closed form above expects. Since
+R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
+whose finite difference is the cross-check.
 
 Every ordered chain product is built by right-applying its factors with
 ``tensor_core.apply_right``: each R_{0k} or K factor acts on the auxiliary
@@ -25,8 +27,11 @@ slot and at most one site, so it costs d^2 n^2 on the d = n^(N+1) space and
 is never embedded as a d x d matrix. The open transfer starts from
 M_0 K^{(l)}_0 and right-applies the whole double row. The derivative route
 carries the product rule forward: starting from (P, D) = (M_0, 0), each
-factor (v, v') takes (P, D) to (P v, D v + P v'). The intertwiner checks on
-two auxiliary spaces stay dense products of embeddings.
+factor (v, v') takes (P, D) to (P v, D v + P v'). The three intertwiner
+checks (boundary K, double row, dressed coproduct) are one relation,
+S(lambda) X = X S(-lambda) read block by block on a second auxiliary space,
+with S the ``reflection_k.reflection_sandwich``; they stay dense products of
+embeddings.
 """
 
 import cmath
@@ -46,6 +51,7 @@ from .reflection_k import (
     build_k_explicit,
     build_k_left,
     reflection_residual,
+    reflection_sandwich,
 )
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_spectral
@@ -69,8 +75,8 @@ from .yang_baxter import (
     build_M,
     build_gauge_V,
     build_r,
-    build_r_hat,
     build_r_inverse,
+    unitarity_scalar,
 )
 
 RIGHT_FAMILIES = ("explicit", "ansatz", "diagonal", "trivial")
@@ -272,33 +278,23 @@ def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     return partial_trace_first(Operator(der, space))
 
 
-def _open_transfer_transposed_route(spec: ChainSpec, lam: complex) -> Operator:
-    """The open transfer with That assembled from transposed R factors, the
-    normalization the derivative route differentiates."""
-    p = spec.params
-    space = spec.space
-    r = build_r(p, lam, spec.gauge)
-    rt = Operator(r.mat.T.copy(), (p.n, p.n))
-    acc = embed_at(build_M(p, spec.gauge), [1], space).mat
-    acc = _site_product(r, range(p.sites, 0, -1), space, acc)
-    acc = apply_right(acc, right_k(spec, lam), [1], space)
-    acc = _site_product(rt, range(1, p.sites + 1), space, acc)
-    return partial_trace_first(Operator(acc, space))
-
-
 def transfer_derivative_numeric(spec: ChainSpec) -> Operator:
-    """Richardson-extrapolated central difference of the transposed-route
-    transfer at zero; cross-check for the analytic product rule."""
+    """Richardson-extrapolated central difference at zero of g(-lambda)^N
+    t(lambda), the normalization the analytic product rule differentiates:
+    That's factors R(-lambda)^{-1} = Rhat(lambda) / g(-lambda) lose their
+    1/g, and for this R, Rhat is the total transpose. Homogeneous gradation."""
     h = 1e-4
+    p = spec.params
+
+    def scaled(u):
+        return unitarity_scalar(p, -u) ** p.sites * build_transfer(spec, u).mat
 
     def central(step):
-        up = _open_transfer_transposed_route(spec, step)
-        dn = _open_transfer_transposed_route(spec, -step)
-        return (up.mat - dn.mat) / (2.0 * step)
+        return (scaled(step) - scaled(-step)) / (2.0 * step)
 
     d1 = central(h)
     d2 = central(h / 2.0)
-    return Operator((4.0 * d2 - d1) / 3.0, (spec.params.n,) * spec.params.sites)
+    return Operator((4.0 * d2 - d1) / 3.0, (p.n,) * p.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -306,79 +302,54 @@ def transfer_derivative_numeric(spec: ChainSpec) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def _gensol_eval(params: ModelParams, k_of_lam, lamp: complex, lam: complex, gauge: Gauge) -> Operator:
-    """R(lambda'-lambda) (K(lambda') (x) I) Rhat(lambda'+lambda): the
-    evaluation image of the dynamical reflection matrix, on a' (x) s."""
+def _intertwiner_residual(params: ModelParams, gauge: Gauge, k1: Operator, x: np.ndarray,
+                          lamp: complex, lam: complex, dress=None) -> float:
+    """S(lambda) X = X S(-lambda) read block by block on auxiliary space 1:
+    the worst rel_residual(S_ij X, X S(-)_ij), where S(v) is the
+    ``reflection_sandwich`` of ``k1`` = K(lambda') at v, dressed as
+    T S That when ``dress`` = (T, That), and X acts on the remaining spaces."""
+
+    def sandwich(v):
+        out = reflection_sandwich(params, k1, lamp, v, gauge)
+        return (out if dress is None else dress[0] @ out @ dress[1]).mat
+
     n = params.n
-    space = (n, n)
-    k0 = embed_at(k_of_lam(lamp), [1], space)
-    return build_r(params, lamp - lam, gauge) @ k0 @ build_r_hat(params, lamp + lam, gauge)
-
-
-def _blockwise_exchange_residual(plus, minus, k, n: int) -> float:
-    """Worst rel_residual(plus_ij k, k minus_ij) over the auxiliary blocks."""
-    bp, bm = aux_blocks(plus, n), aux_blocks(minus, n)
-    return worst_of(
-        rel_residual(bp[i, :, j, :] @ k, k @ bm[i, :, j, :])
-        for i in range(n)
-        for j in range(n)
-    )
+    plus, minus = aux_blocks(sandwich(lam), n), aux_blocks(sandwich(-lam), n)
+    return worst_of(rel_residual(plus[i, :, j, :] @ x, x @ minus[i, :, j, :])
+                    for i in range(n) for j in range(n))
 
 
 def boundary_commutation_residual(
     params: ModelParams, k_of_lam, lamp: complex, lam: complex, gauge: Gauge = Gauge.homogeneous
 ) -> float:
-    """Entrywise exchange of the evaluated reflection-algebra elements with
-    the c-number K matrix."""
-    plus = _gensol_eval(params, k_of_lam, lamp, lam, gauge).mat
-    minus = _gensol_eval(params, k_of_lam, lamp, -lam, gauge).mat
-    return _blockwise_exchange_residual(plus, minus, k_of_lam(lam).mat, params.n)
-
-
-def _double_row_intertwiner(spec: ChainSpec, lamp: complex, lam: complex) -> np.ndarray:
-    """Realization of the primed (N+1)-fold coproducts of the reflection
-    algebra: R_{a'a}(lambda'-lambda) DR_{a'}(lambda') Rhat_{a'a}(lambda'+lambda)
-    on a' (x) a (x) quantum, returned as the full matrix."""
-    p = spec.params
-    n = p.n
-    space = (n,) * (p.sites + 2)
-    r1 = embed_at(build_r(p, lamp - lam, spec.gauge), [1, 2], space)
-    dr = embed_at(build_double_row(spec, lamp), [1] + list(range(3, p.sites + 3)), space)
-    r2 = embed_at(build_r_hat(p, lamp + lam, spec.gauge), [1, 2], space)
-    return (r1 @ dr @ r2).mat
+    """The evaluated reflection-algebra elements R(lambda'-lambda) K_{a'}(lambda')
+    Rhat(lambda'+lambda) on a' (x) s exchange with the c-number K(lambda)."""
+    k1 = embed_at(k_of_lam(lamp), [1], (params.n, params.n))
+    return _intertwiner_residual(params, gauge, k1, k_of_lam(lam).mat, lamp, lam)
 
 
 def double_row_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex) -> float:
-    """The double-row operator exchanges the realized reflection-algebra
-    entries at lambda with the ones at -lambda."""
-    plus = _double_row_intertwiner(spec, lamp, lam)
-    minus = _double_row_intertwiner(spec, lamp, -lam)
-    t = build_double_row(spec, lam).mat
-    return _blockwise_exchange_residual(plus, minus, t, spec.params.n)
-
-
-def _monodromy_sandwich(spec: ChainSpec, lamp: complex, lam: complex) -> np.ndarray:
-    """Unprimed-coproduct realization: T_{a'}(lambda') R_{a's} K_{a'} Rhat_{a's}
-    That_{a'}(lambda') with the quantum legs on the monodromy factors."""
+    """The primed (N+1)-fold coproducts of the reflection algebra, realized
+    with the double row DR_{a'}(lambda') on a' and the sites, exchange with
+    DR(lambda)."""
     p = spec.params
-    n = p.n
-    space = (n,) * (p.sites + 2)
-    quantum = [1] + list(range(3, p.sites + 3))
-    t = embed_at(build_monodromy(spec, lamp), quantum, space)
-    that = embed_at(build_monodromy_hat(spec, lamp, "per_site"), quantum, space)
-    r1 = embed_at(build_r(p, lamp - lam, spec.gauge), [1, 2], space)
-    k0 = embed_at(right_k(spec, lamp), [1], space)
-    r2 = embed_at(build_r_hat(p, lamp + lam, spec.gauge), [1, 2], space)
-    return (t @ r1 @ k0 @ r2 @ that).mat
+    space, outer = (p.n,) * (p.sites + 2), [1] + list(range(3, p.sites + 3))
+    k1 = embed_at(build_double_row(spec, lamp), outer, space)
+    x = build_double_row(spec, lam).mat
+    return _intertwiner_residual(p, spec.gauge, k1, x, lamp, lam)
 
 
 def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex) -> float:
-    """Same exchange property for the unprimed coproduct realization against
-    the c-number K on the evaluation site."""
-    plus = _monodromy_sandwich(spec, lamp, lam)
-    minus = _monodromy_sandwich(spec, lamp, -lam)
-    k = embed_at(right_k(spec, lam), [1], spec.space).mat
-    return _blockwise_exchange_residual(plus, minus, k, spec.params.n)
+    """The unprimed-coproduct realization T_{a'}(lambda') R_{a's} K_{a'}
+    Rhat_{a's} That_{a'}(lambda') exchanges with the c-number K on the
+    evaluation site s."""
+    p = spec.params
+    space, outer = (p.n,) * (p.sites + 2), [1] + list(range(3, p.sites + 3))
+    k1 = embed_at(right_k(spec, lamp), [1], space)
+    dress = (embed_at(build_monodromy(spec, lamp), outer, space),
+             embed_at(build_monodromy_hat(spec, lamp, "per_site"), outer, space))
+    x = embed_at(right_k(spec, lam), [1], spec.space).mat
+    return _intertwiner_residual(p, spec.gauge, k1, x, lamp, lam, dress)
 
 
 # ---------------------------------------------------------------------------
@@ -386,33 +357,30 @@ def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex)
 # ---------------------------------------------------------------------------
 
 
-def transfer_from_diagonal(spec: ChainSpec, lam: complex) -> Operator:
-    """Sum of M-weighted auxiliary-diagonal blocks of the double-row operator;
-    must reassemble the open transfer matrix when the left boundary is present
-    only through M."""
+def _diagonal_block_sum(spec: ChainSpec, lam: complex, weights) -> Operator:
+    """sum_j weights[j] DR_jj(lambda) over the auxiliary-diagonal blocks of
+    the double row."""
     p = spec.params
     blocks = aux_blocks(build_double_row(spec, lam).mat, p.n)
-    weights = np.diag(build_M(p, spec.gauge).mat)
     acc = sum(weights[j] * blocks[j, :, j, :] for j in range(p.n))
     return Operator(acc, (p.n,) * p.sites)
 
 
+def transfer_from_diagonal(spec: ChainSpec, lam: complex) -> Operator:
+    """M-weighted diagonal blocks of the double row; must reassemble the open
+    transfer matrix when the left boundary is present only through M."""
+    return _diagonal_block_sum(spec, lam, np.diag(build_M(spec.params, spec.gauge).mat))
+
+
 def affine_limit_transfer_combination(spec: ChainSpec, lam: complex) -> Operator:
-    """e^{-2l-imu} A_1 + e^{2l+imu} A_n + e^{-2l} sum_j q^{-2j+1} A_j from the
-    double-row diagonal, the closed form the affine-limit left boundary
+    """e^{-2l-imu} A_1 + e^{-2l} sum_{1<j<n} q^{-2j+1} A_j + e^{2l+imu} A_n from
+    the double-row diagonal, the closed form the affine-limit left boundary
     produces."""
     p = spec.params
-    blocks = aux_blocks(build_double_row(spec, lam).mat, p.n)
-    q = p.q
-
-    def block(j):
-        return blocks[j, :, j, :]
-
-    acc = cmath.exp(-2 * lam - 1j * p.mu) * block(0)
-    acc = acc + cmath.exp(2 * lam + 1j * p.mu) * block(p.n - 1)
-    for j in range(2, p.n):
-        acc = acc + cmath.exp(-2 * lam) * q ** (-2 * j + 1) * block(j - 1)
-    return Operator(acc, (p.n,) * p.sites)
+    weights = ([cmath.exp(-2 * lam - 1j * p.mu)]
+               + [cmath.exp(-2 * lam) * p.q ** (-2 * j + 1) for j in range(2, p.n)]
+               + [cmath.exp(2 * lam + 1j * p.mu)])
+    return _diagonal_block_sum(spec, lam, weights)
 
 
 def monodromy_asymptotic_residual(spec: ChainSpec) -> float:

@@ -134,7 +134,6 @@ class ProportionalityResult:
 
     scalar: complex
     residual: float
-    passed: bool
 
 
 def frob(a: Operator | np.ndarray) -> float:
@@ -338,12 +337,11 @@ def rtt_residual(r: Operator, xa: Operator, xb: Operator) -> float:
     return sym_residual(rab @ ta @ tb, tb @ ta @ rab)
 
 
-def prop_check(a: Operator, b: Operator, tol: float = 1e-9) -> ProportionalityResult:
+def prop_check(a: Operator, b: Operator) -> ProportionalityResult:
     """Best-fit A ≈ c B in Frobenius inner product; c = <B,A>/<B,B>."""
     a._require_same_side(b)
     bb = np.vdot(b.mat, b.mat)
     if abs(bb) < RESIDUAL_FLOOR:
         raise ValueError("reference operator is numerically zero")
     c = complex(np.vdot(b.mat, a.mat) / bb)
-    residual = rel_residual(c * b.mat, a)
-    return ProportionalityResult(scalar=c, residual=residual, passed=residual <= tol)
+    return ProportionalityResult(scalar=c, residual=rel_residual(c * b.mat, a))

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .hecke_algebra import build_bulk_generator
-from .params import ModelParams
+from .params import DegenerateParameters, ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
@@ -113,7 +113,7 @@ def build_r_inverse(params: ModelParams, lam: complex, gauge: Gauge = Gauge.homo
     """
     g = unitarity_scalar(params, lam)
     if abs(g) < 1e-14:
-        raise ZeroDivisionError(f"R(lambda) singular at lambda = {lam}")
+        raise DegenerateParameters(f"R(lambda) singular at lambda = {lam}")
     if gauge == Gauge.homogeneous:
         return build_r_hat(params, -lam, gauge) * (1.0 / g)
     v_pos = embed_at(build_gauge_V(params, -lam), [1], (params.n, params.n))
@@ -147,7 +147,7 @@ def _crossing_residual(params: ModelParams, lam: complex, rho: complex, gauge: G
     r1 = partial_transpose(build_r(params, lam, gauge), 1)
     r2 = partial_transpose(build_r(params, -lam - 2j * rho, gauge), 2)
     prod = r1 @ m1 @ r2 @ m1.inv()
-    return prop_check(prod, identity_op((n, n)), 1.0).residual
+    return prop_check(prod, identity_op((n, n))).residual
 
 
 def fit_crossing_shift(

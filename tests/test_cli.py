@@ -49,6 +49,19 @@ def test_verify_all_is_array_of_suites(capsys):
     assert all(r["pass"] for r in reports)
 
 
+@pytest.mark.parametrize("suite", ["symmetry", "all"])
+def test_vanishing_x0_skips_the_hamiltonian_checks_and_exits_zero(suite, capsys):
+    # x(0) = 0 at cosh(i mu m) = cosh(2 i mu zeta): no Hamiltonian to build
+    code = main(["verify", "--suite", suite, "--m", "1.2", "--zeta", "0.6"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    reports = out if suite == "all" else [out]
+    ids = {c["id"] for r in reports for c in r["checks"]}
+    assert {"symmetry.corollary_skipped_degenerate",
+            "symmetry.degeneracy_skipped_degenerate"} <= ids
+    assert "symmetry.degeneracy" not in ids
+
+
 def test_impossible_tolerance_exits_one(capsys):
     code = main(["verify", "--suite", "hecke", "--n", "2", "--tol", "1e-30"])
     out = capsys.readouterr().out

@@ -6,18 +6,23 @@ Model parameters and spectral points are drawn from the boxes of
 coordinate drawn at one of its box ends about half the time so the corners
 are reached. Draws that ``sample_model`` or ``sample_spectral`` would reject
 (degenerate parameters, spectral points or their sums and differences within
-1e-3 of the poles ±i mu) are discarded with ``assume``.
+1e-3 of the poles ±i mu) are discarded with ``assume``. Near the degenerate
+points themselves (lambda at the unitarity poles ±i mu, x(0) near 0) the
+builders must raise ``DegenerateParameters`` or return finite matrices.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from artifact import ModelParams
 from artifact.params import DegenerateParameters
 from artifact.reflection_k import build_k_explicit, reflection_residual
+from artifact.spin_chain import ChainSpec, build_hamiltonian, build_monodromy_hat, build_transfer
 from artifact.tensor_core import embed_at, identity_op, rel_residual
 from artifact.yang_baxter import Gauge, build_r, build_r_hat, unitarity_scalar
 
@@ -100,3 +105,49 @@ def test_mu_near_low_root_of_unity_is_degenerate(n_mu):
     n, mu = n_mu
     with pytest.raises(DegenerateParameters):
         ModelParams(n=n, mu=mu, m=0.9 + 0.2j, zeta=0.6)
+
+
+def _finite_or_degenerate(build) -> bool:
+    try:
+        mat = build().mat
+    except DegenerateParameters:
+        return True
+    return bool(np.all(np.isfinite(mat)))
+
+
+_TINY = _box(-1e-12, 1e-12, -1e-12, 1e-12)
+P = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6)
+
+
+@PROPERTY
+@given(_model(), st.integers(1, 2), st.sampled_from(Gauge), st.sampled_from((1, -1)), _TINY)
+@example(P, 2, Gauge.homogeneous, 1, 0j)
+@example(P, 1, Gauge.principal, -1, 0j)
+def test_chain_builders_at_the_unitarity_poles(p, sites, gauge, sign, offset):
+    # That's per-site factors R(-lambda)^{-1} blow up at lambda = ±i mu
+    spec = ChainSpec(replace(p, sites=sites), gauge=gauge)
+    lam = sign * 1j * p.mu + offset
+    assert _finite_or_degenerate(lambda: build_transfer(spec, lam))
+    assert _finite_or_degenerate(lambda: build_monodromy_hat(spec, lam, "per_site"))
+
+
+@st.composite
+def _near_vanishing_x0(draw):
+    # x(0) = cosh(i mu m) - cosh(2 i mu zeta), which vanishes at m = 2 zeta
+    zeta = draw(_box(0.15, 1.0, -0.25, 0.25))
+    try:
+        return ModelParams(
+            n=draw(st.integers(2, 4)),
+            mu=draw(_box(0.15, 1.2, -0.1, 0.1)),
+            m=2 * zeta + draw(_box(-1e-8, 1e-8, -1e-8, 1e-8)),
+            zeta=zeta,
+            sites=draw(st.integers(1, 2)),
+        )
+    except DegenerateParameters:
+        assume(False)
+
+
+@PROPERTY
+@given(_near_vanishing_x0(), st.sampled_from(("hecke_form", "transfer_derivative")))
+def test_hamiltonian_near_vanishing_x0(p, route):
+    assert _finite_or_degenerate(lambda: build_hamiltonian(ChainSpec(p), route))

@@ -15,8 +15,14 @@ import pytest
 from artifact import ModelParams, spin_chain
 from artifact.params import DegenerateParameters
 from artifact.hecke_algebra import rep_boundary, rep_bulk
-from artifact.reflection_k import LeftBoundaryKind, build_k_explicit, reflection_residual
+from artifact.reflection_k import (
+    LeftBoundaryKind,
+    build_k_explicit,
+    reflection_residual,
+    reflection_sandwich,
+)
 from artifact.spin_chain import (
+    RIGHT_FAMILIES,
     ChainSpec,
     affine_limit_transfer_combination,
     boundary_commutation_residual,
@@ -37,6 +43,7 @@ from artifact.spin_chain import (
 )
 from artifact.quantum_algebra import GeneratorKind, GeneratorLabel, intertwine_residual
 from artifact.tensor_core import (
+    Operator,
     commutator,
     embed_at,
     frob,
@@ -46,7 +53,14 @@ from artifact.tensor_core import (
     rtt_residual,
     sym_residual,
 )
-from artifact.yang_baxter import Gauge, build_M, build_r, build_r_hat, build_r_inverse
+from artifact.yang_baxter import (
+    Gauge,
+    build_M,
+    build_r,
+    build_r_hat,
+    build_r_inverse,
+    unitarity_scalar,
+)
 
 P32 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=2)
 P22 = ModelParams(n=2, mu=0.33, m=1.05 + 0.1j, zeta=0.47, sites=2)
@@ -218,6 +232,16 @@ def test_double_row_commutation():
     assert double_row_commutation_residual(ChainSpec(P32), 0.37, 0.18 + 0.09j) < 1e-13
 
 
+def test_double_row_commutation_fails_for_a_double_row_at_the_wrong_lambda(monkeypatch):
+    spec = ChainSpec(P32)
+    lamp, lam = 0.37, 0.18 + 0.09j
+    assert double_row_commutation_residual(spec, lamp, lam) < 1e-13
+    right = spin_chain.build_double_row
+    monkeypatch.setattr(spin_chain, "build_double_row",
+                        lambda s, u: right(s, u + 0.25 if u == lam else u))
+    assert double_row_commutation_residual(spec, lamp, lam) > 1e-3
+
+
 def test_monodromy_asymptotics():
     assert monodromy_asymptotic_residual(ChainSpec(P32)) < 1e-10
     # the asymptotic aux matrix is block upper triangular with the dressed
@@ -377,3 +401,39 @@ def test_reflection_residual_takes_the_double_row(n, sites):
     wrong = reflection_residual(p, shifted, l1, l2)
     assert wrong > 1e-3
     assert wrong == pytest.approx(written_out(shifted), rel=1e-9)
+
+
+@pytest.mark.parametrize("n,sites", ((2, 2), (3, 1), (2, 3)))
+def test_reflection_sandwich_is_the_written_out_product(n, sites):
+    p = _oracle_params(n, sites)
+    l1, v = 0.31 - 0.12j, -0.44 + 0.2j
+    rest = n**sites
+    for gauge in Gauge:
+        dr = build_double_row(ChainSpec(p, gauge=gauge), l1).mat.reshape(n, rest, n, rest)
+        # the double row on auxiliary space 1 and the sites, the identity on 2
+        k1 = np.einsum("axcy,bd->abxcdy", dr, np.eye(n)).reshape(n * n * rest, -1)
+        r12 = np.kron(build_r(p, l1 - v, gauge).mat, np.eye(rest))
+        r21 = np.kron(build_r_hat(p, l1 + v, gauge).mat, np.eye(rest))
+        got = reflection_sandwich(p, Operator(k1, (n,) * (sites + 2)), l1, v, gauge)
+        assert rel_residual(got, r12 @ k1 @ r21) <= 1e-15, gauge
+
+
+@pytest.mark.parametrize("n,sites", ((2, 3), (3, 2)))
+def test_scaled_transfer_is_the_transposed_r_product(n, sites):
+    # R(-lam)^{-1} = Rhat(lam)/g(-lam) and Rhat = R^T, so g(-lam)^N t(lam) is
+    # the open transfer with That's factors replaced by transposed R matrices
+    p = _oracle_params(n, sites)
+    for lam in (0.3 - 0.1j, 1e-4, -1e-4):
+        r = build_r(p, lam)
+        rt = Operator(r.mat.T, (n, n))
+        for family in RIGHT_FAMILIES:
+            spec = ChainSpec(p, right_boundary=family)
+            space = spec.space
+            acc = embed_at(build_M(p), [1], space) @ embed_at(left_k(spec, lam), [1], space)
+            for site in range(sites, 0, -1):
+                acc = acc @ embed_at(r, [1, site + 1], space)
+            acc = acc @ embed_at(right_k(spec, lam), [1], space)
+            for site in range(1, sites + 1):
+                acc = acc @ embed_at(rt, [1, site + 1], space)
+            got = unitarity_scalar(p, -lam) ** sites * build_transfer(spec, lam).mat
+            assert rel_residual(got, partial_trace_first(acc)) < 1e-13, (lam, family)

@@ -218,8 +218,7 @@ def test_prop_check():
     rng = np.random.default_rng(19)
     b = op(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (4,))
     a = (2.0 - 0.5j) * b
-    res = prop_check(a, b, tol=1e-12)
-    assert res.passed
+    res = prop_check(a, b)
     assert abs(res.scalar - (2.0 - 0.5j)) < 1e-14
     assert res.residual < 1e-14
     # perturbation orthogonal to b shows up as the relative residual
@@ -227,7 +226,7 @@ def test_prop_check():
     proj = np.vdot(b.mat, e.mat) / np.vdot(b.mat, b.mat)
     e_orth = e.mat - proj * b.mat
     noisy = Operator(b.mat + 1e-3 * e_orth, b.dims)
-    res2 = prop_check(noisy, b, tol=1e-9)
+    res2 = prop_check(noisy, b)
     expected = 1e-3 * np.linalg.norm(e_orth) / np.linalg.norm(noisy.mat)
     assert abs(res2.residual - expected) < 1e-12
     with pytest.raises(ValueError):
