@@ -21,6 +21,9 @@ class CheckResult:
     passed: bool
     scalar: complex | None = None
     millis: int = 0
+    # Set by ReportBuilder.add_flag. Kept out of the JSON, so a parsed
+    # report has every check unflagged.
+    flag: bool = False
 
 
 @dataclass
@@ -37,7 +40,11 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        """Largest residual over the checks that compare with a bound.
+
+        Flags are left out: their residual is a size that passes by being
+        large (``*_nonzero``, ``*_witness``) or a diagnostic."""
+        return max((c.residual for c in self.checks if not c.flag), default=0.0)
 
     def find(self, check_id: str) -> CheckResult:
         for c in self.checks:
@@ -98,6 +105,7 @@ class ReportBuilder:
             passed=bool(ok),
             scalar=None,
             millis=self._lap_ms(),
+            flag=True,
         )
         self.checks.append(c)
         return c

@@ -212,10 +212,14 @@ def _hamiltonian_constant(params: ModelParams) -> complex:
     return -sh * xp0 / (4.0 * x0) - params.sites / 2.0 * cmath.cosh(1j * params.mu) - params.c0 / 2.0
 
 
+def _require_homogeneous(spec: ChainSpec, what: str) -> None:
+    if spec.gauge != Gauge.homogeneous:
+        raise ValueError(f"{what} is defined in the homogeneous gradation")
+
+
 def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     p = spec.params
-    if spec.gauge != Gauge.homogeneous:
-        raise ValueError("the Hamiltonian is defined in the homogeneous gradation")
+    _require_homogeneous(spec, "the Hamiltonian")
     if spec.left_boundary != LeftBoundaryKind.identity:
         raise ValueError("the Hamiltonian expects the identity left boundary")
     if spec.right_boundary not in ("ansatz", "explicit"):
@@ -268,7 +272,9 @@ def _factor_profiles(spec: ChainSpec) -> list:
 def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     """tr_0 of M_0 (prod of factors)' at lambda = 0, by the product rule
     carried forward: starting from (P, D) = (M_0, 0), each factor (v, v')
-    takes (P, D) to (P v, D v + P v')."""
+    takes (P, D) to (P v, D v + P v'). The factors are homogeneous R's, so
+    a principal spec raises ValueError."""
+    _require_homogeneous(spec, "the transfer derivative")
     space = spec.space
     prod = embed_at(build_M(spec.params, spec.gauge), [1], space).mat
     der = np.zeros_like(prod)
@@ -282,7 +288,9 @@ def transfer_derivative_numeric(spec: ChainSpec) -> Operator:
     """Richardson-extrapolated central difference at zero of g(-lambda)^N
     t(lambda), the normalization the analytic product rule differentiates:
     That's factors R(-lambda)^{-1} = Rhat(lambda) / g(-lambda) lose their
-    1/g, and for this R, Rhat is the total transpose. Homogeneous gradation."""
+    1/g, and for this R, Rhat is the total transpose. Homogeneous gradation
+    only, as for the analytic route; a principal spec raises ValueError."""
+    _require_homogeneous(spec, "the transfer derivative")
     h = 1e-4
     p = spec.params
 

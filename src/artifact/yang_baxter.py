@@ -30,7 +30,7 @@ import cmath
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .hecke_algebra import build_bulk_generator
 from .params import DegenerateParameters, ModelParams
@@ -141,28 +141,40 @@ def build_M(params: ModelParams, gauge: Gauge = Gauge.homogeneous) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def _crossing_residual(params: ModelParams, lam: complex, rho: complex, gauge: Gauge) -> float:
-    n = params.n
-    m1 = embed_at(build_M(params, gauge), [1], (n, n))
-    r1 = partial_transpose(build_r(params, lam, gauge), 1)
-    r2 = partial_transpose(build_r(params, -lam - 2j * rho, gauge), 2)
-    prod = r1 @ m1 @ r2 @ m1.inv()
-    return prop_check(prod, identity_op((n, n))).residual
-
-
 def fit_crossing_shift(
     params: ModelParams,
     lam: complex,
     gauge: Gauge = Gauge.homogeneous,
 ) -> tuple[complex, float]:
-    """Fit the shift rho in the crossing relation by residual minimization.
+    """Fit the shift rho of the crossing relation R1(lam)^t1 M1 R2(-lam-2i rho)^t2 M1^-1 ∝ I.
 
-    Coarse complex grid scan followed by a Nelder-Mead polish. Returns
-    (rho, residual-at-rho). The value is fitted, never assumed.
+    Returns (rho, residual-at-rho); the residual is prop_check of the product
+    against I. The lambda side is built once per fit: M1, M1^-1 and
+    R1(lam)^t1 M1 are plain arrays, so one evaluation at rho is one build_r
+    call and two products. A grid over one period strip of Re(rho) (31 or
+    62 points) times Im(rho) in [-0.6, 0.6] (9 points) is scored by
+    ||P - cI|| / ||P|| with c = tr P / n^2, and the best 3 points are
+    polished by Levenberg-Marquardt on the real and imaginary parts of
+    (P - cI) / ||P||.
+
+    The value is fitted, never assumed. It lands on n mu / 2 mod the period
+    at every point tried (n = 2..4, both gradations, the sampling boxes);
+    that is an observation about the R-matrix, which the code does not use.
     """
+    n = params.n
+    side = n * n
+    eye = np.eye(side)
+    m1 = embed_at(build_M(params, gauge), [1], (n, n))
+    m1_inv = m1.inv().mat
+    left = partial_transpose(build_r(params, lam, gauge), 1).mat @ m1.mat
 
-    def cost(xy):
-        return _crossing_residual(params, lam, complex(xy[0], xy[1]), gauge)
+    def product(xy) -> np.ndarray:
+        r2 = partial_transpose(build_r(params, -lam - 2j * complex(xy[0], xy[1]), gauge), 2)
+        return left @ r2.mat @ m1_inv
+
+    def defect(xy) -> np.ndarray:
+        prod = product(xy)
+        return (prod - np.trace(prod) / side * eye) / np.linalg.norm(prod)
 
     # Entries depend on rho through sinh(... - 2 i rho) and e^{± 2 i rho}
     # factors, so the zero set of the (proportional!) relation is periodic in
@@ -171,21 +183,17 @@ def fit_crossing_shift(
     # cannot see; in the principal gradation with n > 2 the hopping phases
     # break that half-period and only pi survives. Scan one fundamental strip
     # and report the canonical representative.
-    period = np.pi / 2 if (gauge == Gauge.homogeneous or params.n == 2) else np.pi
-    grid = []
-    for re in np.linspace(0.0, period, max(8, int(period / 0.05)), endpoint=False):
-        for im in np.linspace(-0.6, 0.6, 9):
-            grid.append(((re, im), cost((re, im))))
-    grid.sort(key=lambda t: t[1])
-    best_rho, best_val = None, np.inf
-    for x0, _ in grid[:3]:
-        res = minimize(cost, x0=x0, method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 4000})
-        val = cost(res.x)
-        if val < best_val:
-            best_rho, best_val = complex(res.x[0], res.x[1]), val
-    rho = complex(best_rho.real % period, best_rho.imag)
-    return rho, best_val
+    period = np.pi / 2 if (gauge == Gauge.homogeneous or n == 2) else np.pi
+    grid = [(re, im)
+            for re in np.linspace(0.0, period, max(8, int(period / 0.05)), endpoint=False)
+            for im in np.linspace(-0.6, 0.6, 9)]
+    grid.sort(key=lambda xy: np.linalg.norm(defect(xy)))
+    fits = [least_squares(lambda xy: defect(xy).ravel().view(np.float64), x0,
+                          method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            for x0 in grid[:3]]
+    best = min(fits, key=lambda f: np.linalg.norm(f.fun)).x
+    residual = prop_check(Operator(product(best), (n, n)), identity_op((n, n))).residual
+    return complex(best[0] % period, best[1]), residual
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,20 @@ def test_vanishing_x0_skips_the_hamiltonian_checks_and_exits_zero(suite, capsys)
     assert "symmetry.degeneracy" not in ids
 
 
+def test_text_headline_leaves_out_flag_residuals(capsys):
+    # symmetry.com12_nonzero passes by being large (about 0.3 here); the
+    # headline is the largest residual of the checks gated by a bound
+    code = main(["verify", "--suite", "symmetry", "--m", "1.2", "--zeta", "0.6",
+                 "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    flagged = [float(line.split()[1]) for line in lines
+               if line.startswith("symmetry.com12_nonzero.")]
+    assert flagged and max(flagged) > 1e-3
+    headline = float(lines[-1].rsplit("max residual ", 1)[1].rstrip(")"))
+    assert headline < 1e-9
+
+
 def test_impossible_tolerance_exits_one(capsys):
     code = main(["verify", "--suite", "hecke", "--n", "2", "--tol", "1e-30"])
     out = capsys.readouterr().out

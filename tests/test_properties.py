@@ -24,7 +24,13 @@ from artifact.params import DegenerateParameters
 from artifact.reflection_k import build_k_explicit, reflection_residual
 from artifact.spin_chain import ChainSpec, build_hamiltonian, build_monodromy_hat, build_transfer
 from artifact.tensor_core import embed_at, identity_op, rel_residual
-from artifact.yang_baxter import Gauge, build_r, build_r_hat, unitarity_scalar
+from artifact.yang_baxter import (
+    Gauge,
+    build_r,
+    build_r_hat,
+    fit_crossing_shift,
+    unitarity_scalar,
+)
 
 PROPERTY = settings(max_examples=50, deadline=None)
 BOUND = 1e-12
@@ -88,6 +94,20 @@ def test_reflection_equation_explicit_k(p, l1, l2):
     for gauge in Gauge:
         res = reflection_residual(p, lambda u: build_k_explicit(p, u, gauge), l1, l2, gauge)
         assert res < BOUND, gauge
+
+
+@PROPERTY
+@given(_model(), _LAMBDA, st.sampled_from(Gauge))
+def test_crossing_shift_fit_lands_on_half_n_mu(p, lam, gauge):
+    # the fit never reads n mu / 2; that it lands there is the property.
+    # R2 is singular, and the relation's scalar vanishes, at -lam - i n mu = ±i mu
+    assume(_off_poles(p, lam, lam + 1j * p.n * p.mu))
+    rho, res = fit_crossing_shift(p, lam, gauge)
+    period = math.pi / 2 if (gauge == Gauge.homogeneous or p.n == 2) else math.pi
+    offset = rho - p.n * p.mu / 2
+    wrapped = complex(math.remainder(offset.real, period), offset.imag)
+    assert abs(wrapped) < 1e-10
+    assert res <= BOUND
 
 
 @st.composite

@@ -206,6 +206,14 @@ def test_transfer_derivative_matches_finite_difference():
     assert rel_residual(an, fd) < 1e-8
 
 
+@pytest.mark.parametrize("route", [_transfer_derivative_analytic, transfer_derivative_numeric])
+def test_transfer_derivative_refuses_the_principal_gradation(route):
+    # the analytic route differentiates homogeneous R factors; on a principal
+    # spec the two routes would disagree (0.27 relative here) instead
+    with pytest.raises(ValueError, match="homogeneous gradation"):
+        route(ChainSpec(P32, right_boundary="explicit", gauge=Gauge.principal))
+
+
 def test_monodromy_intertwining():
     spec = ChainSpec(P32)
     lam = 0.33 - 0.12j

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from artifact import yang_baxter
 from artifact.params import ModelParams
 from artifact.tensor_core import identity_op, permutation_swap, prop_check, rel_residual
 from artifact.yang_baxter import (
@@ -106,6 +107,22 @@ def test_crossing_fit_matches_half_n_mu():
     rho3, res3 = fit_crossing_shift(p3, 0.37 + 0.21j, Gauge.principal)
     assert res3 < 1e-10
     assert abs(rho3 - 0.615) < 1e-7
+
+
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_crossing_fit_builds_the_lambda_side_once(gauge, monkeypatch):
+    calls = []
+    inner = yang_baxter.build_r
+
+    def counted(params, lam, gauge=Gauge.homogeneous):
+        calls.append(lam)
+        return inner(params, lam, gauge)
+
+    monkeypatch.setattr(yang_baxter, "build_r", counted)
+    lam = 0.37 + 0.21j
+    fit_crossing_shift(ModelParams(n=3, mu=0.41), lam, gauge)
+    assert calls.count(lam) == 1
+    assert len(calls) > 100  # one per evaluation at rho: the grid and the polish
 
 
 @pytest.mark.parametrize("n,limit", [(2, 1e-10), (3, 1e-10), (4, 1e-9)])
