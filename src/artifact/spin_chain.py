@@ -19,7 +19,10 @@ factor. For the derivative route the inverse-monodromy factors are the
 transposed R matrices (for this R the total transpose equals P R P), which
 fixes the overall normalization that the closed form above expects. Since
 R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
-whose finite difference is the cross-check.
+whose finite difference is the cross-check. The Hecke form is assembled
+from index arrays (``tensor_core.embed_entries``). It keeps the number of
+sites in each middle state 2..n-1, so ``hamiltonian_blocks`` hands it out one
+such weight sector at a time, and no d x d matrix is formed.
 
 Every ordered chain product is built by right-applying its factors with
 ``tensor_core.apply_right``: each R_{0k} or K factor acts on the auxiliary
@@ -41,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .hecke_algebra import build_boundary_generator, build_bulk_generator, rep_boundary, rep_bulk
+from .hecke_algebra import build_bulk_generator, rep_boundary, rep_bulk
 from .params import DegenerateParameters, ModelParams
 from .quantum_algebra import GeneratorKind, GeneratorLabel, intertwine_residual
 from .reflection_k import (
@@ -62,6 +65,7 @@ from .tensor_core import (
     aux_blocks,
     comm_residual,
     embed_at,
+    embed_entries,
     frob,
     identity_op,
     partial_trace_first,
@@ -217,23 +221,90 @@ def _require_homogeneous(spec: ChainSpec, what: str) -> None:
         raise ValueError(f"{what} is defined in the homogeneous gradation")
 
 
+def _require_hamiltonian_spec(spec: ChainSpec, what: str) -> None:
+    """The Hamiltonian, and the transfer derivative it normalizes, belong to
+    the homogeneous gradation with the identity left boundary and the
+    non-diagonal right boundary; ``_factor_profiles`` hard-codes all three."""
+    _require_homogeneous(spec, what)
+    if spec.left_boundary != LeftBoundaryKind.identity:
+        raise ValueError(f"{what} expects the identity left boundary")
+    if spec.right_boundary not in ("ansatz", "explicit"):
+        raise ValueError(f"{what} expects the non-diagonal right boundary")
+
+
+def _hamiltonian_entries(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the Hecke-form H on the N-site space: the N - 1
+    bulk terms -1/2 rho(U_l) in site order, the boundary term
+    -sinh^2(i mu)/x(0) rho(U_0), then the constant on the diagonal. A
+    (row, col) may repeat; its values add."""
+    sh = cmath.sinh(1j * params.mu)
+    space = (params.n,) * params.sites
+    terms = []
+    # each local term is its generator's representation on the smallest
+    # chain that holds it: rho(U_1) on two sites, rho(U_0) on one
+    if params.sites > 1:  # U has side n^2 even where no bond uses it
+        bulk = rep_bulk(replace(params, sites=2), 1) * -0.5
+        terms = [embed_entries(bulk, [site, site + 1], space) for site in range(1, params.sites)]
+    u0 = rep_boundary(replace(params, sites=1))
+    terms.append(embed_entries(u0 * -(sh * sh / params.k_diag_x(0.0)), [1], space))
+    diag = np.arange(math.prod(space))
+    terms.append((diag, diag, np.full(diag.size, _hamiltonian_constant(params))))
+    return tuple(np.concatenate(part) for part in zip(*terms))
+
+
+def _weight_sectors(n: int, sites: int) -> np.ndarray:
+    """Sector label (0, 1, ...) of each basis state of (C^n)^sites.
+
+    A sector is the tuple of counts (c_2, ..., c_{n-1}) of sites in the
+    middle states 2..n-1. The bulk Hecke generator only permutes the states
+    of two sites and U_0 only mixes states 1 and n on site 1, so the Hecke-form
+    H keeps every count. The label ranks the sorted site states with 1 and n
+    merged; at n = 2 every state has the one label 0. A sector holds
+    N!/(c_2! ... c_{n-1}! r!) 2^r states, with r = N - sum c.
+    """
+    digits = np.array(np.unravel_index(np.arange(n**sites), (n,) * sites))
+    digits[digits == n - 1] = 0
+    key = np.ravel_multi_index(np.sort(digits, axis=0), (n,) * sites)
+    return np.unique(key, return_inverse=True)[1]
+
+
+def hamiltonian_blocks(spec: ChainSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Hecke-form H as (basis indices, block) pairs, one per weight
+    sector, with the indices ascending: H[ix_(idx, idx)] = block, and H is
+    zero between sectors. Built from the same entries as
+    ``build_hamiltonian(spec, "hecke_form")``, with no d x d matrix; an entry
+    between two sectors raises RuntimeError."""
+    p = spec.params
+    _require_hamiltonian_spec(spec, "the Hamiltonian")
+    p.require_hamiltonian_ok()
+    rows, cols, vals = _hamiltonian_entries(p)
+    label = _weight_sectors(p.n, p.sites)
+    if np.any(label[rows] != label[cols]):
+        raise RuntimeError("a Hamiltonian entry joins two weight sectors")
+    sizes = np.bincount(label)
+    basis = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    position = np.empty(label.size, dtype=np.intp)
+    for idx in basis:
+        position[idx] = np.arange(idx.size)
+    by_sector = np.argsort(label[rows], kind="stable")
+    entries = np.split(by_sector, np.cumsum(np.bincount(label[rows], minlength=sizes.size))[:-1])
+    out = []
+    for idx, sel in zip(basis, entries):
+        block = np.zeros((idx.size, idx.size), dtype=np.complex128)
+        np.add.at(block, (position[rows[sel]], position[cols[sel]]), vals[sel])
+        out.append((idx, block))
+    return out
+
+
 def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     p = spec.params
-    _require_homogeneous(spec, "the Hamiltonian")
-    if spec.left_boundary != LeftBoundaryKind.identity:
-        raise ValueError("the Hamiltonian expects the identity left boundary")
-    if spec.right_boundary not in ("ansatz", "explicit"):
-        raise ValueError("the Hamiltonian expects the non-diagonal right boundary")
+    _require_hamiltonian_spec(spec, "the Hamiltonian")
     p.require_hamiltonian_ok()
     if route == "hecke_form":
-        sh = cmath.sinh(1j * p.mu)
-        x0 = p.k_diag_x(0.0)
         dim = p.n**p.sites
         h = np.zeros((dim, dim), dtype=np.complex128)
-        for site in range(1, p.sites):
-            h += -0.5 * rep_bulk(p, site).mat
-        h += -(sh * sh / x0) * rep_boundary(p).mat
-        h += _hamiltonian_constant(p) * np.eye(dim)
+        rows, cols, vals = _hamiltonian_entries(p)
+        np.add.at(h, (rows, cols), vals)
         return Operator(h, (p.n,) * p.sites)
     if route == "transfer_derivative":
         sh = cmath.sinh(1j * p.mu)
@@ -262,7 +333,7 @@ def _factor_profiles(spec: ChainSpec) -> list:
     x0 = p.k_diag_x(0.0)
     xp0 = 2.0 * cmath.sinh(1j * p.mu * p.m)
     yp0 = 4.0 * sh
-    mstar = build_boundary_generator(p) * (1.0 / p.boundary_scale)
+    mstar = rep_boundary(replace(p, sites=1))
     factors = [(r0, rd0, [1, site + 1]) for site in range(p.sites, 0, -1)]
     factors.append((x0 * identity_op([n]), xp0 * identity_op([n]) + yp0 * mstar, [1]))
     factors += [(rt0, rtd0, [1, site + 1]) for site in range(1, p.sites + 1)]
@@ -272,9 +343,10 @@ def _factor_profiles(spec: ChainSpec) -> list:
 def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     """tr_0 of M_0 (prod of factors)' at lambda = 0, by the product rule
     carried forward: starting from (P, D) = (M_0, 0), each factor (v, v')
-    takes (P, D) to (P v, D v + P v'). The factors are homogeneous R's, so
-    a principal spec raises ValueError."""
-    _require_homogeneous(spec, "the transfer derivative")
+    takes (P, D) to (P v, D v + P v'). The factors are homogeneous R's with
+    the explicit or ansatz right K and no left K, so any other spec raises
+    ValueError."""
+    _require_hamiltonian_spec(spec, "the transfer derivative")
     space = spec.space
     prod = embed_at(build_M(spec.params, spec.gauge), [1], space).mat
     der = np.zeros_like(prod)

@@ -13,10 +13,12 @@ first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
 its (n, n) grid of blocks.
 
 ``embed_at`` writes a local operator out as a dense matrix on the whole
-space. ``apply_right`` multiplies a dense matrix by such an embedding without
-forming it, at d^2 times the local operator's side per factor instead of d^3;
-the ordered chain products are built from it. ``weight_preserving`` fills the
-two-site pattern that R and the bulk Hecke generator share.
+space, and ``embed_entries`` lists the same embedding's nonzeros as index
+arrays, for operators assembled entry by entry. ``apply_right`` multiplies a
+dense matrix by such an embedding without forming it, at d^2 times the local
+operator's side per factor instead of d^3; the ordered chain products are
+built from it. ``weight_preserving`` fills the two-site pattern that R and
+the bulk Hecke generator share.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
@@ -43,6 +45,7 @@ __all__ = [
     "ProportionalityResult",
     "kron",
     "embed_at",
+    "embed_entries",
     "apply_right",
     "permutation_swap",
     "partial_trace_first",
@@ -263,6 +266,34 @@ def embed_at(op: Operator, slots, space) -> Operator:
     axes = inverse + [k + p for p in inverse]
     out = tens.transpose(axes).reshape(math.prod(space), math.prod(space))
     return Operator(out, space)
+
+
+def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The structural nonzeros of ``embed_at(op, slots, space)`` as index
+    arrays ``(rows, cols, vals)``, without forming the embedding.
+
+    Each nonzero of ``op`` is repeated once per basis state of the identity
+    slots, so there are nnz(op) * (d / prod(op.dims)) entries and no two share
+    a (row, col).
+    """
+    slots, space = _checked_slots(op, slots, space)
+    k = len(space)
+    stride = [math.prod(space[s:]) for s in range(1, k + 1)]  # slot s steps by stride[s - 1]
+    rest = np.zeros(1, dtype=np.intp)
+    for s in range(1, k + 1):
+        if s not in slots:
+            rest = (rest[:, None] + stride[s - 1] * np.arange(space[s - 1])).ravel()
+    loc_rows, loc_cols = np.nonzero(op.mat)
+    offset_rows = np.zeros(loc_rows.size, dtype=np.intp)
+    offset_cols = np.zeros(loc_cols.size, dtype=np.intp)
+    for digit_rows, digit_cols, s in zip(np.unravel_index(loc_rows, op.dims),
+                                         np.unravel_index(loc_cols, op.dims), slots):
+        offset_rows += stride[s - 1] * digit_rows
+        offset_cols += stride[s - 1] * digit_cols
+    rows = (offset_rows[:, None] + rest).ravel()
+    cols = (offset_cols[:, None] + rest).ravel()
+    vals = np.repeat(op.mat[loc_rows, loc_cols], rest.size)
+    return rows, cols, vals
 
 
 def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:

@@ -27,6 +27,7 @@ monodromy asymptotics numerically viable, so it is exposed here.
 from __future__ import annotations
 
 import cmath
+import math
 from enum import Enum
 
 import numpy as np
@@ -65,6 +66,9 @@ __all__ = [
     "fit_crossing_shift",
     "verify_ybe_suite",
 ]
+
+# Distance from lam = 0 (mod i pi) inside which fit_crossing_shift refuses.
+REGULAR_GAP = 1e-3
 
 
 class Gauge(str, Enum):
@@ -160,7 +164,16 @@ def fit_crossing_shift(
     The value is fitted, never assumed. It lands on n mu / 2 mod the period
     at every point tried (n = 2..4, both gradations, the sampling boxes);
     that is an observation about the R-matrix, which the code does not use.
+
+    Within REGULAR_GAP of lam = 0 (mod i pi), R(lam) is near the multiple
+    sinh(i mu) P of the swap, R1(lam)^t1 near rank one, and the relation's
+    scalar near zero: the zero set in rho is then narrower than the scan's
+    step and the polish wanders off, so these points raise
+    DegenerateParameters.
     """
+    lam = complex(lam)
+    if abs(complex(lam.real, math.remainder(lam.imag, math.pi))) < REGULAR_GAP:
+        raise DegenerateParameters(f"crossing relation degenerate at lambda = {lam}")
     n = params.n
     side = n * n
     eye = np.eye(side)

@@ -5,10 +5,12 @@ actual return value; report bytes are compared through --out files.
 """
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from artifact import cli
+from artifact import cli, spin_chain, tensor_core
 from artifact.cli import CliError, main, parse_complex, read_config
 from artifact.reporting import (
     CheckResult,
@@ -185,6 +187,39 @@ def test_spectrum_shape_and_clusters(capsys):
     assert sum(c["multiplicity"] for c in rep["clusters"]) == 9
     assert any(c["multiplicity"] >= 2 for c in rep["clusters"])
     assert rep["cluster_tol"] == 1e-8
+
+
+def test_spectrum_forms_no_dense_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectrum went through the dense route")
+
+    embed_at = tensor_core.embed_at
+
+    def local_only(op, slots, space):
+        # the local terms are embedded on their own one- or two-site chains;
+        # an embedding onto the 4-site chain is the dense route
+        if len(space) > 2:
+            refuse()
+        return embed_at(op, slots, space)
+
+    monkeypatch.setattr(spin_chain, "build_hamiltonian", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artifact") and getattr(module, "embed_at", None) is embed_at:
+            monkeypatch.setattr(module, "embed_at", local_only)
+    report = cli.run_spectrum(dict(cli.DEFAULTS, n=3, sites=4))
+    assert report.total_multiplicity == len(report.eigenvalues) == 81
+
+
+@pytest.mark.parametrize("n, sites, pattern", [
+    (3, 3, {1: 4, 2: 5, 3: 3, 4: 1}),
+    (3, 4, {1: 9, 2: 12, 3: 9, 4: 4, 5: 1}),
+    (4, 3, {1: 2, 3: 6, 6: 3, 8: 2, 10: 1}),
+    (2, 4, {1: 16}),
+])
+def test_spectrum_cluster_multiplicities(n, sites, pattern):
+    # multiplicity: number of clusters, as the dense eigensolve gave them
+    report = cli.run_spectrum(dict(cli.DEFAULTS, n=n, sites=sites))
+    assert Counter(c["multiplicity"] for c in report.clusters) == pattern
 
 
 def test_spectrum_size_cap_exits_two(capsys):

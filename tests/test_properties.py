@@ -8,7 +8,9 @@ are reached. Draws that ``sample_model`` or ``sample_spectral`` would reject
 (degenerate parameters, spectral points or their sums and differences within
 1e-3 of the poles ±i mu) are discarded with ``assume``. Near the degenerate
 points themselves (lambda at the unitarity poles ±i mu, x(0) near 0) the
-builders must raise ``DegenerateParameters`` or return finite matrices.
+builders must raise ``DegenerateParameters`` or return finite matrices, and
+the crossing fit must raise it within ``REGULAR_GAP`` of lambda = 0. The
+Hamiltonian's weight sectors are checked over the same boxes.
 """
 
 import math
@@ -20,11 +22,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from artifact import ModelParams
+from artifact.hecke_algebra import rep_boundary, rep_bulk
 from artifact.params import DegenerateParameters
 from artifact.reflection_k import build_k_explicit, reflection_residual
-from artifact.spin_chain import ChainSpec, build_hamiltonian, build_monodromy_hat, build_transfer
+from artifact.spin_chain import (
+    ChainSpec,
+    _hamiltonian_entries,
+    build_hamiltonian,
+    build_monodromy_hat,
+    build_transfer,
+    hamiltonian_blocks,
+)
 from artifact.tensor_core import embed_at, identity_op, rel_residual
 from artifact.yang_baxter import (
+    REGULAR_GAP,
     Gauge,
     build_r,
     build_r_hat,
@@ -46,13 +57,14 @@ def _box(re_lo, re_hi, im_lo, im_hi):
 
 
 @st.composite
-def _model(draw):
+def _model(draw, ns=st.integers(2, 4), sites=st.just(1)):
     try:
         return ModelParams(
-            n=draw(st.integers(2, 4)),
+            n=draw(ns),
             mu=draw(_box(0.15, 1.2, -0.1, 0.1)),
             m=draw(_box(0.3, 2.0, -0.5, 0.5)),
             zeta=draw(_box(0.3, 2.0, -0.5, 0.5)),
+            sites=draw(sites),
         )
     except DegenerateParameters:
         assume(False)
@@ -98,10 +110,16 @@ def test_reflection_equation_explicit_k(p, l1, l2):
 
 @PROPERTY
 @given(_model(), _LAMBDA, st.sampled_from(Gauge))
+@example(ModelParams(n=2, mu=0.15 - 0.1j, m=0.3 - 0.5j, zeta=0.3 - 0.5j), 0j, Gauge.homogeneous)
 def test_crossing_shift_fit_lands_on_half_n_mu(p, lam, gauge):
     # the fit never reads n mu / 2; that it lands there is the property.
     # R2 is singular, and the relation's scalar vanishes, at -lam - i n mu = ±i mu
     assume(_off_poles(p, lam, lam + 1j * p.n * p.mu))
+    if abs(lam) < REGULAR_GAP:
+        # R(lam) near a multiple of the swap: the relation's scalar vanishes
+        with pytest.raises(DegenerateParameters):
+            fit_crossing_shift(p, lam, gauge)
+        return
     rho, res = fit_crossing_shift(p, lam, gauge)
     period = math.pi / 2 if (gauge == Gauge.homogeneous or p.n == 2) else math.pi
     offset = rho - p.n * p.mu / 2
@@ -171,3 +189,38 @@ def _near_vanishing_x0(draw):
 @given(_near_vanishing_x0(), st.sampled_from(("hecke_form", "transfer_derivative")))
 def test_hamiltonian_near_vanishing_x0(p, route):
     assert _finite_or_degenerate(lambda: build_hamiltonian(ChainSpec(p), route))
+
+
+def _middle_counts(n: int, sites: int) -> np.ndarray:
+    """(c_2, ..., c_{n-1}) of every basis state of (C^n)^sites, as rows."""
+    digits = np.array(np.unravel_index(np.arange(n**sites), (n,) * sites))
+    return np.stack([(digits == s).sum(axis=0) for s in range(1, n - 1)], axis=1)
+
+
+@PROPERTY
+@given(_model(ns=st.integers(3, 4), sites=st.integers(1, 4)))
+def test_hamiltonian_keeps_the_middle_state_counts(p):
+    try:
+        p.require_hamiltonian_ok()
+    except DegenerateParameters:
+        assume(False)
+    n, sites = p.n, p.sites
+    counts = _middle_counts(n, sites)
+    rows, cols, _ = _hamiltonian_entries(p)
+    assert np.array_equal(counts[rows], counts[cols])
+    # and every entry of the embed_at-built generators between two count
+    # tuples is exactly zero
+    differ = np.any(counts[:, None, :] != counts[None, :, :], axis=2)
+    for gen in [rep_boundary(p)] + [rep_bulk(p, site) for site in range(1, sites)]:
+        assert not np.any(gen.mat[differ])
+    blocks = hamiltonian_blocks(ChainSpec(p))
+    assert sum(idx.size for idx, _ in blocks) == n**sites
+    sectors = set()
+    for idx, _ in blocks:
+        c = counts[idx]
+        assert np.all(c == c[0])
+        sectors.add(tuple(c[0]))
+        r = sites - int(c[0].sum())
+        ways = math.factorial(sites) // math.prod(math.factorial(int(k)) for k in (*c[0], r))
+        assert idx.size == ways * 2**r
+    assert len(sectors) == len(blocks)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from artifact import ModelParams, spin_chain
 from artifact.params import DegenerateParameters
@@ -32,6 +33,7 @@ from artifact.spin_chain import (
     build_monodromy_hat,
     build_transfer,
     double_row_commutation_residual,
+    hamiltonian_blocks,
     monodromy_asymptotic_residual,
     transfer_from_diagonal,
     transfer_derivative_numeric,
@@ -197,6 +199,91 @@ def test_hamiltonian_guards():
     bad = ModelParams(n=3, mu=0.41, m=1.2, zeta=0.6, sites=2)
     with pytest.raises(DegenerateParameters):
         build_hamiltonian(ChainSpec(bad, right_boundary="ansatz"), "hecke_form")
+
+
+@pytest.mark.parametrize("left,right", [
+    (LeftBoundaryKind.identity, "diagonal"),
+    (LeftBoundaryKind.identity, "trivial"),
+    (LeftBoundaryKind.affine_limit, "explicit"),
+    (LeftBoundaryKind.transpose_shift, "explicit"),
+])
+def test_transfer_derivative_refuses_boundaries_it_does_not_differentiate(left, right):
+    # the product rule has no left K and only the explicit or ansatz right K;
+    # on these specs it read 2.34, 1.10, 0.41 and 6.51 relative off the
+    # finite difference instead of raising
+    spec = ChainSpec(P32, left_boundary=left, right_boundary=right)
+    with pytest.raises(ValueError, match="the transfer derivative expects"):
+        _transfer_derivative_analytic(spec)
+
+
+# The Hecke-form H from dense embed_at embeddings, summed the way the paper
+# writes it; the index-array builders are checked against it.
+HECKE_ORACLE_SIZES = [(n, sites) for n in range(2, 6) for sites in range(1, 10)
+                      if n**sites <= 729]
+
+
+def _dense_hecke_hamiltonian(p):
+    sh = cmath.sinh(1j * p.mu)
+    h = spin_chain._hamiltonian_constant(p) * np.eye(p.n**p.sites)
+    h = h - (sh * sh / p.k_diag_x(0.0)) * rep_boundary(p).mat
+    return h - 0.5 * sum(rep_bulk(p, site).mat for site in range(1, p.sites))
+
+
+def _scattered(blocks, dim):
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    for idx, block in blocks:
+        h[np.ix_(idx, idx)] = block
+    return h
+
+
+@pytest.mark.parametrize("n,sites", HECKE_ORACLE_SIZES)
+def test_hamiltonian_blocks_match_the_dense_oracle(n, sites):
+    p = _oracle_params(n, sites)
+    dim = n**sites
+    want = _dense_hecke_hamiltonian(p)
+    for right in ("ansatz", "explicit"):
+        spec = ChainSpec(p, right_boundary=right)
+        blocks = hamiltonian_blocks(spec)
+        assert sum(idx.size for idx, _ in blocks) == dim
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in blocks])), np.arange(dim))
+        assert rel_residual(_scattered(blocks, dim), want) <= 1e-14
+        assert rel_residual(build_hamiltonian(spec, "hecke_form"), want) <= 1e-14
+
+
+@pytest.mark.parametrize("n,sites", [(3, 4), (4, 3), (2, 6)])
+def test_blockwise_eigenvalues_match_the_dense_eigensolve(n, sites):
+    p = _oracle_params(n, sites)
+    h = _dense_hecke_hamiltonian(p)
+    dense = np.linalg.eigvals(h)
+    blockwise = np.concatenate([np.linalg.eigvals(block)
+                                for _, block in hamiltonian_blocks(ChainSpec(p))])
+    # the two multisets, paired so that the largest distance is least
+    i, j = linear_sum_assignment(np.abs(dense[:, None] - blockwise[None, :]))
+    assert np.max(np.abs(dense[i] - blockwise[j])) <= 1e-10 * np.linalg.norm(h)
+
+
+def test_one_site_hamiltonian_builds_no_bulk_generator(monkeypatch):
+    # U has side n^2 whether or not a bond uses it: 4 PiB at n = 4096
+    def refuse(params):
+        raise AssertionError("bulk generator built for a chain with no bond")
+
+    monkeypatch.setattr(spin_chain, "build_bulk_generator", refuse)
+    p = _oracle_params(3, 1)
+    blocks = hamiltonian_blocks(ChainSpec(p))
+    assert rel_residual(_scattered(blocks, 3), _dense_hecke_hamiltonian(p)) <= 1e-14
+
+
+def test_hamiltonian_blocks_refuse_an_entry_between_sectors(monkeypatch):
+    # states |1 1> and |1 2> of (C^3)^2 have different middle-state counts
+    inner = spin_chain._hamiltonian_entries
+
+    def leaky(p):
+        rows, cols, vals = inner(p)
+        return np.append(rows, 0), np.append(cols, 1), np.append(vals, 1.0)
+
+    monkeypatch.setattr(spin_chain, "_hamiltonian_entries", leaky)
+    with pytest.raises(RuntimeError, match="two weight sectors"):
+        hamiltonian_blocks(ChainSpec(P32))
 
 
 def test_transfer_derivative_matches_finite_difference():

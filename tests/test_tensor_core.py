@@ -14,6 +14,7 @@ from artifact.tensor_core import (
     comm_residual,
     commutator,
     embed_at,
+    embed_entries,
     identity_op,
     kron,
     partial_trace_first,
@@ -145,6 +146,28 @@ def test_apply_right_equals_product_with_embedding(case):
     assert got.flags.c_contiguous
     assert_allclose(got, mat @ embed_at(local, slots, space).mat, rtol=0, atol=1e-13)
     assert np.array_equal(mat, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_local_operator_on_space())
+def test_embed_entries_list_the_nonzeros_of_the_embedding(case):
+    _, local, slots, space = case
+    # zero about half the local entries, so that only the nonzeros are listed
+    sparse = op(np.where(np.abs(local.mat.real) < 0.5, 0, local.mat), local.dims)
+    rows, cols, vals = embed_entries(sparse, slots, space)
+    dense = embed_at(sparse, slots, space).mat
+    assert np.unique(rows * dense.shape[0] + cols).size == rows.size
+    assert rows.size == np.count_nonzero(dense)
+    scattered = np.zeros_like(dense)
+    scattered[rows, cols] = vals
+    assert np.array_equal(scattered, dense)
+
+
+def test_embed_entries_errors():
+    with pytest.raises(ValueError):
+        embed_entries(op(np.eye(2), (2,)), [3], [2, 2])
+    with pytest.raises(ValueError):
+        embed_entries(op(np.eye(4), (2, 2)), [1, 1], [2, 2])
 
 
 def test_apply_right_errors():

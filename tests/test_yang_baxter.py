@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from artifact import yang_baxter
-from artifact.params import ModelParams
+from artifact.params import DegenerateParameters, ModelParams
 from artifact.tensor_core import identity_op, permutation_swap, prop_check, rel_residual
 from artifact.yang_baxter import (
     Gauge,
@@ -107,6 +107,17 @@ def test_crossing_fit_matches_half_n_mu():
     rho3, res3 = fit_crossing_shift(p3, 0.37 + 0.21j, Gauge.principal)
     assert res3 < 1e-10
     assert abs(rho3 - 0.615) < 1e-7
+
+
+@pytest.mark.parametrize("gauge", list(Gauge))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-8, 9e-4j, 1j * cmath.pi])
+def test_crossing_fit_refuses_the_regular_point(lam, n, gauge):
+    # R(lam) is a multiple of the swap there: the relation cannot be fitted
+    # (the fit used to return a residual near 1, NaN, or overflow)
+    with pytest.raises(DegenerateParameters, match="crossing relation degenerate"):
+        fit_crossing_shift(ModelParams(n=n, mu=0.15 - 0.1j, m=0.3 - 0.5j, zeta=0.3 - 0.5j),
+                           lam, gauge)
 
 
 @pytest.mark.parametrize("gauge", list(Gauge))
