@@ -218,7 +218,7 @@ def build_boundary_charges(
 # ---------------------------------------------------------------------------
 
 
-def eval_Q_rep(params: ModelParams, which: tuple, lam: complex = 0.0) -> Operator:
+def eval_Q_rep(params: ModelParams, which: tuple, lam: complex = 0.0) -> np.ndarray:
     """Single-site charge under the evaluation representation.
 
     The first row and column close in matrix units with simple boundary
@@ -269,7 +269,7 @@ def eval_Q_rep(params: ModelParams, which: tuple, lam: complex = 0.0) -> Operato
         mat = np.zeros((n, n), dtype=np.complex128)
         for jj in range(max(i, j), n):
             mat += em * (tower.t(i, jj) @ tower.h(jj, j))
-    return Operator(mat, (n,))
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def coproduct_charges(
     which: tuple,
     variant: str = "delta",
     first_site_lambda: complex | None = None,
-) -> Operator:
+) -> np.ndarray:
     """Charge on L sites through the one-site splitting of the coproduct.
 
     Peels the first site off: the top split carries single-site charges and
@@ -366,8 +366,7 @@ def coproduct_charges(
     if L < 1:
         raise ValueError("need at least one tensor factor")
     tower = cache(partial(Tower, params))
-    mat = _recursive_charge(params, L, which, variant, first_site_lambda, tower)
-    return Operator(mat, (n,) * L)
+    return _recursive_charge(params, L, which, variant, first_site_lambda, tower)
 
 
 def _recursive_charge(
@@ -383,7 +382,7 @@ def _recursive_charge(
     n = params.n
     lam0 = 0.0 if first_site_lambda is None else first_site_lambda
     if L == 1:
-        return eval_Q_rep(params, which, lam0).mat
+        return eval_Q_rep(params, which, lam0)
     i, j = which
     em = cmath.exp(1j * params.mu * params.m)
     dfull = n**L
@@ -406,7 +405,7 @@ def _recursive_charge(
                          @ img(TElementLabel(_T.t_hat, jj, j)))
         return mat
 
-    first_leg = _Leg(lambda pos: eval_Q_rep(params, pos, lam0).mat, first.t, first.h)
+    first_leg = _Leg(partial(eval_Q_rep, params, lam=lam0), first.t, first.h)
     rest_leg = _Leg(lambda pos: _recursive_charge(params, L - 1, pos, "delta", None, tower),
                     rest.t, rest.h)
     mat = np.zeros((dfull, dfull), dtype=np.complex128)
@@ -418,17 +417,16 @@ def _recursive_charge(
     return mat
 
 
-def cyclic_shift(n: int, N: int) -> Operator:
+def cyclic_shift(n: int, N: int) -> np.ndarray:
     """Permutation bringing the last of N sites to the front.
 
     Conjugation by this operator realizes the primed coproduct when every
     site carries the same representation, which pins the primed recursion
     against the plain one without reusing any of its code.
     """
-    dims = [n] * N
-    c = Operator(np.eye(n**N, dtype=np.complex128), tuple(dims))
+    c = np.eye(n**N, dtype=np.complex128)
     for k in range(1, N):
-        c = c @ embed_at(permutation_swap(n), [k, k + 1], dims)
+        c = c @ embed_at(permutation_swap(n), [k, k + 1], [n] * N).mat
     return c
 
 
@@ -863,12 +861,12 @@ def verify_symmetry_suite(
     # single-site closed forms against the defining products
     lam0 = sample_spectral(rng, p, 1)[0]
     one_site = build_boundary_charges(p, 1, first_site_lambda=lam0)
-    res = worst_of(sym_residual(eval_Q_rep(p, pos, lam0).mat, one_site.charge(pos))
+    res = worst_of(sym_residual(eval_Q_rep(p, pos, lam0), one_site.charge(pos))
                    for pos in _charge_positions(n))
     rb.add("symmetry.evalq", res, 1e-11)
 
     res = worst_of(
-        sym_residual(eval_Q_rep(p, (i, 1), lam0).mat, eval_Q_rep(p, (1, i), lam0).mat.T)
+        sym_residual(eval_Q_rep(p, (i, 1), lam0), eval_Q_rep(p, (1, i), lam0).T)
         for i in range(2, n + 1)
     )
     rb.add("symmetry.evalq_transpose", res, 1e-12)
@@ -878,7 +876,7 @@ def verify_symmetry_suite(
     # never the charge set's
     rec_tower = cache(partial(Tower, p))
     shift = cyclic_shift(n, N)
-    shift_inv = shift.transpose()  # permutation, so the transpose inverts it
+    shift_inv = shift.T  # permutation, so the transpose inverts it
     res = worst_of(sym_residual(_recursive_charge(p, N, pos, "delta", None, rec_tower),
                                 charges.charge(pos))
                    for pos in _charge_positions(n))
@@ -886,7 +884,7 @@ def verify_symmetry_suite(
 
     res = worst_of(
         sym_residual(_recursive_charge(p, N, pos, "delta_prime", None, rec_tower),
-                     (shift @ Operator(charges.charge(pos), (n,) * N) @ shift_inv).mat)
+                     shift @ charges.charge(pos) @ shift_inv)
         for pos in _charge_positions(n)
     )
     rb.add("symmetry.recursion_prime", res, 1e-11)
@@ -895,7 +893,7 @@ def verify_symmetry_suite(
     res = worst_of(
         sym_residual(
             _recursive_charge(p, N + 1, pos, "delta_prime", lam0, rec_tower),
-            block_closed_rep(p, pos, N, lam0, charges=charges).mat,
+            block_closed_rep(p, pos, N, lam0, charges=charges),
         )
         for pos in ([(n, n), (1, 1), (1, 2), (2, 1)] if n == 3 else [(n, n)])
     )
@@ -966,8 +964,8 @@ def verify_symmetry_suite(
 
         kmat = build_k_explicit(p, lam, Gauge.homogeneous).mat
         res = worst_of(
-            sym_residual(eval_Q_rep(p, pos, lam).mat @ kmat,
-                         kmat @ eval_Q_rep(p, pos, -lam).mat)
+            sym_residual(eval_Q_rep(p, pos, lam) @ kmat,
+                         kmat @ eval_Q_rep(p, pos, -lam))
             for pos in _charge_positions(n)
         )
         rb.add(f"symmetry.ik.s{s}", res, 1e-11)

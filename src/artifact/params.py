@@ -39,6 +39,20 @@ class ModelParams:
             value = getattr(self, name)
             if not cmath.isfinite(value):
                 raise DegenerateParameters(f"{name} must be finite, got {value}")
+        # Finite but huge inputs overflow (or underflow Q to zero) in the
+        # constants every builder reads; refuse them here, never clamp.
+        try:
+            finite = all(map(cmath.isfinite, (
+                self.q, self.Q, 1.0 / self.Q, cmath.sinh(1j * self.mu),
+                cmath.cosh(1j * self.mu * self.m), cmath.cosh(2j * self.mu * self.zeta),
+            )))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise DegenerateParameters(
+                "q, Q, 1/Q, sinh(i*mu), cosh(i*mu*m) or cosh(2i*mu*zeta) overflows "
+                f"or divides by zero at mu={self.mu}, m={self.m}, zeta={self.zeta}"
+            )
         if abs(cmath.sinh(1j * self.mu)) <= 1e-8:
             raise DegenerateParameters(
                 f"sinh(i*mu) = {cmath.sinh(1j*self.mu):.3e} too small (q = ±1)"

@@ -20,7 +20,8 @@ Conventions that the checks pin down empirically:
   with its legs exchanged; the Chevalley coproducts keep both orders typed
   out, because ``algebra.prime_is_swap`` compares them.
 
-Everything is realized as dense matrices on (C^n)^{(x) L}; the first tensor
+Everything is realized as plain arrays on (C^n)^{(x) L}, except the Lax
+operators, which the chain embeds and so are ``Operator``s; the first tensor
 slot optionally carries the spectral parameter, all the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
@@ -136,7 +137,7 @@ def eval_generator(
     label: GeneratorLabel,
     lam: complex = 0.0,
     gauge: Gauge = Gauge.homogeneous,
-) -> Operator:
+) -> np.ndarray:
     """Single-site image of a Chevalley generator at spectral parameter lam.
 
     F_i(lam) is E_i(-lam) transposed; negating lam is exact, so the phases
@@ -146,19 +147,19 @@ def eval_generator(
     n, i = params.n, label.index
     if label.kind == GeneratorKind.E:
         if i < n:
-            mat = basis_matrix(n, i, i + 1).astype(np.complex128)
+            mat = basis_matrix(n, i, i + 1)
             phase = 1.0 if gauge == Gauge.homogeneous else cmath.exp(-2 * lam / n)
         else:
-            mat = basis_matrix(n, n, 1).astype(np.complex128)
+            mat = basis_matrix(n, n, 1)
             phase = (
                 cmath.exp(-2 * lam)
                 if gauge == Gauge.homogeneous
                 else cmath.exp(-2 * lam / n)
             )
-        return Operator(phase * mat, (n,))
+        return phase * mat
     if label.kind == GeneratorKind.F:
         raising = GeneratorLabel(GeneratorKind.E, i)
-        return eval_generator(params, raising, -lam, gauge).transpose()
+        return eval_generator(params, raising, -lam, gauge).T
     sign = -1.0 if label.inverse else 1.0
     d = np.ones(n, dtype=np.complex128)
     if label.kind == GeneratorKind.KCARTAN:
@@ -167,7 +168,7 @@ def eval_generator(
         j = i + 1 if i < n else 1
         d[i - 1] = _qpow(params, sign * 0.5)
         d[j - 1] = _qpow(params, -sign * 0.5)
-    return Operator(np.diag(d), (n,))
+    return np.diag(d)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def coproduct_rep(
     variant: str = "delta",
     first_site_lambda=None,
     gauge: Gauge = Gauge.homogeneous,
-) -> Operator:
+) -> np.ndarray:
     """Image of the L-fold coproduct on (C^n)^{(x) L}.
 
     variant "delta" puts q^{-h/2} factors left of the single e/f insertion and
@@ -203,11 +204,10 @@ def coproduct_rep(
     lams = _site_lams(L, first_site_lambda)
 
     def site(lab: GeneratorLabel, s: int) -> np.ndarray:
-        return eval_generator(params, lab, lams[s], gauge).mat
+        return eval_generator(params, lab, lams[s], gauge)
 
     if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-        mats = [site(label, s) for s in range(L)]
-        return Operator(reduce(np.kron, mats), (n,) * L)
+        return reduce(np.kron, [site(label, s) for s in range(L)])
 
     h_plus = GeneratorLabel(GeneratorKind.HCARTAN, label.index)
     h_minus = GeneratorLabel(GeneratorKind.HCARTAN, label.index, inverse=True)
@@ -221,7 +221,7 @@ def coproduct_rep(
             else:
                 labs = [h_plus] + [h_minus] * (l - 1) + [label] + [h_plus] * (L - 1 - l)
         total += reduce(np.kron, [site(lab, s) for s, lab in enumerate(labs)])
-    return Operator(total, (n,) * L)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ class Tower:
                 self.L,
                 "delta",
                 self.first_site_lambda,
-            ).mat)
+            ))
         return self._gen[key]
 
     def root(self, i: int, j: int, hat: bool) -> np.ndarray:
@@ -349,8 +349,8 @@ class Tower:
 
 def t_element_rep(
     params: ModelParams, label: TElementLabel, L: int = 1, first_site_lambda=None
-) -> Operator:
-    return Operator(Tower(params, L, first_site_lambda).t_image(label), (params.n,) * L)
+) -> np.ndarray:
+    return Tower(params, L, first_site_lambda).t_image(label)
 
 
 def _coproduct_pairs(n: int, label: TElementLabel) -> list:
@@ -375,17 +375,15 @@ def _coproduct_pairs(n: int, label: TElementLabel) -> list:
 
 def t_coproduct_sum(
     params: ModelParams, label: TElementLabel, first_site_lambda=None
-) -> Operator:
+) -> np.ndarray:
     """Right-hand side of the factorized two-fold coproduct sums: the sum of
     first (x) second over the label pairs of ``_coproduct_pairs``."""
-    n = params.n
     first = Tower(params, 1, first_site_lambda)
     second = Tower(params, 1)
-    acc = sum(
+    return sum(
         np.kron(first.t_image(a), second.t_image(b))
-        for a, b in _coproduct_pairs(n, label)
+        for a, b in _coproduct_pairs(params.n, label)
     )
-    return Operator(acc, (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,7 @@ def block_closed_rep(
     lam: complex,
     index: int | None = None,
     charges=None,
-) -> Operator:
+) -> np.ndarray:
     """Block-matrix closed forms of (pi_lam (x) pi_0^N) primed coproducts.
 
     which: chevalley_e | chevalley_f | cartan_eps (need index), or the
@@ -560,7 +558,7 @@ def block_closed_rep(
     else:
         raise ValueError(f"unknown closed form {which!r}")
 
-    return Operator(np.block(blocks), (n,) * (N + 1))
+    return np.block(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +583,7 @@ def intertwine_residual(params, label, x: Operator, lam, gauge, primed_left=True
     dp, d = (coproduct_rep(params, label, len(x.dims), variant, lam, gauge)
              for variant in ("delta_prime", "delta"))
     left, right = (dp, d) if primed_left else (d, dp)
-    return sym_residual(left @ x, x @ right)
+    return sym_residual(left @ x.mat, x.mat @ right)
 
 
 def _serre_residual(params, tower: Tower, kind, i, j) -> float:
@@ -616,19 +614,19 @@ def _coproduct_recursive(params, label, L, lams_gauge) -> np.ndarray:
     """(id (x) Delta^{L-1}) applied to the two-fold splitting, for cross-checks."""
     lam, gauge = lams_gauge
     if L == 1:
-        return eval_generator(params, label, lam, gauge).mat
+        return eval_generator(params, label, lam, gauge)
     if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-        head = eval_generator(params, label, lam, gauge).mat
+        head = eval_generator(params, label, lam, gauge)
         tail = _coproduct_recursive(params, label, L - 1, (0.0, gauge))
         return np.kron(head, tail)
     h_m = GeneratorLabel(GeneratorKind.HCARTAN, label.index, inverse=True)
     h_p = GeneratorLabel(GeneratorKind.HCARTAN, label.index)
     a = np.kron(
-        eval_generator(params, h_m, lam, gauge).mat,
+        eval_generator(params, h_m, lam, gauge),
         _coproduct_recursive(params, label, L - 1, (0.0, gauge)),
     )
     b = np.kron(
-        eval_generator(params, label, lam, gauge).mat,
+        eval_generator(params, label, lam, gauge),
         _coproduct_recursive(params, h_p, L - 1, (0.0, gauge)),
     )
     return a + b
@@ -753,7 +751,7 @@ def verify_algebra_suite(
         ), 1e-12)
 
     # primed two-fold coproduct is the swapped one
-    pswap = permutation_swap(n)
+    pswap = permutation_swap(n).mat
     rb.add("algebra.prime_is_swap", worst_of(
         rel_residual(pswap @ coproduct_rep(params, lab, 2, "delta") @ pswap,
                      coproduct_rep(params, lab, 2, "delta_prime"))
@@ -771,7 +769,7 @@ def verify_algebra_suite(
         GeneratorLabel(GeneratorKind.HCARTAN, 1, inverse=True),
     )
     rb.add("algebra.coassoc", worst_of(
-        rel_residual(coproduct_rep(params, lab, L, "delta", lam0).mat,
+        rel_residual(coproduct_rep(params, lab, L, "delta", lam0),
                      _coproduct_recursive(params, lab, L, (lam0, Gauge.homogeneous)))
         for L in (2, 3, 4)
         for lab in coassoc_labels

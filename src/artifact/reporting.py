@@ -21,8 +21,7 @@ class CheckResult:
     passed: bool
     scalar: complex | None = None
     millis: int = 0
-    # Set by ReportBuilder.add_flag. Kept out of the JSON, so a parsed
-    # report has every check unflagged.
+    # Set by ReportBuilder.add_flag; kept out of the JSON.
     flag: bool = False
 
 
@@ -143,14 +142,6 @@ def _num(z):
     return [z.real, z.imag]
 
 
-def _num_back(v):
-    if v is None:
-        return None
-    if isinstance(v, list):
-        return complex(v[0], v[1])
-    return complex(v)
-
-
 def _param_value(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
@@ -175,27 +166,6 @@ def report_to_dict(r: VerificationReport) -> dict:
         ],
         "pass": r.passed,
     }
-
-
-def _param_back(v):
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    return v
-
-
-def report_from_dict(d: dict) -> VerificationReport:
-    checks = [
-        CheckResult(
-            id=c["id"],
-            residual=float(c["residual"]),
-            passed=bool(c["pass"]),
-            scalar=_num_back(c["scalar"]),
-            millis=int(c["millis"]),
-        )
-        for c in d["checks"]
-    ]
-    params = {k: _param_back(v) for k, v in d["params"].items()}
-    return VerificationReport(d["suite"], params, checks)
 
 
 def spectrum_to_dict(r: SpectrumReport) -> dict:
@@ -225,10 +195,6 @@ def emit_report(report, fmt: str = "json") -> str:
     if fmt == "text":
         return _emit_text(report)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_report(text: str) -> VerificationReport:
-    return report_from_dict(json.loads(text))
 
 
 def _emit_text(report) -> str:

@@ -104,6 +104,13 @@ class ChainSpec:
             raise ValueError(f"unknown right boundary family {self.right_boundary!r}")
         if not cmath.isfinite(complex(self.xi)):
             raise ValueError(f"xi must be finite, got {self.xi}")
+        try:
+            finite = cmath.isfinite(cmath.sinh(1j * self.params.mu * self.xi))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DegenerateParameters(
+                f"sinh(i*mu*xi) overflows at mu={self.params.mu}, xi={self.xi}")
         if not 1 <= self.diag_block < self.params.n:
             raise ValueError(f"diagonal block {self.diag_block} out of range 1..{self.params.n - 1}")
 

@@ -4,7 +4,11 @@ Everything downstream (R-matrices, K-matrices, monodromies, charges) is a
 square complex matrix living on an ordered tensor product of local spaces.
 The ``Operator`` wrapper keeps the factor dimensions next to the matrix so
 that embeddings, partial traces and partial transposes never need the caller
-to re-supply them.
+to re-supply them. That is the rule for using it: ``Operator`` is for objects
+whose factor structure this module must see (local operators that are
+embedded, kron'd or traced) and for chain-level results; algebra images on
+(C^n)^L (evaluation images, coproducts, tower entries, one-site charges) are
+plain ``np.ndarray``. The residual helpers and ``prop_check`` take either.
 
 Conventions: the first tensor factor is the slow (most significant) index,
 i.e. ``kron(A, B)`` puts A on the first factor. Basis states of C^d1 (x) C^d2
@@ -368,11 +372,13 @@ def rtt_residual(r: Operator, xa: Operator, xb: Operator) -> float:
     return sym_residual(rab @ ta @ tb, tb @ ta @ rab)
 
 
-def prop_check(a: Operator, b: Operator) -> ProportionalityResult:
+def prop_check(a: Operator | np.ndarray, b: Operator | np.ndarray) -> ProportionalityResult:
     """Best-fit A ≈ c B in Frobenius inner product; c = <B,A>/<B,B>."""
-    a._require_same_side(b)
-    bb = np.vdot(b.mat, b.mat)
+    ma, mb = _as_mat(a), _as_mat(b)
+    if ma.shape != mb.shape:
+        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    bb = np.vdot(mb, mb)
     if abs(bb) < RESIDUAL_FLOOR:
         raise ValueError("reference operator is numerically zero")
-    c = complex(np.vdot(b.mat, a.mat) / bb)
-    return ProportionalityResult(scalar=c, residual=rel_residual(c * b.mat, a))
+    c = complex(np.vdot(mb, ma) / bb)
+    return ProportionalityResult(scalar=c, residual=rel_residual(c * mb, ma))

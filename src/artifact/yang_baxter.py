@@ -205,7 +205,7 @@ def fit_crossing_shift(
                           method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
             for x0 in grid[:3]]
     best = min(fits, key=lambda f: np.linalg.norm(f.fun)).x
-    residual = prop_check(Operator(product(best), (n, n)), identity_op((n, n))).residual
+    residual = prop_check(product(best), np.eye(side, dtype=np.complex128)).residual
     return complex(best[0] % period, best[1]), residual
 
 

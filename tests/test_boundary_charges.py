@@ -37,7 +37,7 @@ from artifact.quantum_algebra import (
     t_element_rep,
 )
 from artifact.spin_chain import ChainSpec
-from artifact.tensor_core import Operator, rel_residual
+from artifact.tensor_core import rel_residual
 from artifact.yang_baxter import Gauge
 
 P31 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=1)
@@ -55,7 +55,7 @@ def test_entry_indices_structure():
 
 def test_single_site_q11_frozen_values():
     # 2 cosh(i mu m) diag(q^2, 1, 1) - iwq (E13 + E31) + w^2 e^{i mu m} E22
-    got = eval_Q_rep(P31, (1, 1)).mat
+    got = eval_Q_rep(P31, (1, 1))
     want = np.zeros((3, 3), dtype=complex)
     want[0, 0] = 1.3201778416484846 + 1.3280504948335419j
     want[1, 1] = 1.3255428458527256 - 0.2704058754514922j
@@ -66,7 +66,7 @@ def test_single_site_q11_frozen_values():
 
 def test_single_site_q12_frozen_values():
     # w (e^{i mu m} E21 - i E23): one hop into the bulk, one toward the wall
-    got = eval_Q_rep(P31, (1, 2)).mat
+    got = eval_Q_rep(P31, (1, 2))
     want = np.zeros((3, 3), dtype=complex)
     want[1, 0] = -0.26490544642353775 + 0.6850179081818739j
     want[1, 2] = 0.7972186559688458
@@ -78,12 +78,12 @@ def test_single_site_corner_charges_frozen_values():
     want = np.diag([0.3986093279844229 - 0.9171208228166051j, -1j,
                     0.3986093279844229 - 0.9171208228166051j])
     for pos in ((1, 3), (3, 1)):
-        assert np.max(np.abs(eval_Q_rep(P31, pos).mat - want)) < 1e-14
+        assert np.max(np.abs(eval_Q_rep(P31, pos) - want)) < 1e-14
 
 
 def test_single_site_affine_frozen_values():
     # at lam = 0: -2 cosh(2 i mu zeta) diag(1, 1, q^2) - iwq (E13 + E31)
-    got = eval_Q_rep(P31, (3, 3)).mat
+    got = eval_Q_rep(P31, (3, 3))
     want = np.zeros((3, 3), dtype=complex)
     want[0, 0] = want[1, 1] = -1.7627796855923026
     want[2, 2] = -1.2026056852868607 - 1.2888490158481007j
@@ -94,8 +94,8 @@ def test_single_site_affine_frozen_values():
 def test_single_site_affine_corner_spectral_dependence():
     # the two corners carry e^{+-2 lam}, everything else is lam-independent
     lam = 0.23 - 0.11j
-    at0 = eval_Q_rep(P31, (3, 3)).mat
-    at = eval_Q_rep(P31, (3, 3), lam).mat
+    at0 = eval_Q_rep(P31, (3, 3))
+    at = eval_Q_rep(P31, (3, 3), lam)
     assert abs(at[0, 2] / at0[0, 2] - cmath.exp(2 * lam)) < 1e-13
     assert abs(at[2, 0] / at0[2, 0] - cmath.exp(-2 * lam)) < 1e-13
     mask = np.ones((3, 3), dtype=bool)
@@ -105,8 +105,8 @@ def test_single_site_affine_corner_spectral_dependence():
 
 def test_single_site_transpose_identity():
     for i in (2, 3):
-        qi1 = eval_Q_rep(P31, (i, 1)).mat
-        q1i = eval_Q_rep(P31, (1, i)).mat
+        qi1 = eval_Q_rep(P31, (i, 1))
+        q1i = eval_Q_rep(P31, (1, i))
         assert np.max(np.abs(qi1 - q1i.T)) < 1e-15
 
 
@@ -125,7 +125,7 @@ def test_affine_charge_dominant_balance():
     # swamps the O(1) corner products, leaving the square of Delta(t_nn)
     p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6 - 50j, sites=2)
     c2 = 2 * cmath.cosh(2j * p.mu * p.zeta)
-    tnn = t_element_rep(p, TElementLabel(TElementFamily.t, 3, 3), L=2).mat
+    tnn = t_element_rep(p, TElementLabel(TElementFamily.t, 3, 3), L=2)
     assert rel_residual(build_affine_charge(Tower(p, 2)).mat, -c2 * tnn @ tnn) < 1e-12
 
 
@@ -133,9 +133,9 @@ def test_recursion_matches_products():
     charges = build_boundary_charges(P32, 2)
     for pos in boundary_entry_indices(3):
         built = coproduct_charges(P32, 2, pos)
-        assert rel_residual(built.mat, charges.entries[pos].mat) < 1e-12
+        assert rel_residual(built, charges.entries[pos].mat) < 1e-12
     built = coproduct_charges(P32, 2, (3, 3))
-    assert rel_residual(built.mat, charges.affine.mat) < 1e-12
+    assert rel_residual(built, charges.affine.mat) < 1e-12
 
 
 def test_recursion_prime_is_cycled_recursion():
@@ -144,18 +144,18 @@ def test_recursion_prime_is_cycled_recursion():
     for n in (3, 4):
         p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
         shift = cyclic_shift(n, 3)
-        inv = Operator(shift.mat.conj().T, shift.dims)
+        inv = shift.conj().T
         for pos in boundary_entry_indices(n) + ((n, n),):
             plain = coproduct_charges(p, 3, pos)
             primed = coproduct_charges(p, 3, pos, "delta_prime")
             cycled = shift @ plain @ inv
-            assert rel_residual(primed.mat, cycled.mat) < 1e-12, (n, pos)
+            assert rel_residual(primed, cycled) < 1e-12, (n, pos)
 
 
 def test_t_prime_rep_is_cycled_tower():
     p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
     shift = cyclic_shift(3, 3)
-    inv = Operator(shift.mat.conj().T, shift.dims)
+    inv = shift.conj().T
     labels = [TElementLabel(TElementFamily.t, i, j) for i in (1, 2, 3) for j in (1, 2, 3)
               if i <= j]
     labels += [TElementLabel(TElementFamily.t_hat, i, j) for i in (1, 2, 3)
@@ -165,7 +165,7 @@ def test_t_prime_rep_is_cycled_tower():
     first, rest = Tower(p, 1), Tower(p, 2)
     for lab in labels:
         cycled = shift @ t_element_rep(p, lab, L=3) @ inv
-        assert rel_residual(_t_prime_rep(first, rest, lab), cycled.mat) < 1e-12, lab
+        assert rel_residual(_t_prime_rep(first, rest, lab), cycled) < 1e-12, lab
 
 
 def test_charges_build_each_coproduct_once(monkeypatch):
@@ -197,7 +197,7 @@ def test_block_closed_forms_match_generic_coproduct():
     for pos in ((3, 3), (1, 1), (1, 2), (2, 1)):
         closed = block_closed_rep(P32, pos, 2, lam, charges=charges)
         generic = coproduct_charges(P32, 3, pos, "delta_prime", first_site_lambda=lam)
-        assert rel_residual(generic.mat, closed.mat) < 1e-12
+        assert rel_residual(generic, closed) < 1e-12
 
 
 def test_asymptotic_readout_homogeneous():

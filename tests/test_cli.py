@@ -12,12 +12,7 @@ import pytest
 
 from artifact import cli, spin_chain, tensor_core
 from artifact.cli import CliError, main, parse_complex, read_config
-from artifact.reporting import (
-    CheckResult,
-    VerificationReport,
-    emit_report,
-    parse_report,
-)
+from artifact.reporting import VerificationReport, emit_report
 
 
 def test_parse_complex_forms():
@@ -115,6 +110,13 @@ def test_impossible_tolerance_exits_one(capsys):
                      id="mu-inf"),
         pytest.param(["--suite", "chain", "--xi", "nan"], "xi must be finite",
                      id="xi-nan"),
+        # finite but huge: the derived constants overflow or Q underflows to 0
+        pytest.param(["--mu", "1000i"], "overflows", id="mu-huge-imaginary"),
+        pytest.param(["--mu=-1000i"], "overflows", id="mu-huge-negative-imaginary"),
+        pytest.param(["--mu", "1e308"], "overflows", id="mu-huge-real"),
+        pytest.param(["--m", "3000i"], "overflows", id="m-huge-imaginary"),
+        pytest.param(["--zeta", "3000i"], "overflows", id="zeta-huge-imaginary"),
+        pytest.param(["--xi", "1e308i"], "overflows", id="xi-huge-imaginary"),
     ],
 )
 def test_invalid_input_exits_two(args, message, capsys):
@@ -228,6 +230,15 @@ def test_spectrum_size_cap_exits_two(capsys):
     assert "4096" in capsys.readouterr().err
 
 
+def test_spectrum_huge_mu_exits_two(capsys):
+    code = main(["spectrum", "--mu", "1000i"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "overflows" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "suite, sites",
     [("all", 5), ("chain", 5), ("symmetry", 6), ("algebra", 7)],
@@ -266,21 +277,6 @@ def test_text_format_has_summary_line(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "overall: PASS" in out
-
-
-def test_report_json_round_trip():
-    rep = VerificationReport(
-        suite="demo",
-        params={"n": 3, "mu": 0.41, "m": 0.9 + 0.2j},
-        checks=[
-            CheckResult(id="demo.a.s0", residual=1e-12, passed=True,
-                        scalar=0.5 - 0.25j),
-            CheckResult(id="demo.b.s0", residual=2e-3, passed=False),
-        ],
-    )
-    back = parse_report(emit_report(rep, "json"))
-    assert back == rep
-    assert back.passed is False
 
 
 def test_empty_report_is_vacuously_passing():

@@ -30,7 +30,7 @@ from artifact.quantum_algebra import (
     t_element_rep,
     verify_algebra_suite,
 )
-from artifact.tensor_core import basis_matrix, frob, prop_check, rel_residual
+from artifact.tensor_core import Operator, basis_matrix, frob, prop_check, rel_residual
 from artifact.yang_baxter import Gauge, build_r
 
 P3 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=2)
@@ -39,44 +39,44 @@ P3 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=2)
 def test_eval_generator_images():
     lam = 0.2 - 0.3j
     q = cmath.exp(0.41j)
-    e1 = eval_generator(P3, GeneratorLabel(GeneratorKind.E, 1), lam).mat
+    e1 = eval_generator(P3, GeneratorLabel(GeneratorKind.E, 1), lam)
     assert np.array_equal(e1, basis_matrix(3, 1, 2))
-    f2 = eval_generator(P3, GeneratorLabel(GeneratorKind.F, 2), lam).mat
+    f2 = eval_generator(P3, GeneratorLabel(GeneratorKind.F, 2), lam)
     assert np.array_equal(f2, basis_matrix(3, 3, 2))
-    e3 = eval_generator(P3, GeneratorLabel(GeneratorKind.E, 3), lam).mat
+    e3 = eval_generator(P3, GeneratorLabel(GeneratorKind.E, 3), lam)
     assert np.allclose(e3, cmath.exp(-2 * lam) * basis_matrix(3, 3, 1))
-    f3 = eval_generator(P3, GeneratorLabel(GeneratorKind.F, 3), lam).mat
+    f3 = eval_generator(P3, GeneratorLabel(GeneratorKind.F, 3), lam)
     assert np.allclose(f3, cmath.exp(2 * lam) * basis_matrix(3, 1, 3))
-    h1 = eval_generator(P3, GeneratorLabel(GeneratorKind.HCARTAN, 1), lam).mat
+    h1 = eval_generator(P3, GeneratorLabel(GeneratorKind.HCARTAN, 1), lam)
     assert np.allclose(h1, np.diag([q**0.5, q**-0.5, 1.0]))
-    h3 = eval_generator(P3, GeneratorLabel(GeneratorKind.HCARTAN, 3), lam).mat
+    h3 = eval_generator(P3, GeneratorLabel(GeneratorKind.HCARTAN, 3), lam)
     assert np.allclose(h3, np.diag([q**-0.5, 1.0, q**0.5]))
     k2i = eval_generator(
         P3, GeneratorLabel(GeneratorKind.KCARTAN, 2, inverse=True), lam
-    ).mat
+    )
     assert np.allclose(k2i, np.diag([1.0, q**-0.5, 1.0]))
 
 
 def test_eval_generator_principal_phases():
     lam = 0.37
     e1p = eval_generator(P3, GeneratorLabel(GeneratorKind.E, 1), lam, Gauge.principal)
-    assert np.allclose(e1p.mat, math.exp(-2 * 0.37 / 3) * basis_matrix(3, 1, 2))
+    assert np.allclose(e1p, math.exp(-2 * 0.37 / 3) * basis_matrix(3, 1, 2))
     e3p = eval_generator(P3, GeneratorLabel(GeneratorKind.E, 3), lam, Gauge.principal)
-    assert np.allclose(e3p.mat, math.exp(-2 * 0.37 / 3) * basis_matrix(3, 3, 1))
+    assert np.allclose(e3p, math.exp(-2 * 0.37 / 3) * basis_matrix(3, 3, 1))
     # pi_0 equals the principal representation at lambda = 0
     for lab in (GeneratorLabel(GeneratorKind.E, 3), GeneratorLabel(GeneratorKind.F, 1)):
         assert np.allclose(
-            eval_generator(P3, lab, 0.0).mat,
-            eval_generator(P3, lab, 0.0, Gauge.principal).mat,
+            eval_generator(P3, lab, 0.0),
+            eval_generator(P3, lab, 0.0, Gauge.principal),
         )
 
 
 def test_chevalley_ef_relation():
     q = cmath.exp(0.41j)
     for i in (1, 2):
-        e = eval_generator(P3, GeneratorLabel(GeneratorKind.E, i)).mat
-        f = eval_generator(P3, GeneratorLabel(GeneratorKind.F, i)).mat
-        h = eval_generator(P3, GeneratorLabel(GeneratorKind.HCARTAN, i)).mat
+        e = eval_generator(P3, GeneratorLabel(GeneratorKind.E, i))
+        f = eval_generator(P3, GeneratorLabel(GeneratorKind.F, i))
+        h = eval_generator(P3, GeneratorLabel(GeneratorKind.HCARTAN, i))
         lhs = e @ f - f @ e
         rhs = (h @ h - np.linalg.inv(h @ h)) / (q - 1 / q)
         assert np.allclose(lhs, rhs, atol=1e-13)
@@ -86,12 +86,12 @@ def test_coproduct_two_site_explicit():
     # Delta(e_1) = q^{-h_1/2} (x) e_1 + e_1 (x) q^{h_1/2}, written out by hand
     p = ModelParams(n=2, mu=0.3)
     q = cmath.exp(0.3j)
-    d = coproduct_rep(p, GeneratorLabel(GeneratorKind.E, 1), 2).mat
+    d = coproduct_rep(p, GeneratorLabel(GeneratorKind.E, 1), 2)
     hm = np.diag([q**-0.5, q**0.5])
     hp = np.diag([q**0.5, q**-0.5])
     e = basis_matrix(2, 1, 2)
     assert np.allclose(d, np.kron(hm, e) + np.kron(e, hp), atol=1e-14)
-    dp = coproduct_rep(p, GeneratorLabel(GeneratorKind.E, 1), 2, "delta_prime").mat
+    dp = coproduct_rep(p, GeneratorLabel(GeneratorKind.E, 1), 2, "delta_prime")
     assert np.allclose(dp, np.kron(e, hm) + np.kron(hp, e), atol=1e-14)
 
 
@@ -107,7 +107,7 @@ def test_coproduct_three_site_prime_structure():
         + np.kron(hp, np.kron(f, hp))
         + np.kron(hp, np.kron(hm, f))
     )
-    got = coproduct_rep(p, GeneratorLabel(GeneratorKind.F, 1), 3, "delta_prime").mat
+    got = coproduct_rep(p, GeneratorLabel(GeneratorKind.F, 1), 3, "delta_prime")
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -134,6 +134,41 @@ def test_tower_memoizes_every_image():
         t13 += 1.0  # shared images are read-only
 
 
+def test_tower_images_construct_no_operator(monkeypatch):
+    # every image on (C^n)^L is a plain array: building a whole three-site
+    # tower wraps nothing in an Operator
+    made = []
+    inner = Operator.__post_init__
+
+    def counted(self):
+        made.append(self.dims)
+        inner(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counted)
+    tower = Tower(P3, 3, 0.23)
+    idx = (1, 2, 3)
+    for kind in GeneratorKind:
+        for i in idx:
+            for inverse in (False, True):
+                tower.gen(kind, i, inverse)
+    for i in idx:
+        for j in idx:
+            if i != j:
+                tower.root(i, j, False)
+                tower.root(i, j, True)
+    upper = (TElementFamily.t, TElementFamily.t_hat_minus)
+    lower = (TElementFamily.t_minus, TElementFamily.t_hat)
+    labels = [TElementLabel(fam, i, j) for fam in upper for i in idx for j in idx if i <= j]
+    labels += [TElementLabel(fam, i, j) for fam in lower for i in idx for j in idx if i >= j]
+    labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
+               TElementLabel(TElementFamily.t0hat_1n, 1, 3),
+               TElementLabel(TElementFamily.t0_minus_1n, 1, 3),
+               TElementLabel(TElementFamily.t0hat_minus_n1, 3, 1)]
+    for lab in labels:
+        assert isinstance(tower.t_image(lab), np.ndarray)
+    assert made == []
+
+
 def test_tower_entries_equal_one_shot_images():
     tower = Tower(P3, 2, 0.23)
     labels = [TElementLabel(TElementFamily.t, i, j) for i in (1, 2, 3)
@@ -143,7 +178,7 @@ def test_tower_entries_equal_one_shot_images():
     labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
                TElementLabel(TElementFamily.t0hat_1n, 1, 3)]
     for lab in labels:
-        one_shot = t_element_rep(P3, lab, L=2, first_site_lambda=0.23).mat
+        one_shot = t_element_rep(P3, lab, L=2, first_site_lambda=0.23)
         assert np.array_equal(tower.t_image(lab), one_shot), lab
         if lab.family == TElementFamily.t:
             assert tower.t(lab.i, lab.j) is tower.t_image(lab)
@@ -153,19 +188,19 @@ def test_tower_entries_equal_one_shot_images():
 
 def test_t_elements_at_pi0():
     w = 2j * math.sin(0.41)
-    t13 = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, 3)).mat
+    t13 = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, 3))
     assert np.allclose(t13, w * basis_matrix(3, 3, 1), atol=1e-14)
-    that31 = t_element_rep(P3, TElementLabel(TElementFamily.t_hat, 3, 1)).mat
+    that31 = t_element_rep(P3, TElementLabel(TElementFamily.t_hat, 3, 1))
     assert np.allclose(that31, w * basis_matrix(3, 1, 3), atol=1e-14)
     q = cmath.exp(0.41j)
-    t22 = t_element_rep(P3, TElementLabel(TElementFamily.t, 2, 2)).mat
+    t22 = t_element_rep(P3, TElementLabel(TElementFamily.t, 2, 2))
     assert np.allclose(t22, np.diag([1, q, 1]), atol=1e-14)
-    t22m = t_element_rep(P3, TElementLabel(TElementFamily.t_minus, 2, 2)).mat
+    t22m = t_element_rep(P3, TElementLabel(TElementFamily.t_minus, 2, 2))
     assert np.allclose(t22m, np.diag([1, 1 / q, 1]), atol=1e-14)
     # affine corner at spectral lambda
     lam = 0.4 + 0.1j
     t0 = t_element_rep(P3, TElementLabel(TElementFamily.t0_n1, 3, 1),
-                       first_site_lambda=lam).mat
+                       first_site_lambda=lam)
     assert np.allclose(t0, w * cmath.exp(2 * lam) * basis_matrix(3, 1, 3), atol=1e-13)
 
 
@@ -180,16 +215,16 @@ def test_t_element_index_validation():
 
 def test_factorized_coproduct_matches_homomorphism():
     # hand-built sum for Delta(t_13) at n=3: k runs over 1..3
-    lhs = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, 3), L=2).mat
+    lhs = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, 3), L=2)
     acc = np.zeros((9, 9), dtype=complex)
     for k in (1, 2, 3):
-        a = t_element_rep(P3, TElementLabel(TElementFamily.t, k, 3)).mat
-        b = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, k)).mat
+        a = t_element_rep(P3, TElementLabel(TElementFamily.t, k, 3))
+        b = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, k))
         acc += np.kron(a, b)
     assert rel_residual(lhs, acc) < 1e-13
     # and the module's own sum helper agrees
     assert rel_residual(
-        lhs, t_coproduct_sum(P3, TElementLabel(TElementFamily.t, 1, 3)).mat
+        lhs, t_coproduct_sum(P3, TElementLabel(TElementFamily.t, 1, 3))
     ) < 1e-13
 
 
@@ -250,8 +285,8 @@ def test_block_closed_chevalley_blocks():
     assert rel_residual(got, want) < 1e-13
     n = 3
     dq = 9
-    corner = got.mat[(n - 1) * dq:, :dq]
-    hinv = coproduct_rep(P3, GeneratorLabel(GeneratorKind.HCARTAN, 3, True), 2).mat
+    corner = got[(n - 1) * dq:, :dq]
+    hinv = coproduct_rep(P3, GeneratorLabel(GeneratorKind.HCARTAN, 3, True), 2)
     assert np.allclose(corner, cmath.exp(-2 * lam) * hinv, atol=1e-13)
 
 

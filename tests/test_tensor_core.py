@@ -256,6 +256,21 @@ def test_prop_check():
         prop_check(b, Operator(np.zeros((4, 4)), (4,)))
 
 
+def test_prop_check_takes_arrays_like_operators():
+    rng = np.random.default_rng(23)
+    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a = (2.0 - 0.5j) * b + 1e-3 * rng.normal(size=(4, 4))
+    wrapped = prop_check(op(a, (2, 2)), op(b, (2, 2)))
+    assert prop_check(a, b) == wrapped
+    assert prop_check(a, op(b, (4,))) == wrapped
+    zero = np.zeros((4, 4), dtype=np.complex128)
+    for ref in (zero, op(zero, (4,))):
+        with pytest.raises(ValueError, match="numerically zero"):
+            prop_check(b, ref)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        prop_check(b, np.eye(2))
+
+
 def test_aux_blocks_is_a_view_of_the_slices():
     rng = np.random.default_rng(3)
     n, d = 3, 4
