@@ -33,6 +33,7 @@ from .reporting import (
     report_to_dict,
     set_timings_default,
 )
+from .sampling import require_box_scalars
 from .spin_chain import RIGHT_FAMILIES, ChainSpec, hamiltonian_blocks, verify_chain_suite
 from .yang_baxter import Gauge, verify_ybe_suite
 
@@ -286,8 +287,12 @@ def run_verify(settings: dict) -> tuple[int, list]:
                 f"the {name} suite needs dense matrices of side n^{power} = "
                 f"{params.n ** power}, over the cap {VERIFY_DIM_CAP}"
             )
-    reports = [SUITES[name](spec, samples=samples, tol=tol, seed=settings["seed"])
-               for name in suites]
+    try:
+        require_box_scalars(params, spec.xi)
+        reports = [SUITES[name](spec, samples=samples, tol=tol, seed=settings["seed"])
+                   for name in suites]
+    except DegenerateParameters as exc:
+        raise CliError(str(exc))
     code = 0 if all(r.passed for r in reports) else 1
     return code, reports
 

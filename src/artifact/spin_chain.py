@@ -24,13 +24,21 @@ from index arrays (``tensor_core.embed_entries``). It keeps the number of
 sites in each middle state 2..n-1, so ``hamiltonian_blocks`` hands it out one
 such weight sector at a time, and no d x d matrix is formed.
 
-Every ordered chain product is built by right-applying its factors with
-``tensor_core.apply_right``: each R_{0k} or K factor acts on the auxiliary
-slot and at most one site, so it costs d^2 n^2 on the d = n^(N+1) space and
-is never embedded as a d x d matrix. The open transfer starts from
-M_0 K^{(l)}_0 and right-applies the whole double row. The derivative route
-carries the product rule forward: starting from (P, D) = (M_0, 0), each
-factor (v, v') takes (P, D) to (P v, D v + P v'). The three intertwiner
+The monodromy and the double row are built left to right by right-applying
+their factors with ``tensor_core.apply_right``: each R_{0k} or K factor acts
+on the auxiliary slot and at most one site, so it costs d^2 n^2 on the
+d = n^(N+1) space and is never embedded as a d x d matrix. The transfer
+matrices are grown from the inside out instead, as the coproduct recursion
+DR_k = R_{0k} (DR_{k-1} (x) 1) Rhat_{0k} of the double row: from
+Y_0 = K^{(r)}, ``tensor_core.grow_site`` adds sites 1..N-1 and
+``tensor_core.close_site`` adds site N and traces the auxiliary slot against
+M_0 K^{(l)}_0 (the closed chain takes Y_0, Rhat and M K^{(l)} to be the
+identity). No matrix on the auxiliary space and all N sites is formed: the
+largest has side n^N. The derivative route grows the product rule the same
+way: each site takes (Y, Y') to (v Y w, v' Y w + v Y' w + v Y w'). This
+inside-out order is independent of the left-to-right double row, so
+comparing the transfer with the double row's M-weighted diagonal blocks
+compares two computations. The three intertwiner
 checks (boundary K, double row, dressed coproduct) are one relation,
 S(lambda) X = X S(-lambda) read block by block on a second auxiliary space,
 with S the ``reflection_k.reflection_sandwich``; they stay dense products of
@@ -63,12 +71,13 @@ from .tensor_core import (
     Operator,
     apply_right,
     aux_blocks,
+    close_site,
     comm_residual,
     embed_at,
     embed_entries,
     frob,
+    grow_site,
     identity_op,
-    partial_trace_first,
     permutation_swap,
     rel_residual,
     rtt_residual,
@@ -158,19 +167,24 @@ def left_k(spec: ChainSpec, lam: complex) -> Operator:
     return base
 
 
-def _site_product(r: Operator, sites, space, start: np.ndarray | None = None) -> np.ndarray:
-    """``start`` (the identity by default) times the ordered product of ``r``
-    acting on (auxiliary, site) for each of ``sites`` in turn, left to right."""
-    acc = np.eye(math.prod(space), dtype=np.complex128) if start is None else start
-    for site in sites:
-        acc = apply_right(acc, r, [1, site + 1], space)
+def _on_sites(r: Operator, sites) -> list:
+    """(r, slots) for ``r`` on (auxiliary, site) at each of ``sites`` in turn."""
+    return [(r, [1, site + 1]) for site in sites]
+
+
+def _site_product(factors, space) -> np.ndarray:
+    """The ordered product of ``factors``, (operator, slots) pairs, each
+    right-applied in turn, left to right, starting from the identity."""
+    acc = np.eye(math.prod(space), dtype=np.complex128)
+    for op, slots in factors:
+        acc = apply_right(acc, op, slots, space)
     return acc
 
 
 def build_monodromy(spec: ChainSpec, lam: complex) -> Operator:
     p = spec.params
     r = build_r(p, lam, spec.gauge)
-    return Operator(_site_product(r, range(p.sites, 0, -1), spec.space), spec.space)
+    return Operator(_site_product(_on_sites(r, range(p.sites, 0, -1)), spec.space), spec.space)
 
 
 def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") -> Operator:
@@ -184,31 +198,36 @@ def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") 
         return t.inv()
     if method == "per_site":
         rinv = build_r_inverse(p, -lam, spec.gauge)
-        return Operator(_site_product(rinv, range(1, p.sites + 1), spec.space), spec.space)
+        return Operator(_site_product(_on_sites(rinv, range(1, p.sites + 1)), spec.space),
+                        spec.space)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _double_row(spec: ChainSpec, lam: complex, start: np.ndarray | None = None) -> np.ndarray:
-    """``start`` (the identity by default) times T K^{(r)} That, with every
-    factor right-applied: T's R factors, K^{(r)} on the auxiliary slot, then
-    That's per-site inverses."""
-    p, space = spec.params, spec.space
-    acc = _site_product(build_r(p, lam, spec.gauge), range(p.sites, 0, -1), space, start)
-    acc = apply_right(acc, right_k(spec, lam), [1], space)
-    rinv = build_r_inverse(p, -lam, spec.gauge)
-    return _site_product(rinv, range(1, p.sites + 1), space, acc)
-
-
 def build_double_row(spec: ChainSpec, lam: complex) -> Operator:
-    return Operator(_double_row(spec, lam), spec.space)
+    """T K^{(r)} That, left to right: T's R factors, K^{(r)} on the auxiliary
+    slot, then That's per-site inverses, each right-applied."""
+    p = spec.params
+    factors = _on_sites(build_r(p, lam, spec.gauge), range(p.sites, 0, -1))
+    factors.append((right_k(spec, lam), [1]))
+    factors += _on_sites(build_r_inverse(p, -lam, spec.gauge), range(1, p.sites + 1))
+    return Operator(_site_product(factors, spec.space), spec.space)
 
 
 def build_transfer(spec: ChainSpec, lam: complex, closed: bool = False) -> Operator:
+    """tr_0 T for the closed chain, tr_0 {M_0 K^{(l)}_0 DR_0} for the open one,
+    grown from the inside out: Y_0 = K^{(r)} (the identity when closed), then
+    Y_k = R_{0k} (Y_{k-1} (x) 1) Rhat_{0k} for k < N (with no Rhat when
+    closed), and the trace closes the last site against M K^{(l)}."""
+    p = spec.params
+    r = build_r(p, lam, spec.gauge)
     if closed:
-        return partial_trace_first(build_monodromy(spec, lam))
-    mk = build_M(spec.params, spec.gauge) @ left_k(spec, lam)
-    start = embed_at(mk, [1], spec.space).mat
-    return partial_trace_first(Operator(_double_row(spec, lam, start), spec.space))
+        y, w, a = np.eye(p.n, dtype=np.complex128), identity_op(r.dims), identity_op([p.n])
+    else:
+        y, w = right_k(spec, lam).mat, build_r_inverse(p, -lam, spec.gauge)
+        a = build_M(p, spec.gauge) @ left_k(spec, lam)
+    for _ in range(p.sites - 1):
+        y = grow_site(y, r, w)
+    return Operator(close_site(a, y, r, w), (p.n,) * p.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +341,14 @@ def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     raise ValueError(f"unknown route {route!r}")
 
 
-def _factor_profiles(spec: ChainSpec) -> list:
-    """(value, derivative, slots) at lambda = 0 of each factor of
-    T K^{(r)} That, in order, with That the product of transposed R matrices.
-    With the identity left boundary these are all the factors of the open
-    transfer product after M_0. Each value and derivative is a one- or
-    two-site operator acting on ``slots``."""
+def _factor_profiles(spec: ChainSpec) -> tuple:
+    """(value, derivative) at lambda = 0 of the factors of T K^{(r)} That, with
+    That the product of transposed R matrices: the R_{0k} of T, the K^{(r)} on
+    the auxiliary slot and the transposed R_{0k} of That. Every site has the
+    same R profiles, so each pair is given once; with the identity left
+    boundary these are all the factors of the open transfer product after
+    M_0. The R pairs act on (auxiliary, site), the K pair on the auxiliary
+    slot."""
     p = spec.params
     n = p.n
     sh = cmath.sinh(1j * p.mu)
@@ -335,32 +356,32 @@ def _factor_profiles(spec: ChainSpec) -> list:
     u = build_bulk_generator(p)
     r0 = sh * perm
     rd0 = perm @ (cmath.cosh(1j * p.mu) * identity_op((n, n)) + u)
-    rt0 = Operator(r0.mat.T.copy(), (n, n))
-    rtd0 = Operator(rd0.mat.T.copy(), (n, n))
     x0 = p.k_diag_x(0.0)
     xp0 = 2.0 * cmath.sinh(1j * p.mu * p.m)
     yp0 = 4.0 * sh
     mstar = rep_boundary(replace(p, sites=1))
-    factors = [(r0, rd0, [1, site + 1]) for site in range(p.sites, 0, -1)]
-    factors.append((x0 * identity_op([n]), xp0 * identity_op([n]) + yp0 * mstar, [1]))
-    factors += [(rt0, rtd0, [1, site + 1]) for site in range(1, p.sites + 1)]
-    return factors
+    k0, kd0 = x0 * identity_op([n]), xp0 * identity_op([n]) + yp0 * mstar
+    return (r0, rd0), (k0, kd0), (r0.transpose(), rd0.transpose())
 
 
 def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     """tr_0 of M_0 (prod of factors)' at lambda = 0, by the product rule
-    carried forward: starting from (P, D) = (M_0, 0), each factor (v, v')
-    takes (P, D) to (P v, D v + P v'). The factors are homogeneous R's with
-    the explicit or ansatz right K and no left K, so any other spec raises
-    ValueError."""
+    grown from the inside out like ``build_transfer``: starting from
+    (Y, Y') = (K, K'), each site's R pair (v, v') and transposed R pair
+    (w, w') take (Y, Y') to (v Y w, v' Y w + v Y' w + v Y w'), and the last
+    site closes the three terms of Y' against M_0. The factors are
+    homogeneous R's with the explicit or ansatz right K and no left K, so any
+    other spec raises ValueError."""
     _require_hamiltonian_spec(spec, "the transfer derivative")
-    space = spec.space
-    prod = embed_at(build_M(spec.params, spec.gauge), [1], space).mat
-    der = np.zeros_like(prod)
-    for val, dval, slots in _factor_profiles(spec):
-        der = apply_right(der, val, slots, space) + apply_right(prod, dval, slots, space)
-        prod = apply_right(prod, val, slots, space)
-    return partial_trace_first(Operator(der, space))
+    p = spec.params
+    (v, dv), (k, dk), (w, dw) = _factor_profiles(spec)
+    y, dy = k.mat, dk.mat
+    for _ in range(p.sites - 1):
+        y, dy = (grow_site(y, v, w),
+                 grow_site(y, dv, w) + grow_site(dy, v, w) + grow_site(y, v, dw))
+    m = build_M(p, spec.gauge)
+    der = close_site(m, y, dv, w) + close_site(m, dy, v, w) + close_site(m, y, v, dw)
+    return Operator(der, (p.n,) * p.sites)
 
 
 def transfer_derivative_numeric(spec: ChainSpec) -> Operator:

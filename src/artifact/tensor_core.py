@@ -20,9 +20,14 @@ its (n, n) grid of blocks.
 space, and ``embed_entries`` lists the same embedding's nonzeros as index
 arrays, for operators assembled entry by entry. ``apply_right`` multiplies a
 dense matrix by such an embedding without forming it, at d^2 times the local
-operator's side per factor instead of d^3; the ordered chain products are
-built from it. ``weight_preserving`` fills the two-site pattern that R and
-the bulk Hecke generator share.
+operator's side per factor instead of d^3; the left-to-right chain
+products are built from it. ``grow_site`` and ``close_site`` build a chain
+from the inside out instead: ``grow_site`` sandwiches a matrix on (auxiliary,
+sites 1..k-1) between two operators on (auxiliary, site k), and
+``close_site`` does the same for the last site and traces the auxiliary
+factor out, so the open and closed transfer matrices never hold a matrix on
+the auxiliary space and every site at once. ``weight_preserving`` fills the
+two-site pattern that R and the bulk Hecke generator share.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
@@ -51,6 +56,8 @@ __all__ = [
     "embed_at",
     "embed_entries",
     "apply_right",
+    "grow_site",
+    "close_site",
     "permutation_swap",
     "partial_trace_first",
     "partial_transpose",
@@ -320,6 +327,53 @@ def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:
     order = [s for s in range(1, k + 1) if s not in slots] + slots
     axes = [0] + [1 + order.index(s) for s in range(1, k + 1)]
     return tens.transpose(axes).reshape(d, d)
+
+
+def _site_legs(y: np.ndarray, v: Operator, w: Operator) -> tuple[int, int, int]:
+    """(d0, r, e): ``y`` acts on a first factor of dimension d0 followed by a
+    rest of dimension r, and ``v``, ``w`` act on (first factor, new site e)."""
+    if len(v.dims) != 2 or v.dims != w.dims:
+        raise ValueError(f"need two-factor operators of equal dims, got {v.dims} and {w.dims}")
+    d0, e = v.dims
+    if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[0] % d0:
+        raise ValueError(f"matrix of shape {y.shape} does not act on a first factor of {d0}")
+    return d0, y.shape[0] // d0, e
+
+
+def grow_site(y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
+    """``v_{0k} (y (x) 1_k) w_{0k}`` with k a new last slot.
+
+    ``y`` acts on a first (auxiliary) factor 0 followed by any rest; ``v`` and
+    ``w`` act on (0, k). The result acts on (0, rest, k). Two ``tensordot``s
+    cost d0^3 e^2 r^2 and d0^3 e^3 r^2 (d0, e, r the sides of 0, k and the
+    rest), and nothing is embedded on the grown space.
+    """
+    d0, r, e = _site_legs(y, v, w)
+    # y[a', x, b', y'] after v[a, s, a', s']: legs (a, s, s', x, b', y')
+    left = np.tensordot(v.mat.reshape(d0, e, d0, e), y.reshape(d0, r, d0, r), axes=(2, 0))
+    # then w[b', s', b, t]: legs (a, s, x, y', b, t)
+    both = np.tensordot(left, w.mat.reshape(d0, e, d0, e), axes=([2, 4], [1, 0]))
+    side = d0 * r * e
+    return both.transpose(0, 2, 1, 4, 3, 5).reshape(side, side)
+
+
+def close_site(a: Operator, y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
+    """``tr_0[a_0 v_{0k} (y (x) 1_k) w_{0k}]`` with k a new last slot.
+
+    The legs are those of ``grow_site``, and ``a`` acts on factor 0 alone.
+    Since tr_0[a_0 X] = tr_0[X a_0], the trace closes v against w a_0 into
+    one (e, d0, d0, e) array first, at d0^3 e^3 work, and that array meets
+    ``y`` in one ``tensordot`` of d0^2 e^2 r^2. The result acts on (rest, k);
+    no matrix on the grown space is formed.
+    """
+    d0, r, e = _site_legs(y, v, w)
+    if a.dims != (d0,):
+        raise ValueError(f"closing operator dims {a.dims} do not match the first factor {d0}")
+    wa = np.tensordot(w.mat.reshape(d0, e, d0, e), a.mat, axes=(2, 0))  # (b', s', t, a)
+    link = np.einsum("csAS,BStc->sABt", v.mat.reshape(d0, e, d0, e), wa)
+    # y[a', x, b', y'] against link[s, a', b', t]: legs (x, y', s, t)
+    out = np.tensordot(y.reshape(d0, r, d0, r), link, axes=([0, 2], [1, 2]))
+    return out.transpose(0, 2, 1, 3).reshape(r * e, r * e)
 
 
 def permutation_swap(d: int) -> Operator:

@@ -165,6 +165,11 @@ def fit_crossing_shift(
     at every point tried (n = 2..4, both gradations, the sampling boxes);
     that is an observation about the R-matrix, which the code does not use.
 
+    A crossing product whose norm is not finite at some grid point raises
+    DegenerateParameters. A polish start that steps out of floating-point
+    range is dropped; when every start does, the best grid point stands and
+    its residual says the fit failed.
+
     Within REGULAR_GAP of lam = 0 (mod i pi), R(lam) is near the multiple
     sinh(i mu) P of the swap, R1(lam)^t1 near rank one, and the relation's
     scalar near zero: the zero set in rho is then narrower than the scan's
@@ -185,9 +190,11 @@ def fit_crossing_shift(
         r2 = partial_transpose(build_r(params, -lam - 2j * complex(xy[0], xy[1]), gauge), 2)
         return left @ r2.mat @ m1_inv
 
-    def defect(xy) -> np.ndarray:
-        prod = product(xy)
+    def centred(prod) -> np.ndarray:
         return (prod - np.trace(prod) / side * eye) / np.linalg.norm(prod)
+
+    def defect(xy) -> np.ndarray:
+        return centred(product(xy))
 
     # Entries depend on rho through sinh(... - 2 i rho) and e^{± 2 i rho}
     # factors, so the zero set of the (proportional!) relation is periodic in
@@ -200,11 +207,22 @@ def fit_crossing_shift(
     grid = [(re, im)
             for re in np.linspace(0.0, period, max(8, int(period / 0.05)), endpoint=False)
             for im in np.linspace(-0.6, 0.6, 9)]
-    grid.sort(key=lambda xy: np.linalg.norm(defect(xy)))
-    fits = [least_squares(lambda xy: defect(xy).ravel().view(np.float64), x0,
-                          method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            for x0 in grid[:3]]
-    best = min(fits, key=lambda f: np.linalg.norm(f.fun)).x
+    products = [product(xy) for xy in grid]
+    if not all(np.isfinite(np.linalg.norm(prod)) for prod in products):
+        raise DegenerateParameters(
+            f"crossing product overflows on the fit grid at mu = {params.mu}, lambda = {lam}")
+    scores = [np.linalg.norm(centred(prod)) for prod in products]
+    starts = [grid[k] for k in np.argsort(scores, kind="stable")[:3]]
+    found = [starts[0]]
+    for x0 in starts:
+        try:
+            fit = least_squares(lambda xy: defect(xy).ravel().view(np.float64), x0,
+                                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        except OverflowError:  # a polish step left the range of cmath.sinh
+            continue
+        if np.isfinite(np.linalg.norm(product(fit.x))):
+            found.append(fit.x)
+    best = min(found, key=lambda xy: np.linalg.norm(defect(xy)))
     residual = prop_check(product(best), np.eye(side, dtype=np.complex128)).residual
     return complex(best[0] % period, best[1]), residual
 

@@ -258,6 +258,43 @@ def test_verify_size_cap_exits_two_before_any_suite(suite, sites, monkeypatch, c
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, scalar",
+    [
+        (["--mu", "300i"], "Q"),
+        (["--m", "700i"], "Q"),
+        (["--zeta", "400i"], "cosh(2i*mu*zeta)"),
+        (["--xi", "800i"], "sinh(lambda + i*mu*xi)"),
+    ],
+)
+def test_overflowing_couplings_exit_two_before_any_suite(args, scalar, monkeypatch, capsys):
+    # finite constants, but the suites' products would overflow to inf/NaN
+    # residuals (exit 1), or the crossing fit would raise (a traceback)
+    def refuse(spec, **kw):
+        pytest.fail("a suite ran on couplings whose products overflow")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, refuse)
+    code = main(["verify", "--samples", "1"] + args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert scalar in captured.err and "overflow" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_degenerate_parameters_inside_a_suite_exit_two(monkeypatch, capsys):
+    def degenerate(spec, **kw):
+        raise cli.DegenerateParameters("crossing product overflows on the fit grid")
+
+    monkeypatch.setitem(cli.SUITES, "ybe", degenerate)
+    code = main(["verify", "--suite", "ybe", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "fit grid" in captured.err
+
+
 def test_verify_size_cap_admits_the_cap(monkeypatch, capsys):
     # the chain suite at n = 4, four sites needs side 4^6 = 4096, the cap itself
     ran = []

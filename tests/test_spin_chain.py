@@ -8,12 +8,15 @@ products of embed_at embeddings for the right-applied chain builders.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from artifact import ModelParams, spin_chain
+from artifact import (
+    ModelParams, hecke_algebra, reflection_k, spin_chain, tensor_core, yang_baxter,
+)
 from artifact.params import DegenerateParameters
 from artifact.hecke_algebra import rep_boundary, rep_bulk
 from artifact.reflection_k import (
@@ -360,8 +363,8 @@ def test_verify_chain_suite():
 
 # Dense oracles: every factor embedded on the whole space with embed_at and
 # multiplied out, the way the chain products were formed before the
-# right-applied contraction engine.
-ORACLE_SIZES = ((2, 3), (3, 2), (4, 2))
+# right-applied contraction engine and the inside-out transfer builders.
+ORACLE_SIZES = ((2, 1), (3, 1), (2, 3), (3, 2), (4, 2))
 
 
 def _oracle_params(n, sites):
@@ -387,9 +390,21 @@ def _dense_transfer(spec, lam):
     return partial_trace_first(m0 @ kl0 @ _dense_double_row(spec, lam))
 
 
+def _dense_closed_transfer(spec, lam):
+    p, space = spec.params, spec.space
+    r = build_r(p, lam, spec.gauge)
+    acc = identity_op(space)
+    for site in range(p.sites, 0, -1):
+        acc = acc @ embed_at(r, [1, site + 1], space)
+    return partial_trace_first(acc)
+
+
 def _dense_transfer_derivative(spec):
-    space = spec.space
-    factors = _factor_profiles(spec)
+    space, sites = spec.space, spec.params.sites
+    (r, dr), (k, dk), (rt, drt) = _factor_profiles(spec)
+    factors = [(r, dr, [1, site + 1]) for site in range(sites, 0, -1)]
+    factors.append((k, dk, [1]))
+    factors += [(rt, drt, [1, site + 1]) for site in range(1, sites + 1)]
     vals = [embed_at(v, slots, space) for v, _, slots in factors]
     ders = [embed_at(dv, slots, space) for _, dv, slots in factors]
     prefix = [identity_op(space)]
@@ -408,31 +423,70 @@ def _dense_transfer_derivative(spec):
 
 @pytest.mark.parametrize("n,sites", ORACLE_SIZES)
 def test_chain_builders_match_dense_oracles(n, sites):
+    # every left family x right family x gauge; at N = 1 the inside-out
+    # builders close the right K at once and never grow a site
     p = _oracle_params(n, sites)
     lam = 0.31 - 0.12j
-    for spec in (ChainSpec(p), ChainSpec(p, gauge=Gauge.principal),
-                 ChainSpec(p, left_boundary=LeftBoundaryKind.affine_limit)):
-        assert rel_residual(build_double_row(spec, lam), _dense_double_row(spec, lam)) <= 1e-13
-        assert rel_residual(build_transfer(spec, lam), _dense_transfer(spec, lam)) <= 1e-13
+    for gauge in Gauge:
+        closed = ChainSpec(p, gauge=gauge)
+        assert rel_residual(build_transfer(closed, lam, closed=True),
+                            _dense_closed_transfer(closed, lam)) <= 1e-13
+        for left in LeftBoundaryKind:
+            for right in RIGHT_FAMILIES:
+                spec = ChainSpec(p, gauge=gauge, left_boundary=left, right_boundary=right)
+                assert rel_residual(build_double_row(spec, lam),
+                                    _dense_double_row(spec, lam)) <= 1e-13
+                assert rel_residual(build_transfer(spec, lam),
+                                    _dense_transfer(spec, lam)) <= 1e-13
+    for right in ("ansatz", "explicit"):
+        spec = ChainSpec(p, right_boundary=right)
+        assert rel_residual(_transfer_derivative_analytic(spec),
+                            _dense_transfer_derivative(spec)) <= 1e-13
+
+
+def test_open_transfer_and_derivative_never_reach_the_chain_space(monkeypatch):
+    # no embedding or right-application on the (N+1)-factor space of the
+    # auxiliary slot and every site, in any module
+    spaces = []
+    for module in (spin_chain, reflection_k, yang_baxter, hecke_algebra, tensor_core):
+        for name in ("embed_at", "apply_right"):
+            if hasattr(module, name):
+                inner = getattr(module, name)
+
+                def counted(op, slots, space, *rest, inner=inner):
+                    spaces.append(len(space))
+                    return inner(op, slots, space, *rest)
+
+                monkeypatch.setattr(module, name, counted)
+    p = ModelParams(n=2, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
     spec = ChainSpec(p, right_boundary="ansatz")
-    assert rel_residual(_transfer_derivative_analytic(spec),
-                        _dense_transfer_derivative(spec)) <= 1e-13
-
-
-def test_open_transfer_and_derivative_embed_no_two_slot_operator(monkeypatch):
-    slot_counts = []
-    inner = spin_chain.embed_at
-
-    def counted(op, slots, space):
-        slot_counts.append(len(slots))
-        return inner(op, slots, space)
-
-    monkeypatch.setattr(spin_chain, "embed_at", counted)
-    spec = ChainSpec(P32, right_boundary="ansatz")
-    build_transfer(spec, 0.31 - 0.12j)
-    build_transfer(ChainSpec(P32, gauge=Gauge.principal), 0.31 - 0.12j)
+    for transfer_spec in (spec, ChainSpec(p, gauge=Gauge.principal),
+                          ChainSpec(p, left_boundary=LeftBoundaryKind.transpose_shift)):
+        build_transfer(transfer_spec, 0.31 - 0.12j)
+    build_transfer(spec, 0.31 - 0.12j, closed=True)
     build_hamiltonian(spec, "transfer_derivative")
-    assert slot_counts and max(slot_counts) == 1
+    assert all(factors < p.sites + 1 for factors in spaces), spaces
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_transfer_builders_allocate_less_than_one_chain_space_matrix(closed):
+    # numpy reports its buffers to tracemalloc: the peak of every array alive
+    # at once stays under a single n^(N+1)-sided complex matrix
+    p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
+    spec = ChainSpec(p, right_boundary="ansatz")
+    chain_side = p.n ** (p.sites + 1)
+    builds = [lambda: build_transfer(spec, 0.31 - 0.12j, closed=closed)]
+    if not closed:
+        builds.append(lambda: _transfer_derivative_analytic(spec))
+    for build in builds:
+        build()  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chain_side**2 * 16, peak
 
 
 def _written_out_rtt(r, xa, xb):

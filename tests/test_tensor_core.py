@@ -11,10 +11,12 @@ from artifact.tensor_core import (
     apply_right,
     aux_blocks,
     basis_matrix,
+    close_site,
     comm_residual,
     commutator,
     embed_at,
     embed_entries,
+    grow_site,
     identity_op,
     kron,
     partial_trace_first,
@@ -146,6 +148,65 @@ def test_apply_right_equals_product_with_embedding(case):
     assert got.flags.c_contiguous
     assert_allclose(got, mat @ embed_at(local, slots, space).mat, rtol=0, atol=1e-13)
     assert np.array_equal(mat, before)
+
+
+@st.composite
+def _site_sandwich(draw):
+    """(y, a, v, w, space): a random y on a first factor of dimension 1-3
+    followed by 0-2 more factors (none: y on the first factor alone), a on
+    the first factor, and v, w on (first factor, a new last factor)."""
+    d0 = draw(st.integers(1, 3))
+    rest = draw(st.lists(st.integers(1, 3), max_size=2))
+    e = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rand(side):
+        return rng.uniform(-1, 1, (side, side)) + 1j * rng.uniform(-1, 1, (side, side))
+
+    y = rand(d0 * math.prod(rest))
+    return (y, op(rand(d0), (d0,)), op(rand(d0 * e), (d0, e)), op(rand(d0 * e), (d0, e)),
+            (d0, *rest, e))
+
+
+def _embedded_sandwich(y, v, w, space):
+    """v_{0k} (y (x) 1_k) w_{0k} as a product of embed_at embeddings."""
+    last = len(space)
+    big = embed_at(op(y, space[:-1]), list(range(1, last)), space)
+    return embed_at(v, [1, last], space) @ big @ embed_at(w, [1, last], space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_site_sandwich())
+def test_grow_site_equals_product_with_embeddings(case):
+    y, _, v, w, space = case
+    before = y.copy()
+    got = grow_site(y, v, w)
+    d = math.prod(space)
+    assert got.shape == (d, d)
+    assert got.flags.c_contiguous
+    assert_allclose(got, _embedded_sandwich(y, v, w, space).mat, rtol=0, atol=1e-12)
+    assert np.array_equal(y, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_site_sandwich())
+def test_close_site_equals_traced_product_with_embeddings(case):
+    y, a, v, w, space = case
+    want = partial_trace_first(embed_at(a, [1], space) @ _embedded_sandwich(y, v, w, space))
+    got = close_site(a, y, v, w)
+    assert got.shape == want.mat.shape
+    assert_allclose(got, want.mat, rtol=0, atol=1e-12)
+
+
+def test_site_primitives_refuse_mismatched_legs():
+    y = np.eye(6, dtype=complex)
+    v = identity_op((2, 3))
+    with pytest.raises(ValueError):
+        grow_site(y, v, identity_op((3, 2)))
+    with pytest.raises(ValueError):
+        grow_site(np.eye(5, dtype=complex), v, v)
+    with pytest.raises(ValueError):
+        close_site(identity_op((3,)), y, v, v)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +119,25 @@ def test_crossing_fit_refuses_the_regular_point(lam, n, gauge):
     with pytest.raises(DegenerateParameters, match="crossing relation degenerate"):
         fit_crossing_shift(ModelParams(n=n, mu=0.15 - 0.1j, m=0.3 - 0.5j, zeta=0.3 - 0.5j),
                            lam, gauge)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_crossing_fit_refuses_a_product_that_overflows_on_its_grid(gauge):
+    # at mu = 300i the crossing product overflows on the grid, where the
+    # polish would start from non-finite residuals
+    with pytest.raises(DegenerateParameters, match="overflows on the fit grid"):
+        fit_crossing_shift(ModelParams(n=3, mu=300j), 0.37 + 0.21j, gauge)
+
+
+@pytest.mark.parametrize("gauge", list(Gauge))
+@pytest.mark.parametrize("mu", [1.5j, 5j, 50j])
+def test_crossing_fit_out_of_grid_reports_a_finite_failing_residual(mu, gauge):
+    # n mu / 2 lies beyond the grid's Im(rho) range and the polish steps out
+    # of cmath's range: the fit must report a finite residual that fails
+    rho, res = fit_crossing_shift(ModelParams(n=3, mu=mu), 0.37 + 0.21j, gauge)
+    assert cmath.isfinite(rho)
+    assert math.isfinite(res) and res > 1e-3
 
 
 @pytest.mark.parametrize("gauge", list(Gauge))
