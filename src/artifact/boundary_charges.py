@@ -36,6 +36,11 @@ builds its own towers, one per (sites, first-site lambda) for a whole call
 never reads a ``ChargeSet``: it is the independent route. One least-squares
 ray fit (``_ray_scalar``, ``_ray_defect``) serves both asymptotic read-offs.
 
+The tower entries have a handful of nonzeros per row, so
+``build_boundary_charges`` and ``build_affine_charge`` form their products in
+CSR (``scipy.sparse``) and make each charge dense once. CSR appears nowhere
+else: every image that crosses a function boundary is a dense array.
+
 The recursion has a plain and a primed order. The primed one-site split is
 the plain split with its two legs exchanged, so each split is written once
 (``_split_terms`` for the charges, ``quantum_algebra._coproduct_pairs`` for
@@ -52,6 +57,7 @@ from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .hecke_algebra import build_bulk_generator, rep_boundary, rep_bulk
 from .params import DegenerateParameters, ModelParams
@@ -148,6 +154,30 @@ class ChargeSet:
 # ---------------------------------------------------------------------------
 
 
+def _sparse_entries(tower: Tower) -> Callable:
+    """Reader of the tower entries as CSR arrays, each converted once per
+    charge build."""
+    memo: dict = {}
+
+    def read(label: TElementLabel) -> sparse.csr_array:
+        if label not in memo:
+            memo[label] = sparse.csr_array(tower.t_image(label))
+        return memo[label]
+
+    return read
+
+
+def _affine_matrix(p: ModelParams, read: Callable) -> sparse.csr_array:
+    n = p.n
+    tnn = read(TElementLabel(_T.t, n, n))
+    c2 = 2.0 * cmath.cosh(2j * p.mu * p.zeta)
+    return (
+        -c2 * (tnn @ tnn)
+        - 1j * (tnn @ read(TElementLabel(_T.t0hat_1n, 1, n)))
+        - 1j * (read(TElementLabel(_T.t0_n1, n, 1)) @ read(TElementLabel(_T.t_hat, n, n)))
+    )
+
+
 def build_affine_charge(tower: Tower) -> Operator:
     """The (n, n) boundary charge on the sites of ``tower``.
 
@@ -155,37 +185,40 @@ def build_affine_charge(tower: Tower) -> Operator:
     boundary parameter zeta enters only here, through the cosh weight in
     front of the Cartan square.
     """
-    p = tower.params
-    n = p.n
-    tnn = tower.t(n, n)
-    c2 = 2.0 * cmath.cosh(2j * p.mu * p.zeta)
-    mat = (
-        -c2 * (tnn @ tnn)
-        - 1j * (tnn @ tower.t_image(TElementLabel(_T.t0hat_1n, 1, n)))
-        - 1j * (tower.t_image(TElementLabel(_T.t0_n1, n, 1)) @ tower.h(n, n))
-    )
-    return Operator(mat, (n,) * tower.L)
+    mat = _affine_matrix(tower.params, _sparse_entries(tower))
+    return Operator(mat.toarray(), (tower.params.n,) * tower.L)
 
 
 def build_boundary_charges(
     params: ModelParams, N: int, first_site_lambda: complex | None = None
 ) -> ChargeSet:
-    """Assemble the full charge set from products of coproduct towers.
+    """Assemble the full charge set from products of coproduct tower entries.
 
     Every entry reads the upper-triangular ``t`` and lower-triangular hatted
-    entries of one ``Tower`` on the N sites. The first row and column mix the
-    two towers through the right boundary weights; the interior block is a
+    entries of one ``Tower`` on the N sites. The first row and column weight
+    those products with the right boundary parameter; the interior block is a
     plain quadratic sum. All entries are spectral-parameter independent once
     the sites are fixed (the optional first-site evaluation point only matters
-    for the affine corners).
+    for the affine corners). The products are formed in CSR and each charge
+    is made dense once, as its ``Operator``.
     """
     n = params.n
     tower = Tower(params, N, first_site_lambda)
-    t, h = tower.t, tower.h
+    read = _sparse_entries(tower)
+
+    def t(i, j):
+        return read(TElementLabel(_T.t, i, j))
+
+    def h(i, j):
+        return read(TElementLabel(_T.t_hat, i, j))
+
     em = cmath.exp(1j * params.mu * params.m)
     ch2 = em + 1.0 / em
     dims = (n,) * N
     d = n**N
+
+    def charge(acc: sparse.csr_array) -> Operator:
+        return Operator(acc.toarray(), dims)
 
     entries: dict = {}
     acc = ch2 * (t(1, 1) @ h(1, 1))
@@ -193,23 +226,23 @@ def build_boundary_charges(
     acc -= 1j * (t(1, 1) @ h(n, 1))
     for j in range(2, n):
         acc = acc + em * (t(1, j) @ h(j, 1))
-    entries[(1, 1)] = Operator(acc, dims)
+    entries[(1, 1)] = charge(acc)
     for i in range(2, n + 1):
         acc = -1j * (t(1, 1) @ h(n, i))
         for j in range(i, n):
             acc = acc + em * (t(1, j) @ h(j, i))
-        entries[(1, i)] = Operator(acc, dims)
+        entries[(1, i)] = charge(acc)
         acc = -1j * (t(i, n) @ h(1, 1))
         for j in range(i, n):
             acc = acc + em * (t(i, j) @ h(j, 1))
-        entries[(i, 1)] = Operator(acc, dims)
+        entries[(i, 1)] = charge(acc)
     for k in range(2, n):
         for l in range(2, n):
-            acc = np.zeros((d, d), dtype=np.complex128)
+            acc = sparse.csr_array((d, d), dtype=np.complex128)
             for j in range(max(k, l), n):
                 acc = acc + em * (t(k, j) @ h(j, l))
-            entries[(k, l)] = Operator(acc, dims)
-    affine = build_affine_charge(tower)
+            entries[(k, l)] = charge(acc)
+    affine = charge(_affine_matrix(params, read))
     return ChargeSet(params=params, sites=N, entries=entries, affine=affine, tower=tower)
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
@@ -194,6 +193,12 @@ def coproduct_rep(
     variant "delta" puts q^{-h/2} factors left of the single e/f insertion and
     q^{h/2} right; "delta_prime" is the recursively primed version (which for
     L > 2 is NOT a simple reversal). Cartan images are group-like either way.
+
+    Every factor but the insertion is diagonal, so a Cartan image is built
+    from the 1-D kron of the site diagonals, and an e/f word
+    diag(left) (x) X (x) diag(right)
+    is added into its band of the total through a strided view, never formed
+    as a kron chain of n^L-sided matrices.
     """
     _check_index(params, label)
     if L < 1:
@@ -206,8 +211,15 @@ def coproduct_rep(
     def site(lab: GeneratorLabel, s: int) -> np.ndarray:
         return eval_generator(params, lab, lams[s], gauge)
 
+    def diagonal(labs, first: int) -> np.ndarray:
+        """kron of the diagonals of the Cartan factors on sites first, first+1, ..."""
+        out = np.ones(1, dtype=np.complex128)
+        for s, lab in enumerate(labs, first):
+            out = (out[:, None] * site(lab, s).diagonal()).ravel()
+        return out
+
     if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-        return reduce(np.kron, [site(label, s) for s in range(L)])
+        return np.diag(diagonal([label] * L, 0))
 
     h_plus = GeneratorLabel(GeneratorKind.HCARTAN, label.index)
     h_minus = GeneratorLabel(GeneratorKind.HCARTAN, label.index, inverse=True)
@@ -220,7 +232,11 @@ def coproduct_rep(
                 labs = [label] + [h_minus] * (L - 1)
             else:
                 labs = [h_plus] + [h_minus] * (l - 1) + [label] + [h_plus] * (L - 1 - l)
-        total += reduce(np.kron, [site(lab, s) for s, lab in enumerate(labs)])
+        left, right = diagonal(labs[:l], 0), diagonal(labs[l + 1:], l + 1)
+        # band[x, y] is the n x n block at rows and columns (x, :, y)
+        band = np.einsum("xayxby->xyab", total.reshape(
+            left.size, n, right.size, left.size, n, right.size))
+        band += (left[:, None] * right)[:, :, None, None] * site(label, l)
     return total
 
 
@@ -307,32 +323,33 @@ class Tower:
         plus_pref = w * _qpow(p, -0.5)
         minus_pref = -w * _qpow(p, 0.5)
 
-        def dress(a: int, b: int, sign: float) -> np.ndarray:
-            return self.gen(GeneratorKind.KCARTAN, a, sign < 0) @ self.gen(
-                GeneratorKind.KCARTAN, b, sign < 0
-            )
+        def half(a: int, inverse: bool) -> np.ndarray:
+            return np.diagonal(self.gen(GeneratorKind.KCARTAN, a, inverse))
+
+        def dressed(pref: complex, a: int, b: int, sign: float, core) -> np.ndarray:
+            # the Cartan dressing K_a K_b is diagonal: scale the core's rows
+            return (pref * (half(a, sign < 0) * half(b, sign < 0)))[:, None] * core
 
         if fam in (TElementFamily.t, TElementFamily.t_minus,
                    TElementFamily.t_hat, TElementFamily.t_hat_minus):
             if i == j:
                 inv = fam in (TElementFamily.t_minus, TElementFamily.t_hat_minus)
-                half = self.gen(GeneratorKind.KCARTAN, i, inv)
-                return half @ half
+                return np.diag(half(i, inv) * half(i, inv))
             if fam == TElementFamily.t:
                 if i > j:
                     raise ValueError("t_ij needs i <= j")
-                return plus_pref * dress(i, j, +1) @ self.root(j, i, hat=False)
+                return dressed(plus_pref, i, j, +1, self.root(j, i, hat=False))
             if fam == TElementFamily.t_minus:
                 if i < j:
                     raise ValueError("t-minus_ij needs i >= j")
-                return minus_pref * dress(i, j, -1) @ self.root(j, i, hat=False)
+                return dressed(minus_pref, i, j, -1, self.root(j, i, hat=False))
             if fam == TElementFamily.t_hat:
                 if i < j:
                     raise ValueError("t-hat_ij needs i >= j")
-                return plus_pref * dress(i, j, +1) @ self.root(j, i, hat=True)
+                return dressed(plus_pref, i, j, +1, self.root(j, i, hat=True))
             if i > j:
                 raise ValueError("t-hat-minus_ij needs i <= j")
-            return minus_pref * dress(i, j, -1) @ self.root(j, i, hat=True)
+            return dressed(minus_pref, i, j, -1, self.root(j, i, hat=True))
 
         # affine elements: fixed corner indices, Chevalley core e_n or f_n
         expect = {
@@ -344,7 +361,7 @@ class Tower:
         ei, ej, core_kind, pref, sign = expect
         if (i, j) != (ei, ej):
             raise ValueError(f"{fam.value} carries fixed indices ({ei},{ej})")
-        return pref * dress(1, n, sign) @ self.gen(core_kind, n)
+        return dressed(pref, 1, n, sign, self.gen(core_kind, n))
 
 
 def t_element_rep(

@@ -168,6 +168,45 @@ def test_t_prime_rep_is_cycled_tower():
         assert rel_residual(_t_prime_rep(first, rest, lab), cycled) < 1e-12, lab
 
 
+def _dense_charges(tower):
+    # the charge formulas as dense products of the tower entries
+    p, n = tower.params, tower.params.n
+    t, h = tower.t, tower.h
+    em = cmath.exp(1j * p.mu * p.m)
+    out = {(1, 1): (em + 1 / em) * (t(1, 1) @ h(1, 1)) - 1j * (t(1, n) @ h(1, 1))
+           - 1j * (t(1, 1) @ h(n, 1))
+           + sum(em * (t(1, j) @ h(j, 1)) for j in range(2, n))}
+    for i in range(2, n + 1):
+        out[(1, i)] = -1j * (t(1, 1) @ h(n, i)) + sum(em * (t(1, j) @ h(j, i)) for j in range(i, n))
+        out[(i, 1)] = -1j * (t(i, n) @ h(1, 1)) + sum(em * (t(i, j) @ h(j, 1)) for j in range(i, n))
+    for k in range(2, n):
+        for l in range(2, n):
+            out[(k, l)] = sum(em * (t(k, j) @ h(j, l)) for j in range(max(k, l), n))
+    T = TElementFamily
+    out[(n, n)] = (
+        -2 * cmath.cosh(2j * p.mu * p.zeta) * (t(n, n) @ t(n, n))
+        - 1j * (t(n, n) @ tower.t_image(TElementLabel(T.t0hat_1n, 1, n)))
+        - 1j * (tower.t_image(TElementLabel(T.t0_n1, n, 1)) @ h(n, n))
+    )
+    return out
+
+
+@pytest.mark.parametrize("n,N", [(2, 5), (3, 3), (4, 3)])
+def test_charges_equal_dense_tower_products(n, N):
+    p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=N)
+    charges = build_boundary_charges(p, N, 0.23 - 0.11j)
+    want = _dense_charges(charges.tower)
+    assert set(want) == set(charges.entries) | {(n, n)}
+    for pos, mat in want.items():
+        assert rel_residual(charges.charge(pos), mat) <= 1e-14, pos
+    affine = build_affine_charge(charges.tower)
+    assert rel_residual(affine.mat, want[(n, n)]) <= 1e-14
+    for op in [*charges.entries.values(), charges.affine, affine]:
+        assert type(op.mat) is np.ndarray
+        assert op.mat.dtype == np.complex128 and op.mat.flags.c_contiguous
+        assert op.mat.shape == (n**N, n**N)
+
+
 def test_charges_build_each_coproduct_once(monkeypatch):
     # n = 4 on three sites needs twelve distinct generator coproducts: the
     # four half Cartans, e_i and f_i for i < n, and e_n, f_n for the corners

@@ -111,6 +111,49 @@ def test_coproduct_three_site_prime_structure():
     assert np.allclose(got, want, atol=1e-14)
 
 
+def _kron_word_coproduct(p, label, L, variant, lam, gauge):
+    # the L-fold coproduct as a sum of kron chains, one full word at a time
+    def site(lab, s):
+        return eval_generator(p, lab, lam if s == 0 else 0.0, gauge)
+
+    if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
+        out = site(label, 0)
+        for s in range(1, L):
+            out = np.kron(out, site(label, s))
+        return out
+    hp = GeneratorLabel(GeneratorKind.HCARTAN, label.index)
+    hm = GeneratorLabel(GeneratorKind.HCARTAN, label.index, inverse=True)
+    total = 0
+    for l in range(L):
+        if variant == "delta":
+            word = [hm] * l + [label] + [hp] * (L - 1 - l)
+        elif l == 0:
+            word = [label] + [hm] * (L - 1)
+        else:
+            word = [hp] + [hm] * (l - 1) + [label] + [hp] * (L - 1 - l)
+        out = site(word[0], 0)
+        for s in range(1, L):
+            out = np.kron(out, site(word[s], s))
+        total = total + out
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coproduct_rep_matches_kron_words(n):
+    p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6)
+    lam = 0.31 - 0.17j
+    for L in (1, 2, 3, 4):
+        for kind in GeneratorKind:
+            for index in range(1, n + 1):
+                for inverse in (False, True):
+                    label = GeneratorLabel(kind, index, inverse)
+                    for variant in ("delta", "delta_prime"):
+                        for gauge in Gauge:
+                            want = _kron_word_coproduct(p, label, L, variant, lam, gauge)
+                            got = coproduct_rep(p, label, L, variant, lam, gauge)
+                            assert rel_residual(got, want) <= 1e-15, (label, L, variant, gauge)
+
+
 def test_root_elements_at_pi0():
     p = ModelParams(n=4, mu=0.29, m=0.7 + 0.1j, zeta=0.5)
     tower = Tower(p)
@@ -184,6 +227,37 @@ def test_tower_entries_equal_one_shot_images():
             assert tower.t(lab.i, lab.j) is tower.t_image(lab)
         if lab.family == TElementFamily.t_hat:
             assert tower.h(lab.i, lab.j) is tower.t_image(lab)
+
+
+def test_tower_dressing_equals_dense_cartan_products():
+    # every entry is pref * (K_a K_b) @ core, with the Cartan halves and the
+    # cores read from the same tower and multiplied densely here
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6)
+    n = p.n
+    tower = Tower(p, 3, 0.23 - 0.11j)
+    q = cmath.exp(0.41j)
+    plus, minus = p.w / cmath.sqrt(q), -p.w * cmath.sqrt(q)
+
+    def k(a, inverse):
+        return tower.gen(GeneratorKind.KCARTAN, a, inverse)
+
+    def check(fam, i, j, want):
+        assert rel_residual(tower.t_image(TElementLabel(fam, i, j)), want) <= 1e-14, (fam, i, j)
+
+    for i in range(1, n + 1):
+        for fam, inverse in ((TElementFamily.t, False), (TElementFamily.t_hat, False),
+                             (TElementFamily.t_minus, True), (TElementFamily.t_hat_minus, True)):
+            check(fam, i, i, k(i, inverse) @ k(i, inverse))
+        for j in range(i + 1, n + 1):
+            check(TElementFamily.t, i, j, plus * k(i, False) @ k(j, False) @ tower.root(j, i, False))
+            check(TElementFamily.t_minus, j, i, minus * k(j, True) @ k(i, True) @ tower.root(i, j, False))
+            check(TElementFamily.t_hat, j, i, plus * k(j, False) @ k(i, False) @ tower.root(i, j, True))
+            check(TElementFamily.t_hat_minus, i, j, minus * k(i, True) @ k(j, True) @ tower.root(j, i, True))
+    e_n, f_n = tower.gen(GeneratorKind.E, n), tower.gen(GeneratorKind.F, n)
+    check(TElementFamily.t0_n1, n, 1, plus * k(1, False) @ k(n, False) @ f_n)
+    check(TElementFamily.t0hat_1n, 1, n, plus * k(1, False) @ k(n, False) @ e_n)
+    check(TElementFamily.t0_minus_1n, 1, n, minus * k(1, True) @ k(n, True) @ e_n)
+    check(TElementFamily.t0hat_minus_n1, n, 1, minus * k(1, True) @ k(n, True) @ f_n)
 
 
 def test_t_elements_at_pi0():
