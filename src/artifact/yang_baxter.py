@@ -22,6 +22,12 @@ Rcheck(lambda) Rcheck(-lambda) = g(lambda) I and R(lambda) Rhat(-lambda) =
 g(lambda) I where Rhat = P R P. The closed form of the inverse,
 R(-lambda)^{-1} = Rhat(lambda)/g(lambda), is what makes large-lambda
 monodromy asymptotics numerically viable, so it is exposed here.
+
+Crossing holds exactly with the shift rho = n mu / 2 and M = diag(q^{n-1},
+q^{n-3}, ..., q^{1-n}), q = e^{i mu} (M = I in the principal gradation), in
+the form of Mezincescu & Nepomechie (J. Phys. A 24 (1991) L17):
+
+    R1(lambda)^t1 M1 R2(-lambda - i n mu)^t2 M1^{-1} = -sinh lambda sinh(lambda + i n mu) I.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .hecke_algebra import build_bulk_generator
 from .params import DegenerateParameters, ModelParams
@@ -47,11 +52,9 @@ from .tensor_core import (
     kron,
     partial_transpose,
     permutation_swap,
-    prop_check,
     rel_residual,
     rtt_residual,
     weight_preserving,
-    worst_of,
 )
 
 __all__ = [
@@ -67,7 +70,8 @@ __all__ = [
     "verify_ybe_suite",
 ]
 
-# Distance from lam = 0 (mod i pi) inside which fit_crossing_shift refuses.
+# Distance from either zero of the crossing scalar inside which
+# fit_crossing_shift refuses.
 REGULAR_GAP = 1e-3
 
 
@@ -141,90 +145,40 @@ def build_M(params: ModelParams, gauge: Gauge = Gauge.homogeneous) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# crossing-shift fit
+# crossing relation
 # ---------------------------------------------------------------------------
 
 
-def fit_crossing_shift(
-    params: ModelParams,
-    lam: complex,
-    gauge: Gauge = Gauge.homogeneous,
-) -> tuple[complex, float]:
-    """Fit the shift rho of the crossing relation R1(lam)^t1 M1 R2(-lam-2i rho)^t2 M1^-1 ∝ I.
+def fit_crossing_shift(params: ModelParams, lam: complex,
+                       gauge: Gauge = Gauge.homogeneous) -> tuple[complex, float]:
+    """Crossing shift rho = n mu / 2 and the crossing relation's residual at lam.
 
-    Returns (rho, residual-at-rho); the residual is prop_check of the product
-    against I. The lambda side is built once per fit: M1, M1^-1 and
-    R1(lam)^t1 M1 are plain arrays, so one evaluation at rho is one build_r
-    call and two products. A grid over one period strip of Re(rho) (31 or
-    62 points) times Im(rho) in [-0.6, 0.6] (9 points) is scored by
-    ||P - cI|| / ||P|| with c = tr P / n^2, and the best 3 points are
-    polished by Levenberg-Marquardt on the real and imaginary parts of
-    (P - cI) / ||P||.
-
-    The value is fitted, never assumed. It lands on n mu / 2 mod the period
-    at every point tried (n = 2..4, both gradations, the sampling boxes);
-    that is an observation about the R-matrix, which the code does not use.
-
-    A crossing product whose norm is not finite at some grid point raises
-    DegenerateParameters. A polish start that steps out of floating-point
-    range is dropped; when every start does, the best grid point stands and
-    its residual says the fit failed.
-
-    Within REGULAR_GAP of lam = 0 (mod i pi), R(lam) is near the multiple
-    sinh(i mu) P of the swap, R1(lam)^t1 near rank one, and the relation's
-    scalar near zero: the zero set in rho is then narrower than the scan's
-    step and the polish wanders off, so these points raise
-    DegenerateParameters.
+    The residual is rel_residual of R1(lam)^t1 M1 R2(-lam - 2i rho)^t2 M1^-1
+    against b(lam) b(-lam - 2i rho) I, with b = sinh the e_ii (x) e_jj entry
+    of R (Mezincescu & Nepomechie; see the module docstring). The scalar is
+    never read off the product, so this tests the identity, not only a
+    proportionality to I. Raises DegenerateParameters within REGULAR_GAP of
+    the scalar's zeros, lam = 0 and lam = -i n mu (mod i pi), and when the
+    product or scalar leaves floating-point range.
     """
     lam = complex(lam)
-    if abs(complex(lam.real, math.remainder(lam.imag, math.pi))) < REGULAR_GAP:
-        raise DegenerateParameters(f"crossing relation degenerate at lambda = {lam}")
     n = params.n
-    side = n * n
-    eye = np.eye(side)
-    m1 = embed_at(build_M(params, gauge), [1], (n, n))
-    m1_inv = m1.inv().mat
-    left = partial_transpose(build_r(params, lam, gauge), 1).mat @ m1.mat
-
-    def product(xy) -> np.ndarray:
-        r2 = partial_transpose(build_r(params, -lam - 2j * complex(xy[0], xy[1]), gauge), 2)
-        return left @ r2.mat @ m1_inv
-
-    def centred(prod) -> np.ndarray:
-        return (prod - np.trace(prod) / side * eye) / np.linalg.norm(prod)
-
-    def defect(xy) -> np.ndarray:
-        return centred(product(xy))
-
-    # Entries depend on rho through sinh(... - 2 i rho) and e^{± 2 i rho}
-    # factors, so the zero set of the (proportional!) relation is periodic in
-    # Re(rho): shifting rho by pi/2 flips the global sign of R in the
-    # homogeneous gradation (and for n = 2 in both), which a proportionality
-    # cannot see; in the principal gradation with n > 2 the hopping phases
-    # break that half-period and only pi survives. Scan one fundamental strip
-    # and report the canonical representative.
-    period = np.pi / 2 if (gauge == Gauge.homogeneous or n == 2) else np.pi
-    grid = [(re, im)
-            for re in np.linspace(0.0, period, max(8, int(period / 0.05)), endpoint=False)
-            for im in np.linspace(-0.6, 0.6, 9)]
-    products = [product(xy) for xy in grid]
-    if not all(np.isfinite(np.linalg.norm(prod)) for prod in products):
+    rho = complex(n * params.mu / 2)
+    shifted = -lam - 2j * rho
+    for zero in (lam, shifted):
+        if abs(complex(zero.real, math.remainder(zero.imag, math.pi))) < REGULAR_GAP:
+            raise DegenerateParameters(f"crossing relation degenerate at lambda = {lam}")
+    try:
+        m1 = embed_at(build_M(params, gauge), [1], (n, n))
+        product = (partial_transpose(build_r(params, lam, gauge), 1).mat @ m1.mat
+                   @ partial_transpose(build_r(params, shifted, gauge), 2).mat @ m1.inv().mat)
+        scalar = cmath.sinh(lam) * cmath.sinh(shifted)
+    except OverflowError:  # cmath raises where numpy would return inf
+        product = scalar = np.nan
+    if not (np.isfinite(product).all() and cmath.isfinite(scalar)):
         raise DegenerateParameters(
-            f"crossing product overflows on the fit grid at mu = {params.mu}, lambda = {lam}")
-    scores = [np.linalg.norm(centred(prod)) for prod in products]
-    starts = [grid[k] for k in np.argsort(scores, kind="stable")[:3]]
-    found = [starts[0]]
-    for x0 in starts:
-        try:
-            fit = least_squares(lambda xy: defect(xy).ravel().view(np.float64), x0,
-                                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except OverflowError:  # a polish step left the range of cmath.sinh
-            continue
-        if np.isfinite(np.linalg.norm(product(fit.x))):
-            found.append(fit.x)
-    best = min(found, key=lambda xy: np.linalg.norm(defect(xy)))
-    residual = prop_check(product(best), np.eye(side, dtype=np.complex128)).residual
-    return complex(best[0] % period, best[1]), residual
+            f"crossing product overflows at mu = {params.mu}, lambda = {lam}")
+    return rho, rel_residual(product, scalar * np.eye(n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +269,12 @@ def verify_ybe_suite(
             1e-12,
         )
 
-    # crossing: fit the shift at one lambda, assert lambda-independence at a
-    # second, for each gauge (fit once per suite run; it is a scan)
+    # crossing: the identity at one lambda, and at a second with the same
+    # shift, for each gauge (the drift check keeps its looser tolerance)
     lam_a, lam_b = sample_spectral(rng, params, 2)
     for gauge in (Gauge.homogeneous, Gauge.principal):
-        rho_a, res_a = fit_crossing_shift(params, lam_a, gauge)
-        rho_b, res_b = fit_crossing_shift(params, lam_b, gauge)
-        rb.add(f"ybe.crossing.fit.{gauge.value[:4]}", worst_of((res_a, res_b)), tol,
-               scalar=rho_a)
-        rb.add(
-            f"ybe.crossing.drift.{gauge.value[:4]}",
-            abs(rho_a - rho_b) / max(abs(rho_a), RESIDUAL_FLOOR),
-            1e-8,
-            scalar=rho_b,
-        )
+        rho, res_a = fit_crossing_shift(params, lam_a, gauge)
+        _, res_b = fit_crossing_shift(params, lam_b, gauge)
+        rb.add(f"ybe.crossing.fit.{gauge.value[:4]}", res_a, tol, scalar=rho)
+        rb.add(f"ybe.crossing.drift.{gauge.value[:4]}", res_b, 1e-8, scalar=rho)
     return rb.report()

@@ -36,6 +36,17 @@ def test_verify_single_suite_exit_zero(capsys):
     assert all(c["millis"] == 0 for c in report["checks"])
 
 
+def test_ybe_suite_passes_at_large_imaginary_mu(capsys):
+    # the crossing shift n mu / 2 = 2.25i is far off the real axis
+    code = main(["verify", "--suite", "ybe", "--samples", "1", "--mu", "1.5i"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["pass"] is True
+    assert {c["id"] for c in report["checks"] if c["id"].startswith("ybe.crossing")} == {
+        "ybe.crossing.fit.homo", "ybe.crossing.drift.homo",
+        "ybe.crossing.fit.prin", "ybe.crossing.drift.prin"}
+
+
 def test_verify_all_is_array_of_suites(capsys):
     code = main(["verify", "--suite", "all", "--n", "2", "--samples", "2"])
     out = capsys.readouterr().out
@@ -285,14 +296,14 @@ def test_overflowing_couplings_exit_two_before_any_suite(args, scalar, monkeypat
 
 def test_degenerate_parameters_inside_a_suite_exit_two(monkeypatch, capsys):
     def degenerate(spec, **kw):
-        raise cli.DegenerateParameters("crossing product overflows on the fit grid")
+        raise cli.DegenerateParameters("crossing product overflows at mu = 300j")
 
     monkeypatch.setitem(cli.SUITES, "ybe", degenerate)
     code = main(["verify", "--suite", "ybe", "--samples", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "fit grid" in captured.err
+    assert "crossing product overflows" in captured.err
 
 
 def test_verify_size_cap_admits_the_cap(monkeypatch, capsys):
