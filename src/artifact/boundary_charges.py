@@ -13,8 +13,9 @@ off-diagonal blocks of the double row.
 The same charges arise three independent ways and the suite confronts all of
 them pairwise:
 
-* products of N-fold coproducts of the tower entries with the boundary
-  weights inserted (the defining formulas),
+* the product Q = T+ K T-hat of the N-fold coproducts of the tower entries,
+  K being the large-lambda limit of the explicit right K up to a scalar (the
+  defining formulas, Sklyanin's coproduct of the reflection algebra),
 * the one-site coproduct recursion that peels the first site off,
 * numerical extraction from the double row at large real spectral parameter.
 
@@ -41,11 +42,14 @@ The tower entries have a handful of nonzeros per row, so
 CSR (``scipy.sparse``) and make each charge dense once. CSR appears nowhere
 else: every image that crosses a function boundary is a dense array.
 
-The recursion has a plain and a primed order. The primed one-site split is
-the plain split with its two legs exchanged, so each split is written once
-(``_split_terms`` for the charges, ``quantum_algebra._coproduct_pairs`` for
-the tower entries) and read both ways; ``cyclic_shift`` stays an
-independent reference for the primed order.
+Each route is one sum. The product route is Q_ij = sum_ab K[a, b] t_ia
+t-hat_bj over the nonzeros of K. The recursion uses that the tower matrices
+factor over the first site and the rest, so in the plain order Q_ij = sum_ab
+Q1_ab (x) t_ia t-hat_bj, with the one-site closed forms ``eval_Q_rep`` on the
+first site and the (L-1)-site tower entries on the rest; the primed order is
+the same sum with the legs exchanged, the plain (L-1)-site charges on the
+rest. Only the affine (n, n) charge, outside T+ K T-hat, keeps a two-term
+split. ``cyclic_shift`` stays an independent reference for the primed order.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -66,7 +70,6 @@ from .quantum_algebra import (
     TElementFamily,
     TElementLabel,
     Tower,
-    _coproduct_pairs,
     _qpow,
     block_closed_rep,
 )
@@ -154,28 +157,15 @@ class ChargeSet:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_entries(tower: Tower) -> Callable:
-    """Reader of the tower entries as CSR arrays, each converted once per
-    charge build."""
-    memo: dict = {}
-
-    def read(label: TElementLabel) -> sparse.csr_array:
-        if label not in memo:
-            memo[label] = sparse.csr_array(tower.t_image(label))
-        return memo[label]
-
-    return read
-
-
-def _affine_matrix(p: ModelParams, read: Callable) -> sparse.csr_array:
-    n = p.n
-    tnn = read(TElementLabel(_T.t, n, n))
+def _affine_matrix(
+    tower: Tower, tnn: sparse.csr_array, hnn: sparse.csr_array
+) -> sparse.csr_array:
+    """(n, n) charge in CSR, from the CSR t_nn and t-hat_nn of ``tower``."""
+    p, n = tower.params, tower.params.n
     c2 = 2.0 * cmath.cosh(2j * p.mu * p.zeta)
-    return (
-        -c2 * (tnn @ tnn)
-        - 1j * (tnn @ read(TElementLabel(_T.t0hat_1n, 1, n)))
-        - 1j * (read(TElementLabel(_T.t0_n1, n, 1)) @ read(TElementLabel(_T.t_hat, n, n)))
-    )
+    y = sparse.csr_array(tower.t_image(TElementLabel(_T.t0hat_1n, 1, n)))
+    x = sparse.csr_array(tower.t_image(TElementLabel(_T.t0_n1, n, 1)))
+    return -c2 * (tnn @ tnn) - 1j * (tnn @ y) - 1j * (x @ hnn)
 
 
 def build_affine_charge(tower: Tower) -> Operator:
@@ -185,64 +175,42 @@ def build_affine_charge(tower: Tower) -> Operator:
     boundary parameter zeta enters only here, through the cosh weight in
     front of the Cartan square.
     """
-    mat = _affine_matrix(tower.params, _sparse_entries(tower))
-    return Operator(mat.toarray(), (tower.params.n,) * tower.L)
+    n = tower.params.n
+    mat = _affine_matrix(tower, sparse.csr_array(tower.t(n, n)),
+                         sparse.csr_array(tower.h(n, n)))
+    return Operator(mat.toarray(), (n,) * tower.L)
 
 
 def build_boundary_charges(
     params: ModelParams, N: int, first_site_lambda: complex | None = None
 ) -> ChargeSet:
-    """Assemble the full charge set from products of coproduct tower entries.
+    """Assemble the full charge set as the product T+ K T-hat of one ``Tower``.
 
-    Every entry reads the upper-triangular ``t`` and lower-triangular hatted
-    entries of one ``Tower`` on the N sites. The first row and column weight
-    those products with the right boundary parameter; the interior block is a
-    plain quadratic sum. All entries are spectral-parameter independent once
-    the sites are fixed (the optional first-site evaluation point only matters
-    for the affine corners). The products are formed in CSR and each charge
-    is made dense once, as its ``Operator``.
+    Q_ij = sum_ab K[a, b] t_ia t-hat_bj over the nonzeros of K, the large-lambda
+    limit of the explicit right K up to a scalar: 2 cosh(i mu m) at (1, 1), -i
+    at (n, 1) and (1, n), e^{i mu m} on the interior diagonal. Only a >= i and
+    b >= j contribute, t being upper and t-hat lower triangular. All entries
+    are spectral-parameter independent once the sites are fixed (the
+    optional first-site evaluation point only matters for the affine
+    corners). The triangles are converted to CSR once, the products are
+    formed in CSR, and each charge is made dense once, as its ``Operator``.
     """
     n = params.n
     tower = Tower(params, N, first_site_lambda)
-    read = _sparse_entries(tower)
-
-    def t(i, j):
-        return read(TElementLabel(_T.t, i, j))
-
-    def h(i, j):
-        return read(TElementLabel(_T.t_hat, i, j))
-
+    t = {(i, a): sparse.csr_array(tower.t(i, a))
+         for i in range(1, n + 1) for a in range(i, n + 1)}
+    h = {(b, j): sparse.csr_array(tower.h(b, j))
+         for b in range(1, n + 1) for j in range(1, b + 1)}
     em = cmath.exp(1j * params.mu * params.m)
-    ch2 = em + 1.0 / em
+    k_inf = {(1, 1): em + 1.0 / em, (n, 1): -1j, (1, n): -1j}
+    k_inf.update({(a, a): em for a in range(2, n)})
     dims = (n,) * N
-    d = n**N
-
-    def charge(acc: sparse.csr_array) -> Operator:
-        return Operator(acc.toarray(), dims)
-
-    entries: dict = {}
-    acc = ch2 * (t(1, 1) @ h(1, 1))
-    acc -= 1j * (t(1, n) @ h(1, 1))
-    acc -= 1j * (t(1, 1) @ h(n, 1))
-    for j in range(2, n):
-        acc = acc + em * (t(1, j) @ h(j, 1))
-    entries[(1, 1)] = charge(acc)
-    for i in range(2, n + 1):
-        acc = -1j * (t(1, 1) @ h(n, i))
-        for j in range(i, n):
-            acc = acc + em * (t(1, j) @ h(j, i))
-        entries[(1, i)] = charge(acc)
-        acc = -1j * (t(i, n) @ h(1, 1))
-        for j in range(i, n):
-            acc = acc + em * (t(i, j) @ h(j, 1))
-        entries[(i, 1)] = charge(acc)
-    for k in range(2, n):
-        for l in range(2, n):
-            acc = sparse.csr_array((d, d), dtype=np.complex128)
-            for j in range(max(k, l), n):
-                acc = acc + em * (t(k, j) @ h(j, l))
-            entries[(k, l)] = charge(acc)
-    affine = charge(_affine_matrix(params, read))
+    entries = {
+        (i, j): Operator(sum(c * (t[i, a] @ h[b, j]) for (a, b), c in k_inf.items()
+                             if a >= i and b >= j).toarray(), dims)
+        for i, j in boundary_entry_indices(n)
+    }
+    affine = Operator(_affine_matrix(tower, t[n, n], h[n, n]).toarray(), dims)
     return ChargeSet(params=params, sites=N, entries=entries, affine=affine, tower=tower)
 
 
@@ -257,8 +225,10 @@ def eval_Q_rep(params: ModelParams, which: tuple, lam: complex = 0.0) -> np.ndar
     The first row and column close in matrix units with simple boundary
     weights; the (1, n) and (n, 1) entries coincide and are group-like up to
     the scalar -i. Only the (n, n) entry remembers the evaluation point,
-    through the affine corners. The interior block has no displayed closed
-    form and is built from the defining quadratic products instead.
+    through the affine corners. The interior block follows from the one-site
+    tower entries t_ik = w E_ki, t-hat_ki = w E_ik (i < k) and t_ii = q^{E_ii}:
+    e^{i mu m} w E_ji off the diagonal, e^{i mu m} (q^{2 E_ii} + w^2 sum_k
+    E_kk, i < k < n) on it.
     """
     n = params.n
     q = params.q
@@ -297,81 +267,19 @@ def eval_Q_rep(params: ModelParams, which: tuple, lam: complex = 0.0) -> np.ndar
         inner = (cmath.cosh(2j * params.mu * params.zeta) / ish) * hup
         inner += cmath.exp(-2 * lam) * e(n, 1) + cmath.exp(2 * lam) * e(1, n)
         mat = -1j * w * (qcorner @ inner)
+    elif i != j:
+        mat = em * w * e(j, i)
     else:
-        tower = Tower(params, 1, lam)
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for jj in range(max(i, j), n):
-            mat += em * (tower.t(i, jj) @ tower.h(jj, j))
+        d = np.ones(n, dtype=np.complex128)
+        d[i - 1] = q * q
+        d[i:n - 1] += w * w
+        mat = em * np.diag(d)
     return mat
 
 
 # ---------------------------------------------------------------------------
 # coproduct recursion
 # ---------------------------------------------------------------------------
-
-
-def _t_prime_rep(first: Tower, rest: Tower, label: TElementLabel) -> np.ndarray:
-    """Primed coproduct image of a tower entry on the 1 + rest.L sites.
-
-    Only the top split is primed: it is the plain two-fold split of
-    ``_coproduct_pairs`` with the legs exchanged, the distinguished site
-    (the one-site ``first``) in the first tensor slot and the plain coproduct
-    on ``rest`` below it.
-    """
-    return sum(
-        np.kron(first.t_image(b), rest.t_image(a))
-        for a, b in _coproduct_pairs(first.params.n, label)
-    )
-
-
-class _Leg(NamedTuple):
-    """One leg of a split: its charge image ``q(position)`` and the ``t`` and
-    ``h`` methods of its ``Tower``."""
-
-    q: Callable[[tuple], np.ndarray]
-    t: Callable[[int, int], np.ndarray]
-    h: Callable[[int, int], np.ndarray]
-
-
-def _split_terms(params: ModelParams, which: tuple) -> list:
-    """Plain one-site split of the charge at ``which``: (n, n), (1, 1) or the
-    rest of the first row and column.
-
-    Each term is (coefficient, charge-leg factor, tower-leg factor), a factor
-    being a function of a ``_Leg``. The plain split is the sum of
-    c * kron(charge-leg factor(first), tower-leg factor(rest)); the primed one
-    exchanges the legs, c * kron(tower-leg factor(first), charge-leg
-    factor(rest)).
-    """
-    n = params.n
-    i, j = which
-    em = cmath.exp(1j * params.mu * params.m)
-    if which == (n, n):
-        c2 = 2.0 * cmath.cosh(2j * params.mu * params.zeta)
-        return [
-            (1.0, lambda g: g.q((n, n)) + c2 * (g.t(1, 1) @ g.t(n, n)),
-             lambda g: g.t(n, n) @ g.t(n, n)),
-            (1.0, lambda g: g.t(1, 1) @ g.t(n, n), lambda g: g.q((n, n))),
-        ]
-    terms = [(1.0, lambda g, k=k: g.q((1, k)), lambda g, k=k: g.t(1, 1) @ g.h(k, j))
-             for k in range(j, n) if i == 1]
-    terms += [(1.0, lambda g, k=k: g.q((k, 1)), lambda g, k=k: g.t(i, k) @ g.t(1, 1))
-              for k in range(max(i, 2), n) if j == 1]
-    terms += [
-        (em, lambda g, k=k, jj=jj, l=l: g.t(k, jj) @ g.h(jj, l),
-         lambda g, k=k, l=l: g.t(i, k) @ g.h(l, j))
-        for jj in range(max(i, j, 2), n)
-        for k in range(max(i, 2), jj + 1)
-        for l in range(max(j, 2), jj + 1)
-    ]
-    if which == (1, 1):
-        corner = (lambda g: g.t(1, 1) @ g.t(n, n),
-                  lambda g: g.t(1, n) @ g.t(1, 1) + g.t(1, 1) @ g.h(n, 1))
-    elif i == 1:
-        corner = (lambda g: g.t(1, 1) @ g.t(n, n), lambda g: g.t(1, 1) @ g.h(n, j))
-    else:
-        corner = (lambda g: g.t(n, n) @ g.t(1, 1), lambda g: g.t(i, n) @ g.t(1, 1))
-    return terms + [(-1j, *corner)]
 
 
 def coproduct_charges(
@@ -383,13 +291,9 @@ def coproduct_charges(
 ) -> np.ndarray:
     """Charge on L sites through the one-site splitting of the coproduct.
 
-    Peels the first site off: the top split carries single-site charges and
-    tower entries, everything below is a plain (L-1)-fold coproduct. The
-    primed variant is the plain top split with its two legs exchanged (see
-    ``_split_terms``). Entries without a displayed recursion, namely (1, n),
-    (n, 1) and the interior block, go through the homomorphism property of
-    the (primed) coproduct instead. One call builds one ``Tower`` per
-    (sites, first-site lambda) and shares it across every level.
+    Reads the position ``which`` of ``_recursive_charges``. One call builds
+    one ``Tower`` per (sites, first-site lambda) and shares it across every
+    level.
     """
     n = params.n
     if which not in _charge_positions(n):
@@ -399,55 +303,54 @@ def coproduct_charges(
     if L < 1:
         raise ValueError("need at least one tensor factor")
     tower = cache(partial(Tower, params))
-    return _recursive_charge(params, L, which, variant, first_site_lambda, tower)
+    return _recursive_charges(params, L, variant, first_site_lambda, tower)[which]
 
 
-def _recursive_charge(
+def _recursive_charges(
     params: ModelParams,
     L: int,
-    which: tuple,
     variant: str,
     first_site_lambda: complex | None,
     tower: Callable[[int, complex | None], Tower],
-) -> np.ndarray:
-    """Matrix of ``coproduct_charges``; ``tower(sites, first_site_lambda)``
-    returns the one memoized ``Tower`` of the whole call."""
+) -> dict:
+    """Every charge on L sites, by position, through the reflection algebra's
+    coproduct; ``tower(sites, first_site_lambda)`` returns the one memoized
+    ``Tower`` of the whole call.
+
+    The tower matrices factor over the first site and the rest, T+ = T+_rest
+    T+_first and T-hat = T-hat_first T-hat_rest, so the plain charge is
+    Q_ij = sum_ab Q1_ab (x) t_ia t-hat_bj: the one-site closed forms
+    ``eval_Q_rep`` on the first site, the entries of the (L-1)-site tower on
+    the rest. The primed coproduct exchanges the legs: t_ia t-hat_bj of the
+    first site (x) the plain (L-1)-site charge Q_ab. The affine (n, n) charge
+    is outside that product and keeps its two-term split, written once for
+    the charge leg x and the tower leg y.
+    """
     n = params.n
     lam0 = 0.0 if first_site_lambda is None else first_site_lambda
+    one = {pos: eval_Q_rep(params, pos, lam0) for pos in _charge_positions(n)}
     if L == 1:
-        return eval_Q_rep(params, which, lam0)
-    i, j = which
-    em = cmath.exp(1j * params.mu * params.m)
-    dfull = n**L
+        return one
+    below = _recursive_charges(params, L - 1, "delta", None, tower)
+    first, rest = tower(1, first_site_lambda), tower(L - 1, None)
+    if variant == "delta":
+        (qx, tx), (qy, ty), join = (one, first), (below, rest), np.kron
+    else:
+        (qx, tx), (qy, ty) = (below, rest), (one, first)
 
-    first = tower(1, first_site_lambda)
-    rest = tower(L - 1, None)
-    interior = 2 <= i <= n - 1 and 2 <= j <= n - 1
-    if which in ((1, n), (n, 1)) or interior:
-        if variant == "delta":
-            img = tower(L, first_site_lambda).t_image
-        else:
-            img = partial(_t_prime_rep, first, rest)
-        if which == (1, n):
-            return -1j * img(TElementLabel(_T.t, 1, 1)) @ img(TElementLabel(_T.t_hat, n, n))
-        if which == (n, 1):
-            return -1j * img(TElementLabel(_T.t, n, n)) @ img(TElementLabel(_T.t_hat, 1, 1))
-        mat = np.zeros((dfull, dfull), dtype=np.complex128)
-        for jj in range(max(i, j), n):
-            mat += em * (img(TElementLabel(_T.t, i, jj))
-                         @ img(TElementLabel(_T.t_hat, jj, j)))
-        return mat
+        def join(x, y):
+            return np.kron(y, x)
 
-    first_leg = _Leg(partial(eval_Q_rep, params, lam=lam0), first.t, first.h)
-    rest_leg = _Leg(lambda pos: _recursive_charge(params, L - 1, pos, "delta", None, tower),
-                    rest.t, rest.h)
-    mat = np.zeros((dfull, dfull), dtype=np.complex128)
-    for c, charge_leg, tower_leg in _split_terms(params, which):
-        if variant == "delta":
-            mat += c * np.kron(charge_leg(first_leg), tower_leg(rest_leg))
-        else:
-            mat += c * np.kron(tower_leg(first_leg), charge_leg(rest_leg))
-    return mat
+    out = {
+        (i, j): sum(join(qx[a, b], ty.t(i, a) @ ty.h(b, j))
+                    for a, b in boundary_entry_indices(n) if a >= i and b >= j)
+        for i, j in boundary_entry_indices(n)
+    }
+    c2 = 2.0 * cmath.cosh(2j * params.mu * params.zeta)
+    corners_x = tx.t(1, 1) @ tx.t(n, n)
+    out[n, n] = (join(qx[n, n] + c2 * corners_x, ty.t(n, n) @ ty.t(n, n))
+                 + join(corners_x, qy[n, n]))
+    return out
 
 
 def cyclic_shift(n: int, N: int) -> np.ndarray:
@@ -621,21 +524,21 @@ def double_row_blocks(spec: ChainSpec, lam: complex) -> dict:
 
 
 def affine_transfer_defect(
-    spec: ChainSpec, lam: complex, charges: ChargeSet
+    t: np.ndarray, blk: dict, lam: complex, charges: ChargeSet
 ) -> tuple[float, float]:
     """Defect of the affine charge against the open transfer matrix.
 
-    Returns the residual of the closed form, which involves only the extreme
+    ``t`` is the open transfer matrix and ``blk`` the ``double_row_blocks``
+    of its double row, both at ``lam`` on the sites of ``charges``. Returns
+    the residual of the closed form, which involves only the extreme
     off-diagonal blocks of the double row, and the size of the commutator
     itself; both are relative to frob(t) frob(charge). The commutator must
     come out nonzero: the affine charge is genuinely outside the symmetry.
     """
-    p = spec.params
+    p = charges.params
     n = p.n
-    t = build_transfer(spec, lam).mat
     tnn = charges.affine.mat
     e11enn = charges.tower.t(1, 1) @ charges.tower.t(n, n)
-    blk = double_row_blocks(spec, lam)
     closed = (
         2j * p.w * cmath.sinh(2 * lam + 1j * n * p.mu) * ((blk[1, n] - blk[n, 1]) @ e11enn)
     )
@@ -643,25 +546,25 @@ def affine_transfer_defect(
     return frob(t @ tnn - tnn @ t - closed) / scale, comm_residual(t, tnn)
 
 
-def exchange_relation_residuals(spec: ChainSpec, lam: complex, charges: ChargeSet) -> dict:
+def exchange_relation_residuals(blk: dict, lam: complex, charges: ChargeSet) -> dict:
     """Displayed exchange relations between double-row blocks and the
     unbroken quantum-group generators, grouped by display.
 
-    The tower of ``charges``, on the chain's sites, supplies the coproducts
+    ``blk`` holds the ``double_row_blocks`` at ``lam`` on the sites of
+    ``charges``. The tower of ``charges``, on the chain's sites, supplies the coproducts
     of e_i, f_i and q^{+-h_i/2}, and the Cartan squares t(i, i); q^{1/2} is
     e^{i mu / 2}, the branch the tower's half Cartans take. Relations whose
     index range is empty at the given n are simply absent from the result;
     at n = 3 the middle-index family degenerates to the diagonal
     statements, which are kept.
     """
-    p = spec.params
+    p = charges.params
     n = p.n
     q = p.q
     w = p.w
     em = cmath.exp(1j * p.mu * p.m)
     qh = _qpow(p, 0.5)
     tower = charges.tower
-    blk = double_row_blocks(spec, lam)
     a_blk = {i: blk[(i, i)] for i in range(1, n + 1)}
     out: dict = {}
 
@@ -910,24 +813,20 @@ def verify_symmetry_suite(
     rec_tower = cache(partial(Tower, p))
     shift = cyclic_shift(n, N)
     shift_inv = shift.T  # permutation, so the transpose inverts it
-    res = worst_of(sym_residual(_recursive_charge(p, N, pos, "delta", None, rec_tower),
-                                charges.charge(pos))
+    plain = _recursive_charges(p, N, "delta", None, rec_tower)
+    res = worst_of(sym_residual(plain[pos], charges.charge(pos))
                    for pos in _charge_positions(n))
     rb.add("symmetry.recursion", res, 1e-11)
 
-    res = worst_of(
-        sym_residual(_recursive_charge(p, N, pos, "delta_prime", None, rec_tower),
-                     shift @ charges.charge(pos) @ shift_inv)
-        for pos in _charge_positions(n)
-    )
+    primed = _recursive_charges(p, N, "delta_prime", None, rec_tower)
+    res = worst_of(sym_residual(primed[pos], shift @ charges.charge(pos) @ shift_inv)
+                   for pos in _charge_positions(n))
     rb.add("symmetry.recursion_prime", res, 1e-11)
 
     # block closed forms of the primed coproducts with one evaluated site
+    evaluated = _recursive_charges(p, N + 1, "delta_prime", lam0, rec_tower)
     res = worst_of(
-        sym_residual(
-            _recursive_charge(p, N + 1, pos, "delta_prime", lam0, rec_tower),
-            block_closed_rep(p, pos, N, lam0, charges=charges),
-        )
+        sym_residual(evaluated[pos], block_closed_rep(p, pos, N, lam0, charges=charges))
         for pos in ([(n, n), (1, 1), (1, 2), (2, 1)] if n == 3 else [(n, n)])
     )
     rb.add("symmetry.block_closed", res, 1e-11)
@@ -964,6 +863,7 @@ def verify_symmetry_suite(
     lams = sample_spectral(rng, p, samples)
     for s, lam in enumerate(lams):
         t_open = build_transfer(hspec, lam).mat
+        blk = double_row_blocks(hspec, lam)
         if gl_small:
             res = worst_of(comm_residual(t_open, gen) for gen in gl_small)
             rb.add(f"symmetry.prop42.s{s}", res, tol)
@@ -972,7 +872,7 @@ def verify_symmetry_suite(
         )
         rb.add(f"symmetry.prop43.s{s}", res, tol)
 
-        res, size = affine_transfer_defect(hspec, lam, charges)
+        res, size = affine_transfer_defect(t_open, blk, lam, charges)
         rb.add(f"symmetry.com12.s{s}", res, tol)
         rb.add_flag(f"symmetry.com12_nonzero.s{s}", size > 1e-3, residual=size)
 
@@ -1003,7 +903,7 @@ def verify_symmetry_suite(
         )
         rb.add(f"symmetry.ik.s{s}", res, 1e-11)
 
-        for name, value in exchange_relation_residuals(hspec, lam, charges).items():
+        for name, value in exchange_relation_residuals(blk, lam, charges).items():
             rb.add(f"symmetry.{name}.s{s}", value, tol)
 
     if n == 3 and N == 2:

@@ -16,9 +16,12 @@ Conventions that the checks pin down empirically:
 * the coproduct sums: D(t_ij) = sum_k t_kj (x) t_ik for i < j, D(t-hat_ji) =
   sum_k t-hat_jk (x) t-hat_ki, and the minus families transposed accordingly;
 * affine elements: D(y) = t_11 (x) y + y (x) t_nn;
-* the primed split of a tower entry is the plain one (``_coproduct_pairs``)
-  with its legs exchanged; the Chevalley coproducts keep both orders typed
-  out, because ``algebra.prime_is_swap`` compares them.
+* as matrices over the auxiliary space the two sums read T+ = T+_rest
+  T+_first and T-hat = T-hat_first T-hat_rest, the first site in the first
+  tensor slot; the primed order reverses both products. The boundary
+  charges' recursion uses that form, so no primed tower entry is built. The
+  Chevalley coproducts keep both orders typed out, because
+  ``algebra.prime_is_swap`` compares them.
 
 Everything is realized as plain arrays on (C^n)^{(x) L}, except the Lax
 operators, which the chain embeds and so are ``Operator``s; the first tensor
@@ -91,9 +94,6 @@ class GeneratorLabel:
     kind: GeneratorKind
     index: int
     inverse: bool = False
-
-    def name(self) -> str:
-        return f"{self.kind.value}{self.index}" + ("inv" if self.inverse else "")
 
 
 class TElementFamily(str, Enum):

@@ -9,13 +9,14 @@ dominant-balance limit of the affine charge at large boundary parameter.
 
 import cmath
 import math
+from functools import cache, partial
 
 import numpy as np
 import pytest
 
 from artifact import ModelParams, boundary_charges, quantum_algebra
 from artifact.boundary_charges import (
-    _t_prime_rep,
+    _recursive_charges,
     asymptotic_charges_residual,
     boundary_entry_indices,
     braid_exchange_residuals,
@@ -24,6 +25,7 @@ from artifact.boundary_charges import (
     coproduct_charges,
     cyclic_shift,
     degeneracy_witness,
+    double_row_blocks,
     eval_Q_rep,
     exchange_relation_residuals,
     principal_asymptotic_residual,
@@ -139,33 +141,36 @@ def test_recursion_matches_products():
 
 
 def test_recursion_prime_is_cycled_recursion():
-    # every position; n = 4 reaches the rows and columns i >= 3, and the
-    # interior and (1, n) / (n, 1) entries that go through _t_prime_rep
+    # every position; n = 4 reaches the rows and columns i >= 3 and the
+    # interior block. One recursion per order returns every position.
     for n in (3, 4):
         p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
         shift = cyclic_shift(n, 3)
         inv = shift.conj().T
+        tower = cache(partial(Tower, p))
+        plain = _recursive_charges(p, 3, "delta", None, tower)
+        primed = _recursive_charges(p, 3, "delta_prime", None, tower)
         for pos in boundary_entry_indices(n) + ((n, n),):
-            plain = coproduct_charges(p, 3, pos)
-            primed = coproduct_charges(p, 3, pos, "delta_prime")
-            cycled = shift @ plain @ inv
-            assert rel_residual(primed, cycled) < 1e-12, (n, pos)
+            cycled = shift @ plain[pos] @ inv
+            assert rel_residual(primed[pos], cycled) < 1e-12, (n, pos)
 
 
-def test_t_prime_rep_is_cycled_tower():
-    p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
-    shift = cyclic_shift(3, 3)
-    inv = shift.conj().T
-    labels = [TElementLabel(TElementFamily.t, i, j) for i in (1, 2, 3) for j in (1, 2, 3)
-              if i <= j]
-    labels += [TElementLabel(TElementFamily.t_hat, i, j) for i in (1, 2, 3)
-               for j in (1, 2, 3) if i >= j]
-    labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
-               TElementLabel(TElementFamily.t0hat_1n, 1, 3)]
-    first, rest = Tower(p, 1), Tower(p, 2)
-    for lab in labels:
-        cycled = shift @ t_element_rep(p, lab, L=3) @ inv
-        assert rel_residual(_t_prime_rep(first, rest, lab), cycled) < 1e-12, lab
+def test_recursion_builds_no_tower_on_all_sites(monkeypatch):
+    # the recursion reads towers on one and L - 1 sites only: a tower on all
+    # L sites would make symmetry.recursion compare the product route with
+    # itself
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
+    sites = []
+    inner = boundary_charges.Tower
+
+    def counted(params, L=1, *args):
+        sites.append(L)
+        return inner(params, L, *args)
+
+    monkeypatch.setattr(boundary_charges, "Tower", counted)
+    for pos in ((1, 4), (4, 1), (2, 3)):
+        coproduct_charges(p, 3, pos)
+    assert sites and 3 not in sites
 
 
 def _dense_charges(tower):
@@ -222,12 +227,13 @@ def test_charges_build_each_coproduct_once(monkeypatch):
     build_boundary_charges(p, 3)
     assert len(calls) == 12
     assert len(set(calls)) == 12
-    # the primed recursion needs sixteen distinct (label, sites, lambda)
-    # images, on one and two sites, across all its levels
+    # the primed recursion needs twelve distinct (label, sites, lambda)
+    # images across all its levels: the four half Cartans and e_i, f_i for
+    # i < n on one site, and the half Cartans of t_11 and t_nn on two sites
     calls.clear()
     coproduct_charges(p, 3, (1, 1), "delta_prime")
-    assert len(calls) == 16
-    assert len(set(calls)) == 16
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
 
 
 def test_block_closed_forms_match_generic_coproduct():
@@ -258,7 +264,8 @@ def test_braid_exchange_single_site():
 def test_exchange_relations_n3_displays():
     spec = ChainSpec(params=P32)
     charges = build_boundary_charges(P32, 2)
-    out = exchange_relation_residuals(spec, 0.31 - 0.13j, charges)
+    out = exchange_relation_residuals(double_row_blocks(spec, 0.31 - 0.13j), 0.31 - 0.13j,
+                                      charges)
     for name in ("com4", "com5", "com6", "com7", "com8", "com9", "com11"):
         assert out[name] < 1e-12, name
     # the strictly-interior ladder relations need n >= 4
@@ -269,7 +276,8 @@ def test_exchange_relations_nonvacuous_n4():
     p = ModelParams(n=4, mu=0.37, m=1.1 + 0.15j, zeta=0.52, sites=2)
     spec = ChainSpec(params=p)
     charges = build_boundary_charges(p, 2)
-    out = exchange_relation_residuals(spec, 0.21 + 0.17j, charges)
+    out = exchange_relation_residuals(double_row_blocks(spec, 0.21 + 0.17j), 0.21 + 0.17j,
+                                      charges)
     for name in ("com2", "com3", "com4", "com4b", "com8", "com11"):
         assert out[name] < 1e-12, name
 
@@ -279,8 +287,8 @@ def test_exchange_relations_take_the_towers_half_power_of_q(mu):
     # beyond |Re mu| = pi the principal square root of q = e^{i mu} is
     # -e^{i mu / 2}; the relations hold with the tower's branch e^{i mu / 2}
     p = ModelParams(n=4, mu=mu, m=0.9 + 0.2j, zeta=0.6, sites=2)
-    out = exchange_relation_residuals(ChainSpec(params=p), 0.21 + 0.17j,
-                                      build_boundary_charges(p, 2))
+    out = exchange_relation_residuals(double_row_blocks(ChainSpec(params=p), 0.21 + 0.17j),
+                                      0.21 + 0.17j, build_boundary_charges(p, 2))
     for name in ("com2", "com3", "com4", "com4b"):
         assert out[name] < 1e-12, name
 
@@ -335,7 +343,7 @@ def test_symmetry_suite_shares_one_recursion_memo(monkeypatch):
     monkeypatch.setattr(quantum_algebra, "coproduct_rep", counted)
     rep = verify_symmetry_suite(ChainSpec(params=P32))
     assert rep.passed
-    assert len(calls) == 46
+    assert len(calls) == 34
 
 
 def test_suite_green_n3():

@@ -11,11 +11,13 @@ points themselves (lambda at the unitarity poles ±i mu, x(0) near 0) the
 builders must raise ``DegenerateParameters`` or return finite matrices, and
 the crossing relation must raise it within ``REGULAR_GAP`` of either zero of
 its scalar, lambda = 0 and lambda = -i n mu (mod i pi). The
-Hamiltonian's weight sectors are checked over the same boxes.
+Hamiltonian's weight sectors and both orders of the boundary charges'
+coproduct recursion are checked over the same boxes.
 """
 
 import math
 from dataclasses import replace
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -23,8 +25,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from artifact import ModelParams
+from artifact.boundary_charges import (
+    _charge_positions,
+    _recursive_charges,
+    build_boundary_charges,
+    cyclic_shift,
+)
 from artifact.hecke_algebra import rep_boundary, rep_bulk
 from artifact.params import DegenerateParameters
+from artifact.quantum_algebra import Tower
 from artifact.reflection_k import build_k_explicit, reflection_residual
 from artifact.spin_chain import (
     ChainSpec,
@@ -226,3 +235,19 @@ def test_hamiltonian_keeps_the_middle_state_counts(p):
         ways = math.factorial(sites) // math.prod(math.factorial(int(k)) for k in (*c[0], r))
         assert idx.size == ways * 2**r
     assert len(sectors) == len(blocks)
+
+
+@PROPERTY
+@given(_model(sites=st.integers(1, 3)))
+def test_charge_recursion_matches_the_products(p):
+    # plain order against T+ K T-hat on the same sites, primed order against
+    # its cyclic-shift conjugate, at every position the affine one included
+    n, N = p.n, p.sites
+    charges = build_boundary_charges(p, N)
+    shift = cyclic_shift(n, N)
+    tower = cache(partial(Tower, p))
+    plain = _recursive_charges(p, N, "delta", None, tower)
+    primed = _recursive_charges(p, N, "delta_prime", None, tower)
+    for pos in _charge_positions(n):
+        assert rel_residual(plain[pos], charges.charge(pos)) < BOUND, pos
+        assert rel_residual(primed[pos], shift @ charges.charge(pos) @ shift.T) < BOUND, pos
