@@ -37,10 +37,13 @@ builds its own towers, one per (sites, first-site lambda) for a whole call
 never reads a ``ChargeSet``: it is the independent route. One least-squares
 ray fit (``_ray_scalar``, ``_ray_defect``) serves both asymptotic read-offs.
 
-The tower entries have a handful of nonzeros per row, so
-``build_boundary_charges`` and ``build_affine_charge`` form their products in
-CSR (``scipy.sparse``) and make each charge dense once. CSR appears nowhere
-else: every image that crosses a function boundary is a dense array.
+The tower entries have a handful of nonzeros per row, so a ``Tower`` on more
+than ``quantum_algebra.CSR_ABOVE`` rows stores them in CSR (``scipy.sparse``)
+and a smaller one dense. ``build_boundary_charges`` and
+``build_affine_charge`` alone read the stored form (``Tower._stored``): their
+products run in the tower's storage and each charge is made dense once.
+Every other reader, the recursion and the checks included, reads the dense
+arrays of the public ``Tower`` methods; no sparse matrix leaves this module.
 
 Each route is one sum. The product route is Q_ij = sum_ab K[a, b] t_ia
 t-hat_bj over the nonzeros of K. The recursion uses that the tower matrices
@@ -61,7 +64,6 @@ from functools import cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .hecke_algebra import build_bulk_generator, rep_boundary, rep_bulk
 from .params import DegenerateParameters, ModelParams
@@ -70,6 +72,7 @@ from .quantum_algebra import (
     TElementFamily,
     TElementLabel,
     Tower,
+    _dense,
     _qpow,
     block_closed_rep,
 )
@@ -157,28 +160,21 @@ class ChargeSet:
 # ---------------------------------------------------------------------------
 
 
-def _affine_matrix(
-    tower: Tower, tnn: sparse.csr_array, hnn: sparse.csr_array
-) -> sparse.csr_array:
-    """(n, n) charge in CSR, from the CSR t_nn and t-hat_nn of ``tower``."""
-    p, n = tower.params, tower.params.n
-    c2 = 2.0 * cmath.cosh(2j * p.mu * p.zeta)
-    y = sparse.csr_array(tower.t_image(TElementLabel(_T.t0hat_1n, 1, n)))
-    x = sparse.csr_array(tower.t_image(TElementLabel(_T.t0_n1, n, 1)))
-    return -c2 * (tnn @ tnn) - 1j * (tnn @ y) - 1j * (x @ hnn)
-
-
 def build_affine_charge(tower: Tower) -> Operator:
     """The (n, n) boundary charge on the sites of ``tower``.
 
     Quadratic in the last Cartan with both affine corners attached; the
     boundary parameter zeta enters only here, through the cosh weight in
-    front of the Cartan square.
+    front of the Cartan square. The products run in the tower's storage.
     """
-    n = tower.params.n
-    mat = _affine_matrix(tower, sparse.csr_array(tower.t(n, n)),
-                         sparse.csr_array(tower.h(n, n)))
-    return Operator(mat.toarray(), (n,) * tower.L)
+    p, n = tower.params, tower.params.n
+    c2 = 2.0 * cmath.cosh(2j * p.mu * p.zeta)
+    tnn = tower._stored(TElementLabel(_T.t, n, n))
+    hnn = tower._stored(TElementLabel(_T.t_hat, n, n))
+    y = tower._stored(TElementLabel(_T.t0hat_1n, 1, n))
+    x = tower._stored(TElementLabel(_T.t0_n1, n, 1))
+    mat = -c2 * (tnn @ tnn) - 1j * (tnn @ y) - 1j * (x @ hnn)
+    return Operator(_dense(mat), (n,) * tower.L)
 
 
 def build_boundary_charges(
@@ -192,26 +188,30 @@ def build_boundary_charges(
     b >= j contribute, t being upper and t-hat lower triangular. All entries
     are spectral-parameter independent once the sites are fixed (the
     optional first-site evaluation point only matters for the affine
-    corners). The triangles are converted to CSR once, the products are
-    formed in CSR, and each charge is made dense once, as its ``Operator``.
+    corners). The products run on the tower's stored images, CSR on a large
+    tower and dense on a small one, and each charge is made dense once, as
+    its ``Operator``.
     """
     n = params.n
     tower = Tower(params, N, first_site_lambda)
-    t = {(i, a): sparse.csr_array(tower.t(i, a))
-         for i in range(1, n + 1) for a in range(i, n + 1)}
-    h = {(b, j): sparse.csr_array(tower.h(b, j))
-         for b in range(1, n + 1) for j in range(1, b + 1)}
+
+    def t(i, a):
+        return tower._stored(TElementLabel(_T.t, i, a))
+
+    def h(b, j):
+        return tower._stored(TElementLabel(_T.t_hat, b, j))
+
     em = cmath.exp(1j * params.mu * params.m)
     k_inf = {(1, 1): em + 1.0 / em, (n, 1): -1j, (1, n): -1j}
     k_inf.update({(a, a): em for a in range(2, n)})
     dims = (n,) * N
     entries = {
-        (i, j): Operator(sum(c * (t[i, a] @ h[b, j]) for (a, b), c in k_inf.items()
-                             if a >= i and b >= j).toarray(), dims)
+        (i, j): Operator(_dense(sum(c * (t(i, a) @ h(b, j)) for (a, b), c in k_inf.items()
+                                    if a >= i and b >= j)), dims)
         for i, j in boundary_entry_indices(n)
     }
-    affine = Operator(_affine_matrix(tower, t[n, n], h[n, n]).toarray(), dims)
-    return ChargeSet(params=params, sites=N, entries=entries, affine=affine, tower=tower)
+    return ChargeSet(params=params, sites=N, entries=entries,
+                     affine=build_affine_charge(tower), tower=tower)
 
 
 # ---------------------------------------------------------------------------

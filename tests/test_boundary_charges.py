@@ -9,6 +9,7 @@ dominant-balance limit of the affine charge at large boundary parameter.
 
 import cmath
 import math
+import tracemalloc
 from functools import cache, partial
 
 import numpy as np
@@ -133,11 +134,10 @@ def test_affine_charge_dominant_balance():
 
 def test_recursion_matches_products():
     charges = build_boundary_charges(P32, 2)
+    built = _recursive_charges(P32, 2, "delta", None, cache(partial(Tower, P32)))
     for pos in boundary_entry_indices(3):
-        built = coproduct_charges(P32, 2, pos)
-        assert rel_residual(built, charges.entries[pos].mat) < 1e-12
-    built = coproduct_charges(P32, 2, (3, 3))
-    assert rel_residual(built, charges.affine.mat) < 1e-12
+        assert rel_residual(built[pos], charges.entries[pos].mat) < 1e-12
+    assert rel_residual(built[3, 3], charges.affine.mat) < 1e-12
 
 
 def test_recursion_prime_is_cycled_recursion():
@@ -196,11 +196,14 @@ def _dense_charges(tower):
     return out
 
 
-@pytest.mark.parametrize("n,N", [(2, 5), (3, 3), (4, 3)])
-def test_charges_equal_dense_tower_products(n, N):
+@pytest.mark.parametrize("n,N", [(2, 5), (3, 3), (4, 3), (2, 7), (2, 8), (3, 5), (4, 4)])
+def test_charges_equal_dense_tower_products(n, N, monkeypatch):
+    # sizes on both sides of CSR_ABOVE, the oracle read from a tower forced dense
     p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=N)
     charges = build_boundary_charges(p, N, 0.23 - 0.11j)
-    want = _dense_charges(charges.tower)
+    assert charges.tower.sparse == (n**N > quantum_algebra.CSR_ABOVE)
+    monkeypatch.setattr(quantum_algebra, "CSR_ABOVE", math.inf)
+    want = _dense_charges(Tower(p, N, 0.23 - 0.11j))
     assert set(want) == set(charges.entries) | {(n, n)}
     for pos, mat in want.items():
         assert rel_residual(charges.charge(pos), mat) <= 1e-14, pos
@@ -210,6 +213,20 @@ def test_charges_equal_dense_tower_products(n, N):
         assert type(op.mat) is np.ndarray
         assert op.mat.dtype == np.complex128 and op.mat.flags.c_contiguous
         assert op.mat.shape == (n**N, n**N)
+
+
+def test_charge_build_keeps_no_dense_tower():
+    # at (4, 5) a tower of dense 1024-sided images peaks near 870 MB, while
+    # the eleven dense entries and the affine charge take 201 MB
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=5)
+    tracemalloc.start()
+    try:
+        charges = build_boundary_charges(p, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charges.tower.sparse and len(charges.entries) == 11
+    assert peak < 400e6
 
 
 def test_charges_build_each_coproduct_once(monkeypatch):
@@ -239,10 +256,10 @@ def test_charges_build_each_coproduct_once(monkeypatch):
 def test_block_closed_forms_match_generic_coproduct():
     lam = 0.27 - 0.19j
     charges = build_boundary_charges(P32, 2)
+    generic = _recursive_charges(P32, 3, "delta_prime", lam, cache(partial(Tower, P32)))
     for pos in ((3, 3), (1, 1), (1, 2), (2, 1)):
         closed = block_closed_rep(P32, pos, 2, lam, charges=charges)
-        generic = coproduct_charges(P32, 3, pos, "delta_prime", first_site_lambda=lam)
-        assert rel_residual(generic, closed) < 1e-12
+        assert rel_residual(generic[pos], closed) < 1e-12
 
 
 def test_asymptotic_readout_homogeneous():

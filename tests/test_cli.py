@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from artifact import cli, spin_chain, tensor_core
+from artifact import cli, quantum_algebra, spin_chain, tensor_core
 from artifact.cli import CliError, main, parse_complex, read_config
 from artifact.reporting import VerificationReport, emit_report
 
@@ -55,6 +55,26 @@ def test_verify_all_is_array_of_suites(capsys):
     assert [r["suite"] for r in reports] == [
         "hecke", "ybe", "reflection", "algebra", "chain", "symmetry"]
     assert all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("sites", [4, 5])
+def test_symmetry_suite_reads_the_charge_tower_dense(sites, monkeypatch, capsys):
+    # at n = 3 the charge tower has 81 rows on four sites (stored dense) and
+    # 243 on five (stored in CSR); every check reads its images as arrays
+    towers = []
+    init = quantum_algebra.Tower.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        towers.append((self.params.n**self.L, self.sparse))
+
+    monkeypatch.setattr(quantum_algebra.Tower, "__init__", recorded)
+    code = main(["verify", "--suite", "symmetry", "--n", "3", "--sites", str(sites),
+                 "--samples", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["pass"] is True
+    assert all(c["pass"] is True for c in report["checks"])
+    assert (3**sites, sites == 5) in towers
 
 
 @pytest.mark.parametrize("suite", ["symmetry", "all"])

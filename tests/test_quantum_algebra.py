@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from artifact import ModelParams
+from artifact import ModelParams, quantum_algebra
 from artifact.boundary_charges import build_boundary_charges
 from artifact.params import DegenerateParameters
 from artifact.quantum_algebra import (
@@ -258,6 +258,47 @@ def test_tower_dressing_equals_dense_cartan_products():
     check(TElementFamily.t0hat_1n, 1, n, plus * k(1, False) @ k(n, False) @ e_n)
     check(TElementFamily.t0_minus_1n, 1, n, minus * k(1, True) @ k(n, True) @ e_n)
     check(TElementFamily.t0hat_minus_n1, n, 1, minus * k(1, True) @ k(n, True) @ f_n)
+
+
+def _every_read(tower):
+    """(name, value) of every public read of ``tower``: generator coproducts,
+    root elements, and the t, t-hat, minus and affine-corner entries."""
+    n, T, G = tower.params.n, TElementFamily, GeneratorKind
+    idx = range(1, n + 1)
+    reads = [(("gen", kind, i, inverse), tower.gen(kind, i, inverse))
+             for kind in G for i in idx
+             for inverse in ((False, True) if kind in (G.KCARTAN, G.HCARTAN) else (False,))]
+    reads += [(("root", i, j, hat), tower.root(i, j, hat))
+              for i in idx for j in idx if i != j for hat in (False, True)]
+    labels = [TElementLabel(fam, i, j) for fam in (T.t, T.t_hat_minus)
+              for i in idx for j in idx if i <= j]
+    labels += [TElementLabel(fam, i, j) for fam in (T.t_minus, T.t_hat)
+               for i in idx for j in idx if i >= j]
+    labels += [TElementLabel(T.t0_n1, n, 1), TElementLabel(T.t0hat_1n, 1, n),
+               TElementLabel(T.t0_minus_1n, 1, n), TElementLabel(T.t0hat_minus_n1, n, 1)]
+    reads += [(lab, tower.t_image(lab)) for lab in labels]
+    reads += [(("t", i, j), tower.t(i, j)) for i in idx for j in idx if i <= j]
+    reads += [(("h", i, j), tower.h(i, j)) for i in idx for j in idx if i >= j]
+    return reads
+
+
+@pytest.mark.parametrize("n,L", [(3, 3), (3, 4), (2, 7), (2, 8), (3, 5), (4, 4)])
+def test_tower_storage_agrees_with_a_dense_tower(n, L, monkeypatch):
+    # sizes on both sides of CSR_ABOVE, chain-reach's three among them: every
+    # public read is a dense read-only array, the same one on every read, and
+    # equals the read of a tower forced dense
+    p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=L)
+    tower = Tower(p, L, 0.23 - 0.11j)
+    assert tower.sparse == (n**L > quantum_algebra.CSR_ABOVE)
+    monkeypatch.setattr(quantum_algebra, "CSR_ABOVE", math.inf)
+    dense = Tower(p, L, 0.23 - 0.11j)
+    assert not dense.sparse
+    got = _every_read(tower)
+    for (key, a), (_, b), (_, again) in zip(got, _every_read(dense), _every_read(tower)):
+        assert type(a) is np.ndarray and not a.flags.writeable, key
+        assert again is a, key
+        assert a.shape == (n**L, n**L), key
+        assert rel_residual(a, b) <= 1e-14, key
 
 
 def test_t_elements_at_pi0():
