@@ -37,22 +37,18 @@ builds its own towers, one per (sites, first-site lambda) for a whole call
 never reads a ``ChargeSet``: it is the independent route. One least-squares
 ray fit (``_ray_scalar``, ``_ray_defect``) serves both asymptotic read-offs.
 
-The tower entries have a handful of nonzeros per row, so a ``Tower`` on more
-than ``quantum_algebra.CSR_ABOVE`` rows stores them in CSR (``scipy.sparse``)
-and a smaller one dense. ``build_boundary_charges`` and
-``build_affine_charge`` alone read the stored form (``Tower._stored``): their
-products run in the tower's storage and each charge is made dense once.
-Every other reader, the recursion and the checks included, reads the dense
-arrays of the public ``Tower`` methods; no sparse matrix leaves this module.
-
 Each route is one sum. The product route is Q_ij = sum_ab K[a, b] t_ia
-t-hat_bj over the nonzeros of K. The recursion uses that the tower matrices
-factor over the first site and the rest, so in the plain order Q_ij = sum_ab
-Q1_ab (x) t_ia t-hat_bj, with the one-site closed forms ``eval_Q_rep`` on the
-first site and the (L-1)-site tower entries on the rest; the primed order is
-the same sum with the legs exchanged, the plain (L-1)-site charges on the
-rest. Only the affine (n, n) charge, outside T+ K T-hat, keeps a two-term
-split. ``cyclic_shift`` stays an independent reference for the primed order.
+t-hat_bj over the nonzeros of K, and the affine (n, n) charge, outside
+T+ K T-hat, is one more sum of three tower products; each is one
+``Tower.product_sum``, so how the tower stores its images stays inside it.
+The recursion uses that the tower matrices factor over the first site and
+the rest, so in the plain order Q_ij = sum_ab Q1_ab (x) t_ia t-hat_bj, with
+the one-site closed forms ``eval_Q_rep`` on the first site and the (L-1)-site
+tower entries on the rest; the primed order is the same sum with the legs
+exchanged, the plain (L-1)-site charges on the rest. There the affine charge
+keeps a two-term split. ``cyclic_shift`` stays an independent reference for
+the primed order, and ``charge_block_closed`` holds the closed block forms of
+the primed charges with one evaluated site.
 """
 
 from __future__ import annotations
@@ -72,9 +68,6 @@ from .quantum_algebra import (
     TElementFamily,
     TElementLabel,
     Tower,
-    _dense,
-    _qpow,
-    block_closed_rep,
 )
 from .reflection_k import LeftBoundaryKind, build_k_explicit
 from .reporting import ReportBuilder, VerificationReport
@@ -160,23 +153,6 @@ class ChargeSet:
 # ---------------------------------------------------------------------------
 
 
-def build_affine_charge(tower: Tower) -> Operator:
-    """The (n, n) boundary charge on the sites of ``tower``.
-
-    Quadratic in the last Cartan with both affine corners attached; the
-    boundary parameter zeta enters only here, through the cosh weight in
-    front of the Cartan square. The products run in the tower's storage.
-    """
-    p, n = tower.params, tower.params.n
-    c2 = 2.0 * cmath.cosh(2j * p.mu * p.zeta)
-    tnn = tower._stored(TElementLabel(_T.t, n, n))
-    hnn = tower._stored(TElementLabel(_T.t_hat, n, n))
-    y = tower._stored(TElementLabel(_T.t0hat_1n, 1, n))
-    x = tower._stored(TElementLabel(_T.t0_n1, n, 1))
-    mat = -c2 * (tnn @ tnn) - 1j * (tnn @ y) - 1j * (x @ hnn)
-    return Operator(_dense(mat), (n,) * tower.L)
-
-
 def build_boundary_charges(
     params: ModelParams, N: int, first_site_lambda: complex | None = None
 ) -> ChargeSet:
@@ -185,33 +161,34 @@ def build_boundary_charges(
     Q_ij = sum_ab K[a, b] t_ia t-hat_bj over the nonzeros of K, the large-lambda
     limit of the explicit right K up to a scalar: 2 cosh(i mu m) at (1, 1), -i
     at (n, 1) and (1, n), e^{i mu m} on the interior diagonal. Only a >= i and
-    b >= j contribute, t being upper and t-hat lower triangular. All entries
-    are spectral-parameter independent once the sites are fixed (the
-    optional first-site evaluation point only matters for the affine
-    corners). The products run on the tower's stored images, CSR on a large
-    tower and dense on a small one, and each charge is made dense once, as
-    its ``Operator``.
+    b >= j contribute, t being upper and t-hat lower triangular. The affine
+    (n, n) charge is quadratic in the last Cartan with both affine corners
+    attached, -2 cosh(2 i mu zeta) t_nn t_nn - i t_nn t0-hat_1n - i t0_n1
+    t-hat_nn; the boundary parameter zeta enters only there. All entries are
+    spectral-parameter independent once the sites are fixed (the optional
+    first-site evaluation point only matters for the affine corners). Each
+    charge is one ``Tower.product_sum``, returned dense as its ``Operator``.
     """
     n = params.n
     tower = Tower(params, N, first_site_lambda)
-
-    def t(i, a):
-        return tower._stored(TElementLabel(_T.t, i, a))
-
-    def h(b, j):
-        return tower._stored(TElementLabel(_T.t_hat, b, j))
-
+    t, h = partial(TElementLabel, _T.t), partial(TElementLabel, _T.t_hat)
     em = cmath.exp(1j * params.mu * params.m)
     k_inf = {(1, 1): em + 1.0 / em, (n, 1): -1j, (1, n): -1j}
     k_inf.update({(a, a): em for a in range(2, n)})
     dims = (n,) * N
     entries = {
-        (i, j): Operator(_dense(sum(c * (t(i, a) @ h(b, j)) for (a, b), c in k_inf.items()
-                                    if a >= i and b >= j)), dims)
+        (i, j): Operator(tower.product_sum(
+            (c, t(i, a), h(b, j)) for (a, b), c in k_inf.items() if a >= i and b >= j), dims)
         for i, j in boundary_entry_indices(n)
     }
+    c2 = 2.0 * cmath.cosh(2j * params.mu * params.zeta)
+    affine = tower.product_sum((
+        (-c2, t(n, n), t(n, n)),
+        (-1j, t(n, n), TElementLabel(_T.t0hat_1n, 1, n)),
+        (-1j, TElementLabel(_T.t0_n1, n, 1), h(n, n)),
+    ))
     return ChargeSet(params=params, sites=N, entries=entries,
-                     affine=build_affine_charge(tower), tower=tower)
+                     affine=Operator(affine, dims), tower=tower)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +341,57 @@ def cyclic_shift(n: int, N: int) -> np.ndarray:
     for k in range(1, N):
         c = c @ embed_at(permutation_swap(n), [k, k + 1], [n] * N).mat
     return c
+
+
+def charge_block_closed(charges: ChargeSet, which: tuple, lam: complex) -> np.ndarray:
+    """Block-matrix closed form of (pi_lam (x) pi_0^N) of a primed charge.
+
+    ``which`` is (n, n), or (1, 1), (1, 2) or (2, 1) at n = 3 only; N is the
+    site count of ``charges``. The blocks read the N-site charges by position
+    and the Cartan squares from the set's tower.
+    """
+    p, tower = charges.params, charges.tower
+    n, q, w = p.n, p.q, p.w
+    if which not in ((1, 1), (1, 2), (2, 1), (n, n)):
+        raise ValueError(f"no closed form for a charge at {which!r}")
+    if which != (n, n) and n != 3:
+        raise ValueError(f"Q at {which}: closed form is recorded for n=3 only")
+    zero = np.zeros((n**charges.sites,) * 2, dtype=np.complex128)
+    blocks = [[zero] * n for _ in range(n)]
+    if which == (n, n):
+        tnn = charges.charge(which)
+        corner = tower.t(1, 1) @ tower.t(n, n)
+        for k in range(n):
+            blocks[k][k] = tnn
+        blocks[n - 1][n - 1] = q * q * tnn
+        blocks[0][n - 1] = -1j * cmath.exp(2 * lam) * q * w * corner
+        blocks[n - 1][0] = -1j * cmath.exp(-2 * lam) * q * w * corner
+        return np.block(blocks)
+    t11, t12, t21 = (charges.charge(pos) for pos in ((1, 1), (1, 2), (2, 1)))
+    e22sq = tower.t(2, 2) @ tower.t(2, 2)
+    corners = tower.t(1, 1) @ tower.t(3, 3)
+    em = cmath.exp(1j * p.mu * p.m)
+    if which == (1, 1):
+        blocks[0][0] = q * q * t11
+        blocks[0][1] = w * q * t12
+        blocks[0][2] = -1j * w * q * corners
+        blocks[1][0] = w * q * t21
+        blocks[1][1] = t11 + em * w * w * e22sq
+        blocks[2][0] = -1j * w * q * corners
+        blocks[2][2] = t11
+    elif which == (1, 2):
+        blocks[0][0] = q * t12
+        blocks[1][0] = em * w * e22sq
+        blocks[1][1] = q * t12
+        blocks[1][2] = -1j * w * corners
+        blocks[2][2] = t12
+    else:
+        blocks[0][0] = q * t21
+        blocks[0][1] = em * w * e22sq
+        blocks[1][1] = q * t21
+        blocks[2][1] = -1j * w * corners
+        blocks[2][2] = t21
+    return np.block(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +591,7 @@ def exchange_relation_residuals(blk: dict, lam: complex, charges: ChargeSet) -> 
     q = p.q
     w = p.w
     em = cmath.exp(1j * p.mu * p.m)
-    qh = _qpow(p, 0.5)
+    qh = cmath.exp(1j * p.mu * 0.5)
     tower = charges.tower
     a_blk = {i: blk[(i, i)] for i in range(1, n + 1)}
     out: dict = {}
@@ -826,7 +854,7 @@ def verify_symmetry_suite(
     # block closed forms of the primed coproducts with one evaluated site
     evaluated = _recursive_charges(p, N + 1, "delta_prime", lam0, rec_tower)
     res = worst_of(
-        sym_residual(evaluated[pos], block_closed_rep(p, pos, N, lam0, charges=charges))
+        sym_residual(evaluated[pos], charge_block_closed(charges, pos, lam0))
         for pos in ([(n, n), (1, 1), (1, 2), (2, 1)] if n == 3 else [(n, n)])
     )
     rb.add("symmetry.block_closed", res, 1e-11)

@@ -6,7 +6,7 @@ homogeneous gradation and e^{-+2 lambda/n} in the principal one), L-fold
 coproducts in both orders, the recursively defined root elements and the
 dressed matrix elements t_ij / t-hat_ij they generate, Lax operators built from
 those elements, and the closed-form block matrices for (pi_lambda x id^N) of
-the primed coproducts.
+the primed Chevalley and Cartan coproducts.
 
 Conventions that the checks pin down empirically:
 
@@ -29,9 +29,9 @@ slot optionally carries the spectral parameter, all the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
 entry once, in CSR when it has more than ``CSR_ABOVE`` rows; its public reads
-are dense arrays. Every L-site image any module reads comes from one, and
-``t_element_rep`` is its one-shot wrapper. The checks that compare
-independent routes call ``coproduct_rep`` (both orders) and
+and product sums are dense arrays. Every L-site image any module reads comes
+from one, and ``t_element_rep`` is its one-shot wrapper. The checks that
+compare independent routes call ``coproduct_rep`` (both orders) and
 ``_coproduct_recursive`` directly. ``intertwine_residual`` is the linear
 intertwining relation Delta'(g) X = X Delta(g), written once for R, the
 monodromy and its hatted partner.
@@ -278,9 +278,11 @@ class Tower:
     dressing is a ``diags_array`` row scaling. Smaller towers store dense
     arrays. Either way every public read returns a dense read-only array,
     the same one on every read (for a CSR image it is made on the first
-    read); ``_stored`` returns an image in its storage, for the charge
-    products. A tower lives as long as the builder call that made it;
-    nothing is cached across calls.
+    read), and ``product_sum`` multiplies stored images in their storage
+    and returns the sum dense: no stored image leaves the tower. A tower
+    lives as long as the object that holds it (a builder call, or the
+    ``ChargeSet`` that keeps it for its checks); nothing is cached across
+    towers.
     """
 
     def __init__(self, params, L=1, first_site_lambda=None):
@@ -306,6 +308,15 @@ class Tower:
 
     def t_image(self, label: TElementLabel) -> np.ndarray:
         return self._read(label)
+
+    def product_sum(self, terms) -> np.ndarray:
+        """sum c (A @ B) over the (c, key_a, key_b) triples of ``terms``, the
+        keys as for ``_stored``, multiplied in this tower's storage and
+        returned as one dense array."""
+        acc = 0
+        for c, a, b in terms:
+            acc = acc + c * (self._stored(a) @ self._stored(b))
+        return _dense(acc)
 
     def _read(self, key) -> np.ndarray:
         if key not in self._reads:
@@ -516,26 +527,22 @@ def build_lax_hat(
 
 def block_closed_rep(
     params: ModelParams,
-    which: str | tuple,
+    which: str,
     N: int,
     lam: complex,
     index: int | None = None,
-    charges=None,
 ) -> np.ndarray:
     """Block-matrix closed forms of (pi_lam (x) pi_0^N) primed coproducts.
 
-    which: chevalley_e | chevalley_f | cartan_eps (need index), or the
-    position of a boundary charge Q: (1, 1), (1, 2), (2, 1) (n=3 only) or
-    (n, n). A Q form needs ``charges``, the N-site
-    ``boundary_charges.ChargeSet``; its blocks read the charges by position
-    and the Cartan squares from the set's tower.
+    which: chevalley_e | chevalley_f | cartan_eps, each with a generator
+    index in 1..n.
     """
     n = params.n
     if N < 1:
         raise ValueError("need at least one quantum site")
     q = params.q
     qh = _qpow(params, 0.5)
-    tower = Tower(params, N) if charges is None else charges.tower
+    tower = Tower(params, N)
     zero = np.zeros((n**N, n**N), dtype=np.complex128)
     blocks = [[zero] * n for _ in range(n)]
 
@@ -569,45 +576,6 @@ def block_closed_rep(
         for k in range(n):
             blocks[k][k] = e_full
         blocks[index - 1][index - 1] = q * e_full
-    elif which in ((1, 1), (1, 2), (2, 1), (n, n)):
-        if charges is None:
-            raise ValueError(f"Q at {which} needs the N-site charge set")
-        if which != (n, n) and n != 3:
-            raise ValueError(f"Q at {which}: closed form is recorded for n=3 only")
-        w = params.w
-        if which == (n, n):
-            tnn = charges.charge(which)
-            corner = tower.t(1, 1) @ tower.t(n, n)
-            for k in range(n):
-                blocks[k][k] = tnn
-            blocks[n - 1][n - 1] = q * q * tnn
-            blocks[0][n - 1] = -1j * cmath.exp(2 * lam) * q * w * corner
-            blocks[n - 1][0] = -1j * cmath.exp(-2 * lam) * q * w * corner
-        else:
-            t11, t12, t21 = (charges.charge(pos) for pos in ((1, 1), (1, 2), (2, 1)))
-            e22sq = tower.t(2, 2) @ tower.t(2, 2)
-            corners = tower.t(1, 1) @ tower.t(3, 3)
-            em = cmath.exp(1j * params.mu * params.m)
-            if which == (1, 1):
-                blocks[0][0] = q * q * t11
-                blocks[0][1] = w * q * t12
-                blocks[0][2] = -1j * w * q * corners
-                blocks[1][0] = w * q * t21
-                blocks[1][1] = t11 + em * w * w * e22sq
-                blocks[2][0] = -1j * w * q * corners
-                blocks[2][2] = t11
-            elif which == (1, 2):
-                blocks[0][0] = q * t12
-                blocks[1][0] = em * w * e22sq
-                blocks[1][1] = q * t12
-                blocks[1][2] = -1j * w * corners
-                blocks[2][2] = t12
-            else:
-                blocks[0][0] = q * t21
-                blocks[0][1] = em * w * e22sq
-                blocks[1][1] = q * t21
-                blocks[2][1] = -1j * w * corners
-                blocks[2][2] = t21
     else:
         raise ValueError(f"unknown closed form {which!r}")
 

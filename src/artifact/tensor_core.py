@@ -9,8 +9,8 @@ whose factor structure this module must see (local operators that are
 embedded, kron'd or traced) and for chain-level results; algebra images on
 (C^n)^L (evaluation images, coproducts, tower entries, one-site charges) are
 plain ``np.ndarray``. The residual helpers and ``prop_check`` take either.
-Sparse matrices appear only inside the boundary-charge products, which turn
-each product back into a dense array before it leaves them.
+Sparse matrices appear only inside ``quantum_algebra.Tower``, whose reads and
+product sums return dense arrays.
 
 Conventions: the first tensor factor is the slow (most significant) index,
 i.e. ``kron(A, B)`` puts A on the first factor. Basis states of C^d1 (x) C^d2

@@ -21,8 +21,8 @@ from artifact.boundary_charges import (
     asymptotic_charges_residual,
     boundary_entry_indices,
     braid_exchange_residuals,
-    build_affine_charge,
     build_boundary_charges,
+    charge_block_closed,
     coproduct_charges,
     cyclic_shift,
     degeneracy_witness,
@@ -36,7 +36,6 @@ from artifact.quantum_algebra import (
     TElementFamily,
     TElementLabel,
     Tower,
-    block_closed_rep,
     t_element_rep,
 )
 from artifact.spin_chain import ChainSpec
@@ -129,7 +128,7 @@ def test_affine_charge_dominant_balance():
     p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6 - 50j, sites=2)
     c2 = 2 * cmath.cosh(2j * p.mu * p.zeta)
     tnn = t_element_rep(p, TElementLabel(TElementFamily.t, 3, 3), L=2)
-    assert rel_residual(build_affine_charge(Tower(p, 2)).mat, -c2 * tnn @ tnn) < 1e-12
+    assert rel_residual(build_boundary_charges(p, 2).affine.mat, -c2 * tnn @ tnn) < 1e-12
 
 
 def test_recursion_matches_products():
@@ -207,9 +206,8 @@ def test_charges_equal_dense_tower_products(n, N, monkeypatch):
     assert set(want) == set(charges.entries) | {(n, n)}
     for pos, mat in want.items():
         assert rel_residual(charges.charge(pos), mat) <= 1e-14, pos
-    affine = build_affine_charge(charges.tower)
-    assert rel_residual(affine.mat, want[(n, n)]) <= 1e-14
-    for op in [*charges.entries.values(), charges.affine, affine]:
+    assert rel_residual(charges.affine.mat, want[(n, n)]) <= 1e-14
+    for op in [*charges.entries.values(), charges.affine]:
         assert type(op.mat) is np.ndarray
         assert op.mat.dtype == np.complex128 and op.mat.flags.c_contiguous
         assert op.mat.shape == (n**N, n**N)
@@ -258,8 +256,16 @@ def test_block_closed_forms_match_generic_coproduct():
     charges = build_boundary_charges(P32, 2)
     generic = _recursive_charges(P32, 3, "delta_prime", lam, cache(partial(Tower, P32)))
     for pos in ((3, 3), (1, 1), (1, 2), (2, 1)):
-        closed = block_closed_rep(P32, pos, 2, lam, charges=charges)
+        closed = charge_block_closed(charges, pos, lam)
         assert rel_residual(generic[pos], closed) < 1e-12
+
+
+def test_charge_block_closed_refusals():
+    p4 = ModelParams(n=4, mu=0.3)
+    with pytest.raises(ValueError, match="n=3 only"):
+        charge_block_closed(build_boundary_charges(p4, 1), (1, 2), 0.4)
+    with pytest.raises(ValueError, match="no closed form"):
+        charge_block_closed(build_boundary_charges(P31, 1), (2, 3), 0.4)
 
 
 def test_asymptotic_readout_homogeneous():

@@ -1,10 +1,15 @@
-"""Every name a module of the package imports is used in that module.
+"""Import rules of the package, checked on each module's syntax tree.
 
-No linter ships with the package, so this is the unused-import check: a
-name counts as used when it appears as a bare name anywhere in the module
-(an attribute base like ``np`` in ``np.zeros`` included) or is listed in
-``__all__``. ``__future__`` imports and the re-exports of ``__init__.py``
-are exempt.
+No linter ships with the package, so these tests are its import lint:
+
+* every imported name is used: it appears as a bare name anywhere in the
+  module (an attribute base like ``np`` in ``np.zeros`` included) or is
+  listed in ``__all__``. ``__future__`` imports and the re-exports of
+  ``__init__.py`` are exempt;
+* no module imports a ``_``-prefixed name from another module of the
+  package, so a private helper or storage detail stays in its module;
+* only ``quantum_algebra`` imports scipy, whose sparse arrays live inside
+  its ``Tower``.
 """
 
 import ast
@@ -13,6 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -32,7 +38,38 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _imports(path: Path):
+    """(line, module, name) of each name the module imports; ``module`` is
+    None for a plain ``import``, and "." for a relative import of the package
+    itself."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, None, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield node.lineno, module, alias.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [f"{path.name}:{line} {module}.{name}"
+               for path in MODULES
+               for line, module, name in _imports(path)
+               if module is not None and module.startswith((".", "artifact"))
+               and name.startswith("_")]
+    assert private == []
+
+
+def test_only_quantum_algebra_imports_scipy():
+    importers = {path.name
+                 for path in MODULES
+                 for _, module, name in _imports(path)
+                 if (module or name).split(".")[0] == "scipy"}
+    assert importers <= {"quantum_algebra.py"}

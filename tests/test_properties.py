@@ -127,7 +127,7 @@ def _near_zero_mod_i_pi(z: complex) -> bool:
 @example(ModelParams(n=2, mu=0.15 - 0.1j, m=0.3 - 0.5j, zeta=0.3 - 0.5j), 0j, Gauge.homogeneous)
 @example(ModelParams(n=2, mu=0.15 - 0.1j, m=0.3 - 0.5j, zeta=0.3 - 0.5j), -0.2 - 0.3j,
          Gauge.homogeneous)
-def test_crossing_shift_fit_lands_on_half_n_mu(p, lam, gauge):
+def test_crossing_relation_holds_at_half_n_mu(p, lam, gauge):
     # R1(lam)^t1 M1 R2(-lam - i n mu)^t2 M1^-1 = -sinh(lam) sinh(lam + i n mu) I.
     # R2 is singular at -lam - i n mu = ±i mu
     assume(_off_poles(p, lam, lam + 1j * p.n * p.mu))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from artifact import ModelParams, quantum_algebra
-from artifact.boundary_charges import build_boundary_charges
 from artifact.params import DegenerateParameters
 from artifact.quantum_algebra import (
     GeneratorKind,
@@ -286,7 +285,8 @@ def _every_read(tower):
 def test_tower_storage_agrees_with_a_dense_tower(n, L, monkeypatch):
     # sizes on both sides of CSR_ABOVE, chain-reach's three among them: every
     # public read is a dense read-only array, the same one on every read, and
-    # equals the read of a tower forced dense
+    # equals the read of a tower forced dense; so does a product sum over
+    # mixed t, t-hat and corner keys
     p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=L)
     tower = Tower(p, L, 0.23 - 0.11j)
     assert tower.sparse == (n**L > quantum_algebra.CSR_ABOVE)
@@ -299,6 +299,14 @@ def test_tower_storage_agrees_with_a_dense_tower(n, L, monkeypatch):
         assert again is a, key
         assert a.shape == (n**L, n**L), key
         assert rel_residual(a, b) <= 1e-14, key
+    T = TElementFamily
+    terms = [(0.7 - 0.2j, TElementLabel(T.t, 1, n), TElementLabel(T.t_hat, n, 1)),
+             (-1j, TElementLabel(T.t, n, n), TElementLabel(T.t0hat_1n, 1, n)),
+             (1.3, TElementLabel(T.t0_n1, n, 1), TElementLabel(T.t_hat, n - 1, 1))]
+    got, want = tower.product_sum(terms), dense.product_sum(terms)
+    assert type(got) is np.ndarray and got.dtype == np.complex128
+    assert got.flags.c_contiguous and got.shape == (n**L, n**L)
+    assert rel_residual(got, want) <= 1e-14
 
 
 def test_t_elements_at_pi0():
@@ -414,10 +422,7 @@ def test_block_closed_cartan_and_errors():
     with pytest.raises(ValueError):
         block_closed_rep(P3, "chevalley_e", 1, lam)  # missing index
     with pytest.raises(ValueError):
-        block_closed_rep(P3, (1, 1), 1, lam)  # missing charge set
-    p4 = ModelParams(n=4, mu=0.3)
-    with pytest.raises(ValueError):
-        block_closed_rep(p4, (1, 2), 1, lam, charges=build_boundary_charges(p4, 1))
+        block_closed_rep(P3, (1, 1), 1, lam)  # a charge position, not a generator form
     with pytest.raises(ValueError):
         block_closed_rep(P3, "nonsense", 1, lam)
 

@@ -122,7 +122,7 @@ def test_crossing_fit_refuses_the_regular_point(lam, n, gauge):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("gauge", list(Gauge))
-def test_crossing_fit_refuses_a_product_that_overflows_on_its_grid(gauge):
+def test_crossing_relation_refuses_a_product_that_overflows(gauge):
     # at mu = 300i, R2(-lam - i n mu) leaves the range of cmath.sinh
     with pytest.raises(DegenerateParameters, match="crossing product overflows"):
         fit_crossing_shift(ModelParams(n=3, mu=300j), 0.37 + 0.21j, gauge)
