@@ -49,6 +49,11 @@ exchanged, the plain (L-1)-site charges on the rest. There the affine charge
 keeps a two-term split. ``cyclic_shift`` stays an independent reference for
 the primed order, and ``charge_block_closed`` holds the closed block forms of
 the primed charges with one evaluated site.
+
+At n = 2 the charge Q_11 peeled from the other end obeys a one-site
+recursion whose eigenvectors are product states (``q11_eigenspaces``).
+Its N + 1 eigenspaces split the Hamiltonian into blocks of side C(N, j)
+(``charge_eigenspace_blocks``), which the spectrum eigensolves one by one.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ from .spin_chain import (
     build_double_row,
     build_hamiltonian,
     build_transfer,
+    hamiltonian_apply,
 )
 from .tensor_core import (
     RESIDUAL_FLOOR,
@@ -289,10 +295,12 @@ def _recursive_charges(
     variant: str,
     first_site_lambda: complex | None,
     tower: Callable[[int, complex | None], Tower],
+    affine_only: bool = False,
 ) -> dict:
     """Every charge on L sites, by position, through the reflection algebra's
     coproduct; ``tower(sites, first_site_lambda)`` returns the one memoized
-    ``Tower`` of the whole call.
+    ``Tower`` of the whole call. With ``affine_only`` (plain order only) the
+    dict holds the (n, n) charge alone.
 
     The tower matrices factor over the first site and the rest, T+ = T+_rest
     T+_first and T-hat = T-hat_first T-hat_rest, so the plain charge is
@@ -301,14 +309,17 @@ def _recursive_charges(
     the rest. The primed coproduct exchanges the legs: t_ia t-hat_bj of the
     first site (x) the plain (L-1)-site charge Q_ab. The affine (n, n) charge
     is outside that product and keeps its two-term split, written once for
-    the charge leg x and the tower leg y.
+    the charge leg x and the tower leg y. The plain order reads only the
+    (n, n) charge of the rest, so it carries that one down.
     """
     n = params.n
     lam0 = 0.0 if first_site_lambda is None else first_site_lambda
-    one = {pos: eval_Q_rep(params, pos, lam0) for pos in _charge_positions(n)}
+    positions = ((n, n),) if affine_only else _charge_positions(n)
+    one = {pos: eval_Q_rep(params, pos, lam0) for pos in positions}
     if L == 1:
         return one
-    below = _recursive_charges(params, L - 1, "delta", None, tower)
+    below = _recursive_charges(params, L - 1, "delta", None, tower,
+                               affine_only=variant == "delta")
     first, rest = tower(1, first_site_lambda), tower(L - 1, None)
     if variant == "delta":
         (qx, tx), (qy, ty), join = (one, first), (below, rest), np.kron
@@ -318,7 +329,7 @@ def _recursive_charges(
         def join(x, y):
             return np.kron(y, x)
 
-    out = {
+    out = {} if affine_only else {
         (i, j): sum(join(qx[a, b], ty.t(i, a) @ ty.h(b, j))
                     for a, b in boundary_entry_indices(n) if a >= i and b >= j)
         for i, j in boundary_entry_indices(n)
@@ -328,6 +339,114 @@ def _recursive_charges(
     out[n, n] = (join(qx[n, n] + c2 * corners_x, ty.t(n, n) @ ty.t(n, n))
                  + join(corners_x, qy[n, n]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# eigenspaces of Q_11 at n = 2
+# ---------------------------------------------------------------------------
+
+# Smallest relative separation of two Q_11 eigenvalues, and smallest sine of
+# the angle between the two eigenvectors of one site step, below which the
+# eigenspaces are not built.
+EIGENSPACE_GAP = 1e-8
+# Largest invariance leak ||H B - B (B^H H B)||_F / ||H B||_F of an
+# orthonormal eigenspace basis B that the blocks of H accept.
+LEAK_GATE = 1e-9
+
+
+def q11_eigenspaces(params: ModelParams, N: int):
+    """The eigenspaces of the N-site charge Q_11 at n = 2, as pairs
+    (nu_j, X_j) for j = 0..N: X_j has C(N, j) product-state columns spanning
+    the nu_j-eigenspace, with nu_j = q^N (y_j + 1/y_j), y_j = z q^(N - 2j)
+    and z = e^{i mu m}.
+
+    Peeling off the last site instead of the first, the plain coproduct reads
+    Q_11 = sum_ab Q_ab (x) t_1a t-hat_b1 with the (N-1)-site charges on the
+    rest. At n = 2, Q_12 = Q_21 = -i q^(N-1) are scalars (the (1, n) entry is
+    group-like), no (2, 2) entry enters (K has none), and the one-site words
+    give
+        Q_11^(N) = Q_11^(N-1) (x) diag(q^2, 1) - i w q^N (1 (x) sigma_x),
+    from the empty chain's Q_11^(0) = z + 1/z (so Q_11^(1) is ``eval_Q_rep``
+    at (1, 1)). On x (x) e_1 and x (x) e_2, with Q_11^(k-1) x = nu x, the
+    step is the 2 x 2 matrix [[q^2 nu, b], [b, nu]], b = -i w q^k. Writing
+    nu = q^(k-1) (y + 1/y), its roots are q^k (y q + 1/(y q)) and
+    q^k (y/q + q/y). Label j on k - 1 sites has y = z q^(k-1-2j), so its
+    roots, at y q and y/q, are the labels j and j + 1 on k sites: each root
+    is shared with the neighbouring label's step, and Q_11^(N) has the
+    N + 1 eigenvalues nu_j with multiplicity C(N, j). The
+    eigenvectors of the step are (i y, 1) for the first root and (1, -i y)
+    for the second, whatever q, w and k are. So a column is a product state,
+    one for each bit string c with sum c = j: site k carries the unit
+    vector (i y, 1) if c_k = 0 and (1, -i y) if c_k = 1, with
+    y = z q^(k - 1 - 2 l) and l the number of ones among c_1..c_(k-1).
+    Columns are in ascending order of c read with site 1 most significant.
+
+    The two vectors of a step are parallel where y = +-1, which integer m
+    reaches: raises DegenerateParameters where a step's vectors are within
+    ``EIGENSPACE_GAP`` of parallel (the sine of their angle) or two nu_j
+    within ``EIGENSPACE_GAP`` of each other relative to the largest. The
+    checks run at the call; each X_j is built as the returned iterator
+    reaches it, so one is held at a time.
+    """
+    if params.n != 2:
+        raise ValueError(f"the Q_11 eigenspaces are built for n = 2, got n = {params.n}")
+    q, z = params.q, cmath.exp(1j * params.mu * params.m)
+    k, labels = np.arange(N), np.arange(N + 1)
+    steps = z * q ** (k[:, None] - 2.0 * k[None, :])  # y at (site k + 1, label l <= k)
+    sines = np.abs(steps**2 - 1) / (1 + np.abs(steps) ** 2)
+    if N and np.min(sines[np.tril_indices(N)]) <= EIGENSPACE_GAP:
+        raise DegenerateParameters(
+            f"a site step of Q_11 is defective at mu = {params.mu}, m = {params.m}")
+    y = z * q ** (N - 2.0 * labels)
+    nu = q**N * (y + 1 / y)
+    gaps = np.abs(nu[:, None] - nu[None, :])[np.triu_indices(N + 1, 1)]
+    if gaps.size and np.min(gaps) <= EIGENSPACE_GAP * np.max(np.abs(nu)):
+        raise DegenerateParameters(
+            f"two eigenvalues of Q_11 coincide at mu = {params.mu}, m = {params.m}")
+    return ((complex(nu[j]), _product_basis(steps, N, j)) for j in labels)
+
+
+def _product_basis(steps: np.ndarray, N: int, label: int) -> np.ndarray:
+    """X_label of ``q11_eigenspaces``, grown one site at a time; site k + 1
+    of a column with l ones before it reads y = ``steps[k, l]``."""
+    codes = np.arange(2**N)
+    bits = (codes[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    bits = bits[bits.sum(axis=1) == label]
+    ones = np.zeros(len(bits), dtype=np.intp)
+    x = np.ones((1, len(bits)), dtype=np.complex128)
+    for k in range(N):
+        iy = 1j * steps[k, ones]
+        vec = np.where(bits[:, k] == 0, (iy, np.ones_like(iy)), (np.ones_like(iy), -iy))
+        x = (x[:, None, :] * (vec / np.linalg.norm(vec, axis=0))).reshape(-1, len(bits))
+        ones += bits[:, k]
+    return x
+
+
+def charge_eigenspace_blocks(spec: ChainSpec) -> list[np.ndarray]:
+    """H on each eigenspace of Q_11 at n = 2, one block of side C(N, j) per
+    label j, in label order. H commutes with Q_11, so it keeps each
+    eigenspace, and the blocks' eigenvalues together are H's.
+
+    Each ``q11_eigenspaces`` basis is orthonormalized by QR (the product
+    basis itself grows ill-conditioned with N, so one similarity by all of
+    them would lose digits), and the block is the Rayleigh-Ritz matrix
+    B = Q^H (H Q), with H Q from ``spin_chain.hamiltonian_apply``. Raises
+    DegenerateParameters where ``q11_eigenspaces`` does, or where a basis
+    leaks out of its space: ||H Q - Q B||_F / ||H Q||_F over ``LEAK_GATE``.
+    """
+    p = spec.params
+    apply = hamiltonian_apply(spec)
+    blocks = []
+    for _, x in q11_eigenspaces(p, p.sites):
+        basis = np.linalg.qr(x)[0]
+        hq = apply(basis)
+        block = basis.conj().T @ hq
+        leak = frob(hq - basis @ block) / max(frob(hq), RESIDUAL_FLOOR)
+        if not leak <= LEAK_GATE:
+            raise DegenerateParameters(
+                f"an eigenspace basis of Q_11 leaks {leak:.2e} under H at mu = {p.mu}, m = {p.m}")
+        blocks.append(block)
+    return blocks
 
 
 def cyclic_shift(n: int, N: int) -> np.ndarray:

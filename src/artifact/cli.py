@@ -4,9 +4,13 @@ Two subcommands. ``verify`` runs one suite or all of them at the requested
 parameters and emits VerificationReport JSON (or a text table); the exit code
 is 0 when every check passes, 1 when any fails, 2 on invalid input, 3 on
 output I/O failure. ``spectrum`` diagonalizes the open-chain Hamiltonian
-one weight sector at a time (``spin_chain.hamiltonian_blocks``), each block
-densely, and reports eigenvalue clusters. Identical arguments and seed
-produce byte-identical JSON: timings are recorded only under --timings.
+block by block and reports eigenvalue clusters: at n = 2 one block per
+eigenspace of the boundary charge Q_11
+(``boundary_charges.charge_eigenspace_blocks``), otherwise, and wherever
+those eigenspaces are degenerate, one per weight sector
+(``spin_chain.hamiltonian_blocks``); each block is eigensolved densely.
+Identical arguments and seed produce byte-identical JSON: timings are
+recorded only under --timings.
 
 Flags override an optional key=value config file (--config); unknown config
 keys are errors. Complex values accept "a+bi" syntax.
@@ -22,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .boundary_charges import verify_symmetry_suite
+from .boundary_charges import charge_eigenspace_blocks, verify_symmetry_suite
 from .hecke_algebra import verify_hecke_suite
 from .params import DegenerateParameters, ModelParams
 from .quantum_algebra import verify_algebra_suite
@@ -34,7 +38,13 @@ from .reporting import (
     set_timings_default,
 )
 from .sampling import require_box_scalars
-from .spin_chain import RIGHT_FAMILIES, ChainSpec, hamiltonian_blocks, verify_chain_suite
+from .spin_chain import (
+    RIGHT_FAMILIES,
+    ChainSpec,
+    hamiltonian_blocks,
+    hermitian_defect,
+    verify_chain_suite,
+)
 from .yang_baxter import Gauge, verify_ybe_suite
 
 # Suite runners in report order, each called as runner(spec, samples=, tol=,
@@ -297,7 +307,22 @@ def run_verify(settings: dict) -> tuple[int, list]:
     return code, reports
 
 
+def _spectrum_blocks(spec: ChainSpec) -> list[np.ndarray]:
+    """Blocks of H whose eigenvalues together are H's: the Q_11 eigenspace
+    blocks at n = 2, unless those eigenspaces are degenerate or leak, and
+    the weight-sector blocks otherwise."""
+    if spec.params.n == 2:
+        try:
+            return charge_eigenspace_blocks(spec)
+        except DegenerateParameters:
+            pass  # the weight-sector route needs no eigenspace of Q_11
+    return [block for _, block in hamiltonian_blocks(spec)]
+
+
 def run_spectrum(settings: dict) -> SpectrumReport:
+    """Eigenvalues of H from ``_spectrum_blocks``, sorted by real then
+    imaginary part, clustered within ``CLUSTER_TOL``, with H's
+    ``hermitian_defect``. No n^sites-sided matrix is formed."""
     params = _model_params(settings)
     if params.n**params.sites > SPECTRUM_DIM_CAP:
         raise CliError(
@@ -306,7 +331,8 @@ def run_spectrum(settings: dict) -> SpectrumReport:
         )
     spec = _chain_spec(settings, params)
     try:
-        blocks = [block for _, block in hamiltonian_blocks(spec)]
+        blocks = _spectrum_blocks(spec)
+        defect = hermitian_defect(spec)
     except (ValueError, DegenerateParameters) as exc:
         raise CliError(str(exc))
     evals = np.concatenate([np.linalg.eigvals(block) for block in blocks])
@@ -318,11 +344,6 @@ def run_spectrum(settings: dict) -> SpectrumReport:
             clusters[-1].append(z)
         else:
             clusters.append([z])
-    # H is zero between sectors: each Frobenius norm is the root-sum-square of
-    # the blocks' norms
-    hnorm = math.hypot(*(np.linalg.norm(block) for block in blocks))
-    skew = math.hypot(*(np.linalg.norm(block - block.conj().T) for block in blocks))
-    defect = float(skew / hnorm) if hnorm else 0.0
     return SpectrumReport(
         n=params.n,
         sites=params.sites,

@@ -22,7 +22,9 @@ R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
 whose finite difference is the cross-check. The Hecke form is assembled
 from index arrays (``tensor_core.embed_entries``). It keeps the number of
 sites in each middle state 2..n-1, so ``hamiltonian_blocks`` hands it out one
-such weight sector at a time, and no d x d matrix is formed.
+such weight sector at a time, and no d x d matrix is formed. The same
+entries, coalesced, give ``hamiltonian_apply`` (H times a block of vectors)
+and ``hermitian_defect``, also without a d x d matrix.
 
 The monodromy and the double row are built left to right by right-applying
 their factors with ``tensor_core.apply_right``: each R_{0k} or K factor acts
@@ -49,6 +51,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -276,6 +279,56 @@ def _hamiltonian_entries(params: ModelParams) -> tuple[np.ndarray, np.ndarray, n
     diag = np.arange(math.prod(space))
     terms.append((diag, diag, np.full(diag.size, _hamiltonian_constant(params))))
     return tuple(np.concatenate(part) for part in zip(*terms))
+
+
+def _coalesce(rows, cols, vals, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries with each (row, col) once, sorted row-major; the values of
+    a repeated (row, col) add in the order given, as ``np.add.at`` adds them."""
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    summed = (np.bincount(inverse, vals.real, keys.size)
+              + 1j * np.bincount(inverse, vals.imag, keys.size))
+    return *np.divmod(keys, dim), summed
+
+
+def _coalesced_hamiltonian(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hecke-form H's entries, each (row, col) once, row-major."""
+    p = spec.params
+    _require_hamiltonian_spec(spec, "the Hamiltonian")
+    p.require_hamiltonian_ok()
+    return _coalesce(*_hamiltonian_entries(p), p.n**p.sites)
+
+
+def hermitian_defect(spec: ChainSpec) -> float:
+    """||H - H^dagger||_F / ||H||_F of the Hecke-form H, from its coalesced
+    entries; no d x d matrix is formed. 0 when H vanishes."""
+    rows, cols, vals = _coalesced_hamiltonian(spec)
+    skew = _coalesce(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                     np.concatenate((vals, -vals.conj())), spec.params.n**spec.params.sites)[2]
+    hnorm = np.linalg.norm(vals)
+    return float(np.linalg.norm(skew) / hnorm) if hnorm else 0.0
+
+
+def hamiltonian_apply(spec: ChainSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> H @ x for the Hecke-form H and any (d, k) array x, from the
+    coalesced entries; no d x d matrix is formed. The entries are stored
+    row by row in s slots of (column, value), s being the most any row holds
+    (N + 1 at n = 2), so one product is s gathers of x's rows."""
+    rows, cols, vals = _coalesced_hamiltonian(spec)
+    dim = spec.params.n**spec.params.sites
+    counts = np.bincount(rows, minlength=dim)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot_cols = np.tile(np.arange(dim), (counts.max(), 1))
+    slot_vals = np.zeros(slot_cols.shape, dtype=np.complex128)
+    slot_cols[slot, rows] = cols
+    slot_vals[slot, rows] = vals
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = slot_vals[0][:, None] * x[slot_cols[0]]
+        for c, v in zip(slot_cols[1:], slot_vals[1:]):
+            out += v[:, None] * x[c]
+        return out
+
+    return apply
 
 
 def _weight_sectors(n: int, sites: int) -> np.ndarray:

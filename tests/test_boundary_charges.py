@@ -14,6 +14,8 @@ from functools import cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact import ModelParams, boundary_charges, quantum_algebra
 from artifact.boundary_charges import (
@@ -23,6 +25,7 @@ from artifact.boundary_charges import (
     braid_exchange_residuals,
     build_boundary_charges,
     charge_block_closed,
+    charge_eigenspace_blocks,
     coproduct_charges,
     cyclic_shift,
     degeneracy_witness,
@@ -30,15 +33,17 @@ from artifact.boundary_charges import (
     eval_Q_rep,
     exchange_relation_residuals,
     principal_asymptotic_residual,
+    q11_eigenspaces,
     verify_symmetry_suite,
 )
+from artifact.params import DegenerateParameters
 from artifact.quantum_algebra import (
     TElementFamily,
     TElementLabel,
     Tower,
     t_element_rep,
 )
-from artifact.spin_chain import ChainSpec
+from artifact.spin_chain import ChainSpec, build_hamiltonian
 from artifact.tensor_core import rel_residual
 from artifact.yang_baxter import Gauge
 
@@ -152,6 +157,28 @@ def test_recursion_prime_is_cycled_recursion():
         for pos in boundary_entry_indices(n) + ((n, n),):
             cycled = shift @ plain[pos] @ inv
             assert rel_residual(primed[pos], cycled) < 1e-12, (n, pos)
+
+
+def test_plain_recursion_carries_only_the_affine_charge_down(monkeypatch):
+    # the plain order reads only the (n, n) charge of the L - 1 sites below,
+    # so t-hat is read for the top level's entries alone: one read per
+    # (i, j, a, b) term with a >= i and b >= j, 15 at n = 3, where building
+    # every charge on every level read it 15 (L - 1) times
+    reads = []
+    inner = Tower.h
+
+    def counted(self, *args):
+        reads.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(Tower, "h", counted)
+    built = _recursive_charges(P32, 4, "delta", None, cache(partial(Tower, P32)))
+    assert len(reads) == 15
+    assert set(built) == set(boundary_entry_indices(3)) | {(3, 3)}
+    p4 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
+    charges = build_boundary_charges(p4, 4)
+    for pos in boundary_entry_indices(3) + ((3, 3),):
+        assert rel_residual(built[pos], charges.charge(pos)) < 1e-12, pos
 
 
 def test_recursion_builds_no_tower_on_all_sites(monkeypatch):
@@ -382,3 +409,103 @@ def test_suite_green_n2():
     p = ModelParams(n=2, mu=0.33, m=1.05 + 0.1j, zeta=0.47, sites=3)
     rep = verify_symmetry_suite(ChainSpec(params=p), samples=3, tol=1e-9, seed=7)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# eigenspaces of Q_11 at n = 2
+# ---------------------------------------------------------------------------
+
+# (mu, m, zeta): the defaults, a complex mu, and a large mu with complex m
+Q11_POINTS = [(0.41, 0.9 + 0.2j, 0.6), (0.3 + 0.2j, 1.5, 0.25), (1.1, -0.4 + 0.7j, 0.25)]
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def _q11_by_last_site(p, L):
+    """Q_11 on L sites from Q_11^(l) = Q_11^(l-1) (x) diag(q^2, 1) - i w q^l
+    (1 (x) sigma_x), starting from the one-site closed form."""
+    q11 = eval_Q_rep(p, (1, 1))
+    for sites in range(2, L + 1):
+        q11 = (np.kron(q11, np.diag([p.q**2, 1]))
+               - 1j * p.w * p.q**sites * np.kron(np.eye(2 ** (sites - 1)), SIGMA_X))
+    return q11
+
+
+@pytest.mark.parametrize("mu, m, zeta", Q11_POINTS)
+def test_q11_last_site_recursion_matches_the_products(mu, m, zeta):
+    for L in range(2, 7):
+        p = ModelParams(n=2, mu=mu, m=m, zeta=zeta, sites=L)
+        want = build_boundary_charges(p, L).entries[1, 1].mat
+        assert rel_residual(_q11_by_last_site(p, L), want) <= 1e-13, L
+
+
+def _coord(lo, hi):
+    return st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi))
+
+
+@st.composite
+def _n2_model(draw):
+    # the sampling boxes of artifact.sampling, corners included
+    def box(re_lo, re_hi, im_lo, im_hi):
+        return complex(draw(_coord(re_lo, re_hi)), draw(_coord(im_lo, im_hi)))
+
+    try:
+        return ModelParams(n=2, mu=box(0.15, 1.2, -0.1, 0.1), m=box(0.3, 2.0, -0.5, 0.5),
+                           zeta=box(0.3, 2.0, -0.5, 0.5), sites=draw(st.integers(2, 4)))
+    except DegenerateParameters:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_n2_model())
+def test_q11_last_site_recursion_over_the_sampling_boxes(p):
+    want = build_boundary_charges(p, p.sites).entries[1, 1].mat
+    assert rel_residual(_q11_by_last_site(p, p.sites), want) <= 1e-13
+
+
+@pytest.mark.parametrize("mu, m, zeta", Q11_POINTS)
+def test_q11_eigenspaces_are_eigenspaces(mu, m, zeta):
+    for L in range(1, 9):
+        p = ModelParams(n=2, mu=mu, m=m, zeta=zeta, sites=L)
+        q11 = _q11_by_last_site(p, L)
+        scale = np.linalg.norm(q11)
+        spaces = list(q11_eigenspaces(p, L))
+        assert [x.shape for _, x in spaces] == [(2**L, math.comb(L, j)) for j in range(L + 1)]
+        for nu, x in spaces:
+            assert np.linalg.norm(q11 @ x - nu * x) <= 1e-12 * scale * np.linalg.norm(x), L
+        # the labels' spaces together span the whole chain
+        assert np.linalg.matrix_rank(np.hstack([x for _, x in spaces])) == 2**L
+
+
+@pytest.mark.parametrize("mu, m", [(0.41, 0.0), (0.41, 1.0), (0.7, 2.0)])
+def test_q11_eigenspaces_refuse_integer_m(mu, m):
+    # a site step is defective where z q^(k - 2l) = +-1, which integer m reaches
+    p = ModelParams(n=2, mu=mu, m=m, zeta=0.6, sites=6)
+    with pytest.raises(DegenerateParameters, match="defective"):
+        q11_eigenspaces(p, 6)
+
+
+def test_q11_eigenspaces_refuse_coinciding_labels():
+    # at q^6 = 1 the steps stay regular, but y_0 = z q^3 = z q^-3 = y_3
+    p = ModelParams(n=2, mu=math.pi / 3, m=0.9 + 0.2j, zeta=0.6, sites=3)
+    with pytest.raises(DegenerateParameters, match="coincide"):
+        q11_eigenspaces(p, 3)
+
+
+def test_q11_eigenspaces_are_for_n_two():
+    with pytest.raises(ValueError, match="n = 2"):
+        q11_eigenspaces(P32, 2)
+
+
+def test_charge_eigenspace_blocks_carry_the_spectrum():
+    p = ModelParams(n=2, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=5)
+    blocks = charge_eigenspace_blocks(ChainSpec(p))
+    assert [b.shape[0] for b in blocks] == [math.comb(5, j) for j in range(6)]
+    h = build_hamiltonian(ChainSpec(p)).mat
+    assert abs(sum(np.trace(b) for b in blocks) - np.trace(h)) <= 1e-13 * np.linalg.norm(h)
+
+
+def test_charge_eigenspace_blocks_refuse_a_leak(monkeypatch):
+    monkeypatch.setattr(boundary_charges, "LEAK_GATE", 0.0)
+    p = ModelParams(n=2, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
+    with pytest.raises(DegenerateParameters, match="leaks"):
+        charge_eigenspace_blocks(ChainSpec(p))

@@ -8,10 +8,13 @@ import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from artifact import cli, quantum_algebra, spin_chain, tensor_core
+from artifact import ModelParams, cli, quantum_algebra, spin_chain, tensor_core
 from artifact.cli import CliError, main, parse_complex, read_config
+from artifact.params import DegenerateParameters
 from artifact.reporting import VerificationReport, emit_report
 
 
@@ -241,6 +244,74 @@ def test_spectrum_forms_no_dense_hamiltonian(monkeypatch):
             monkeypatch.setattr(module, "embed_at", local_only)
     report = cli.run_spectrum(dict(cli.DEFAULTS, n=3, sites=4))
     assert report.total_multiplicity == len(report.eigenvalues) == 81
+    # n = 2 takes the charge eigenspaces, not its one weight sector
+    monkeypatch.setattr(cli, "hamiltonian_blocks", refuse)
+    report = cli.run_spectrum(dict(cli.DEFAULTS, n=2, sites=6))
+    assert report.total_multiplicity == len(report.eigenvalues) == 64
+
+
+def _dense_spectrum(settings):
+    p = ModelParams(n=settings["n"], mu=settings["mu"], m=settings["m"],
+                    zeta=settings["zeta"], sites=settings["sites"])
+    return np.linalg.eigvals(spin_chain.build_hamiltonian(spin_chain.ChainSpec(p)).mat)
+
+
+def _worst_move(got, want):
+    """Largest |got - want| over the pairing of the two multisets that makes
+    it least, relative to the largest |want|."""
+    got = np.asarray(got, dtype=np.complex128)
+    i, j = linear_sum_assignment(np.abs(want[:, None] - got[None, :]))
+    return np.max(np.abs(want[i] - got[j])) / np.max(np.abs(want))
+
+
+def _weight_sector_report(monkeypatch, settings):
+    def degenerate(spec):
+        raise DegenerateParameters("weight-sector route forced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "charge_eigenspace_blocks", degenerate)
+        return cli.run_spectrum(settings)
+
+
+@pytest.mark.parametrize("mu, m, zeta", [
+    (0.41, 0.9 + 0.2j, 0.6), (0.3 + 0.2j, 1.5, 0.25), (1.1, -0.4 + 0.7j, 0.25)])
+@pytest.mark.parametrize("sites", range(1, 9))
+def test_spectrum_at_n2_matches_the_dense_eigensolve(monkeypatch, sites, mu, m, zeta):
+    settings = dict(cli.DEFAULTS, n=2, sites=sites, mu=mu, m=m, zeta=zeta)
+    returned = []
+    inner = cli.charge_eigenspace_blocks
+
+    def charge_blocks(spec):
+        returned.append(inner(spec))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "charge_eigenspace_blocks", charge_blocks)
+    report = cli.run_spectrum(settings)
+    assert len(returned) == 1  # the charge route, not the fallback
+    assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
+    dense = _weight_sector_report(monkeypatch, settings)
+    assert [c["multiplicity"] for c in report.clusters] == [
+        c["multiplicity"] for c in dense.clusters]
+
+
+def test_spectrum_at_n2_reaches_ten_sites():
+    settings = dict(cli.DEFAULTS, n=2, sites=10)
+    report = cli.run_spectrum(settings)
+    assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
+    assert report.total_multiplicity == 1024
+
+
+@pytest.mark.parametrize("mu, m", [(0.41, 0), (0.41, 1), (0.7, 2)])
+def test_spectrum_at_integer_m_takes_the_weight_sectors(monkeypatch, mu, m):
+    # the Q_11 eigenspaces are degenerate there, so the one weight sector of
+    # n = 2 is eigensolved whole
+    settings = dict(cli.DEFAULTS, n=2, sites=6, mu=mu, m=m)
+    calls = []
+    inner = cli.hamiltonian_blocks
+    monkeypatch.setattr(cli, "hamiltonian_blocks", lambda spec: calls.append(spec) or inner(spec))
+    report = cli.run_spectrum(settings)
+    assert len(calls) == 1
+    assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
 
 
 @pytest.mark.parametrize("n, sites, pattern", [

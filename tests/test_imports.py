@@ -9,7 +9,10 @@ No linter ships with the package, so these tests are its import lint:
 * no module imports a ``_``-prefixed name from another module of the
   package, so a private helper or storage detail stays in its module;
 * only ``quantum_algebra`` imports scipy, whose sparse arrays live inside
-  its ``Tower``.
+  its ``Tower``;
+* ``spin_chain`` never imports ``boundary_charges``: the charges are built
+  on the chain (and the spectrum's charge eigenspaces on its Hamiltonian),
+  never the other way round.
 """
 
 import ast
@@ -73,3 +76,11 @@ def test_only_quantum_algebra_imports_scipy():
                  for _, module, name in _imports(path)
                  if (module or name).split(".")[0] == "scipy"}
     assert importers <= {"quantum_algebra.py"}
+
+
+def test_spin_chain_never_imports_boundary_charges():
+    # "from .boundary_charges import x", "from . import boundary_charges" and
+    # "import artifact.boundary_charges" each carry it as one dotted part
+    parts = {part for _, module, name in _imports(SRC / "spin_chain.py")
+             for part in f"{module or ''}.{name}".split(".")}
+    assert "boundary_charges" not in parts
