@@ -299,8 +299,8 @@ def _recursive_charges(
 ) -> dict:
     """Every charge on L sites, by position, through the reflection algebra's
     coproduct; ``tower(sites, first_site_lambda)`` returns the one memoized
-    ``Tower`` of the whole call. With ``affine_only`` (plain order only) the
-    dict holds the (n, n) charge alone.
+    ``Tower`` of the whole call. With ``affine_only`` the dict holds the
+    (n, n) charge alone.
 
     The tower matrices factor over the first site and the rest, T+ = T+_rest
     T+_first and T-hat = T-hat_first T-hat_rest, so the plain charge is
@@ -319,7 +319,7 @@ def _recursive_charges(
     if L == 1:
         return one
     below = _recursive_charges(params, L - 1, "delta", None, tower,
-                               affine_only=variant == "delta")
+                               affine_only=affine_only or variant == "delta")
     first, rest = tower(1, first_site_lambda), tower(L - 1, None)
     if variant == "delta":
         (qx, tx), (qy, ty), join = (one, first), (below, rest), np.kron
@@ -971,7 +971,7 @@ def verify_symmetry_suite(
     rb.add("symmetry.recursion_prime", res, 1e-11)
 
     # block closed forms of the primed coproducts with one evaluated site
-    evaluated = _recursive_charges(p, N + 1, "delta_prime", lam0, rec_tower)
+    evaluated = _recursive_charges(p, N + 1, "delta_prime", lam0, rec_tower, affine_only=n != 3)
     res = worst_of(
         sym_residual(evaluated[pos], charge_block_closed(charges, pos, lam0))
         for pos in ([(n, n), (1, 1), (1, 2), (2, 1)] if n == 3 else [(n, n)])

@@ -19,12 +19,14 @@ factor. For the derivative route the inverse-monodromy factors are the
 transposed R matrices (for this R the total transpose equals P R P), which
 fixes the overall normalization that the closed form above expects. Since
 R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
-whose finite difference is the cross-check. The Hecke form is assembled
-from index arrays (``tensor_core.embed_entries``). It keeps the number of
-sites in each middle state 2..n-1, so ``hamiltonian_blocks`` hands it out one
-such weight sector at a time, and no d x d matrix is formed. The same
-entries, coalesced, give ``hamiltonian_apply`` (H times a block of vectors)
-and ``hermitian_defect``, also without a d x d matrix.
+whose finite difference is the cross-check. The Hecke form is one list of
+entries, each (row, col) once and row-major (``_hamiltonian_entries``,
+assembled from ``tensor_core.embed_entries`` index arrays), and every reader
+takes it as it is: ``build_hamiltonian`` assigns it to a d x d matrix,
+``hamiltonian_blocks`` hands it out one weight sector at a time (H keeps the
+number of sites in each middle state 2..n-1), and ``hamiltonian_apply`` (H
+times a block of vectors) and ``hermitian_defect`` read it directly; only
+the first forms a d x d matrix.
 
 The monodromy and the double row are built left to right by right-applying
 their factors with ``tensor_core.apply_right``: each R_{0k} or K factor acts
@@ -261,11 +263,16 @@ def _require_hamiltonian_spec(spec: ChainSpec, what: str) -> None:
         raise ValueError(f"{what} expects the non-diagonal right boundary")
 
 
-def _hamiltonian_entries(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the Hecke-form H on the N-site space: the N - 1
-    bulk terms -1/2 rho(U_l) in site order, the boundary term
-    -sinh^2(i mu)/x(0) rho(U_0), then the constant on the diagonal. A
-    (row, col) may repeat; its values add."""
+def _hamiltonian_entries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the Hecke-form H on the N-site space, each
+    (row, col) once, row-major. The terms are summed in the order the paper
+    writes them: the N - 1 bulk terms -1/2 rho(U_l) in site order, the
+    boundary term -sinh^2(i mu)/x(0) rho(U_0), then the constant on the
+    diagonal. Raises on a spec the Hamiltonian does not belong to, and
+    DegenerateParameters where x(0) vanishes."""
+    params = spec.params
+    _require_hamiltonian_spec(spec, "the Hamiltonian")
+    params.require_hamiltonian_ok()
     sh = cmath.sinh(1j * params.mu)
     space = (params.n,) * params.sites
     terms = []
@@ -278,30 +285,22 @@ def _hamiltonian_entries(params: ModelParams) -> tuple[np.ndarray, np.ndarray, n
     terms.append(embed_entries(u0 * -(sh * sh / params.k_diag_x(0.0)), [1], space))
     diag = np.arange(math.prod(space))
     terms.append((diag, diag, np.full(diag.size, _hamiltonian_constant(params))))
-    return tuple(np.concatenate(part) for part in zip(*terms))
+    return _coalesce(*(np.concatenate(part) for part in zip(*terms)), diag.size)
 
 
 def _coalesce(rows, cols, vals, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries with each (row, col) once, sorted row-major; the values of
-    a repeated (row, col) add in the order given, as ``np.add.at`` adds them."""
+    a repeated (row, col) are summed in the order given, from zero."""
     keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
     summed = (np.bincount(inverse, vals.real, keys.size)
               + 1j * np.bincount(inverse, vals.imag, keys.size))
     return *np.divmod(keys, dim), summed
 
 
-def _coalesced_hamiltonian(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Hecke-form H's entries, each (row, col) once, row-major."""
-    p = spec.params
-    _require_hamiltonian_spec(spec, "the Hamiltonian")
-    p.require_hamiltonian_ok()
-    return _coalesce(*_hamiltonian_entries(p), p.n**p.sites)
-
-
 def hermitian_defect(spec: ChainSpec) -> float:
-    """||H - H^dagger||_F / ||H||_F of the Hecke-form H, from its coalesced
-    entries; no d x d matrix is formed. 0 when H vanishes."""
-    rows, cols, vals = _coalesced_hamiltonian(spec)
+    """||H - H^dagger||_F / ||H||_F of the Hecke-form H, from its entries;
+    no d x d matrix is formed. 0 when H vanishes."""
+    rows, cols, vals = _hamiltonian_entries(spec)
     skew = _coalesce(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
                      np.concatenate((vals, -vals.conj())), spec.params.n**spec.params.sites)[2]
     hnorm = np.linalg.norm(vals)
@@ -309,11 +308,11 @@ def hermitian_defect(spec: ChainSpec) -> float:
 
 
 def hamiltonian_apply(spec: ChainSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> H @ x for the Hecke-form H and any (d, k) array x, from the
-    coalesced entries; no d x d matrix is formed. The entries are stored
-    row by row in s slots of (column, value), s being the most any row holds
-    (N + 1 at n = 2), so one product is s gathers of x's rows."""
-    rows, cols, vals = _coalesced_hamiltonian(spec)
+    """x -> H @ x for the Hecke-form H and any (d, k) array x, from its
+    entries; no d x d matrix is formed. The entries are stored row by row in
+    s slots of (column, value), s being the most any row holds (N + 1 at
+    n = 2), so one product is s gathers of x's rows."""
+    rows, cols, vals = _hamiltonian_entries(spec)
     dim = spec.params.n**spec.params.sites
     counts = np.bincount(rows, minlength=dim)
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -350,42 +349,36 @@ def _weight_sectors(n: int, sites: int) -> np.ndarray:
 def hamiltonian_blocks(spec: ChainSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """The Hecke-form H as (basis indices, block) pairs, one per weight
     sector, with the indices ascending: H[ix_(idx, idx)] = block, and H is
-    zero between sectors. Built from the same entries as
-    ``build_hamiltonian(spec, "hecke_form")``, with no d x d matrix; an entry
-    between two sectors raises RuntimeError."""
+    zero between sectors. Each block is assigned the sector's share of
+    ``_hamiltonian_entries``, with no d x d matrix; an entry between two
+    sectors raises RuntimeError."""
     p = spec.params
-    _require_hamiltonian_spec(spec, "the Hamiltonian")
-    p.require_hamiltonian_ok()
-    rows, cols, vals = _hamiltonian_entries(p)
+    rows, cols, vals = _hamiltonian_entries(spec)
     label = _weight_sectors(p.n, p.sites)
-    if np.any(label[rows] != label[cols]):
+    sector_of = label[rows]
+    if np.any(sector_of != label[cols]):
         raise RuntimeError("a Hamiltonian entry joins two weight sectors")
-    sizes = np.bincount(label)
-    basis = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    basis = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
     position = np.empty(label.size, dtype=np.intp)
-    for idx in basis:
-        position[idx] = np.arange(idx.size)
-    by_sector = np.argsort(label[rows], kind="stable")
-    entries = np.split(by_sector, np.cumsum(np.bincount(label[rows], minlength=sizes.size))[:-1])
     out = []
-    for idx, sel in zip(basis, entries):
+    for sector, idx in enumerate(basis):
+        position[idx] = np.arange(idx.size)
+        sel = sector_of == sector
         block = np.zeros((idx.size, idx.size), dtype=np.complex128)
-        np.add.at(block, (position[rows[sel]], position[cols[sel]]), vals[sel])
+        block[position[rows[sel]], position[cols[sel]]] = vals[sel]
         out.append((idx, block))
     return out
 
 
 def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     p = spec.params
-    _require_hamiltonian_spec(spec, "the Hamiltonian")
-    p.require_hamiltonian_ok()
     if route == "hecke_form":
-        dim = p.n**p.sites
-        h = np.zeros((dim, dim), dtype=np.complex128)
-        rows, cols, vals = _hamiltonian_entries(p)
-        np.add.at(h, (rows, cols), vals)
+        rows, cols, vals = _hamiltonian_entries(spec)
+        h = np.zeros((p.n**p.sites,) * 2, dtype=np.complex128)
+        h[rows, cols] = vals
         return Operator(h, (p.n,) * p.sites)
     if route == "transfer_derivative":
+        p.require_hamiltonian_ok()
         sh = cmath.sinh(1j * p.mu)
         tr_m = cmath.sinh(1j * p.mu * p.n) / sh
         x0 = p.k_diag_x(0.0)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from artifact import ModelParams, boundary_charges, quantum_algebra
 from artifact.boundary_charges import (
+    _charge_positions,
     _recursive_charges,
     asymptotic_charges_residual,
     boundary_entry_indices,
@@ -43,6 +44,7 @@ from artifact.quantum_algebra import (
     Tower,
     t_element_rep,
 )
+from artifact.reflection_k import build_k_explicit
 from artifact.spin_chain import ChainSpec, build_hamiltonian
 from artifact.tensor_core import rel_residual
 from artifact.yang_baxter import Gauge
@@ -285,6 +287,59 @@ def test_block_closed_forms_match_generic_coproduct():
     for pos in ((3, 3), (1, 1), (1, 2), (2, 1)):
         closed = charge_block_closed(charges, pos, lam)
         assert rel_residual(generic[pos], closed) < 1e-12
+
+
+@pytest.mark.parametrize("n,sites", [(4, 2), (2, 4)])
+def test_affine_only_primed_charges_hold_the_full_affine_charge(n, sites):
+    p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6)
+    lam = 0.27 - 0.19j
+    tower = cache(partial(Tower, p))
+    full = _recursive_charges(p, sites, "delta_prime", lam, tower)
+    affine = _recursive_charges(p, sites, "delta_prime", lam, tower, affine_only=True)
+    assert list(affine) == [(n, n)]
+    assert np.array_equal(affine[n, n], full[n, n])
+
+
+def _intertwiner_null_space(p, lam, swapped=False):
+    """Relative singular values and the least singular vector of the stacked
+    linear maps X -> Q(lam) X - X Q(-lam) over every charge position, X
+    row-major; ``swapped`` solves X Q(lam) = Q(-lam) X instead."""
+    eye = np.eye(p.n)
+    blocks = []
+    for pos in _charge_positions(p.n):
+        a, b = eval_Q_rep(p, pos, lam), eval_Q_rep(p, pos, -lam)
+        if swapped:
+            a, b = b, a
+        blocks.append(np.kron(a, eye) - np.kron(eye, b.T))
+    _, sv, vh = np.linalg.svd(np.vstack(blocks))
+    return sv / sv[0], vh[-1].conj().reshape(p.n, p.n)
+
+
+def _miss_after_scalar_fit(x, k):
+    scale = np.vdot(x, k) / np.vdot(x, x)
+    return np.linalg.norm(scale * x - k) / np.linalg.norm(k)
+
+
+K_RECOVERY_CASES = [(n, m, lam) for n in range(2, 6)
+                    for m in (0.9 + 0.2j, 1.5, 0.3 - 0.4j, 0.0)
+                    for lam in (0.3 - 0.1j, 1.1 + 0.4j)]
+
+
+@pytest.mark.parametrize("n,m,lam", K_RECOVERY_CASES)
+def test_k_is_recovered_from_the_linear_intertwining_relation(n, m, lam):
+    # Q(lam) K = K Q(-lam) over every charge has a one-dimensional solution
+    # space, and it is the closed-form K; measured: smallest singular value
+    # <= 2.0e-16, the next >= 0.133, the miss <= 9.2e-16
+    p = ModelParams(n=n, mu=0.41, m=m, zeta=0.6)
+    k = build_k_explicit(p, lam).mat
+    sv, x = _intertwiner_null_space(p, lam)
+    assert sv[-1] <= 1e-13 and sv[-2] >= 1e-2
+    assert _miss_after_scalar_fit(x, k) <= 1e-12
+    # the swapped orientation also has a one-dimensional solution space,
+    # but not K (measured miss 0.28-1.00): the comparison is what recovers K
+    sv, x = _intertwiner_null_space(p, lam, swapped=True)
+    assert sv[-1] <= 1e-13 and sv[-2] >= 1e-2
+    assert _miss_after_scalar_fit(x, k) >= 0.1
 
 
 def test_charge_block_closed_refusals():

@@ -217,7 +217,7 @@ def test_hamiltonian_keeps_the_middle_state_counts(p):
         assume(False)
     n, sites = p.n, p.sites
     counts = _middle_counts(n, sites)
-    rows, cols, _ = _hamiltonian_entries(p)
+    rows, cols, _ = _hamiltonian_entries(ChainSpec(p))
     assert np.array_equal(counts[rows], counts[cols])
     # and every entry of the embed_at-built generators between two count
     # tuples is exactly zero

@@ -253,6 +253,11 @@ def test_hamiltonian_blocks_match_the_dense_oracle(n, sites):
         assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in blocks])), np.arange(dim))
         assert rel_residual(_scattered(blocks, dim), want) <= 1e-14
         assert rel_residual(build_hamiltonian(spec, "hecke_form"), want) <= 1e-14
+        # each (row, col) once, row-major, so the dense H and the sector
+        # blocks are the same assignment of one list
+        rows, cols, _ = spin_chain._hamiltonian_entries(spec)
+        assert np.all(np.diff(rows * dim + cols) > 0)
+        assert np.array_equal(_scattered(blocks, dim), build_hamiltonian(spec).mat)
 
 
 @pytest.mark.parametrize("n,sites", [(3, 4), (4, 3), (2, 6)])
@@ -300,8 +305,8 @@ def test_hamiltonian_blocks_refuse_an_entry_between_sectors(monkeypatch):
     # states |1 1> and |1 2> of (C^3)^2 have different middle-state counts
     inner = spin_chain._hamiltonian_entries
 
-    def leaky(p):
-        rows, cols, vals = inner(p)
+    def leaky(spec):
+        rows, cols, vals = inner(spec)
         return np.append(rows, 0), np.append(cols, 1), np.append(vals, 1.0)
 
     monkeypatch.setattr(spin_chain, "_hamiltonian_entries", leaky)
