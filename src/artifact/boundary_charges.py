@@ -54,11 +54,15 @@ At n = 2 the charge Q_11 peeled from the other end obeys a one-site
 recursion whose eigenvectors are product states (``q11_eigenspaces``).
 Its N + 1 eigenspaces split the Hamiltonian into blocks of side C(N, j)
 (``charge_eigenspace_blocks``), which the spectrum eigensolves one by one.
+Each block is H in the product basis itself, read off H's local terms:
+the product basis is a Gelfand-Tsetlin basis of the nested charges, so U_0
+is diagonal in it and U_l mixes only columns with bits l and l + 1 swapped.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -82,7 +86,7 @@ from .spin_chain import (
     build_double_row,
     build_hamiltonian,
     build_transfer,
-    hamiltonian_apply,
+    hamiltonian_terms,
 )
 from .tensor_core import (
     RESIDUAL_FLOOR,
@@ -349,9 +353,40 @@ def _recursive_charges(
 # the angle between the two eigenvectors of one site step, below which the
 # eigenspaces are not built.
 EIGENSPACE_GAP = 1e-8
-# Largest invariance leak ||H B - B (B^H H B)||_F / ||H B||_F of an
-# orthonormal eigenspace basis B that the blocks of H accept.
+# Largest coefficient of a local term of H off the pattern the charges allow,
+# relative to the term's norm, that the blocks of H accept.
 LEAK_GATE = 1e-9
+
+
+def _site_vectors(params: ModelParams, N: int) -> np.ndarray:
+    """The unit vectors of the site steps of Q_11 at n = 2: entry [k, l, a]
+    is what site k + 1 carries in a column with l <= k ones on the sites
+    before it and bit a on it, (i y, 1) for a = 0 and (1, -i y) for a = 1,
+    normalized, with y = z q^(k - 2l) and z = e^{i mu m}. Entries with l > k
+    are unused. Raises DegenerateParameters where a step's two vectors are
+    within ``EIGENSPACE_GAP`` of parallel (the sine of their angle), which
+    y = +-1 reaches at integer m."""
+    if params.n != 2:
+        raise ValueError(f"the Q_11 eigenspaces are built for n = 2, got n = {params.n}")
+    q, z = params.q, cmath.exp(1j * params.mu * params.m)
+    k = np.arange(N)[:, None]
+    y = z * q ** (k - 2.0 * np.minimum(k.T, k))  # l > k reads l = k: finite, unused
+    sines = np.abs(y**2 - 1) / (1 + np.abs(y) ** 2)
+    if N and np.min(sines) <= EIGENSPACE_GAP:
+        raise DegenerateParameters(
+            f"a site step of Q_11 is defective at mu = {params.mu}, m = {params.m}")
+    one = np.ones_like(y)
+    vectors = np.stack([np.stack([1j * y, one], -1), np.stack([one, -1j * y], -1)], -2)
+    return vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
+
+
+def _label_bits(N: int, label: int) -> np.ndarray:
+    """The bit strings on N sites with ``label`` ones, one per row, in
+    ascending order read with site 1 most significant."""
+    ones = np.array(list(itertools.combinations(range(N), label)), dtype=np.intp)
+    bits = np.zeros((math.comb(N, label), N), dtype=np.intp)
+    np.put_along_axis(bits, ones.reshape(len(bits), label), 1, axis=1)
+    return bits[::-1]  # combinations come in descending order of the strings
 
 
 def q11_eigenspaces(params: ModelParams, N: int):
@@ -378,73 +413,123 @@ def q11_eigenspaces(params: ModelParams, N: int):
     for the second, whatever q, w and k are. So a column is a product state,
     one for each bit string c with sum c = j: site k carries the unit
     vector (i y, 1) if c_k = 0 and (1, -i y) if c_k = 1, with
-    y = z q^(k - 1 - 2 l) and l the number of ones among c_1..c_(k-1).
-    Columns are in ascending order of c read with site 1 most significant.
+    y = z q^(k - 1 - 2 l) and l the number of ones among c_1..c_(k-1)
+    (``_site_vectors``). Columns are in ascending order of c read with
+    site 1 most significant.
 
     The two vectors of a step are parallel where y = +-1, which integer m
-    reaches: raises DegenerateParameters where a step's vectors are within
-    ``EIGENSPACE_GAP`` of parallel (the sine of their angle) or two nu_j
-    within ``EIGENSPACE_GAP`` of each other relative to the largest. The
-    checks run at the call; each X_j is built as the returned iterator
-    reaches it, so one is held at a time.
+    reaches: raises DegenerateParameters where ``_site_vectors`` does, or
+    where two nu_j are within ``EIGENSPACE_GAP`` of each other relative to
+    the largest. The checks run at the call; each X_j is built as the
+    returned iterator reaches it, so one is held at a time.
     """
-    if params.n != 2:
-        raise ValueError(f"the Q_11 eigenspaces are built for n = 2, got n = {params.n}")
-    q, z = params.q, cmath.exp(1j * params.mu * params.m)
-    k, labels = np.arange(N), np.arange(N + 1)
-    steps = z * q ** (k[:, None] - 2.0 * k[None, :])  # y at (site k + 1, label l <= k)
-    sines = np.abs(steps**2 - 1) / (1 + np.abs(steps) ** 2)
-    if N and np.min(sines[np.tril_indices(N)]) <= EIGENSPACE_GAP:
-        raise DegenerateParameters(
-            f"a site step of Q_11 is defective at mu = {params.mu}, m = {params.m}")
-    y = z * q ** (N - 2.0 * labels)
-    nu = q**N * (y + 1 / y)
+    vectors = _site_vectors(params, N)
+    labels = np.arange(N + 1)
+    y = cmath.exp(1j * params.mu * params.m) * params.q ** (N - 2.0 * labels)
+    nu = params.q**N * (y + 1 / y)
     gaps = np.abs(nu[:, None] - nu[None, :])[np.triu_indices(N + 1, 1)]
     if gaps.size and np.min(gaps) <= EIGENSPACE_GAP * np.max(np.abs(nu)):
         raise DegenerateParameters(
             f"two eigenvalues of Q_11 coincide at mu = {params.mu}, m = {params.m}")
-    return ((complex(nu[j]), _product_basis(steps, N, j)) for j in labels)
+    return ((complex(nu[j]), _product_basis(vectors, _label_bits(N, j))) for j in labels)
 
 
-def _product_basis(steps: np.ndarray, N: int, label: int) -> np.ndarray:
-    """X_label of ``q11_eigenspaces``, grown one site at a time; site k + 1
-    of a column with l ones before it reads y = ``steps[k, l]``."""
-    codes = np.arange(2**N)
-    bits = (codes[:, None] >> np.arange(N - 1, -1, -1)) & 1
-    bits = bits[bits.sum(axis=1) == label]
+def _product_basis(vectors: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The product states of ``_site_vectors`` for the rows of ``bits``, one
+    column each, grown one site at a time."""
     ones = np.zeros(len(bits), dtype=np.intp)
     x = np.ones((1, len(bits)), dtype=np.complex128)
-    for k in range(N):
-        iy = 1j * steps[k, ones]
-        vec = np.where(bits[:, k] == 0, (iy, np.ones_like(iy)), (np.ones_like(iy), -iy))
-        x = (x[:, None, :] * (vec / np.linalg.norm(vec, axis=0))).reshape(-1, len(bits))
+    for k in range(bits.shape[1]):
+        vec = vectors[k, ones, bits[:, k]].T
+        x = (x[:, None, :] * vec).reshape(-1, len(bits))
         ones += bits[:, k]
     return x
 
 
+# The coefficients of a bulk term on w_ab, (a, b) read as 2a + b, that the
+# charges allow: w_00 and w_11 are kept, w_01 and w_10 mix with each other.
+_BULK_PATTERN = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool)
+
+
+def _local_coefficients(term: np.ndarray, basis: np.ndarray, pattern: np.ndarray,
+                        what: str, params: ModelParams) -> np.ndarray:
+    """C with term @ basis = basis @ C for each stacked basis, the basis
+    vectors as columns. Raises DegenerateParameters where a coefficient off
+    ``pattern`` exceeds ``LEAK_GATE`` relative to ``frob(term)``."""
+    coef = np.linalg.solve(basis, term @ basis)
+    leak = np.max(np.linalg.norm(np.where(pattern, 0, coef), axis=(-2, -1)), initial=0.0)
+    leak /= max(frob(term), RESIDUAL_FLOOR)
+    if not leak <= LEAK_GATE:
+        raise DegenerateParameters(
+            f"the {what} term of H leaks {leak:.2e} out of the Q_11 eigenspaces "
+            f"at mu = {params.mu}, m = {params.m}")
+    return coef
+
+
 def charge_eigenspace_blocks(spec: ChainSpec) -> list[np.ndarray]:
     """H on each eigenspace of Q_11 at n = 2, one block of side C(N, j) per
-    label j, in label order. H commutes with Q_11, so it keeps each
-    eigenspace, and the blocks' eigenvalues together are H's.
+    label j, in label order: B_j = X_j^-1 H X_j in the product basis X_j of
+    ``q11_eigenspaces``, so the blocks' eigenvalues together are H's. Each
+    block is read off H's local terms (``spin_chain.hamiltonian_terms``); no
+    vector on the 2^N-dimensional chain is formed.
 
-    Each ``q11_eigenspaces`` basis is orthonormalized by QR (the product
-    basis itself grows ill-conditioned with N, so one similarity by all of
-    them would lose digits), and the block is the Rayleigh-Ritz matrix
-    B = Q^H (H Q), with H Q from ``spin_chain.hamiltonian_apply``. Raises
-    DegenerateParameters where ``q11_eigenspaces`` does, or where a basis
-    leaks out of its space: ||H Q - Q B||_F / ||H Q||_F over ``LEAK_GATE``.
+    The nested charges Q_11^(k) (x) 1 on the first k sites, k = 1..N, all
+    commute with the boundary Hecke generators on those sites: U_0 and
+    U_1..U_(k-1). By the last-site recursion every column of X_j is an
+    eigenvector of each of them, with the eigenvalue that the number of ones
+    on sites 1..k labels. U_l, on sites (l, l + 1), commutes with every
+    nested charge but the one with k = l: the charges with k < l do not
+    touch its sites, and those with k > l contain it. So U_l keeps the
+    number of ones on every prefix but sites 1..l, and changes only bits l
+    and l + 1; the ones on sites 1..l + 1 are kept, so it maps w_00 and w_11
+    to themselves and mixes w_01 and w_10, where w_ab = v(a; y_l) (x)
+    v(b; y_(l+1)) are the two sites' vectors of ``_site_vectors`` (the
+    second read after l + a ones). The rest of the column is the same in all
+    four. U_0 keeps the count on site 1 alone, so it is diagonal on site 1's
+    two vectors at y = z. Hence:
+
+    * the boundary term contributes its two eigenvalues on v(0; z) and
+      v(1; z) to the diagonal, by the first bit;
+    * on each bond (l, l + 1), for each count of ones before it, one 4 x 4
+      solve writes the bulk term on the four w_ab; a column with bits aa
+      takes the diagonal coefficient, and one with bits 01 or 10 takes the
+      2 x 2 coefficients onto itself and onto the column with the two bits
+      swapped;
+    * the constant adds to the diagonal.
+
+    Each column of B_j thus has at most N nonzeros. The local solves run
+    once for all labels; no eigenvalue of Q_11 needs to differ from another,
+    only each step's two vectors, so roots of unity take this route too.
+    Raises DegenerateParameters where ``_site_vectors`` does (a defective
+    step), or where a local term has a coefficient off that pattern over
+    ``LEAK_GATE`` relative to its norm: the terms leak out of the
+    eigenspaces.
     """
-    p = spec.params
-    apply = hamiltonian_apply(spec)
-    blocks = []
-    for _, x in q11_eigenspaces(p, p.sites):
-        basis = np.linalg.qr(x)[0]
-        hq = apply(basis)
-        block = basis.conj().T @ hq
-        leak = frob(hq - basis @ block) / max(frob(hq), RESIDUAL_FLOOR)
-        if not leak <= LEAK_GATE:
-            raise DegenerateParameters(
-                f"an eigenspace basis of Q_11 leaks {leak:.2e} under H at mu = {p.mu}, m = {p.m}")
+    p, N = spec.params, spec.params.sites
+    vectors = _site_vectors(p, N)
+    bulk, boundary, const = hamiltonian_terms(spec)
+    first = _local_coefficients(boundary.mat, vectors[0, 0].T, np.eye(2, dtype=bool),
+                                "boundary", p)
+    # bonds (k, k + 1) of 0-based sites, for l <= k ones before them
+    bond, before = np.tril_indices(N - 1)
+    pairs = (vectors[bond, before][:, :, None, :, None]
+             * vectors[bond[:, None] + 1, before[:, None] + [0, 1]][:, :, :, None, :])
+    coef = np.zeros((N - 1, N - 1, 4, 4), dtype=np.complex128)
+    coef[bond, before] = _local_coefficients(
+        bulk.mat, pairs.reshape(-1, 4, 4).transpose(0, 2, 1), _BULK_PATTERN, "bulk", p)
+    blocks, bonds = [], np.arange(N - 1)
+    for label in range(N + 1):
+        bits = _label_bits(N, label)
+        codes = bits @ (1 << np.arange(N - 1, -1, -1))
+        ones = np.cumsum(bits, axis=1)[:, :-1] - bits[:, :-1]
+        pair = 2 * bits[:, :-1] + bits[:, 1:]
+        block = np.zeros((len(bits), len(bits)), dtype=np.complex128)
+        col, at = np.nonzero(bits[:, :-1] != bits[:, 1:])
+        row = np.searchsorted(codes, codes[col] ^ (3 << (N - 2 - at)))
+        block[row, col] = coef[at, ones[col, at], 3 - pair[col, at], pair[col, at]]
+        block[np.diag_indices(len(bits))] = (
+            const + first[bits[:, 0], bits[:, 0]]
+            + coef[bonds, ones, pair, pair].sum(axis=1))
         blocks.append(block)
     return blocks
 

@@ -5,10 +5,11 @@ parameters and emits VerificationReport JSON (or a text table); the exit code
 is 0 when every check passes, 1 when any fails, 2 on invalid input, 3 on
 output I/O failure. ``spectrum`` diagonalizes the open-chain Hamiltonian
 block by block and reports eigenvalue clusters: at n = 2 one block per
-eigenspace of the boundary charge Q_11
-(``boundary_charges.charge_eigenspace_blocks``), otherwise, and wherever
-those eigenspaces are degenerate, one per weight sector
-(``spin_chain.hamiltonian_blocks``); each block is eigensolved densely.
+eigenspace of the boundary charge Q_11, H in its product-state basis read
+off H's local terms (``boundary_charges.charge_eigenspace_blocks``);
+otherwise, and wherever a site step of Q_11 is defective (integer m), one
+per weight sector (``spin_chain.hamiltonian_blocks``); each block is
+eigensolved densely.
 Identical arguments and seed produce byte-identical JSON: timings are
 recorded only under --timings.
 
@@ -309,8 +310,9 @@ def run_verify(settings: dict) -> tuple[int, list]:
 
 def _spectrum_blocks(spec: ChainSpec) -> list[np.ndarray]:
     """Blocks of H whose eigenvalues together are H's: the Q_11 eigenspace
-    blocks at n = 2, unless those eigenspaces are degenerate or leak, and
-    the weight-sector blocks otherwise."""
+    blocks at n = 2, unless a site step of Q_11 is defective or H's local
+    terms leak out of the eigenspaces, and the weight-sector blocks
+    otherwise."""
     if spec.params.n == 2:
         try:
             return charge_eigenspace_blocks(spec)

@@ -19,14 +19,16 @@ factor. For the derivative route the inverse-monodromy factors are the
 transposed R matrices (for this R the total transpose equals P R P), which
 fixes the overall normalization that the closed form above expects. Since
 R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
-whose finite difference is the cross-check. The Hecke form is one list of
-entries, each (row, col) once and row-major (``_hamiltonian_entries``,
-assembled from ``tensor_core.embed_entries`` index arrays), and every reader
-takes it as it is: ``build_hamiltonian`` assigns it to a d x d matrix,
-``hamiltonian_blocks`` hands it out one weight sector at a time (H keeps the
-number of sites in each middle state 2..n-1), and ``hamiltonian_apply`` (H
-times a block of vectors) and ``hermitian_defect`` read it directly; only
-the first forms a d x d matrix.
+whose finite difference is the cross-check. The Hecke form's local terms
+(the two-site bulk term, the one-site boundary term and the constant) are
+written once, in ``hamiltonian_terms``, where the spec and x(0) are checked.
+Embedded with ``tensor_core.embed_entries`` index arrays they give one list
+of entries, each (row, col) once and row-major (``_hamiltonian_entries``),
+and every reader takes that list as it is: ``build_hamiltonian`` assigns it
+to a d x d matrix, ``hamiltonian_blocks`` hands it out one weight sector at
+a time (H keeps the number of sites in each middle state 2..n-1), and
+``hermitian_defect`` reads it directly; only the first forms a d x d matrix.
+The n = 2 charge blocks of ``boundary_charges`` read the local terms alone.
 
 The monodromy and the double row are built left to right by right-applying
 their factors with ``tensor_core.apply_right``: each R_{0k} or K factor acts
@@ -53,7 +55,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -263,28 +264,35 @@ def _require_hamiltonian_spec(spec: ChainSpec, what: str) -> None:
         raise ValueError(f"{what} expects the non-diagonal right boundary")
 
 
-def _hamiltonian_entries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the Hecke-form H on the N-site space, each
-    (row, col) once, row-major. The terms are summed in the order the paper
-    writes them: the N - 1 bulk terms -1/2 rho(U_l) in site order, the
-    boundary term -sinh^2(i mu)/x(0) rho(U_0), then the constant on the
-    diagonal. Raises on a spec the Hamiltonian does not belong to, and
+def hamiltonian_terms(spec: ChainSpec) -> tuple[Operator, Operator, complex]:
+    """The local terms of the Hecke-form H as (bulk, boundary, c): the bulk
+    term -1/2 rho(U_1) on two sites, which H carries on every bond, the
+    boundary term -sinh^2(i mu)/x(0) rho(U_0) on site 1, and the constant c
+    on the diagonal. The bulk term is built even for one site, where no bond
+    uses it. Raises on a spec the Hamiltonian does not belong to, and
     DegenerateParameters where x(0) vanishes."""
     params = spec.params
     _require_hamiltonian_spec(spec, "the Hamiltonian")
     params.require_hamiltonian_ok()
     sh = cmath.sinh(1j * params.mu)
-    space = (params.n,) * params.sites
-    terms = []
     # each local term is its generator's representation on the smallest
     # chain that holds it: rho(U_1) on two sites, rho(U_0) on one
-    if params.sites > 1:  # U has side n^2 even where no bond uses it
-        bulk = rep_bulk(replace(params, sites=2), 1) * -0.5
-        terms = [embed_entries(bulk, [site, site + 1], space) for site in range(1, params.sites)]
-    u0 = rep_boundary(replace(params, sites=1))
-    terms.append(embed_entries(u0 * -(sh * sh / params.k_diag_x(0.0)), [1], space))
+    bulk = rep_bulk(replace(params, sites=2), 1) * -0.5
+    boundary = rep_boundary(replace(params, sites=1)) * -(sh * sh / params.k_diag_x(0.0))
+    return bulk, boundary, _hamiltonian_constant(params)
+
+
+def _hamiltonian_entries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the Hecke-form H on the N-site space, each
+    (row, col) once, row-major: the ``hamiltonian_terms`` embedded and summed
+    in the order the paper writes them, the N - 1 bulk terms in site order,
+    the boundary term, then the constant on the diagonal."""
+    bulk, boundary, const = hamiltonian_terms(spec)
+    space = (spec.params.n,) * spec.params.sites
+    terms = [embed_entries(bulk, [site, site + 1], space) for site in range(1, len(space))]
+    terms.append(embed_entries(boundary, [1], space))
     diag = np.arange(math.prod(space))
-    terms.append((diag, diag, np.full(diag.size, _hamiltonian_constant(params))))
+    terms.append((diag, diag, np.full(diag.size, const)))
     return _coalesce(*(np.concatenate(part) for part in zip(*terms)), diag.size)
 
 
@@ -305,29 +313,6 @@ def hermitian_defect(spec: ChainSpec) -> float:
                      np.concatenate((vals, -vals.conj())), spec.params.n**spec.params.sites)[2]
     hnorm = np.linalg.norm(vals)
     return float(np.linalg.norm(skew) / hnorm) if hnorm else 0.0
-
-
-def hamiltonian_apply(spec: ChainSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> H @ x for the Hecke-form H and any (d, k) array x, from its
-    entries; no d x d matrix is formed. The entries are stored row by row in
-    s slots of (column, value), s being the most any row holds (N + 1 at
-    n = 2), so one product is s gathers of x's rows."""
-    rows, cols, vals = _hamiltonian_entries(spec)
-    dim = spec.params.n**spec.params.sites
-    counts = np.bincount(rows, minlength=dim)
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    slot_cols = np.tile(np.arange(dim), (counts.max(), 1))
-    slot_vals = np.zeros(slot_cols.shape, dtype=np.complex128)
-    slot_cols[slot, rows] = cols
-    slot_vals[slot, rows] = vals
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = slot_vals[0][:, None] * x[slot_cols[0]]
-        for c, v in zip(slot_cols[1:], slot_vals[1:]):
-            out += v[:, None] * x[c]
-        return out
-
-    return apply
 
 
 def _weight_sectors(n: int, sites: int) -> np.ndarray:

@@ -5,6 +5,7 @@ actual return value; report bytes are compared through --out files.
 """
 
 import json
+import math
 import sys
 from collections import Counter
 
@@ -299,6 +300,19 @@ def test_spectrum_at_n2_reaches_ten_sites():
     report = cli.run_spectrum(settings)
     assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
     assert report.total_multiplicity == 1024
+
+
+@pytest.mark.parametrize("sites", range(3, 9))
+def test_spectrum_at_a_root_of_unity_takes_the_charge_route(monkeypatch, sites):
+    # at q^6 = 1 labels of Q_11 coincide, but no site step is defective
+    settings = dict(cli.DEFAULTS, n=2, sites=sites, mu=math.pi / 3)
+
+    def refuse(spec):
+        raise AssertionError("the spectrum fell back to the weight sectors")
+
+    monkeypatch.setattr(cli, "hamiltonian_blocks", refuse)
+    report = cli.run_spectrum(settings)
+    assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
 
 
 @pytest.mark.parametrize("mu, m", [(0.41, 0), (0.41, 1), (0.7, 2)])

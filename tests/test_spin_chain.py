@@ -36,7 +36,6 @@ from artifact.spin_chain import (
     build_monodromy_hat,
     build_transfer,
     double_row_commutation_residual,
-    hamiltonian_apply,
     hamiltonian_blocks,
     hermitian_defect,
     monodromy_asymptotic_residual,
@@ -270,16 +269,6 @@ def test_blockwise_eigenvalues_match_the_dense_eigensolve(n, sites):
     # the two multisets, paired so that the largest distance is least
     i, j = linear_sum_assignment(np.abs(dense[:, None] - blockwise[None, :]))
     assert np.max(np.abs(dense[i] - blockwise[j])) <= 1e-10 * np.linalg.norm(h)
-
-
-@pytest.mark.parametrize("n,sites", [(2, 1), (2, 4), (2, 7), (3, 3), (4, 2)])
-def test_hamiltonian_apply_equals_the_dense_product(n, sites):
-    p = _oracle_params(n, sites)
-    spec = ChainSpec(p)
-    h = build_hamiltonian(spec).mat
-    x = np.random.default_rng(5).standard_normal((n**sites, 2 * 3)).view(np.complex128)
-    want = h @ x
-    assert np.linalg.norm(hamiltonian_apply(spec)(x) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("n,sites", [(2, 1), (2, 6), (3, 1), (3, 4), (4, 3)])
