@@ -28,13 +28,14 @@ operators, which the chain embeds and so are ``Operator``s; the first tensor
 slot optionally carries the spectral parameter, all the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
-entry once, in CSR when it has more than ``CSR_ABOVE`` rows; its public reads
-and product sums are dense arrays. Every L-site image any module reads comes
-from one, and ``t_element_rep`` is its one-shot wrapper. The checks that
-compare independent routes call ``coproduct_rep`` (both orders) and
-``_coproduct_recursive`` directly. ``intertwine_residual`` is the linear
-intertwining relation Delta'(g) X = X Delta(g), written once for R, the
-monodromy and its hatted partner.
+entry once, in CSR when it has more than ``CSR_ABOVE`` rows; a CSR image is
+built from its entries, never from a dense array. Its public reads and
+product sums are dense arrays, each written once. Every L-site image any
+module reads comes from one, and ``t_element_rep`` is its one-shot wrapper.
+The checks that compare independent routes call ``coproduct_rep`` (both
+orders) and ``_coproduct_recursive`` directly. ``intertwine_residual`` is the
+linear intertwining relation Delta'(g) X = X Delta(g), written once for R,
+the monodromy and its hatted partner.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_todense
 
 from .params import DegenerateParameters, ModelParams
 from .reporting import ReportBuilder, VerificationReport
@@ -252,17 +254,46 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _dense(image) -> np.ndarray:
-    """A tower image or a product of them as an array, whatever its storage."""
-    return image.toarray() if sparse.issparse(image) else image
+def _kron_powers(diag: np.ndarray, top: int) -> list[np.ndarray]:
+    """The kron of k copies of ``diag`` for k = 0..top, each grown from the one
+    before by the outer-product step of ``coproduct_rep``'s site diagonals."""
+    out = [np.ones(1, dtype=np.complex128)]
+    for _ in range(top):
+        out.append((out[-1][:, None] * diag).ravel())
+    return out
+
+
+def _csr_diagonal(diag: np.ndarray) -> sparse.csr_array:
+    d = diag.size
+    index = np.arange(d + 1, dtype=np.int32)
+    return sparse.csr_array((diag, index[:-1], index), shape=(d, d))
+
+
+def _densified(shape, parts) -> np.ndarray:
+    """The sum of the CSR arrays ``parts`` as one dense array, each page first
+    touched by a write: the first part is assigned into ``np.zeros`` (whose
+    fresh pages the system maps on first touch, so a page that no part fills
+    is never mapped) and each later part is added in place. Each part must
+    hold each entry once, as scipy's products and sums do. ``toarray`` would
+    read each page before writing it, and allocate a fresh array per part."""
+    out = np.zeros(shape, dtype=np.complex128)
+    for k, part in enumerate(parts):
+        if k == 0:
+            rows = np.repeat(np.arange(shape[0]), np.diff(part.indptr))
+            out[rows, part.indices] = part.data
+        else:
+            csr_todense(*shape, part.indptr, part.indices, part.data, out)
+    return out
 
 
 # Rows of a tower image (d = n^L) above which a Tower stores its images in
 # CSR. The root elements and tower entries have a handful of nonzeros per
 # row, so at chain sizes their products are far cheaper sparse, while on a
 # few sites scipy's per-call overhead outweighs the saving. One
-# build_boundary_charges, dense against CSR (2-vCPU x86-64, scipy 1.17):
-# 7.3 vs 12.2 ms at d = 81, 10.3 vs 9.5 ms at d = 128, 69 vs 26 ms at d = 243.
+# build_boundary_charges, dense against CSR (medians of 21 alternating
+# builds, 2-vCPU x86-64, scipy 1.17): 6.5 vs 10.4 ms at d = 64 (n = 4),
+# 6.1 vs 6.1 ms at d = 81, 43 vs 22 ms at d = 125, 8.3 vs 3.8 ms at d = 128,
+# 57 vs 11 ms at d = 243. The two tie at d = 81, so no size below 100 gains.
 CSR_ABOVE = 100
 
 
@@ -273,16 +304,18 @@ class Tower:
     ``root`` the root elements of the averaged recursion and ``t_image`` the
     tower entries, ``t(i, j)`` and ``h(i, j)`` being the t and t-hat ones.
     Each image is built once. A tower on d = n^L > ``CSR_ABOVE`` rows stores
-    its images as ``scipy.sparse`` CSR arrays: the generator coproducts are
-    converted once, the root recursion multiplies in CSR and the Cartan
-    dressing is a ``diags_array`` row scaling. Smaller towers store dense
-    arrays. Either way every public read returns a dense read-only array,
-    the same one on every read (for a CSR image it is made on the first
-    read), and ``product_sum`` multiplies stored images in their storage
-    and returns the sum dense: no stored image leaves the tower. A tower
-    lives as long as the object that holds it (a builder call, or the
-    ``ChargeSet`` that keeps it for its checks); nothing is cached across
-    towers.
+    its images as ``scipy.sparse`` CSR arrays built from their entries, never
+    from a dense array: an e/f coproduct is written by index arithmetic, one
+    run of rows per insertion site, a Cartan and a t_ii as the kron of the
+    site diagonals, the root recursion multiplies in CSR and the Cartan
+    dressing scales the core's rows. Smaller towers store dense arrays from
+    ``coproduct_rep``. Either way every public read returns a dense
+    read-only array, the same one on every read (for a CSR image it is made
+    on the first read), and ``product_sum`` multiplies stored images in
+    their storage and returns the sum dense: no stored image leaves the
+    tower. A tower lives as long as the object that holds it (a builder
+    call, or the ``ChargeSet`` that keeps it for its checks); nothing is
+    cached across towers.
     """
 
     def __init__(self, params, L=1, first_site_lambda=None):
@@ -312,15 +345,19 @@ class Tower:
     def product_sum(self, terms) -> np.ndarray:
         """sum c (A @ B) over the (c, key_a, key_b) triples of ``terms``, the
         keys as for ``_stored``, multiplied in this tower's storage and
-        returned as one dense array."""
-        acc = 0
-        for c, a, b in terms:
-            acc = acc + c * (self._stored(a) @ self._stored(b))
-        return _dense(acc)
+        returned as one dense array. CSR products are added entry by entry
+        into that one array, never summed in CSR."""
+        products = (c * (self._stored(a) @ self._stored(b)) for c, a, b in terms)
+        if self.sparse:
+            d = self.params.n**self.L
+            return _densified((d, d), products)
+        return sum(products)
 
     def _read(self, key) -> np.ndarray:
         if key not in self._reads:
-            self._reads[key] = _frozen(_dense(self._stored(key)))
+            image = self._stored(key)
+            self._reads[key] = _frozen(
+                _densified(image.shape, [image]) if self.sparse else image)
         return self._reads[key]
 
     def _stored(self, key):
@@ -337,12 +374,33 @@ class Tower:
         return self._images[key]
 
     def _build_gen(self, label: GeneratorLabel):
-        image = coproduct_rep(self.params, label, self.L, "delta", self.first_site_lambda)
+        p, L = self.params, self.L
         if not self.sparse:
-            return image
+            return coproduct_rep(p, label, L, "delta", self.first_site_lambda)
         if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-            return sparse.diags_array(image.diagonal(), format="csr")
-        return sparse.csr_array(image)
+            return _csr_diagonal(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
+        # the word with the insertion on site l is diag(h-) (x) X (x) diag(h+):
+        # X's one entry (a, b) moves digit l from a to b, on the rows whose
+        # digit l is a, with the prefix and suffix diagonals as weights
+        n = p.n
+        h_minus, h_plus = (
+            eval_generator(p, GeneratorLabel(GeneratorKind.HCARTAN, label.index, inv)).diagonal()
+            for inv in (True, False))
+        lefts, rights = _kron_powers(h_minus, L - 1), _kron_powers(h_plus, L - 1)
+        rows, cols, vals = [], [], []
+        for l, lam in enumerate(_site_lams(L, self.first_site_lambda)):
+            x = eval_generator(p, label, lam)
+            [(a, b)] = np.argwhere(x).tolist()
+            left, right = lefts[l], rights[L - 1 - l]
+            stride = right.size
+            at = (np.arange(left.size, dtype=np.int32)[:, None] * (n * stride)
+                  + np.arange(stride, dtype=np.int32)).ravel()
+            rows.append(at + a * stride)
+            cols.append(at + b * stride)
+            vals.append(((left[:, None] * right) * x[a, b]).ravel())
+        d = n**L
+        coords = (np.concatenate(rows), np.concatenate(cols))
+        return sparse.csr_array((np.concatenate(vals), coords), shape=(d, d))
 
     def _build_root(self, i: int, j: int, hat: bool):
         if i == j or not (1 <= i <= self.params.n and 1 <= j <= self.params.n):
@@ -374,14 +432,17 @@ class Tower:
         def dressed(pref: complex, a: int, b: int, sign: float, core):
             # the Cartan dressing K_a K_b is diagonal: scale the core's rows
             scale = pref * (half(a, sign < 0) * half(b, sign < 0))
-            return sparse.diags_array(scale) @ core if self.sparse else scale[:, None] * core
+            if not self.sparse:
+                return scale[:, None] * core
+            data = core.data * np.repeat(scale, np.diff(core.indptr))
+            return sparse.csr_array((data, core.indices, core.indptr), shape=core.shape)
 
         if fam in (TElementFamily.t, TElementFamily.t_minus,
                    TElementFamily.t_hat, TElementFamily.t_hat_minus):
             if i == j:
                 inv = fam in (TElementFamily.t_minus, TElementFamily.t_hat_minus)
                 square = half(i, inv) * half(i, inv)
-                return sparse.diags_array(square, format="csr") if self.sparse else np.diag(square)
+                return _csr_diagonal(square) if self.sparse else np.diag(square)
             if fam == TElementFamily.t:
                 if i > j:
                     raise ValueError("t_ij needs i <= j")

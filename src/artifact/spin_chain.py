@@ -41,7 +41,8 @@ Y_0 = K^{(r)}, ``tensor_core.grow_site`` adds sites 1..N-1 and
 M_0 K^{(l)}_0 (the closed chain takes Y_0, Rhat and M K^{(l)} to be the
 identity). No matrix on the auxiliary space and all N sites is formed: the
 largest has side n^N. The derivative route grows the product rule the same
-way: each site takes (Y, Y') to (v Y w, v' Y w + v Y' w + v Y w'). This
+way: ``tensor_core.grow_site_derivative`` takes (Y, Y') to
+(v Y w, (v' Y + v Y') w + v Y w') at each site. This
 inside-out order is independent of the left-to-right double row, so
 comparing the transfer with the double row's M-weighted diagonal blocks
 compares two computations. The three intertwiner
@@ -83,6 +84,7 @@ from .tensor_core import (
     embed_entries,
     frob,
     grow_site,
+    grow_site_derivative,
     identity_op,
     permutation_swap,
     rel_residual,
@@ -399,17 +401,16 @@ def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     """tr_0 of M_0 (prod of factors)' at lambda = 0, by the product rule
     grown from the inside out like ``build_transfer``: starting from
     (Y, Y') = (K, K'), each site's R pair (v, v') and transposed R pair
-    (w, w') take (Y, Y') to (v Y w, v' Y w + v Y' w + v Y w'), and the last
-    site closes the three terms of Y' against M_0. The factors are
-    homogeneous R's with the explicit or ansatz right K and no left K, so any
-    other spec raises ValueError."""
+    (w, w') take (Y, Y') to (v Y w, (v' Y + v Y') w + v Y w') through
+    ``grow_site_derivative``, and the last site closes the three terms of Y'
+    against M_0. The factors are homogeneous R's with the explicit or ansatz
+    right K and no left K, so any other spec raises ValueError."""
     _require_hamiltonian_spec(spec, "the transfer derivative")
     p = spec.params
     (v, dv), (k, dk), (w, dw) = _factor_profiles(spec)
     y, dy = k.mat, dk.mat
     for _ in range(p.sites - 1):
-        y, dy = (grow_site(y, v, w),
-                 grow_site(y, dv, w) + grow_site(dy, v, w) + grow_site(y, v, dw))
+        y, dy = grow_site_derivative(y, dy, (v, dv), (w, dw))
     m = build_M(p, spec.gauge)
     der = close_site(m, y, dv, w) + close_site(m, dy, v, w) + close_site(m, y, v, dw)
     return Operator(der, (p.n,) * p.sites)

@@ -28,7 +28,8 @@ from the inside out instead: ``grow_site`` sandwiches a matrix on (auxiliary,
 sites 1..k-1) between two operators on (auxiliary, site k), and
 ``close_site`` does the same for the last site and traces the auxiliary
 factor out, so the open and closed transfer matrices never hold a matrix on
-the auxiliary space and every site at once. ``weight_preserving`` fills the
+the auxiliary space and every site at once; ``grow_site_derivative`` grows a
+matrix and its product-rule derivative in one step. ``weight_preserving`` fills the
 two-site pattern that R and the bulk Hecke generator share.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
@@ -59,6 +60,7 @@ __all__ = [
     "embed_entries",
     "apply_right",
     "grow_site",
+    "grow_site_derivative",
     "close_site",
     "permutation_swap",
     "partial_trace_first",
@@ -342,6 +344,34 @@ def _site_legs(y: np.ndarray, v: Operator, w: Operator) -> tuple[int, int, int]:
     return d0, y.shape[0] // d0, e
 
 
+def _grow_left(terms) -> np.ndarray:
+    """sum of v_{0k} (y (x) 1_k) over the (y, v) pairs of ``terms``, with the
+    legs (a, s, s', x, b', y') left open for ``_grow_right``. The pairs,
+    which share the legs of ``grow_site``, are stacked along the contracted
+    leg a', so their sum is one ``tensordot`` and never a sum of results."""
+    legs = {_site_legs(y, v, v) for y, v in terms}
+    if len(legs) != 1:
+        raise ValueError(f"the pairs do not share their legs: {sorted(legs)}")
+    (d0, r, e), = legs
+    vs = [v.mat.reshape(d0, e, d0, e) for _, v in terms]
+    ys = [y.reshape(d0, r, d0, r) for y, _ in terms]
+    if len(terms) > 1:
+        vs, ys = [np.concatenate(vs, axis=2)], [np.concatenate(ys, axis=0)]
+    # y[a', x, b', y'] after v[a, s, a', s']: legs (a, s, s', x, b', y')
+    return np.tensordot(vs[0], ys[0], axes=(2, 0))
+
+
+def _grow_right(left: np.ndarray, w: Operator) -> np.ndarray:
+    """Close the open legs of ``_grow_left`` with w[b', s', b, t]."""
+    d0, e, _, r = left.shape[:4]
+    if w.dims != (d0, e):
+        raise ValueError(f"operator dims {w.dims} do not match the legs {(d0, e)}")
+    # legs (a, s, x, y', b, t)
+    both = np.tensordot(left, w.mat.reshape(d0, e, d0, e), axes=([2, 4], [1, 0]))
+    side = d0 * r * e
+    return both.transpose(0, 2, 1, 4, 3, 5).reshape(side, side)
+
+
 def grow_site(y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
     """``v_{0k} (y (x) 1_k) w_{0k}`` with k a new last slot.
 
@@ -350,13 +380,20 @@ def grow_site(y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
     cost d0^3 e^2 r^2 and d0^3 e^3 r^2 (d0, e, r the sides of 0, k and the
     rest), and nothing is embedded on the grown space.
     """
-    d0, r, e = _site_legs(y, v, w)
-    # y[a', x, b', y'] after v[a, s, a', s']: legs (a, s, s', x, b', y')
-    left = np.tensordot(v.mat.reshape(d0, e, d0, e), y.reshape(d0, r, d0, r), axes=(2, 0))
-    # then w[b', s', b, t]: legs (a, s, x, y', b, t)
-    both = np.tensordot(left, w.mat.reshape(d0, e, d0, e), axes=([2, 4], [1, 0]))
-    side = d0 * r * e
-    return both.transpose(0, 2, 1, 4, 3, 5).reshape(side, side)
+    return _grow_right(_grow_left([(y, v)]), w)
+
+
+def grow_site_derivative(y: np.ndarray, dy: np.ndarray, v: tuple, w: tuple) -> tuple:
+    """``grow_site`` of (y, y') and its product-rule derivative: with the
+    operator pairs v = (v, v') and w = (w, w'), returns (v y w, (v' y + v y')
+    w + v y w'). v y is formed once for both terms that hold it, and v' y +
+    v y' is one stacked contraction, so one step costs five ``tensordot``s.
+    """
+    (v, dv), (w, dw) = v, w
+    vy = _grow_left([(y, v)])
+    grown = _grow_right(_grow_left([(y, dv), (dy, v)]), w)
+    grown += _grow_right(vy, dw)
+    return _grow_right(vy, w), grown
 
 
 def close_site(a: Operator, y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 import tracemalloc
 from functools import cache, partial
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -280,6 +281,27 @@ def test_charges_build_each_coproduct_once(monkeypatch):
     coproduct_charges(p, 3, (1, 1), "delta_prime")
     assert len(calls) == 12
     assert len(set(calls)) == 12
+
+
+def test_csr_charges_build_each_generator_image_once(monkeypatch):
+    # the CSR twin of the test above: at (4, 4) the tower is CSR, builds the
+    # same twelve distinct generator images once each, and never calls
+    # coproduct_rep, whose dense band writes only dense towers use
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
+    built, dense = [], []
+    inner = Tower._build_gen
+
+    def counted(self, label):
+        built.append((self.L, self.first_site_lambda, label))
+        return inner(self, label)
+
+    monkeypatch.setattr(Tower, "_build_gen", counted)
+    monkeypatch.setattr(quantum_algebra, "coproduct_rep", lambda *args: dense.append(args))
+    charges = build_boundary_charges(p, 4)
+    assert charges.tower.sparse
+    assert len(built) == 12
+    assert len(set(built)) == 12
+    assert dense == []
 
 
 def test_block_closed_forms_match_generic_coproduct():
@@ -593,6 +615,7 @@ def test_charge_eigenspace_blocks_form_no_chain_sized_array():
 @settings(max_examples=40, deadline=None)
 @given(_n2_model())
 @example(ModelParams(n=2, mu=0.15, m=0.3 + 0.25j, zeta=0.3, sites=4))
+@example(ModelParams(n=2, mu=0.94921875, m=2 + 5.960464477539063e-08j, zeta=2 - 0.5j, sites=3))
 def test_charge_eigenspace_blocks_carry_the_dense_eigenvalues(p):
     try:
         blocks = charge_eigenspace_blocks(ChainSpec(p))
@@ -601,16 +624,23 @@ def test_charge_eigenspace_blocks_carry_the_dense_eigenvalues(p):
     h = build_hamiltonian(ChainSpec(p)).mat
     dense, left, right = scipy.linalg.eig(h, left=True, right=True)
     # H is far from normal in places (||H||_2 = 37 with |eigenvalues| <= 3 at
-    # mu = 0.15, m = 0.3 + 0.25i, zeta = 0.3, N = 4), and there the dense
-    # eigensolve itself errs by up to eps ||H||_2 kappa_i, kappa_i the
-    # condition number of its i-th eigenvalue: 1.1e-11 against a 40-digit
-    # eigensolve at that point, where the blocks err by 2.7e-13
+    # mu = 0.15, m = 0.3 + 0.25i, zeta = 0.3, N = 4), and there the blocks,
+    # formed in double precision, may err by eps ||H||_2 kappa_i, kappa_i the
+    # condition number of the i-th eigenvalue. The dense eigensolve errs by as
+    # much and, by a nearly defective pair, by more (6.9e-9 against an
+    # estimate of 3.1e-9 at mu = 0.949, m = 2 + 6e-8i, zeta = 2 - 0.5i,
+    # N = 3, where the blocks err by 7e-10), so it lends only kappa and the
+    # eigenvalues come from a 30-digit eigensolve
     kappa = (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
              / np.abs(np.sum(left.conj() * right, axis=0)))
-    bound = 1e-11 * np.max(np.abs(dense)) + np.finfo(float).eps * np.linalg.norm(h, 2) * kappa
+    with mpmath.workdps(30):
+        exact = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(h.tolist()),
+                                                          left=False, right=False)])
+    _, d = linear_sum_assignment(np.abs(exact[:, None] - dense[None, :]))
+    bound = 1e-11 * np.max(np.abs(exact)) + np.finfo(float).eps * np.linalg.norm(h, 2) * kappa[d]
     got = np.concatenate([np.linalg.eigvals(block) for block in blocks])
-    i, j = linear_sum_assignment(np.abs(dense[:, None] - got[None, :]))
-    assert np.all(np.abs(dense[i] - got[j]) <= bound[i])
+    i, j = linear_sum_assignment(np.abs(exact[:, None] - got[None, :]))
+    assert np.all(np.abs(exact[i] - got[j]) <= bound[i])
 
 
 def test_charge_eigenspace_blocks_refuse_a_leak(monkeypatch):

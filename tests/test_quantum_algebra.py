@@ -7,9 +7,11 @@ builders.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from artifact import ModelParams, quantum_algebra
 from artifact.params import DegenerateParameters
@@ -307,6 +309,53 @@ def test_tower_storage_agrees_with_a_dense_tower(n, L, monkeypatch):
     assert type(got) is np.ndarray and got.dtype == np.complex128
     assert got.flags.c_contiguous and got.shape == (n**L, n**L)
     assert rel_residual(got, want) <= 1e-14
+
+
+def _generator_labels(n):
+    """e_i and f_i for i = 1..n (the affine pair included) and both half
+    Cartans, each with its inverse."""
+    G = GeneratorKind
+    labels = [GeneratorLabel(kind, i) for kind in (G.E, G.F) for i in range(1, n + 1)]
+    labels += [GeneratorLabel(kind, i, inverse) for kind in (G.KCARTAN, G.HCARTAN)
+               for i in range(1, n + 1) for inverse in (False, True)]
+    return labels
+
+
+@pytest.mark.parametrize("n,L", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_csr_generator_images_equal_coproduct_rep(n, L):
+    # a CSR tower writes its e/f words from index arithmetic and its Cartans
+    # from the kron of the site diagonals; coproduct_rep's dense band writes
+    # are the oracle, with the affine e_n, f_n at a first-site lambda
+    p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=L)
+    lam = 0.23 - 0.11j
+    tower = Tower(p, L, lam)
+    assert tower.sparse
+    for label in _generator_labels(n):
+        stored = tower._stored(label)
+        assert sparse.issparse(stored) and stored.format == "csr", label
+        want = coproduct_rep(p, label, L, "delta", lam)
+        assert stored.nnz == np.count_nonzero(want), label
+        assert rel_residual(stored.toarray(), want) <= 1e-15, label
+
+
+def test_csr_generator_images_build_no_dense_array():
+    # at (4, 5) one dense image is a 1024-sided complex array of 16.8 MB;
+    # the 4n generator images of a CSR tower together stay below it
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=5)
+    tower = Tower(p, 5, 0.23 - 0.11j)
+    G = GeneratorKind
+    labels = [GeneratorLabel(kind, i, inverse) for i in range(1, 5)
+              for kind, inverse in ((G.E, False), (G.F, False),
+                                    (G.KCARTAN, False), (G.KCARTAN, True))]
+    tracemalloc.start()
+    try:
+        for label in labels:
+            tower._stored(label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tower.sparse and len(labels) == 16
+    assert peak < 1024**2 * 16, peak
 
 
 def test_t_elements_at_pi0():

@@ -17,6 +17,7 @@ from artifact.tensor_core import (
     embed_at,
     embed_entries,
     grow_site,
+    grow_site_derivative,
     identity_op,
     kron,
     partial_trace_first,
@@ -190,6 +191,21 @@ def test_grow_site_equals_product_with_embeddings(case):
 
 @settings(max_examples=200, deadline=None)
 @given(_site_sandwich())
+def test_grow_site_derivative_is_the_three_term_product_rule(case):
+    # any matrices of the right sides stand in for y', v' and w'
+    y, _, v, w, _ = case
+    dy, dv, dw = y @ y, op(v.mat.T, v.dims), op(w.mat.conj(), w.dims)
+    before = y.copy(), dy.copy()
+    grown, derivative = grow_site_derivative(y, dy, (v, dv), (w, dw))
+    assert np.array_equal(grown, grow_site(y, v, w))
+    want = grow_site(y, dv, w) + grow_site(dy, v, w) + grow_site(y, v, dw)
+    assert derivative.flags.c_contiguous
+    assert_allclose(derivative, want, rtol=0, atol=1e-12)
+    assert np.array_equal(y, before[0]) and np.array_equal(dy, before[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_site_sandwich())
 def test_close_site_equals_traced_product_with_embeddings(case):
     y, a, v, w, space = case
     want = partial_trace_first(embed_at(a, [1], space) @ _embedded_sandwich(y, v, w, space))
@@ -207,6 +223,10 @@ def test_site_primitives_refuse_mismatched_legs():
         grow_site(np.eye(5, dtype=complex), v, v)
     with pytest.raises(ValueError):
         close_site(identity_op((3,)), y, v, v)
+    with pytest.raises(ValueError):  # y' on other legs than y
+        grow_site_derivative(y, np.eye(12, dtype=complex), (v, v), (v, v))
+    with pytest.raises(ValueError):
+        grow_site_derivative(y, y, (v, v), (v, identity_op((3, 2))))
 
 
 @settings(max_examples=200, deadline=None)

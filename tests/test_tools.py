@@ -1,4 +1,4 @@
-"""The evidence tools under tools/, run on small report directories."""
+"""The evidence tools under tools/, run on small report directories and stubbed benchmark runs."""
 
 import importlib.util
 import json
@@ -6,12 +6,22 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 from artifact import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-_spec = importlib.util.spec_from_file_location("compare_reports", TOOLS / "compare_reports.py")
-compare_reports = sys.modules["compare_reports"] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_reports)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = _load("compare_reports")
+bench_pairs = _load("bench_pairs")
 
 
 def _matrix(outdir: Path) -> Path:
@@ -45,3 +55,85 @@ def test_moves_and_flips_are_reported(tmp_path):
     out = compare_reports.compare(parent, change)
     assert (out.identical, out.moved, out.flips, out.multiplicity_changes) == ([], 1, 1, 0)
     assert out.failed
+
+
+def _bench_checkout(root: Path) -> Path:
+    """A checkout stand-in: a two-workload BENCHMARK.json and two earlier
+    BENCH files, the higher one numbered 12."""
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"],
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "op_s", "better": "lower"},
+                       {"name": "peak_rss_mb", "better": "lower"}]}))
+    for n in (7, 12):
+        (root / f"BENCH_{n}.json").write_text("{}")
+    return root
+
+
+def test_bench_pairs_alternates_sides_and_summarizes(tmp_path, monkeypatch):
+    root = _bench_checkout(tmp_path / "checkout")
+    op_s = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 2.5, 2.0, 3.0]}
+    order = []
+
+    def run(command, side_root):
+        side = "change" if side_root == root else "parent"
+        workload = command[command.index("--workload") + 1]
+        pair = order.count((workload, side))
+        order.append((workload, side))
+        metrics = {"op_s": {"value": op_s[side][pair]}, "peak_rss_mb": {"value": 50.0}}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}, {"nproc": 2}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: "abc1234")
+    monkeypatch.setattr(bench_pairs, "run_once", run)
+    argv = ["HEAD~1", "--pairs", "4", "--seconds", "2", "--seed", "5", "--claim", "w1:op_s"]
+    assert bench_pairs.main(argv) == 0
+    # even pairs run the parent first, odd pairs the change
+    assert [side for _, side in order] == ["parent", "change", "change", "parent"] * 4
+    assert [w for w, _ in order] == ["w1"] * 8 + ["w2"] * 8
+    out = json.loads((root / "BENCH_13.json").read_text())
+    assert (out["parent"], out["machine"]) == ("abc1234", {"nproc": 2})
+    assert out["commands"][0] == ("python3 perfbench/run.py --workload w1 --seed 5 "
+                                  "--seconds 2 --trace 0")
+    w1 = out["workloads"]["w1"]
+    assert w1["ops_attempted"] == {"parent": 12, "change": 12}
+    op = w1["metrics"]["op_s"]
+    assert op["parent"] == {"median": 2.5, "quartiles": [1.75, 3.25], "runs": op_s["parent"]}
+    assert op["change"]["median"] == 2.25 and op["change"]["quartiles"] == [1.625, 2.625]
+    assert op["change_won"] == "3/4" and op["ratio_of_medians"] == 0.9
+    assert w1["metrics"]["peak_rss_mb"]["change_won"] == "0/4"  # ties win nothing
+    assert out["claim"]["met"] is False  # 3 of 4 wins is under nine tenths
+
+
+def test_bench_pairs_stops_on_a_failed_run_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    root = _bench_checkout(tmp_path / "checkout")
+
+    def run(command, side_root):
+        if side_root != root:
+            raise bench_pairs.RunFailed("exit code 1")
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"op_s": {"value": 1.0}, "peak_rss_mb": {"value": 1.0}}}, {}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: "abc1234")
+    monkeypatch.setattr(bench_pairs, "run_once", run)
+    assert bench_pairs.main(["HEAD~1", "--pairs", "2"]) == 1
+    assert "parent run of w1, pair 0: exit code 1" in capsys.readouterr().err
+    assert not (root / "BENCH_13.json").exists()
+
+
+@pytest.mark.parametrize("code,result", [
+    (1, {"correct": True}),
+    (0, {"correct": False, "attempted": 4, "failed": 1}),
+])
+def test_bench_pairs_run_fails_on_an_exit_code_or_a_failed_op(tmp_path, code, result):
+    script = f"print('machine {{}}'); print({json.dumps(json.dumps(result))}); raise SystemExit({code})"
+    with pytest.raises(bench_pairs.RunFailed):
+        bench_pairs.run_once([sys.executable, "-c", script], tmp_path)
+
+
+def test_bench_pairs_run_reads_the_result_and_the_machine(tmp_path):
+    result = {"correct": True, "attempted": 2, "failed": 0, "metrics": {}}
+    script = f"print('machine {{\"nproc\": 2}}'); print({json.dumps(json.dumps(result))})"
+    assert bench_pairs.run_once([sys.executable, "-c", script], tmp_path) == (result, {"nproc": 2})
