@@ -13,8 +13,12 @@ eigensolved densely.
 Identical arguments and seed produce byte-identical JSON: timings are
 recorded only under --timings.
 
-Flags override an optional key=value config file (--config); unknown config
-keys are errors. Complex values accept "a+bi" syntax.
+Every setting is written once, in ``OPTIONS``: its default, converter,
+choices and help. Each subcommand takes the long flags of the settings it
+reads (``COMMANDS``; ``spectrum`` only those that change H or the output).
+Flags override an optional key=value config file (--config) whose keys are
+the same long flags, each value converted and checked as its flag is when
+the file is read; errors name path:line. Complex values accept "a+bi" syntax.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import math
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,28 +74,12 @@ VERIFY_DIM_CAP = 4096
 _EXTRA_SITES = {"chain": 2, "symmetry": 1}
 CLUSTER_TOL = 1e-8
 
-DEFAULTS = {
-    "n": 3,
-    "sites": 2,
-    "mu": 0.41 + 0j,
-    "m": 0.9 + 0.2j,
-    "zeta": 0.6 + 0j,
-    "samples": 5,
-    "seed": 0,
-    "tol": 1e-9,
-    "gauge": "homogeneous",
-    "left": "identity",
-    "right": "explicit",
-    "diag-block": 1,
-    "xi": 0.35 + 0j,
-    "suite": "all",
-    "format": "json",
-    "out": None,
-    "timings": False,
-}
 
-class CliError(Exception):
-    """Invalid input; the message goes to stderr and the process exits 2."""
+class CliError(argparse.ArgumentTypeError):
+    """Invalid input; the message goes to stderr and the process exits 2.
+
+    Raised by a converter while argparse reads a flag, it is argparse's own
+    refusal of the value (usage message, SystemExit(2))."""
 
 
 def parse_complex(text: str) -> complex:
@@ -106,46 +95,69 @@ def parse_complex(text: str) -> complex:
         raise CliError(f"cannot parse complex value {text!r} (expected a+bi)")
 
 
-def _check_seed(value: int) -> int:
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise CliError(f"seed must be an integer, got {text!r}")
     if not 0 <= value < 2**64:
         raise CliError("seed must fit in 64 unsigned bits")
     return value
 
 
-def _complex_flag(text: str) -> complex:
-    try:
-        return parse_complex(text)
-    except CliError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _boolean(text: str) -> bool:
+    """A config value of an on/off flag."""
+    low = text.lower()
+    if low in ("true", "1", "yes", "false", "0", "no"):
+        return low in ("true", "1", "yes")
+    raise CliError(f"expected true or false, got {text!r}")
 
 
-def _seed_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    try:
-        return _check_seed(value)
-    except CliError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+class Option(NamedTuple):
+    default: object
+    convert: Callable[[str], object] = str
+    choices: tuple = ()
+    help: str = ""
 
 
-_CONVERT = {
-    "n": int,
-    "sites": int,
-    "samples": int,
-    "diag-block": int,
-    "tol": float,
-    "mu": parse_complex,
-    "m": parse_complex,
-    "zeta": parse_complex,
-    "xi": parse_complex,
-    "seed": lambda s: _check_seed(int(s)),
+# Every setting once. Both subcommands' flags (--KEY, or a bare switch where
+# the default is False), the config keys and DEFAULTS are read off this table.
+OPTIONS = {
+    "n": Option(3, int, help="rank"),
+    "sites": Option(2, int, help="chain length"),
+    "mu": Option(0.41 + 0j, parse_complex, help="deformation parameter, q = e^{i mu}"),
+    "m": Option(0.9 + 0.2j, parse_complex, help="boundary exponent, Q = i e^{i mu m}"),
+    "zeta": Option(0.6 + 0j, parse_complex, help="second boundary parameter"),
+    "samples": Option(5, int, help="random draws per sampled check"),
+    "seed": Option(0, _seed, help="sampler seed"),
+    "tol": Option(1e-9, float, help="default residual tolerance"),
+    "gauge": Option("homogeneous", choices=tuple(g.value for g in Gauge),
+                    help="gradation of R and K"),
+    "left": Option("identity", choices=tuple(k.value for k in LeftBoundaryKind),
+                   help="left boundary matrix"),
+    "right": Option("explicit", choices=RIGHT_FAMILIES, help="right boundary family"),
+    "diag-block": Option(1, int, help="split row for the diagonal right boundary"),
+    "xi": Option(0.35 + 0j, parse_complex, help="free scalar of the diagonal right boundary"),
+    "suite": Option("all", choices=SUITE_ORDER + ("all",), help="suite to run"),
+    "format": Option("json", choices=("json", "text"), help="report format"),
+    "out": Option(None, help="write the report here instead of stdout"),
+    "timings": Option(False, _boolean,
+                      help="record wall time per check (breaks byte-determinism)"),
+}
+DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
+# The settings each subcommand reads: spectrum's H depends on the model
+# parameters alone (the Hamiltonian's gauge and boundaries are fixed).
+COMMANDS = {
+    "verify": ("run the residual checks", tuple(OPTIONS)),
+    "spectrum": ("diagonalize the open Hamiltonian",
+                 ("n", "sites", "mu", "m", "zeta", "out", "format")),
 }
 
 
-def read_config(path: str) -> dict:
-    """key=value lines; '#' comments and blank lines are skipped."""
+def read_config(path: str, keys=tuple(OPTIONS)) -> dict:
+    """key=value lines, each key one of ``keys``, converted and checked as
+    its flag is; '#' comments and blank lines are skipped. Errors name
+    path:line."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -159,63 +171,19 @@ def read_config(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        option = OPTIONS[key]
+        try:
+            values[key] = option.convert(value)
+        except CliError as exc:
+            raise CliError(f"{path}:{lineno}: {key}: {exc}")
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: {key}: cannot parse {value!r}")
+        if option.choices and values[key] not in option.choices:
+            raise CliError(f"{path}:{lineno}: {key}: {value!r} is not one of "
+                           f"{', '.join(option.choices)}")
     return values
-
-
-def _coerce_config_value(key: str, raw: str):
-    if key in ("gauge", "left", "right", "suite", "format", "out"):
-        allowed = {
-            "gauge": {g.value for g in Gauge},
-            "left": {k.value for k in LeftBoundaryKind},
-            "right": set(RIGHT_FAMILIES),
-            "suite": set(SUITE_ORDER) | {"all"},
-            "format": {"json", "text"},
-        }.get(key)
-        if allowed is not None and raw not in allowed:
-            raise CliError(f"config value {raw!r} not allowed for {key}")
-        return raw
-    if key == "timings":
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise CliError(f"config value for timings must be boolean, got {raw!r}")
-    try:
-        return _CONVERT[key](raw)
-    except CliError:
-        raise
-    except ValueError:
-        raise CliError(f"cannot parse config value {raw!r} for {key}")
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None, help="rank (default 3)")
-    sub.add_argument("--sites", type=int, default=None, help="chain length (default 2)")
-    sub.add_argument("--mu", type=_complex_flag, default=None,
-                     help="deformation parameter, q = e^{i mu} (default 0.41)")
-    sub.add_argument("--m", type=_complex_flag, default=None,
-                     help="boundary exponent, Q = i e^{i mu m} (default 0.9+0.2i)")
-    sub.add_argument("--zeta", type=_complex_flag, default=None,
-                     help="second boundary parameter (default 0.6)")
-    sub.add_argument("--seed", type=_seed_flag, default=None,
-                     help="sampler seed (default 0)")
-    sub.add_argument("--gauge", choices=[g.value for g in Gauge], default=None)
-    sub.add_argument("--left", choices=[k.value for k in LeftBoundaryKind],
-                     default=None)
-    sub.add_argument("--right", choices=RIGHT_FAMILIES, default=None)
-    sub.add_argument("--diag-block", type=int, default=None,
-                     help="split row for the diagonal right boundary")
-    sub.add_argument("--xi", type=_complex_flag, default=None,
-                     help="free scalar of the diagonal right boundary")
-    sub.add_argument("--out", default=None, help="write the report here")
-    sub.add_argument("--format", choices=["json", "text"], default=None)
-    sub.add_argument("--config", default=None, help="key=value defaults file")
-    sub.add_argument("--timings", action="store_true", default=None,
-                     help="record wall time per check (breaks byte-determinism)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,64 +192,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify the boundary-symmetry identities or inspect the spectrum",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    verify = subs.add_parser("verify", help="run the residual checks")
-    _add_common_flags(verify)
-    verify.add_argument("--suite", choices=list(SUITE_ORDER) + ["all"], default=None)
-    verify.add_argument("--samples", type=int, default=None,
-                        help="random draws per sampled check (default 5)")
-    verify.add_argument("--tol", type=float, default=None,
-                        help="default residual tolerance (default 1e-9)")
-    spectrum = subs.add_parser("spectrum", help="diagonalize the open Hamiltonian")
-    _add_common_flags(spectrum)
+    for command, (summary, keys) in COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        # an absent flag leaves no attribute, so the config and DEFAULTS show through
+        for key in keys:
+            option = OPTIONS[key]
+            shown = "" if option.default is None or option.default is False else (
+                f" (default {option.default})")
+            kind = ({"action": "store_true"} if option.default is False else
+                    {"type": option.convert, "choices": option.choices or None})
+            sub.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS,
+                             help=option.help + shown, **kind)
+        sub.add_argument("--config", help="key=value file of this command's long flags")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge CLI > config > built-in defaults into one settings dict."""
-    config = read_config(args.config) if args.config else {}
-    settings = {}
-    for key, default in DEFAULTS.items():
-        attr = key.replace("-", "_")
-        cli_value = getattr(args, attr, None)
-        if cli_value is not None:
-            settings[key] = cli_value
-        elif key in config:
-            settings[key] = _coerce_config_value(key, config[key])
-        else:
-            settings[key] = default
-    return settings
+    """Merge flags > config > built-in defaults into one settings dict."""
+    flags = vars(args).copy()
+    command, config = flags.pop("command"), flags.pop("config")
+    from_config = read_config(config, COMMANDS[command][1]) if config else {}
+    return {**DEFAULTS, **from_config, **flags}
 
 
 def _model_params(settings: dict) -> ModelParams:
     try:
-        return ModelParams(
-            n=settings["n"],
-            mu=settings["mu"],
-            m=settings["m"],
-            zeta=settings["zeta"],
-            sites=settings["sites"],
-        )
+        return ModelParams(n=settings["n"], mu=settings["mu"], m=settings["m"],
+                           zeta=settings["zeta"], sites=settings["sites"])
     except DegenerateParameters as exc:
         raise CliError(str(exc))
 
 
-def _chain_spec(settings: dict, params: ModelParams) -> ChainSpec:
-    try:
-        return ChainSpec(
-            params=params,
-            gauge=Gauge(settings["gauge"]),
-            right_boundary=settings["right"],
-            left_boundary=LeftBoundaryKind(settings["left"]),
-            diag_block=settings["diag-block"],
-            xi=settings["xi"],
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+def _over_cap(n: int, power: int, cap: int) -> bool:
+    """n^power > cap, without forming a huge n^power: as n >= 2, every power
+    past the cap's bit length is over it."""
+    return n ** min(power, cap.bit_length()) > cap
 
 
 def run_verify(settings: dict) -> tuple[int, list]:
     params = _model_params(settings)
-    spec = _chain_spec(settings, params)
+    try:
+        spec = ChainSpec(params=params, gauge=Gauge(settings["gauge"]),
+                         right_boundary=settings["right"],
+                         left_boundary=LeftBoundaryKind(settings["left"]),
+                         diag_block=settings["diag-block"], xi=settings["xi"])
+    except ValueError as exc:
+        raise CliError(str(exc))
     samples = settings["samples"]
     tol = settings["tol"]
     suites = SUITE_ORDER if settings["suite"] == "all" else (settings["suite"],)
@@ -293,11 +249,9 @@ def run_verify(settings: dict) -> tuple[int, list]:
         raise CliError("the hecke suite needs at least two sites")
     for name in suites:
         power = max(params.sites + _EXTRA_SITES.get(name, 0), 4)
-        if params.n**power > VERIFY_DIM_CAP:
-            raise CliError(
-                f"the {name} suite needs dense matrices of side n^{power} = "
-                f"{params.n ** power}, over the cap {VERIFY_DIM_CAP}"
-            )
+        if _over_cap(params.n, power, VERIFY_DIM_CAP):
+            raise CliError(f"the {name} suite needs dense matrices of side "
+                           f"{params.n}^{power}, over the cap {VERIFY_DIM_CAP}")
     try:
         require_box_scalars(params, spec.xi)
         reports = [SUITES[name](spec, samples=samples, tol=tol, seed=settings["seed"])
@@ -326,13 +280,11 @@ def run_spectrum(settings: dict) -> SpectrumReport:
     imaginary part, clustered within ``CLUSTER_TOL``, with H's
     ``hermitian_defect``. No n^sites-sided matrix is formed."""
     params = _model_params(settings)
-    if params.n**params.sites > SPECTRUM_DIM_CAP:
-        raise CliError(
-            f"n^sites = {params.n ** params.sites} exceeds the dense-eigensolve "
-            f"cap {SPECTRUM_DIM_CAP}"
-        )
-    spec = _chain_spec(settings, params)
+    if _over_cap(params.n, params.sites, SPECTRUM_DIM_CAP):
+        raise CliError(f"n^sites = {params.n}^{params.sites} exceeds the "
+                       f"dense-eigensolve cap {SPECTRUM_DIM_CAP}")
     try:
+        spec = ChainSpec(params=params)
         blocks = _spectrum_blocks(spec)
         defect = hermitian_defect(spec)
     except (ValueError, DegenerateParameters) as exc:
@@ -381,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _resolve(args)
-        set_timings_default(bool(settings["timings"]))
+        set_timings_default(settings["timings"])
         if args.command == "verify":
             code, reports = run_verify(settings)
             text = _serialize(reports, settings["format"])

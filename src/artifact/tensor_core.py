@@ -126,10 +126,6 @@ class Operator:
     def __neg__(self) -> "Operator":
         return Operator(-self.mat, self.dims)
 
-    @property
-    def side(self) -> int:
-        return self.mat.shape[0]
-
     def transpose(self) -> "Operator":
         return Operator(self.mat.T, self.dims)
 

@@ -152,6 +152,9 @@ def test_impossible_tolerance_exits_one(capsys):
         pytest.param(["--m", "3000i"], "overflows", id="m-huge-imaginary"),
         pytest.param(["--zeta", "3000i"], "overflows", id="zeta-huge-imaginary"),
         pytest.param(["--xi", "1e308i"], "overflows", id="xi-huge-imaginary"),
+        # n^sites has over 4300 digits: the refusal writes the power, not its value
+        pytest.param(["--n", "3", "--sites", "100000"], "side 3^100000, over the cap 4096",
+                     id="sites-huge"),
     ],
 )
 def test_invalid_input_exits_two(args, message, capsys):
@@ -196,6 +199,69 @@ def test_config_defaults_and_cli_override(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["params"]["n"] == 3  # flag wins over config
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("gauge = weird", ["--gauge", "principal"], "gauge: 'weird' is not one of"),
+    ("n = 2.5", ["--n", "2"], "n: cannot parse '2.5'"),
+    ("seed = -1", ["--seed", "0"], "seed: seed must fit in 64 unsigned bits"),
+])
+def test_invalid_config_value_exits_two_under_an_overriding_flag(
+        line, flags, message, tmp_path, capsys):
+    # each line is checked when the file is read, whether or not a flag wins
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"suite = hecke  # the key a flag overrides is on line 2\n{line}\n")
+    code = main(["verify", "--config", str(cfg), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{cfg}:2: {message}" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+# Every verify setting and its default; spectrum reads only the model
+# parameters and the output settings.
+VERIFY_DEFAULTS = {
+    "n": 3, "sites": 2, "mu": 0.41 + 0j, "m": 0.9 + 0.2j, "zeta": 0.6 + 0j,
+    "samples": 5, "seed": 0, "tol": 1e-9, "gauge": "homogeneous", "left": "identity",
+    "right": "explicit", "diag-block": 1, "xi": 0.35 + 0j, "suite": "all",
+    "format": "json", "out": None, "timings": False,
+}
+SPECTRUM_KEYS = {"n", "sites", "mu", "m", "zeta", "out", "format"}
+
+
+def test_defaults_keep_every_verify_setting():
+    assert list(cli.DEFAULTS.items()) == list(VERIFY_DEFAULTS.items())
+
+
+@pytest.mark.parametrize("command, keys, fixed", [
+    ("verify", set(VERIFY_DEFAULTS), ["--suite", "hecke", "--n", "2", "--samples", "1"]),
+    ("spectrum", SPECTRUM_KEYS, ["--n", "2", "--sites", "2"]),
+])
+def test_long_flags_and_config_keys_are_the_same_set(command, keys, fixed, tmp_path, capsys):
+    # each setting is given once as a flag and once as a config key, at its
+    # default; the flags after it keep every run small
+    cfg = tmp_path / "run.cfg"
+    by_flag, by_config = set(), set()
+    for key, default in VERIFY_DEFAULTS.items():
+        value = str(tmp_path / "report.json") if key == "out" else str(default)
+        try:
+            code = main([command, f"--{key}", *([] if key == "timings" else [value]), *fixed])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+        else:
+            assert code == 0
+            by_flag.add(key)
+        cfg.write_text(f"{key} = {value}\n")
+        code = main([command, "--config", str(cfg), *fixed])
+        captured = capsys.readouterr()
+        if code == 0:
+            by_config.add(key)
+        else:
+            assert code == 2
+            assert captured.err == f"error: {cfg}:1: unknown config key {key!r}\n"
+    assert by_flag == by_config == keys
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -341,9 +407,14 @@ def test_spectrum_cluster_multiplicities(n, sites, pattern):
 
 
 def test_spectrum_size_cap_exits_two(capsys):
-    code = main(["spectrum", "--n", "4", "--sites", "7"])
-    assert code == 2
-    assert "4096" in capsys.readouterr().err
+    # 2^20000 has over 4300 digits: the refusal writes the power, not its value
+    for n, sites in ((4, 7), (2, 20000)):
+        code = main(["spectrum", "--n", str(n), "--sites", str(sites)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: n^sites = {n}^{sites} exceeds the "
+                                "dense-eigensolve cap 4096\n")
 
 
 def test_spectrum_huge_mu_exits_two(capsys):

@@ -1,4 +1,4 @@
-"""Write the byte-identity matrix of one checkout: 21 verify and 8 spectrum reports.
+"""Write the byte-identity matrix of one checkout: 22 verify and 8 spectrum reports.
 
     python3 tools/report_matrix.py OUTDIR
 
@@ -11,9 +11,11 @@ takes a copy of it in its own ``tools/``.
 
 The verify reports are seeds 0-2 times seven settings: the defaults, three
 other (n, sites), a one-sample symmetry run at (3, 5), the transpose-shift
-left boundary and the principal gauge. The spectrum reports are seven sizes
-at the defaults and (2, 5) at m = 1, where the n = 2 charge eigenspaces are
-degenerate and the weight-sector route is taken.
+left boundary and the principal gauge; one more verify run reads
+``CONFIG``, written into OUTDIR, and overrides its sites by a flag. The
+spectrum reports are seven sizes at the defaults and (2, 5) at m = 1, where
+the n = 2 charge eigenspaces are degenerate and the weight-sector route is
+taken.
 
 The exit code is 0 when every run exited 0, and 1 otherwise; a run that
 fails prints its command and stderr.
@@ -38,13 +40,18 @@ VERIFY_SETTINGS = {
     "gauge_principal": ["--gauge", "principal"],
 }
 
+CONFIG = "n = 2\nsites = 3\ngauge = principal\nseed = 1\n"
+
 SPECTRUM_SIZES = [(3, 6), (2, 10), (2, 6), (3, 4), (4, 3), (2, 1), (3, 1)]
 
 
-def runs() -> list[tuple[str, list[str]]]:
-    """(report name, CLI arguments) of every report of the matrix."""
+def runs(config: Path) -> list[tuple[str, list[str]]]:
+    """(report name, CLI arguments) of every report of the matrix; ``config``
+    is the path of the written ``CONFIG``."""
     out = [(f"verify_seed{seed}_{name}", ["verify", "--seed", str(seed), *flags])
            for seed in range(3) for name, flags in VERIFY_SETTINGS.items()]
+    out.append(("verify_config_n2_principal_sites2",
+                ["verify", "--config", str(config), "--sites", "2"]))
     out += [(f"spectrum_n{n}_sites{sites}", ["spectrum", "--n", str(n), "--sites", str(sites)])
             for n, sites in SPECTRUM_SIZES]
     out.append(("spectrum_n2_sites5_m1", ["spectrum", "--n", "2", "--sites", "5", "--m", "1"]))
@@ -59,7 +66,9 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    matrix, failed = runs(), 0
+    config = outdir / "matrix.cfg"
+    config.write_text(CONFIG, encoding="utf-8")
+    matrix, failed = runs(config), 0
     for name, args in matrix:
         cmd = [sys.executable, "-m", "artifact.cli", *args, "--out", str(outdir / f"{name}.json")]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
