@@ -349,10 +349,21 @@ def _recursive_charges(
 # eigenspaces of Q_11 at n = 2
 # ---------------------------------------------------------------------------
 
-# Smallest relative separation of two Q_11 eigenvalues, and smallest sine of
-# the angle between the two eigenvectors of one site step, below which the
+# Smallest relative separation of two Q_11 eigenvalues below which the
 # eigenspaces are not built.
 EIGENSPACE_GAP = 1e-8
+# Smallest sine of the angle between the two eigenvectors of one site step
+# below which the product basis is not built. Near a defective step the basis
+# amplifies rounding, and it does so more the more sites it spans. At
+# mu = 0.15 - 0.1i, zeta = 0.3 - 0.5i, with m = 2 + i delta swept toward the
+# integer, the block eigenvalues leave 1e-11 |lambda|_max + eps ||H||_2 kappa
+# (kappa the eigenvalue's condition number) below a sine of about 5e-4 at
+# N = 4 and 5, 0.004 at N = 6, 0.006 at N = 7 and 0.01 at N = 8 (against
+# 30-digit eigenvalues up to N = 7, the dense eigensolve at N = 8), and not
+# at N = 3 down to 1.8e-4. With m = 1 + i delta the N = 8 crossing is 0.021
+# at mu = 0.41 and 0.035 at mu = 1.1. The gate sits three times above the
+# first point's crossing and under the CLI defaults' 0.091.
+SITE_STEP_SINE = 0.03
 # Largest coefficient of a local term of H off the pattern the charges allow,
 # relative to the term's norm, that the blocks of H accept.
 LEAK_GATE = 1e-9
@@ -363,18 +374,20 @@ def _site_vectors(params: ModelParams, N: int) -> np.ndarray:
     is what site k + 1 carries in a column with l <= k ones on the sites
     before it and bit a on it, (i y, 1) for a = 0 and (1, -i y) for a = 1,
     normalized, with y = z q^(k - 2l) and z = e^{i mu m}. Entries with l > k
-    are unused. Raises DegenerateParameters where a step's two vectors are
-    within ``EIGENSPACE_GAP`` of parallel (the sine of their angle), which
-    y = +-1 reaches at integer m."""
+    are unused. Raises DegenerateParameters where the sine of the angle
+    between a step's two vectors is at most ``SITE_STEP_SINE``: they are
+    parallel at y = +-1, which integer m reaches, and near there the product
+    basis no longer carries the eigenvalues to the blocks' precision."""
     if params.n != 2:
         raise ValueError(f"the Q_11 eigenspaces are built for n = 2, got n = {params.n}")
     q, z = params.q, cmath.exp(1j * params.mu * params.m)
     k = np.arange(N)[:, None]
     y = z * q ** (k - 2.0 * np.minimum(k.T, k))  # l > k reads l = k: finite, unused
     sines = np.abs(y**2 - 1) / (1 + np.abs(y) ** 2)
-    if N and np.min(sines) <= EIGENSPACE_GAP:
+    if N and np.min(sines) <= SITE_STEP_SINE:
         raise DegenerateParameters(
-            f"a site step of Q_11 is defective at mu = {params.mu}, m = {params.m}")
+            f"a site step of Q_11 is (nearly) defective, sine {np.min(sines):.2g}, "
+            f"at mu = {params.mu}, m = {params.m}")
     one = np.ones_like(y)
     vectors = np.stack([np.stack([1j * y, one], -1), np.stack([one, -1j * y], -1)], -2)
     return vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
@@ -418,10 +431,10 @@ def q11_eigenspaces(params: ModelParams, N: int):
     site 1 most significant.
 
     The two vectors of a step are parallel where y = +-1, which integer m
-    reaches: raises DegenerateParameters where ``_site_vectors`` does, or
-    where two nu_j are within ``EIGENSPACE_GAP`` of each other relative to
-    the largest. The checks run at the call; each X_j is built as the
-    returned iterator reaches it, so one is held at a time.
+    reaches: raises DegenerateParameters where ``_site_vectors`` does (near
+    such a step), or where two nu_j are within ``EIGENSPACE_GAP`` of each
+    other relative to the largest. The checks run at the call; each X_j is
+    built as the returned iterator reaches it, so one is held at a time.
     """
     vectors = _site_vectors(params, N)
     labels = np.arange(N + 1)
@@ -500,10 +513,10 @@ def charge_eigenspace_blocks(spec: ChainSpec) -> list[np.ndarray]:
     Each column of B_j thus has at most N nonzeros. The local solves run
     once for all labels; no eigenvalue of Q_11 needs to differ from another,
     only each step's two vectors, so roots of unity take this route too.
-    Raises DegenerateParameters where ``_site_vectors`` does (a defective
-    step), or where a local term has a coefficient off that pattern over
-    ``LEAK_GATE`` relative to its norm: the terms leak out of the
-    eigenspaces.
+    Raises DegenerateParameters where ``_site_vectors`` does (a nearly
+    defective step), or where a local term has a coefficient off that
+    pattern over ``LEAK_GATE`` relative to its norm: the terms leak out of
+    the eigenspaces.
     """
     p, N = spec.params, spec.params.sites
     vectors = _site_vectors(p, N)

@@ -29,9 +29,10 @@ slot optionally carries the spectral parameter, all the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
 entry once, in CSR when it has more than ``CSR_ABOVE`` rows; a CSR image is
-built from its entries, never from a dense array. Its public reads and
-product sums are dense arrays, each written once. Every L-site image any
-module reads comes from one, and ``t_element_rep`` is its one-shot wrapper.
+built from its entries, never from a dense array, and scipy is imported only
+by the code that such a tower runs. Its public reads and product sums are
+dense arrays, each written once. Every L-site image any module reads comes
+from one, and ``t_element_rep`` is its one-shot wrapper.
 The checks that compare independent routes call ``coproduct_rep`` (both
 orders) and ``_coproduct_recursive`` directly. ``intertwine_residual`` is the
 linear intertwining relation Delta'(g) X = X Delta(g), written once for R,
@@ -45,8 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_todense
 
 from .params import DegenerateParameters, ModelParams
 from .reporting import ReportBuilder, VerificationReport
@@ -263,7 +262,10 @@ def _kron_powers(diag: np.ndarray, top: int) -> list[np.ndarray]:
     return out
 
 
-def _csr_diagonal(diag: np.ndarray) -> sparse.csr_array:
+def _csr_diagonal(diag: np.ndarray):
+    """``diag`` on the diagonal of a CSR array."""
+    from scipy import sparse
+
     d = diag.size
     index = np.arange(d + 1, dtype=np.int32)
     return sparse.csr_array((diag, index[:-1], index), shape=(d, d))
@@ -282,6 +284,8 @@ def _densified(shape, parts) -> np.ndarray:
             rows = np.repeat(np.arange(shape[0]), np.diff(part.indptr))
             out[rows, part.indices] = part.data
         else:
+            from scipy.sparse._sparsetools import csr_todense
+
             csr_todense(*shape, part.indptr, part.indices, part.data, out)
     return out
 
@@ -309,13 +313,14 @@ class Tower:
     run of rows per insertion site, a Cartan and a t_ii as the kron of the
     site diagonals, the root recursion multiplies in CSR and the Cartan
     dressing scales the core's rows. Smaller towers store dense arrays from
-    ``coproduct_rep``. Either way every public read returns a dense
-    read-only array, the same one on every read (for a CSR image it is made
-    on the first read), and ``product_sum`` multiplies stored images in
-    their storage and returns the sum dense: no stored image leaves the
-    tower. A tower lives as long as the object that holds it (a builder
-    call, or the ``ChargeSet`` that keeps it for its checks); nothing is
-    cached across towers.
+    ``coproduct_rep`` and never load scipy: only a tower above ``CSR_ABOVE``
+    rows imports it, inside the functions that build and densify CSR images.
+    Either way every public read returns a dense read-only array, the same
+    one on every read (for a CSR image it is made on the first read), and
+    ``product_sum`` multiplies stored images in their storage and returns
+    the sum dense: no stored image leaves the tower. A tower lives as long as
+    the object that holds it (a builder call, or the ``ChargeSet`` that
+    keeps it for its checks); nothing is cached across towers.
     """
 
     def __init__(self, params, L=1, first_site_lambda=None):
@@ -379,6 +384,8 @@ class Tower:
             return coproduct_rep(p, label, L, "delta", self.first_site_lambda)
         if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
             return _csr_diagonal(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
+        from scipy import sparse
+
         # the word with the insertion on site l is diag(h-) (x) X (x) diag(h+):
         # X's one entry (a, b) moves digit l from a to b, on the rows whose
         # digit l is a, with the prefix and suffix diagonals as weights
@@ -434,6 +441,8 @@ class Tower:
             scale = pref * (half(a, sign < 0) * half(b, sign < 0))
             if not self.sparse:
                 return scale[:, None] * core
+            from scipy import sparse
+
             data = core.data * np.repeat(scale, np.diff(core.indptr))
             return sparse.csr_array((data, core.indices, core.indptr), shape=core.shape)
 

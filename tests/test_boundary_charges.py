@@ -555,9 +555,11 @@ def test_q11_eigenspaces_are_eigenspaces(mu, m, zeta):
         assert np.linalg.matrix_rank(np.hstack([x for _, x in spaces])) == 2**L
 
 
-@pytest.mark.parametrize("mu, m", [(0.41, 0.0), (0.41, 1.0), (0.7, 2.0)])
+@pytest.mark.parametrize("mu, m", [(0.41, 0.0), (0.41, 1.0), (0.7, 2.0),
+                                   (0.15 - 0.1j, 2 + 0.001953125j)])
 def test_q11_eigenspaces_refuse_integer_m(mu, m):
-    # a site step is defective where z q^(k - 2l) = +-1, which integer m reaches
+    # a site step is defective where z q^(k - 2l) = +-1, which integer m
+    # reaches, and nearly so next to it (the last point's sine is 3.5e-4)
     p = ModelParams(n=2, mu=mu, m=m, zeta=0.6, sites=6)
     with pytest.raises(DegenerateParameters, match="defective"):
         q11_eigenspaces(p, 6)
@@ -616,11 +618,12 @@ def test_charge_eigenspace_blocks_form_no_chain_sized_array():
 @given(_n2_model())
 @example(ModelParams(n=2, mu=0.15, m=0.3 + 0.25j, zeta=0.3, sites=4))
 @example(ModelParams(n=2, mu=0.94921875, m=2 + 5.960464477539063e-08j, zeta=2 - 0.5j, sites=3))
+@example(ModelParams(n=2, mu=0.15 - 0.1j, m=2 + 0.001953125j, zeta=0.3 - 0.5j, sites=4))
 def test_charge_eigenspace_blocks_carry_the_dense_eigenvalues(p):
     try:
         blocks = charge_eigenspace_blocks(ChainSpec(p))
     except DegenerateParameters:
-        assume(False)  # a defective site step (integer m)
+        assume(False)  # a (nearly) defective site step, m near an integer
     h = build_hamiltonian(ChainSpec(p)).mat
     dense, left, right = scipy.linalg.eig(h, left=True, right=True)
     # H is far from normal in places (||H||_2 = 37 with |eigenvalues| <= 3 at

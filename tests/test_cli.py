@@ -381,10 +381,11 @@ def test_spectrum_at_a_root_of_unity_takes_the_charge_route(monkeypatch, sites):
     assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
 
 
-@pytest.mark.parametrize("mu, m", [(0.41, 0), (0.41, 1), (0.7, 2)])
+@pytest.mark.parametrize("mu, m", [(0.41, 0), (0.41, 1), (0.7, 2),
+                                   (0.15 - 0.1j, 2 + 0.001953125j)])
 def test_spectrum_at_integer_m_takes_the_weight_sectors(monkeypatch, mu, m):
-    # the Q_11 eigenspaces are degenerate there, so the one weight sector of
-    # n = 2 is eigensolved whole
+    # the Q_11 eigenspaces are degenerate there (nearly so at the last
+    # point), so the one weight sector of n = 2 is eigensolved whole
     settings = dict(cli.DEFAULTS, n=2, sites=6, mu=mu, m=m)
     calls = []
     inner = cli.hamiltonian_blocks

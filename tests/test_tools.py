@@ -1,4 +1,5 @@
-"""The evidence tools under tools/, run on small report directories and stubbed benchmark runs."""
+"""The evidence tools under tools/, run on small report directories, stubbed
+benchmark runs and one real run of this checkout's benchmark."""
 
 import importlib.util
 import json
@@ -10,7 +11,8 @@ import pytest
 
 from artifact import cli
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def _load(name: str):
@@ -137,3 +139,15 @@ def test_bench_pairs_run_reads_the_result_and_the_machine(tmp_path):
     result = {"correct": True, "attempted": 2, "failed": 0, "metrics": {}}
     script = f"print('machine {{\"nproc\": 2}}'); print({json.dumps(json.dumps(result))})"
     assert bench_pairs.run_once([sys.executable, "-c", script], tmp_path) == (result, {"nproc": 2})
+
+
+def test_bench_pairs_runs_this_checkouts_benchmark():
+    # run.py refuses --seconds 0; any positive value under one op's time
+    # gives the warm-up op and one timed op
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    command = bench["command"] + ["--workload", "verify-defaults", "--seconds", "0.01",
+                                  "--trace", "0"]
+    result, machine = bench_pairs.run_once(command, ROOT)
+    assert result["correct"] is True
+    assert list(result["metrics"]) == [m["name"] for m in bench["end_to_end"]]
+    assert "nproc" in machine
