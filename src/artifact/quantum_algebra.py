@@ -28,11 +28,10 @@ operators, which the chain embeds and so are ``Operator``s; the first tensor
 slot optionally carries the spectral parameter, all the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
-entry once, in CSR when it has more than ``CSR_ABOVE`` rows; a CSR image is
-built from its entries, never from a dense array, and scipy is imported only
-by the code that such a tower runs. Its public reads and product sums are
-dense arrays, each written once. Every L-site image any module reads comes
-from one, and ``t_element_rep`` is its one-shot wrapper.
+entry once; above ``CSR_ABOVE`` rows it stores each as a numpy entry list,
+built from its entries, never from a dense array. Its public reads and
+product sums are dense arrays, each written once. Every L-site image any
+module reads comes from one, and ``t_element_rep`` is its one-shot wrapper.
 The checks that compare independent routes call ``coproduct_rep`` (both
 orders) and ``_coproduct_recursive`` directly. ``intertwine_residual`` is the
 linear intertwining relation Delta'(g) X = X Delta(g), written once for R,
@@ -55,6 +54,7 @@ from .tensor_core import (
     Operator,
     aux_blocks,
     basis_matrix,
+    coalesce,
     embed_at,
     frob,
     identity_op,
@@ -262,43 +262,58 @@ def _kron_powers(diag: np.ndarray, top: int) -> list[np.ndarray]:
     return out
 
 
-def _csr_diagonal(diag: np.ndarray):
-    """``diag`` on the diagonal of a CSR array."""
-    from scipy import sparse
-
-    d = diag.size
-    index = np.arange(d + 1, dtype=np.int32)
-    return sparse.csr_array((diag, index[:-1], index), shape=(d, d))
+# An entry list is a (rows, cols, vals) triple of a d x d matrix, as
+# ``tensor_core.coalesce`` returns it: each (row, col) once, row-major.
 
 
-def _densified(shape, parts) -> np.ndarray:
-    """The sum of the CSR arrays ``parts`` as one dense array, each page first
-    touched by a write: the first part is assigned into ``np.zeros`` (whose
-    fresh pages the system maps on first touch, so a page that no part fills
-    is never mapped) and each later part is added in place. Each part must
-    hold each entry once, as scipy's products and sums do. ``toarray`` would
-    read each page before writing it, and allocate a fresh array per part."""
-    out = np.zeros(shape, dtype=np.complex128)
-    for k, part in enumerate(parts):
-        if k == 0:
-            rows = np.repeat(np.arange(shape[0]), np.diff(part.indptr))
-            out[rows, part.indices] = part.data
-        else:
-            from scipy.sparse._sparsetools import csr_todense
+def _diagonal_entries(diag: np.ndarray) -> tuple:
+    """``diag`` on the diagonal, as an entry list."""
+    index = np.arange(diag.size)
+    return index, index, diag
 
-            csr_todense(*shape, part.indptr, part.indices, part.data, out)
+
+def _product_terms(a: tuple, b: tuple, dim: int) -> tuple:
+    """The terms a_rk b_kc of A @ B for the entry lists ``a`` and ``b``, not
+    coalesced: each entry (r, k) of A against the entries of B's row k, in
+    A's order and then B's, so the terms of one (r, c) come in ascending k."""
+    a_rows, a_cols, a_vals = a
+    b_rows, b_cols, b_vals = b
+    offsets = np.searchsorted(b_rows, np.arange(dim + 1))  # B's row k: offsets[k:k+2]
+    start = offsets[a_cols]
+    counts = offsets[a_cols + 1] - start
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + counts, counts)
+    return np.repeat(a_rows, counts), b_cols[at], np.repeat(a_vals, counts) * b_vals[at]
+
+
+def _summed(parts, dim: int) -> tuple:
+    """The entry list of the sum of the (rows, cols, vals) ``parts``, their
+    terms summed in the order given."""
+    return coalesce(*(np.concatenate(part) for part in zip(*parts)), dim)
+
+
+def _densified(dim: int, entries: tuple) -> np.ndarray:
+    """The entry list ``entries`` as a dense array, in one write into
+    ``np.zeros``: its fresh pages are mapped on first touch, so a page that
+    no entry falls on is never mapped."""
+    rows, cols, vals = entries
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[rows, cols] = vals
     return out
 
 
-# Rows of a tower image (d = n^L) above which a Tower stores its images in
-# CSR. The root elements and tower entries have a handful of nonzeros per
-# row, so at chain sizes their products are far cheaper sparse, while on a
-# few sites scipy's per-call overhead outweighs the saving. One
-# build_boundary_charges, dense against CSR (medians of 21 alternating
-# builds, 2-vCPU x86-64, scipy 1.17): 6.5 vs 10.4 ms at d = 64 (n = 4),
-# 6.1 vs 6.1 ms at d = 81, 43 vs 22 ms at d = 125, 8.3 vs 3.8 ms at d = 128,
-# 57 vs 11 ms at d = 243. The two tie at d = 81, so no size below 100 gains.
-CSR_ABOVE = 100
+# Rows of a tower image (d = n^L) above which a Tower stores its images as
+# entry lists, kept in compressed-sparse-row order. The root elements and
+# tower entries have a handful of nonzeros per row, so their products are
+# far cheaper on entries from a few sites on, while on the smallest towers
+# the per-call overhead outweighs the saving. One build_boundary_charges,
+# dense against entry lists (medians of 21 alternating builds, 2-vCPU
+# x86-64, numpy 2.4): 1.7 vs 2.5 ms at d = 27 (n = 3), 1.9 vs 1.8 ms at
+# d = 32 (n = 2), 6.8 vs 9.4 ms at d = 36 (n = 6), 14.3 vs 9.9 ms at d = 49
+# (n = 7), 5.7 vs 3.5 ms at d = 64 (n = 4), 4.1 vs 2.1 ms at d = 81, 34 vs
+# 6.3 ms at d = 125, 6.6 vs 2.1 ms at d = 128, 42 vs 5.8 ms at d = 243. The
+# two tie at d = 32 and entry lists win from d = 49 on.
+CSR_ABOVE = 40
 
 
 class Tower:
@@ -308,26 +323,27 @@ class Tower:
     ``root`` the root elements of the averaged recursion and ``t_image`` the
     tower entries, ``t(i, j)`` and ``h(i, j)`` being the t and t-hat ones.
     Each image is built once. A tower on d = n^L > ``CSR_ABOVE`` rows stores
-    its images as ``scipy.sparse`` CSR arrays built from their entries, never
-    from a dense array: an e/f coproduct is written by index arithmetic, one
-    run of rows per insertion site, a Cartan and a t_ii as the kron of the
-    site diagonals, the root recursion multiplies in CSR and the Cartan
-    dressing scales the core's rows. Smaller towers store dense arrays from
-    ``coproduct_rep`` and never load scipy: only a tower above ``CSR_ABOVE``
-    rows imports it, inside the functions that build and densify CSR images.
-    Either way every public read returns a dense read-only array, the same
-    one on every read (for a CSR image it is made on the first read), and
-    ``product_sum`` multiplies stored images in their storage and returns
-    the sum dense: no stored image leaves the tower. A tower lives as long as
-    the object that holds it (a builder call, or the ``ChargeSet`` that
-    keeps it for its checks); nothing is cached across towers.
+    its images as numpy entry lists (rows, cols, vals), each (row, col) once
+    and row-major, built from their entries, never from a dense array: an
+    e/f coproduct is written by index arithmetic, one run of rows per
+    insertion site, a Cartan and a t_ii as the kron of the site diagonals,
+    the root recursion expands its products and coalesces their terms once,
+    and the Cartan dressing scales the core's values by row. Smaller towers
+    store dense arrays from ``coproduct_rep``. Either way every public read
+    returns a dense read-only array, the same one on every read (for an
+    entry list it is written on the first read), and ``product_sum``
+    multiplies stored images in their storage and returns the sum dense: no
+    stored image leaves the tower. A tower lives as long as the object that
+    holds it (a builder call, or the ``ChargeSet`` that keeps it for its
+    checks); nothing is cached across towers.
     """
 
     def __init__(self, params, L=1, first_site_lambda=None):
         self.params = params
         self.L = L
         self.first_site_lambda = first_site_lambda
-        self.sparse = params.n**L > CSR_ABOVE
+        self.dim = params.n**L
+        self.sparse = self.dim > CSR_ABOVE
         self._images: dict = {}
         self._reads: dict = {}
 
@@ -350,20 +366,22 @@ class Tower:
     def product_sum(self, terms) -> np.ndarray:
         """sum c (A @ B) over the (c, key_a, key_b) triples of ``terms``, the
         keys as for ``_stored``, multiplied in this tower's storage and
-        returned as one dense array. CSR products are added entry by entry
-        into that one array, never summed in CSR."""
-        products = (c * (self._stored(a) @ self._stored(b)) for c, a, b in terms)
-        if self.sparse:
-            d = self.params.n**self.L
-            return _densified((d, d), products)
-        return sum(products)
+        returned as one dense array. On entry lists the terms of every
+        product are coalesced together and written into that array once."""
+        if not self.sparse:
+            return sum(c * (self._stored(a) @ self._stored(b)) for c, a, b in terms)
+        return _densified(self.dim, _summed([self._terms(*term) for term in terms], self.dim))
 
     def _read(self, key) -> np.ndarray:
         if key not in self._reads:
             image = self._stored(key)
-            self._reads[key] = _frozen(
-                _densified(image.shape, [image]) if self.sparse else image)
+            self._reads[key] = _frozen(_densified(self.dim, image) if self.sparse else image)
         return self._reads[key]
+
+    def _terms(self, c: complex, key_a, key_b) -> tuple:
+        """The terms of c (A @ B) for two stored entry lists, not coalesced."""
+        rows, cols, vals = _product_terms(self._stored(key_a), self._stored(key_b), self.dim)
+        return rows, cols, c * vals
 
     def _stored(self, key):
         """The image under ``key`` in this tower's storage, built once: a
@@ -383,9 +401,7 @@ class Tower:
         if not self.sparse:
             return coproduct_rep(p, label, L, "delta", self.first_site_lambda)
         if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-            return _csr_diagonal(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
-        from scipy import sparse
-
+            return _diagonal_entries(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
         # the word with the insertion on site l is diag(h-) (x) X (x) diag(h+):
         # X's one entry (a, b) moves digit l from a to b, on the rows whose
         # digit l is a, with the prefix and suffix diagonals as weights
@@ -394,20 +410,16 @@ class Tower:
             eval_generator(p, GeneratorLabel(GeneratorKind.HCARTAN, label.index, inv)).diagonal()
             for inv in (True, False))
         lefts, rights = _kron_powers(h_minus, L - 1), _kron_powers(h_plus, L - 1)
-        rows, cols, vals = [], [], []
+        words = []
         for l, lam in enumerate(_site_lams(L, self.first_site_lambda)):
             x = eval_generator(p, label, lam)
             [(a, b)] = np.argwhere(x).tolist()
             left, right = lefts[l], rights[L - 1 - l]
             stride = right.size
-            at = (np.arange(left.size, dtype=np.int32)[:, None] * (n * stride)
-                  + np.arange(stride, dtype=np.int32)).ravel()
-            rows.append(at + a * stride)
-            cols.append(at + b * stride)
-            vals.append(((left[:, None] * right) * x[a, b]).ravel())
-        d = n**L
-        coords = (np.concatenate(rows), np.concatenate(cols))
-        return sparse.csr_array((np.concatenate(vals), coords), shape=(d, d))
+            at = (np.arange(left.size)[:, None] * (n * stride) + np.arange(stride)).ravel()
+            words.append((at + a * stride, at + b * stride,
+                          ((left[:, None] * right) * x[a, b]).ravel()))
+        return _summed(words, self.dim)
 
     def _build_root(self, i: int, j: int, hat: bool):
         if i == j or not (1 <= i <= self.params.n and 1 <= j <= self.params.n):
@@ -420,11 +432,18 @@ class Tower:
             )
         qfac = _root_qfac(self.params, i, j, hat)
         lo, hi = min(i, j), max(i, j)
-        acc = 0
+        if not self.sparse:
+            acc = 0
+            for k in range(lo + 1, hi):
+                a, b = self._stored((i, k, hat)), self._stored((k, j, hat))
+                acc = acc + (a @ b - qfac * (b @ a))
+            return acc / (abs(i - j) - 1)
+        terms = []
         for k in range(lo + 1, hi):
-            a, b = self._stored((i, k, hat)), self._stored((k, j, hat))
-            acc = acc + (a @ b - qfac * (b @ a))
-        return acc / (abs(i - j) - 1)
+            terms += [self._terms(1.0, (i, k, hat), (k, j, hat)),
+                      self._terms(-qfac, (k, j, hat), (i, k, hat))]
+        rows, cols, vals = _summed(terms, self.dim)
+        return rows, cols, vals / (abs(i - j) - 1)
 
     def _build_t(self, label: TElementLabel):
         p, n = self.params, self.params.n
@@ -434,24 +453,23 @@ class Tower:
         minus_pref = -w * _qpow(p, 0.5)
 
         def half(a: int, inverse: bool) -> np.ndarray:
-            return self._stored(GeneratorLabel(GeneratorKind.KCARTAN, a, inverse)).diagonal()
+            image = self._stored(GeneratorLabel(GeneratorKind.KCARTAN, a, inverse))
+            return image[2] if self.sparse else image.diagonal()
 
         def dressed(pref: complex, a: int, b: int, sign: float, core):
             # the Cartan dressing K_a K_b is diagonal: scale the core's rows
             scale = pref * (half(a, sign < 0) * half(b, sign < 0))
             if not self.sparse:
                 return scale[:, None] * core
-            from scipy import sparse
-
-            data = core.data * np.repeat(scale, np.diff(core.indptr))
-            return sparse.csr_array((data, core.indices, core.indptr), shape=core.shape)
+            rows, cols, vals = core
+            return rows, cols, vals * scale[rows]
 
         if fam in (TElementFamily.t, TElementFamily.t_minus,
                    TElementFamily.t_hat, TElementFamily.t_hat_minus):
             if i == j:
                 inv = fam in (TElementFamily.t_minus, TElementFamily.t_hat_minus)
                 square = half(i, inv) * half(i, inv)
-                return _csr_diagonal(square) if self.sparse else np.diag(square)
+                return _diagonal_entries(square) if self.sparse else np.diag(square)
             if fam == TElementFamily.t:
                 if i > j:
                     raise ValueError("t_ij needs i <= j")

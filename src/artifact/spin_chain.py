@@ -22,8 +22,9 @@ R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
 whose finite difference is the cross-check. The Hecke form's local terms
 (the two-site bulk term, the one-site boundary term and the constant) are
 written once, in ``hamiltonian_terms``, where the spec and x(0) are checked.
-Embedded with ``tensor_core.embed_entries`` index arrays they give one list
-of entries, each (row, col) once and row-major (``_hamiltonian_entries``),
+Embedded with ``tensor_core.embed_entries`` index arrays and summed by
+``tensor_core.coalesce`` they give one list of entries, each (row, col) once
+and row-major (``_hamiltonian_entries``),
 and every reader takes that list as it is: ``build_hamiltonian`` assigns it
 to a d x d matrix, ``hamiltonian_blocks`` hands it out one weight sector at
 a time (H keeps the number of sites in each middle state 2..n-1), and
@@ -79,6 +80,7 @@ from .tensor_core import (
     apply_right,
     aux_blocks,
     close_site,
+    coalesce,
     comm_residual,
     embed_at,
     embed_entries,
@@ -295,24 +297,15 @@ def _hamiltonian_entries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     terms.append(embed_entries(boundary, [1], space))
     diag = np.arange(math.prod(space))
     terms.append((diag, diag, np.full(diag.size, const)))
-    return _coalesce(*(np.concatenate(part) for part in zip(*terms)), diag.size)
-
-
-def _coalesce(rows, cols, vals, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries with each (row, col) once, sorted row-major; the values of
-    a repeated (row, col) are summed in the order given, from zero."""
-    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
-    summed = (np.bincount(inverse, vals.real, keys.size)
-              + 1j * np.bincount(inverse, vals.imag, keys.size))
-    return *np.divmod(keys, dim), summed
+    return coalesce(*(np.concatenate(part) for part in zip(*terms)), diag.size)
 
 
 def hermitian_defect(spec: ChainSpec) -> float:
     """||H - H^dagger||_F / ||H||_F of the Hecke-form H, from its entries;
     no d x d matrix is formed. 0 when H vanishes."""
     rows, cols, vals = _hamiltonian_entries(spec)
-    skew = _coalesce(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                     np.concatenate((vals, -vals.conj())), spec.params.n**spec.params.sites)[2]
+    skew = coalesce(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                    np.concatenate((vals, -vals.conj())), spec.params.n**spec.params.sites)[2]
     hnorm = np.linalg.norm(vals)
     return float(np.linalg.norm(skew) / hnorm) if hnorm else 0.0
 

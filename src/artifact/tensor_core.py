@@ -10,7 +10,8 @@ embedded, kron'd or traced) and for chain-level results; algebra images on
 (C^n)^L (evaluation images, coproducts, tower entries, one-site charges) are
 plain ``np.ndarray``. The residual helpers and ``prop_check`` take either.
 Sparse matrices appear only inside ``quantum_algebra.Tower``, whose reads and
-product sums return dense arrays.
+product sums return dense arrays, and as the Hamiltonian's entry list in
+``spin_chain``.
 
 Conventions: the first tensor factor is the slow (most significant) index,
 i.e. ``kron(A, B)`` puts A on the first factor. Basis states of C^d1 (x) C^d2
@@ -20,7 +21,9 @@ its (n, n) grid of blocks.
 
 ``embed_at`` writes a local operator out as a dense matrix on the whole
 space, and ``embed_entries`` lists the same embedding's nonzeros as index
-arrays, for operators assembled entry by entry. ``apply_right`` multiplies a
+arrays, for operators assembled entry by entry; ``coalesce`` brings such an
+entry list (rows, cols, vals) to the one sparse form the package uses, each
+(row, col) once and row-major. ``apply_right`` multiplies a
 dense matrix by such an embedding without forming it, at d^2 times the local
 operator's side per factor instead of d^3; the left-to-right chain
 products are built from it. ``grow_site`` and ``close_site`` build a chain
@@ -58,6 +61,7 @@ __all__ = [
     "kron",
     "embed_at",
     "embed_entries",
+    "coalesce",
     "apply_right",
     "grow_site",
     "grow_site_derivative",
@@ -305,6 +309,16 @@ def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, n
     cols = (offset_cols[:, None] + rest).ravel()
     vals = np.repeat(op.mat[loc_rows, loc_cols], rest.size)
     return rows, cols, vals
+
+
+def coalesce(rows, cols, vals, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a dim x dim matrix with each (row, col) once, sorted
+    row-major; the values of a repeated (row, col) are summed in the order
+    given, from zero."""
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    summed = (np.bincount(inverse, vals.real, keys.size)
+              + 1j * np.bincount(inverse, vals.imag, keys.size))
+    return *np.divmod(keys, dim), summed
 
 
 def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:

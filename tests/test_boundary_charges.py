@@ -260,9 +260,10 @@ def test_charge_build_keeps_no_dense_tower():
 
 
 def test_charges_build_each_coproduct_once(monkeypatch):
-    # n = 4 on three sites needs twelve distinct generator coproducts: the
-    # four half Cartans, e_i and f_i for i < n, and e_n, f_n for the corners
-    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=3)
+    # n = 4 on two sites (a dense tower) needs twelve distinct generator
+    # coproducts: the four half Cartans, e_i and f_i for i < n, and e_n, f_n
+    # for the corners
+    p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=2)
     calls = []
     inner = quantum_algebra.coproduct_rep
 
@@ -271,7 +272,7 @@ def test_charges_build_each_coproduct_once(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(quantum_algebra, "coproduct_rep", counted)
-    build_boundary_charges(p, 3)
+    assert not build_boundary_charges(p, 2).tower.sparse
     assert len(calls) == 12
     assert len(set(calls)) == 12
     # the primed recursion needs twelve distinct (label, sites, lambda)
@@ -284,9 +285,9 @@ def test_charges_build_each_coproduct_once(monkeypatch):
 
 
 def test_csr_charges_build_each_generator_image_once(monkeypatch):
-    # the CSR twin of the test above: at (4, 4) the tower is CSR, builds the
-    # same twelve distinct generator images once each, and never calls
-    # coproduct_rep, whose dense band writes only dense towers use
+    # the sparse twin of the test above: at (4, 4) the tower stores entry
+    # lists, builds the same twelve distinct generator images once each, and
+    # never calls coproduct_rep, whose dense band writes only dense towers use
     p = ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
     built, dense = [], []
     inner = Tower._build_gen

@@ -9,15 +9,14 @@ No linter ships with the package, so these tests are its import lint:
   ``__init__.py`` are exempt;
 * no module imports a ``_``-prefixed name from another module of the
   package, so a private helper or storage detail stays in its module;
-* only ``quantum_algebra`` imports scipy, whose sparse arrays live inside
-  its ``Tower``, and only inside the function bodies that a tower above
-  ``CSR_ABOVE`` rows runs, so that importing the package never loads it;
+* no module imports scipy: the package runs on numpy alone, and a
+  ``Tower`` above ``CSR_ABOVE`` rows keeps its images as numpy entry lists;
 * ``spin_chain`` never imports ``boundary_charges``: the charges are built
   on the chain (and the spectrum's charge eigenspaces on its Hamiltonian),
   never the other way round.
 
-A fresh interpreter then shows that ``verify --suite all`` at its defaults
-and ``spectrum`` load no scipy, and that a CSR tower does.
+A fresh interpreter then shows that ``verify --suite all`` at its defaults,
+``spectrum`` and a charge build on a sparse tower load no scipy either.
 """
 
 import ast
@@ -79,57 +78,41 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def _is_scipy(module, name) -> bool:
-    return (module or name).split(".")[0] == "scipy"
-
-
-def test_only_quantum_algebra_imports_scipy():
-    importers = {path.name
+def test_no_module_imports_scipy():
+    # any import statement, at module level or in a function body
+    importers = [f"{path.name}:{line}"
                  for path in MODULES
-                 for _, module, name in _imports(path)
-                 if _is_scipy(module, name)}
-    assert importers <= {"quantum_algebra.py"}
-    path = SRC / "quantum_algebra.py"
-    in_bodies = {node.lineno
-                 for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))}
-    outside = [line for line, module, name in _imports(path)
-               if _is_scipy(module, name) and line not in in_bodies]
-    assert outside == []
+                 for line, module, name in _imports(path)
+                 if (module or name).split(".")[0] == "scipy"]
+    assert importers == []
 
 
 # One fresh interpreter, so that no other test's imports hide what the runs
 # load: argv[1] is the verify report's path, and the script prints the scipy
-# modules loaded after the runs, then after one charge build at (2, 7), whose
-# towers have up to 2^7 = 128 > CSR_ABOVE rows.
+# modules loaded after the runs and one charge build at (2, 7), whose towers
+# have up to 2^7 = 128 > CSR_ABOVE rows and so are sparse.
 _RUNS = """
 import json, sys
 from artifact import cli
 from artifact.boundary_charges import build_boundary_charges
 from artifact.params import ModelParams
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
 assert cli.main(["verify", "--suite", "all", "--out", sys.argv[1]]) == 0
 for n, sites in ((3, 6), (2, 10)):
     cli.run_spectrum(dict(cli.DEFAULTS, n=n, sites=sites))
-after_runs = scipy_modules()
 d = cli.DEFAULTS
-build_boundary_charges(ModelParams(n=2, mu=d["mu"], m=d["m"], zeta=d["zeta"], sites=7), 7)
-print(json.dumps([after_runs, scipy_modules()]))
+charges = build_boundary_charges(ModelParams(n=2, mu=d["mu"], m=d["m"], zeta=d["zeta"], sites=7), 7)
+assert charges.tower.sparse
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
-def test_verify_and_spectrum_load_no_scipy_and_a_csr_tower_does(tmp_path):
+def test_verify_spectrum_and_a_sparse_tower_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", _RUNS, str(tmp_path / "verify.json")],
                           cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True,
                           check=True, timeout=300)
-    after_runs, after_tower = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert after_runs == []
-    assert "scipy.sparse" in after_tower
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
 def test_spin_chain_never_imports_boundary_charges():
