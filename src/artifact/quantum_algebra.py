@@ -28,10 +28,12 @@ operators, which the chain embeds and so are ``Operator``s; the first tensor
 slot optionally carries the spectral parameter, all the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
-entry once; above ``CSR_ABOVE`` rows it stores each as a numpy entry list,
-built from its entries, never from a dense array. Its public reads and
-product sums are dense arrays, each written once. Every L-site image any
-module reads comes from one, and ``t_element_rep`` is its one-shot wrapper.
+entry once; above ``CSR_ABOVE`` rows it stores each as a ``tensor_core``
+entry list, built from its entries, never from a dense array, and sums,
+multiplies and densifies them with ``tensor_core``'s functions. Its public
+reads and product sums are dense arrays, each written once. Every L-site
+image any module reads comes from one, and ``t_element_rep`` is its one-shot
+wrapper.
 The checks that compare independent routes call ``coproduct_rep`` (both
 orders) and ``_coproduct_recursive`` directly. ``intertwine_residual`` is the
 linear intertwining relation Delta'(g) X = X Delta(g), written once for R,
@@ -55,10 +57,13 @@ from .tensor_core import (
     aux_blocks,
     basis_matrix,
     coalesce,
+    densify,
+    diagonal_entries,
     embed_at,
     frob,
     identity_op,
     permutation_swap,
+    product_terms,
     prop_check,
     rel_residual,
     rtt_residual,
@@ -262,46 +267,6 @@ def _kron_powers(diag: np.ndarray, top: int) -> list[np.ndarray]:
     return out
 
 
-# An entry list is a (rows, cols, vals) triple of a d x d matrix, as
-# ``tensor_core.coalesce`` returns it: each (row, col) once, row-major.
-
-
-def _diagonal_entries(diag: np.ndarray) -> tuple:
-    """``diag`` on the diagonal, as an entry list."""
-    index = np.arange(diag.size)
-    return index, index, diag
-
-
-def _product_terms(a: tuple, b: tuple, dim: int) -> tuple:
-    """The terms a_rk b_kc of A @ B for the entry lists ``a`` and ``b``, not
-    coalesced: each entry (r, k) of A against the entries of B's row k, in
-    A's order and then B's, so the terms of one (r, c) come in ascending k."""
-    a_rows, a_cols, a_vals = a
-    b_rows, b_cols, b_vals = b
-    offsets = np.searchsorted(b_rows, np.arange(dim + 1))  # B's row k: offsets[k:k+2]
-    start = offsets[a_cols]
-    counts = offsets[a_cols + 1] - start
-    ends = np.cumsum(counts)
-    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + counts, counts)
-    return np.repeat(a_rows, counts), b_cols[at], np.repeat(a_vals, counts) * b_vals[at]
-
-
-def _summed(parts, dim: int) -> tuple:
-    """The entry list of the sum of the (rows, cols, vals) ``parts``, their
-    terms summed in the order given."""
-    return coalesce(*(np.concatenate(part) for part in zip(*parts)), dim)
-
-
-def _densified(dim: int, entries: tuple) -> np.ndarray:
-    """The entry list ``entries`` as a dense array, in one write into
-    ``np.zeros``: its fresh pages are mapped on first touch, so a page that
-    no entry falls on is never mapped."""
-    rows, cols, vals = entries
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[rows, cols] = vals
-    return out
-
-
 # Rows of a tower image (d = n^L) above which a Tower stores its images as
 # entry lists, kept in compressed-sparse-row order. The root elements and
 # tower entries have a handful of nonzeros per row, so their products are
@@ -327,15 +292,16 @@ class Tower:
     and row-major, built from their entries, never from a dense array: an
     e/f coproduct is written by index arithmetic, one run of rows per
     insertion site, a Cartan and a t_ii as the kron of the site diagonals,
-    the root recursion expands its products and coalesces their terms once,
-    and the Cartan dressing scales the core's values by row. Smaller towers
-    store dense arrays from ``coproduct_rep``. Either way every public read
-    returns a dense read-only array, the same one on every read (for an
-    entry list it is written on the first read), and ``product_sum``
-    multiplies stored images in their storage and returns the sum dense: no
-    stored image leaves the tower. A tower lives as long as the object that
-    holds it (a builder call, or the ``ChargeSet`` that keeps it for its
-    checks); nothing is cached across towers.
+    the root recursion expands its products (``tensor_core.product_terms``)
+    and coalesces their terms once, and the Cartan dressing scales the core's
+    values by row. Smaller towers store dense arrays from ``coproduct_rep``.
+    Either way every public read returns a dense read-only array, the same
+    one on every read (for an entry list it is written on the first read),
+    and ``product_sum`` multiplies stored images in their storage and
+    returns the sum dense: no stored image leaves the tower. A tower lives
+    as long as the object that holds it (a builder call, or the
+    ``ChargeSet`` that keeps it for its checks); nothing is cached across
+    towers.
     """
 
     def __init__(self, params, L=1, first_site_lambda=None):
@@ -370,17 +336,17 @@ class Tower:
         product are coalesced together and written into that array once."""
         if not self.sparse:
             return sum(c * (self._stored(a) @ self._stored(b)) for c, a, b in terms)
-        return _densified(self.dim, _summed([self._terms(*term) for term in terms], self.dim))
+        return densify(self.dim, coalesce([self._terms(*term) for term in terms], self.dim))
 
     def _read(self, key) -> np.ndarray:
         if key not in self._reads:
             image = self._stored(key)
-            self._reads[key] = _frozen(_densified(self.dim, image) if self.sparse else image)
+            self._reads[key] = _frozen(densify(self.dim, image) if self.sparse else image)
         return self._reads[key]
 
     def _terms(self, c: complex, key_a, key_b) -> tuple:
         """The terms of c (A @ B) for two stored entry lists, not coalesced."""
-        rows, cols, vals = _product_terms(self._stored(key_a), self._stored(key_b), self.dim)
+        rows, cols, vals = product_terms(self._stored(key_a), self._stored(key_b), self.dim)
         return rows, cols, c * vals
 
     def _stored(self, key):
@@ -401,7 +367,7 @@ class Tower:
         if not self.sparse:
             return coproduct_rep(p, label, L, "delta", self.first_site_lambda)
         if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-            return _diagonal_entries(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
+            return diagonal_entries(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
         # the word with the insertion on site l is diag(h-) (x) X (x) diag(h+):
         # X's one entry (a, b) moves digit l from a to b, on the rows whose
         # digit l is a, with the prefix and suffix diagonals as weights
@@ -419,7 +385,7 @@ class Tower:
             at = (np.arange(left.size)[:, None] * (n * stride) + np.arange(stride)).ravel()
             words.append((at + a * stride, at + b * stride,
                           ((left[:, None] * right) * x[a, b]).ravel()))
-        return _summed(words, self.dim)
+        return coalesce(words, self.dim)
 
     def _build_root(self, i: int, j: int, hat: bool):
         if i == j or not (1 <= i <= self.params.n and 1 <= j <= self.params.n):
@@ -442,7 +408,7 @@ class Tower:
         for k in range(lo + 1, hi):
             terms += [self._terms(1.0, (i, k, hat), (k, j, hat)),
                       self._terms(-qfac, (k, j, hat), (i, k, hat))]
-        rows, cols, vals = _summed(terms, self.dim)
+        rows, cols, vals = coalesce(terms, self.dim)
         return rows, cols, vals / (abs(i - j) - 1)
 
     def _build_t(self, label: TElementLabel):
@@ -469,7 +435,7 @@ class Tower:
             if i == j:
                 inv = fam in (TElementFamily.t_minus, TElementFamily.t_hat_minus)
                 square = half(i, inv) * half(i, inv)
-                return _diagonal_entries(square) if self.sparse else np.diag(square)
+                return diagonal_entries(square) if self.sparse else np.diag(square)
             if fam == TElementFamily.t:
                 if i > j:
                     raise ValueError("t_ij needs i <= j")

@@ -142,18 +142,11 @@ def _num(z):
     return [z.real, z.imag]
 
 
-def _param_value(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, (float, complex)):
-        return _num(v)
-    return v
-
-
 def report_to_dict(r: VerificationReport) -> dict:
     return {
         "suite": r.suite,
-        "params": {k: _param_value(v) for k, v in r.params.items()},
+        "params": {k: _num(v) if isinstance(v, (float, complex)) else v
+                   for k, v in r.params.items()},
         "checks": [
             {
                 "id": c.id,

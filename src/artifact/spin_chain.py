@@ -22,13 +22,12 @@ R(-lambda)^{-1} = Rhat(lambda)/g(-lambda), that is g(-lambda)^N t(lambda),
 whose finite difference is the cross-check. The Hecke form's local terms
 (the two-site bulk term, the one-site boundary term and the constant) are
 written once, in ``hamiltonian_terms``, where the spec and x(0) are checked.
-Embedded with ``tensor_core.embed_entries`` index arrays and summed by
-``tensor_core.coalesce`` they give one list of entries, each (row, col) once
-and row-major (``_hamiltonian_entries``),
-and every reader takes that list as it is: ``build_hamiltonian`` assigns it
-to a d x d matrix, ``hamiltonian_blocks`` hands it out one weight sector at
-a time (H keeps the number of sites in each middle state 2..n-1), and
-``hermitian_defect`` reads it directly; only the first forms a d x d matrix.
+Embedded with ``tensor_core.embed_entries`` and summed by
+``tensor_core.coalesce`` they give one entry list (``_hamiltonian_entries``),
+and every reader takes that list as it is: ``build_hamiltonian`` densifies
+it, ``hamiltonian_blocks`` densifies one weight sector at a time (H keeps
+the number of sites in each middle state 2..n-1), and ``hermitian_defect``
+coalesces it with its adjoint; only the first forms a d x d matrix.
 The n = 2 charge blocks of ``boundary_charges`` read the local terms alone.
 
 The monodromy and the double row are built left to right by right-applying
@@ -82,6 +81,7 @@ from .tensor_core import (
     close_site,
     coalesce,
     comm_residual,
+    densify,
     embed_at,
     embed_entries,
     frob,
@@ -297,15 +297,15 @@ def _hamiltonian_entries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     terms.append(embed_entries(boundary, [1], space))
     diag = np.arange(math.prod(space))
     terms.append((diag, diag, np.full(diag.size, const)))
-    return coalesce(*(np.concatenate(part) for part in zip(*terms)), diag.size)
+    return coalesce(terms, diag.size)
 
 
 def hermitian_defect(spec: ChainSpec) -> float:
     """||H - H^dagger||_F / ||H||_F of the Hecke-form H, from its entries;
     no d x d matrix is formed. 0 when H vanishes."""
     rows, cols, vals = _hamiltonian_entries(spec)
-    skew = coalesce(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                    np.concatenate((vals, -vals.conj())), spec.params.n**spec.params.sites)[2]
+    skew = coalesce([(rows, cols, vals), (cols, rows, -vals.conj())],
+                    spec.params.n**spec.params.sites)[2]
     hnorm = np.linalg.norm(vals)
     return float(np.linalg.norm(skew) / hnorm) if hnorm else 0.0
 
@@ -344,19 +344,15 @@ def hamiltonian_blocks(spec: ChainSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     for sector, idx in enumerate(basis):
         position[idx] = np.arange(idx.size)
         sel = sector_of == sector
-        block = np.zeros((idx.size, idx.size), dtype=np.complex128)
-        block[position[rows[sel]], position[cols[sel]]] = vals[sel]
-        out.append((idx, block))
+        out.append((idx, densify(idx.size, (position[rows[sel]], position[cols[sel]],
+                                            vals[sel]))))
     return out
 
 
 def build_hamiltonian(spec: ChainSpec, route: str = "hecke_form") -> Operator:
     p = spec.params
     if route == "hecke_form":
-        rows, cols, vals = _hamiltonian_entries(spec)
-        h = np.zeros((p.n**p.sites,) * 2, dtype=np.complex128)
-        h[rows, cols] = vals
-        return Operator(h, (p.n,) * p.sites)
+        return Operator(densify(p.n**p.sites, _hamiltonian_entries(spec)), (p.n,) * p.sites)
     if route == "transfer_derivative":
         p.require_hamiltonian_ok()
         sh = cmath.sinh(1j * p.mu)

@@ -9,9 +9,15 @@ whose factor structure this module must see (local operators that are
 embedded, kron'd or traced) and for chain-level results; algebra images on
 (C^n)^L (evaluation images, coproducts, tower entries, one-site charges) are
 plain ``np.ndarray``. The residual helpers and ``prop_check`` take either.
-Sparse matrices appear only inside ``quantum_algebra.Tower``, whose reads and
-product sums return dense arrays, and as the Hamiltonian's entry list in
-``spin_chain``.
+
+The package's one sparse form is the entry list, a (rows, cols, vals) triple
+of a d x d matrix with each (row, col) once, and only this module sums,
+multiplies or densifies one. ``embed_entries`` lists an embedding's nonzeros
+that way, ``coalesce`` sums entry lists into one that is also row-major,
+``product_terms`` expands a product of two row-major lists,
+``diagonal_entries`` lists a diagonal and ``densify`` writes a list into a
+dense array. ``quantum_algebra.Tower`` stores its larger images as entry
+lists, and ``spin_chain`` builds the Hamiltonian as one.
 
 Conventions: the first tensor factor is the slow (most significant) index,
 i.e. ``kron(A, B)`` puts A on the first factor. Basis states of C^d1 (x) C^d2
@@ -20,13 +26,10 @@ first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
 its (n, n) grid of blocks.
 
 ``embed_at`` writes a local operator out as a dense matrix on the whole
-space, and ``embed_entries`` lists the same embedding's nonzeros as index
-arrays, for operators assembled entry by entry; ``coalesce`` brings such an
-entry list (rows, cols, vals) to the one sparse form the package uses, each
-(row, col) once and row-major. ``apply_right`` multiplies a
-dense matrix by such an embedding without forming it, at d^2 times the local
-operator's side per factor instead of d^3; the left-to-right chain
-products are built from it. ``grow_site`` and ``close_site`` build a chain
+space (``embed_entries`` densified); ``apply_right`` multiplies a dense
+matrix by such an embedding without forming it, at d^2 times the local
+operator's side per factor instead of d^3; the left-to-right chain products
+are built from it. ``grow_site`` and ``close_site`` build a chain
 from the inside out instead: ``grow_site`` sandwiches a matrix on (auxiliary,
 sites 1..k-1) between two operators on (auxiliary, site k), and
 ``close_site`` does the same for the last site and traces the auxiliary
@@ -62,6 +65,9 @@ __all__ = [
     "embed_at",
     "embed_entries",
     "coalesce",
+    "product_terms",
+    "diagonal_entries",
+    "densify",
     "apply_right",
     "grow_site",
     "grow_site_derivative",
@@ -242,6 +248,8 @@ def _checked_slots(op: Operator, slots, space) -> tuple[list[int], tuple[int, ..
     space = tuple(int(d) for d in space)
     slots = [int(s) for s in slots]
     k = len(space)
+    if len(slots) != len(op.dims):
+        raise ValueError("slot count must match operator factor count")
     if len(set(slots)) != len(slots):
         raise ValueError(f"duplicate slots in {slots}")
     for pos, s in enumerate(slots):
@@ -252,8 +260,6 @@ def _checked_slots(op: Operator, slots, space) -> tuple[list[int], tuple[int, ..
                 f"slot {s} has dimension {space[s-1]} but operator factor "
                 f"{pos+1} has dimension {op.dims[pos]}"
             )
-    if len(slots) != len(op.dims):
-        raise ValueError("slot count must match operator factor count")
     return slots, space
 
 
@@ -263,29 +269,17 @@ def embed_at(op: Operator, slots, space) -> Operator:
     ``slots`` is an ordered list matching op.dims factor by factor; the
     remaining slots carry the identity. Non-adjacent and permuted slot lists
     are allowed, e.g. embed_at(R, [1, 3], [n, n, n]) puts the first factor of
-    R on slot 1 and the second on slot 3.
+    R on slot 1 and the second on slot 3. The matrix is ``embed_entries``
+    written into ``np.zeros``.
     """
-    slots, space = _checked_slots(op, slots, space)
-    k = len(space)
-    rest = [s for s in range(1, k + 1) if s not in slots]
-    order = slots + rest  # factor order of op (x) identity
-    rest_dim = math.prod(space[s - 1] for s in rest) if rest else 1
-    big = np.kron(op.mat, np.eye(rest_dim, dtype=np.complex128))
-
-    # big currently lives on the permuted factor order; transpose row and
-    # column tensor indices back to the natural slot order.
-    perm_dims = [space[s - 1] for s in order]
-    tens = big.reshape(perm_dims + perm_dims)
-    # axis p of tens holds slot order[p]; we want axis s-1 to hold slot s
-    inverse = [order.index(s + 1) for s in range(k)]
-    axes = inverse + [k + p for p in inverse]
-    out = tens.transpose(axes).reshape(math.prod(space), math.prod(space))
-    return Operator(out, space)
+    space = tuple(int(d) for d in space)
+    return Operator(densify(math.prod(space), embed_entries(op, slots, space)), space)
 
 
 def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The structural nonzeros of ``embed_at(op, slots, space)`` as index
-    arrays ``(rows, cols, vals)``, without forming the embedding.
+    """The nonzeros of ``op`` on the named slots (1-based) of ``space``, with
+    the identity on the rest, as index arrays ``(rows, cols, vals)``; the
+    slots are as for ``embed_at``.
 
     Each nonzero of ``op`` is repeated once per basis state of the identity
     slots, so there are nnz(op) * (d / prod(op.dims)) entries and no two share
@@ -311,14 +305,46 @@ def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, n
     return rows, cols, vals
 
 
-def coalesce(rows, cols, vals, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of a dim x dim matrix with each (row, col) once, sorted
-    row-major; the values of a repeated (row, col) are summed in the order
-    given, from zero."""
+def coalesce(parts, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry list of the sum of the (rows, cols, vals) ``parts`` of a
+    dim x dim matrix: each (row, col) once, sorted row-major, the values of a
+    repeated (row, col) summed in the order given, part by part, from zero."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
     keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
     summed = (np.bincount(inverse, vals.real, keys.size)
               + 1j * np.bincount(inverse, vals.imag, keys.size))
     return *np.divmod(keys, dim), summed
+
+
+def product_terms(a: tuple, b: tuple, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms a_rk b_kc of A @ B for the row-major entry lists ``a`` and
+    ``b``, not coalesced: each entry (r, k) of A against the entries of B's
+    row k, in A's order and then B's, so the terms of one (r, c) come in
+    ascending k."""
+    a_rows, a_cols, a_vals = a
+    b_rows, b_cols, b_vals = b
+    offsets = np.searchsorted(b_rows, np.arange(dim + 1))  # B's row k: offsets[k:k+2]
+    start = offsets[a_cols]
+    counts = offsets[a_cols + 1] - start
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + counts, counts)
+    return np.repeat(a_rows, counts), b_cols[at], np.repeat(a_vals, counts) * b_vals[at]
+
+
+def diagonal_entries(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``diag`` on the diagonal, as a row-major entry list."""
+    index = np.arange(diag.size)
+    return index, index, diag
+
+
+def densify(dim: int, entries: tuple) -> np.ndarray:
+    """The entry list ``entries`` as a dim x dim array, in one write into
+    ``np.zeros``: its fresh pages are mapped on first touch, so a page that
+    no entry falls on is never mapped."""
+    rows, cols, vals = entries
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[rows, cols] = vals
+    return out
 
 
 def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:

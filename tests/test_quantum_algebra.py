@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import ModelParams, quantum_algebra
@@ -35,7 +35,7 @@ from artifact.quantum_algebra import (
 from artifact.tensor_core import (
     Operator,
     basis_matrix,
-    coalesce,
+    densify,
     frob,
     prop_check,
     rel_residual,
@@ -347,49 +347,7 @@ def test_csr_generator_images_equal_coproduct_rep(n, L):
         assert np.all(np.diff(keys) > 0), label
         want = coproduct_rep(p, label, L, "delta", lam)
         assert keys.size == np.count_nonzero(want), label
-        assert np.array_equal(quantum_algebra._densified(n**L, (rows, cols, vals)), want), label
-
-
-def _operand(d, entries):
-    """The (row, col, re, im) tuples ``entries`` of a d x d matrix as a
-    coalesced entry list and as the dense array they sum to."""
-    rows, cols, re, im = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(4))
-    vals = re + 1j * im
-    dense = np.zeros((d, d), dtype=np.complex128)
-    np.add.at(dense, (rows, cols), vals)
-    return coalesce(rows, cols, vals, d), dense
-
-
-@st.composite
-def _operands(draw):
-    """A side d and two d x d operands. Values have small integer parts, so
-    every product and sum below is exact; (row, col) pairs repeat, rows stay
-    empty, values can be zero and an operand can have no entries at all."""
-    d = draw(st.integers(1, 6))
-    index, part = st.integers(0, d - 1), st.integers(-2, 2)
-    return d, *(_operand(d, draw(st.lists(st.tuples(index, index, part, part),
-                                          max_size=3 * d)))
-                for _ in range(2))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_operands())
-@example((3, _operand(3, [(0, 1, 1, 0), (0, 1, 0, 2), (2, 0, -1, 1), (0, 1, 2, 0)]),
-          _operand(3, [])))
-@example((3, _operand(3, [(2, 2, 1, 1), (2, 0, 0, 1)]),
-          _operand(3, [(0, 1, 2, 0), (2, 2, 1, -1), (2, 2, 1, 0), (2, 0, 1, 0)])))
-def test_entry_product_and_sum_equal_dense(case):
-    # a sparse tower's arithmetic against dense @ and +: coalesced lists are
-    # row-major with each (row, col) once, and a product's terms, coalesced
-    # or summed with other lists, give what dense arithmetic gives, exactly
-    d, (a, dense_a), (b, dense_b) = case
-    terms = quantum_algebra._product_terms(a, b, d)
-    product = coalesce(*terms, d)
-    total = quantum_algebra._summed([(*terms[:2], 2j * terms[2]), a, b], d)
-    for entries, want in ((a, dense_a), (b, dense_b), (product, dense_a @ dense_b),
-                          (total, 2j * (dense_a @ dense_b) + dense_a + dense_b)):
-        assert np.all(np.diff(entries[0] * d + entries[1]) > 0)
-        assert np.array_equal(quantum_algebra._densified(d, entries), want)
+        assert np.array_equal(densify(n**L, (rows, cols, vals)), want), label
 
 
 def test_csr_generator_images_build_no_dense_array():

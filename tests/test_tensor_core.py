@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,8 +12,10 @@ from artifact.tensor_core import (
     aux_blocks,
     basis_matrix,
     close_site,
+    coalesce,
     comm_residual,
     commutator,
+    densify,
     embed_at,
     embed_entries,
     grow_site,
@@ -23,6 +25,7 @@ from artifact.tensor_core import (
     partial_trace_first,
     partial_transpose,
     permutation_swap,
+    product_terms,
     prop_check,
     sym_residual,
     weight_preserving,
@@ -119,6 +122,8 @@ def test_embed_errors():
     u = op(np.eye(4), (2, 2))
     with pytest.raises(ValueError):
         embed_at(u, [1, 1], [2, 2])
+    with pytest.raises(ValueError):  # more slots than factors
+        embed_at(x, [1, 2], [2, 2])
 
 
 @st.composite
@@ -229,6 +234,29 @@ def test_site_primitives_refuse_mismatched_legs():
         grow_site_derivative(y, y, (v, v), (v, identity_op((3, 2))))
 
 
+def _kron_embedding(local, slots, space):
+    """``local`` on ``slots`` of ``space`` by an independent construction:
+    the kron of ``local`` with the identity on the other slots, its tensor
+    legs then transposed from (slots, other slots) to the natural order."""
+    k = len(space)
+    rest = [s for s in range(1, k + 1) if s not in slots]
+    order = list(slots) + rest
+    big = np.kron(local.mat, np.eye(math.prod(space[s - 1] for s in rest)))
+    dims = [space[s - 1] for s in order]
+    inverse = [order.index(s) for s in range(1, k + 1)]
+    d = math.prod(space)
+    return big.reshape(dims + dims).transpose(inverse + [k + p for p in inverse]).reshape(d, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_local_operator_on_space())
+def test_embed_at_equals_the_kron_construction(case):
+    _, local, slots, space = case
+    got = embed_at(local, slots, space)
+    assert got.dims == tuple(space)
+    assert np.array_equal(got.mat, _kron_embedding(local, slots, space))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_local_operator_on_space())
 def test_embed_entries_list_the_nonzeros_of_the_embedding(case):
@@ -236,7 +264,7 @@ def test_embed_entries_list_the_nonzeros_of_the_embedding(case):
     # zero about half the local entries, so that only the nonzeros are listed
     sparse = op(np.where(np.abs(local.mat.real) < 0.5, 0, local.mat), local.dims)
     rows, cols, vals = embed_entries(sparse, slots, space)
-    dense = embed_at(sparse, slots, space).mat
+    dense = _kron_embedding(sparse, slots, space)
     assert np.unique(rows * dense.shape[0] + cols).size == rows.size
     assert rows.size == np.count_nonzero(dense)
     scattered = np.zeros_like(dense)
@@ -249,6 +277,65 @@ def test_embed_entries_errors():
         embed_entries(op(np.eye(2), (2,)), [3], [2, 2])
     with pytest.raises(ValueError):
         embed_entries(op(np.eye(4), (2, 2)), [1, 1], [2, 2])
+    with pytest.raises(ValueError):  # more slots than factors
+        embed_entries(op(np.eye(2), (2,)), [1, 2], [2, 2])
+
+
+def _operand(d, entries):
+    """The (row, col, re, im) tuples ``entries`` of a d x d matrix as a
+    coalesced entry list and as the dense array they sum to."""
+    rows, cols, re, im = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(4))
+    vals = re + 1j * im
+    dense = np.zeros((d, d), dtype=np.complex128)
+    np.add.at(dense, (rows, cols), vals)
+    return coalesce([(rows, cols, vals)], d), dense
+
+
+@st.composite
+def _operands(draw):
+    """A side d and two d x d operands. Values have small integer parts, so
+    every product and sum below is exact; (row, col) pairs repeat, rows stay
+    empty, values can be zero and an operand can have no entries at all."""
+    d = draw(st.integers(1, 6))
+    index, part = st.integers(0, d - 1), st.integers(-2, 2)
+    return d, *(_operand(d, draw(st.lists(st.tuples(index, index, part, part),
+                                          max_size=3 * d)))
+                for _ in range(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands())
+@example((3, _operand(3, [(0, 1, 1, 0), (0, 1, 0, 2), (2, 0, -1, 1), (0, 1, 2, 0)]),
+          _operand(3, [])))
+@example((3, _operand(3, [(2, 2, 1, 1), (2, 0, 0, 1)]),
+          _operand(3, [(0, 1, 2, 0), (2, 2, 1, -1), (2, 2, 1, 0), (2, 0, 1, 0)])))
+def test_entry_product_and_sum_equal_dense(case):
+    # entry-list arithmetic against dense @ and +: coalesced lists are
+    # row-major with each (row, col) once, and a product's terms, coalesced
+    # or summed with other lists, give what dense arithmetic gives, exactly
+    d, (a, dense_a), (b, dense_b) = case
+    terms = product_terms(a, b, d)
+    product = coalesce([terms], d)
+    total = coalesce([(*terms[:2], 2j * terms[2]), a, b], d)
+    for entries, want in ((a, dense_a), (b, dense_b), (product, dense_a @ dense_b),
+                          (total, 2j * (dense_a @ dense_b) + dense_a + dense_b)):
+        assert np.all(np.diff(entries[0] * d + entries[1]) > 0)
+        assert np.array_equal(densify(d, entries), want)
+
+
+def test_coalesce_sums_a_repeated_entry_in_the_order_given():
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit, so the
+    # sum of the (row, col) that every part holds shows the order of the parts
+    def part(rows, cols, vals):
+        return np.array(rows), np.array(cols), np.array(vals, dtype=complex)
+
+    parts = [part([1], [0], [0.1 - 0.1j]), part([1, 0], [0, 1], [0.2 - 0.2j, 2.0]),
+             part([1], [0], [0.3 - 0.3j])]
+    rows, cols, vals = coalesce(parts, 2)
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+    assert vals.tolist() == [2.0, (0.1 + 0.2 + 0.3) * (1 - 1j)]
+    assert coalesce(parts[::-1], 2)[2][1] == (0.3 + 0.2 + 0.1) * (1 - 1j)
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 
 
 def test_apply_right_errors():
@@ -257,6 +344,8 @@ def test_apply_right_errors():
         apply_right(np.eye(4), x, [3], [2, 2])
     with pytest.raises(ValueError):
         apply_right(np.eye(6), x, [1], [3, 2])
+    with pytest.raises(ValueError):  # more slots than factors
+        apply_right(np.eye(4), x, [1, 2], [2, 2])
 
 
 def test_permutation_swap_basis_action():

@@ -1,9 +1,10 @@
 """The evidence tools under tools/, run on small report directories, stubbed
-benchmark runs and one real run of this checkout's benchmark."""
+report and benchmark runs and one real run of this checkout's benchmark."""
 
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ def _load(name: str):
 
 compare_reports = _load("compare_reports")
 bench_pairs = _load("bench_pairs")
+report_matrix = _load("report_matrix")
 
 
 def _matrix(outdir: Path) -> Path:
@@ -151,3 +153,36 @@ def test_bench_pairs_runs_this_checkouts_benchmark():
     assert result["correct"] is True
     assert list(result["metrics"]) == [m["name"] for m in bench["end_to_end"]]
     assert "nproc" in machine
+
+
+def test_report_matrix_names_every_report_once(tmp_path):
+    names = [name for name, _ in report_matrix.runs(tmp_path / "matrix.cfg")]
+    assert len(names) == 30
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("argv", [[], ["a", "b"]])
+def test_report_matrix_refuses_a_wrong_argument_count(argv, capsys):
+    assert report_matrix.main(argv) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_report_matrix_writes_the_rest_when_one_run_fails(tmp_path, monkeypatch, capsys):
+    failing = "spectrum_n2_sites10"
+
+    def run(cmd, **kwargs):
+        out = Path(cmd[cmd.index("--out") + 1])
+        if out.stem == failing:
+            return subprocess.CompletedProcess(cmd, 2, "", "refused")
+        out.write_text("{}")
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(report_matrix.subprocess, "run", run)
+    outdir = tmp_path / "reports"
+    assert report_matrix.main([str(outdir)]) == 1
+    written = {path.stem for path in outdir.glob("*.json")}
+    names = {name for name, _ in report_matrix.runs(outdir / "matrix.cfg")}
+    assert written == names - {failing}
+    captured = capsys.readouterr()
+    assert "29 of 30 reports written" in captured.out
+    assert "exit 2: " in captured.err and "refused" in captured.err
