@@ -39,17 +39,17 @@ DR_k = R_{0k} (DR_{k-1} (x) 1) Rhat_{0k} of the double row: from
 Y_0 = K^{(r)}, ``tensor_core.grow_site`` adds sites 1..N-1 and
 ``tensor_core.close_site`` adds site N and traces the auxiliary slot against
 M_0 K^{(l)}_0 (the closed chain takes Y_0, Rhat and M K^{(l)} to be the
-identity). No matrix on the auxiliary space and all N sites is formed: the
-largest has side n^N. The derivative route grows the product rule the same
-way: ``tensor_core.grow_site_derivative`` takes (Y, Y') to
-(v Y w, (v' Y + v Y') w + v Y w') at each site. This
-inside-out order is independent of the left-to-right double row, so
-comparing the transfer with the double row's M-weighted diagonal blocks
-compares two computations. The three intertwiner
-checks (boundary K, double row, dressed coproduct) are one relation,
-S(lambda) X = X S(-lambda) read block by block on a second auxiliary space,
-with S the ``reflection_k.reflection_sandwich``; they stay dense products of
-embeddings.
+identity). Each step is one GEMM of Y's auxiliary blocks against n^2-sided
+coefficients of R and Rhat, and the largest matrix has side n^N. The
+derivative route applies the product rule to those coefficients:
+``grow_site_derivative`` takes (Y, Y') to (v Y w, (v' Y + v Y') w + v Y w')
+and ``close_site_derivative`` closes both in one sum. This inside-out order
+is independent of the left-to-right double row, so comparing the transfer
+with its M-weighted diagonal blocks compares two computations. The three
+intertwiner checks (boundary K, double row, dressed coproduct) are one
+relation, S(lambda) X = X S(-lambda) read block by block on a second
+auxiliary space, with S the ``reflection_k.reflection_sandwich``; they stay
+dense products of embeddings.
 """
 
 import cmath
@@ -79,6 +79,7 @@ from .tensor_core import (
     apply_right,
     aux_blocks,
     close_site,
+    close_site_derivative,
     coalesce,
     comm_residual,
     densify,
@@ -391,9 +392,9 @@ def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     grown from the inside out like ``build_transfer``: starting from
     (Y, Y') = (K, K'), each site's R pair (v, v') and transposed R pair
     (w, w') take (Y, Y') to (v Y w, (v' Y + v Y') w + v Y w') through
-    ``grow_site_derivative``, and the last site closes the three terms of Y'
-    against M_0. The factors are homogeneous R's with the explicit or ansatz
-    right K and no left K, so any other spec raises ValueError."""
+    ``grow_site_derivative``, and ``close_site_derivative`` closes the last
+    site against M_0. The factors are homogeneous R's with the explicit or
+    ansatz right K and no left K, so any other spec raises ValueError."""
     _require_hamiltonian_spec(spec, "the transfer derivative")
     p = spec.params
     (v, dv), (k, dk), (w, dw) = _factor_profiles(spec)
@@ -401,8 +402,7 @@ def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     for _ in range(p.sites - 1):
         y, dy = grow_site_derivative(y, dy, (v, dv), (w, dw))
     m = build_M(p, spec.gauge)
-    der = close_site(m, y, dv, w) + close_site(m, dy, v, w) + close_site(m, y, v, dw)
-    return Operator(der, (p.n,) * p.sites)
+    return Operator(close_site_derivative(m, y, dy, (v, dv), (w, dw)), (p.n,) * p.sites)
 
 
 def transfer_derivative_numeric(spec: ChainSpec) -> Operator:

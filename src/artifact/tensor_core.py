@@ -25,18 +25,17 @@ are enumerated as |11>, |12>, ..., |1 d2>, |21>, ... in row-major order. The
 first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
 its (n, n) grid of blocks.
 
-``embed_at`` writes a local operator out as a dense matrix on the whole
-space (``embed_entries`` densified); ``apply_right`` multiplies a dense
-matrix by such an embedding without forming it, at d^2 times the local
-operator's side per factor instead of d^3; the left-to-right chain products
-are built from it. ``grow_site`` and ``close_site`` build a chain
-from the inside out instead: ``grow_site`` sandwiches a matrix on (auxiliary,
-sites 1..k-1) between two operators on (auxiliary, site k), and
-``close_site`` does the same for the last site and traces the auxiliary
-factor out, so the open and closed transfer matrices never hold a matrix on
-the auxiliary space and every site at once; ``grow_site_derivative`` grows a
-matrix and its product-rule derivative in one step. ``weight_preserving`` fills the
-two-site pattern that R and the bulk Hecke generator share.
+``embed_at`` writes a local operator out as a dense matrix on the whole space
+(``embed_entries`` densified); ``apply_right`` multiplies a dense matrix by
+such an embedding without forming it, at d^2 times the local operator's side
+per factor instead of d^3; the left-to-right chain products are built from
+it. ``grow_site`` and ``close_site`` build a chain from the inside out, as
+v_{0k} (Y (x) 1_k) w_{0k} = sum_{a'b'} Y_{a'b'} (x) C^{a'b'} with Y_{a'b'}
+the (a', b') block of Y on the auxiliary factor 0 and C^{a'b'} a matrix of
+side d0 e: one GEMM each. ``close_site`` traces factor 0 out on the C's, so
+no matrix on the auxiliary space and every site at once is formed, and the
+``_derivative`` forms apply the product rule to the C's. ``weight_preserving``
+fills the two-site pattern that R and the bulk Hecke generator share.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
@@ -72,6 +71,7 @@ __all__ = [
     "grow_site",
     "grow_site_derivative",
     "close_site",
+    "close_site_derivative",
     "permutation_swap",
     "partial_trace_first",
     "partial_transpose",
@@ -369,86 +369,85 @@ def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:
     return tens.transpose(axes).reshape(d, d)
 
 
-def _site_legs(y: np.ndarray, v: Operator, w: Operator) -> tuple[int, int, int]:
-    """(d0, r, e): ``y`` acts on a first factor of dimension d0 followed by a
-    rest of dimension r, and ``v``, ``w`` act on (first factor, new site e)."""
+def _coefficients(y: np.ndarray, v: Operator, w: Operator, a: Operator | None = None):
+    """C[a', b', a, s, b, t] = sum_u v[a, s, a', u] w[b', u, b, t] for ``y`` on
+    a first factor d0 and a rest and ``v``, ``w`` on (first factor, new site
+    e); given ``a`` on the first factor, D = tr_0[a_0 C] as legs (a', b', 1, s,
+    1, t) instead."""
     if len(v.dims) != 2 or v.dims != w.dims:
         raise ValueError(f"need two-factor operators of equal dims, got {v.dims} and {w.dims}")
     d0, e = v.dims
     if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[0] % d0:
         raise ValueError(f"matrix of shape {y.shape} does not act on a first factor of {d0}")
-    return d0, y.shape[0] // d0, e
+    c = np.einsum("asAu,Bubt->ABasbt", v.mat.reshape(d0, e, d0, e), w.mat.reshape(d0, e, d0, e))
+    if a is None:
+        return c
+    if a.dims != (d0,):
+        raise ValueError(f"closing operator dims {a.dims} do not match the first factor {d0}")
+    return np.einsum("ABasbt,ba->ABst", c, a.mat).reshape(d0, d0, 1, e, 1, e)
 
 
-def _grow_left(terms) -> np.ndarray:
-    """sum of v_{0k} (y (x) 1_k) over the (y, v) pairs of ``terms``, with the
-    legs (a, s, s', x, b', y') left open for ``_grow_right``. The pairs,
-    which share the legs of ``grow_site``, are stacked along the contracted
-    leg a', so their sum is one ``tensordot`` and never a sum of results."""
-    legs = {_site_legs(y, v, v) for y, v in terms}
-    if len(legs) != 1:
-        raise ValueError(f"the pairs do not share their legs: {sorted(legs)}")
-    (d0, r, e), = legs
-    vs = [v.mat.reshape(d0, e, d0, e) for _, v in terms]
-    ys = [y.reshape(d0, r, d0, r) for y, _ in terms]
-    if len(terms) > 1:
-        vs, ys = [np.concatenate(vs, axis=2)], [np.concatenate(ys, axis=0)]
-    # y[a', x, b', y'] after v[a, s, a', s']: legs (a, s, s', x, b', y')
-    return np.tensordot(vs[0], ys[0], axes=(2, 0))
+def _block_sum(terms) -> np.ndarray:
+    """sum_{a'b'} y_{a'b'} (x) c[a', b'] over the (y, c) pairs of ``terms`` in
+    the layout (a, x, s | b, y, t), c of legs (a', b', a, s, b, t): per pair a
+    GEMM of c as (a'b', a s b t) against y as (a'b', x y), then one transpose.
+    The products are added, not stacked: at the closing step y is as large as
+    the result, and a stacked copy of two would be the largest temporary."""
+    d0, _, lead, e = terms[0][1].shape[:4]
+    r = terms[0][0].shape[0] // d0
+    parts = (c.reshape(d0 * d0, -1).T
+             @ y.reshape(d0, r, d0, r).transpose(0, 2, 1, 3).reshape(d0 * d0, r * r)
+             for y, c in terms)
+    out = next(parts)
+    for part in parts:
+        out += part
+    return out.reshape(lead, e, lead, e, r, r).transpose(0, 4, 1, 2, 5, 3).reshape(lead * r * e, -1)
 
 
-def _grow_right(left: np.ndarray, w: Operator) -> np.ndarray:
-    """Close the open legs of ``_grow_left`` with w[b', s', b, t]."""
-    d0, e, _, r = left.shape[:4]
-    if w.dims != (d0, e):
-        raise ValueError(f"operator dims {w.dims} do not match the legs {(d0, e)}")
-    # legs (a, s, x, y', b, t)
-    both = np.tensordot(left, w.mat.reshape(d0, e, d0, e), axes=([2, 4], [1, 0]))
-    side = d0 * r * e
-    return both.transpose(0, 2, 1, 4, 3, 5).reshape(side, side)
+def _derivative(y: np.ndarray, dy: np.ndarray, v: tuple, w: tuple, a=None) -> np.ndarray:
+    """sum y_{a'b'} (x) C' + y'_{a'b'} (x) C for v = (v, v') and w = (w, w'):
+    the product rule on the coefficients, C' = C(v', w) + C(v, w')."""
+    (v, dv), (w, dw) = v, w
+    if dy.shape != y.shape:
+        raise ValueError(f"y' of shape {dy.shape} does not match y of shape {y.shape}")
+    dc = _coefficients(y, dv, w, a) + _coefficients(y, v, dw, a)
+    return _block_sum([(y, dc), (dy, _coefficients(y, v, w, a))])
 
 
 def grow_site(y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
     """``v_{0k} (y (x) 1_k) w_{0k}`` with k a new last slot.
 
     ``y`` acts on a first (auxiliary) factor 0 followed by any rest; ``v`` and
-    ``w`` act on (0, k). The result acts on (0, rest, k). Two ``tensordot``s
-    cost d0^3 e^2 r^2 and d0^3 e^3 r^2 (d0, e, r the sides of 0, k and the
-    rest), and nothing is embedded on the grown space.
-    """
-    return _grow_right(_grow_left([(y, v)]), w)
+    ``w`` act on (0, k). The result acts on (0, rest, k). As
+    sum_{a'b'} y_{a'b'} (x) C^{a'b'} it is one GEMM of d0^4 e^2 r^2 (d0, e, r
+    the sides of 0, k and the rest) and one transpose of the result."""
+    return _block_sum([(y, _coefficients(y, v, w))])
 
 
 def grow_site_derivative(y: np.ndarray, dy: np.ndarray, v: tuple, w: tuple) -> tuple:
     """``grow_site`` of (y, y') and its product-rule derivative: with the
     operator pairs v = (v, v') and w = (w, w'), returns (v y w, (v' y + v y')
-    w + v y w'). v y is formed once for both terms that hold it, and v' y +
-    v y' is one stacked contraction, so one step costs five ``tensordot``s.
-    """
-    (v, dv), (w, dw) = v, w
-    vy = _grow_left([(y, v)])
-    grown = _grow_right(_grow_left([(y, dv), (dy, v)]), w)
-    grown += _grow_right(vy, dw)
-    return _grow_right(vy, w), grown
+    w + v y w'), the latter as sum y_{a'b'} (x) C' + y'_{a'b'} (x) C with
+    C' = C(v', w) + C(v, w'): three GEMMs of ``grow_site``'s size."""
+    return grow_site(y, v[0], w[0]), _derivative(y, dy, v, w)
 
 
 def close_site(a: Operator, y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
     """``tr_0[a_0 v_{0k} (y (x) 1_k) w_{0k}]`` with k a new last slot.
 
     The legs are those of ``grow_site``, and ``a`` acts on factor 0 alone.
-    Since tr_0[a_0 X] = tr_0[X a_0], the trace closes v against w a_0 into
-    one (e, d0, d0, e) array first, at d0^3 e^3 work, and that array meets
-    ``y`` in one ``tensordot`` of d0^2 e^2 r^2. The result acts on (rest, k);
-    no matrix on the grown space is formed.
-    """
-    d0, r, e = _site_legs(y, v, w)
-    if a.dims != (d0,):
-        raise ValueError(f"closing operator dims {a.dims} do not match the first factor {d0}")
-    wa = np.tensordot(w.mat.reshape(d0, e, d0, e), a.mat, axes=(2, 0))  # (b', s', t, a)
-    link = np.einsum("csAS,BStc->sABt", v.mat.reshape(d0, e, d0, e), wa)
-    # y[a', x, b', y'] against link[s, a', b', t]: legs (x, y', s, t)
-    out = np.tensordot(y.reshape(d0, r, d0, r), link, axes=([0, 2], [1, 2]))
-    return out.transpose(0, 2, 1, 3).reshape(r * e, r * e)
+    The trace is taken on the coefficients, D^{a'b'} = tr_0[a_0 C^{a'b'}], so
+    sum_{a'b'} y_{a'b'} (x) D^{a'b'} is one GEMM of d0^2 e^2 r^2 and one
+    transpose. The result acts on (rest, k)."""
+    return _block_sum([(y, _coefficients(y, v, w, a))])
+
+
+def close_site_derivative(a: Operator, y: np.ndarray, dy: np.ndarray, v: tuple,
+                          w: tuple) -> np.ndarray:
+    """The product-rule derivative of ``close_site`` with the operator pairs
+    v = (v, v') and w = (w, w'), tr_0[a_0 ((v' y + v y') w + v y w')], as
+    sum y_{a'b'} (x) D' + y'_{a'b'} (x) D with D' = D(v', w) + D(v, w')."""
+    return _derivative(y, dy, v, w, a)
 
 
 def permutation_swap(d: int) -> Operator:

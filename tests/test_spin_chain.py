@@ -484,23 +484,41 @@ def test_open_transfer_and_derivative_never_reach_the_chain_space(monkeypatch):
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_transfer_builders_allocate_less_than_one_chain_space_matrix(closed):
-    # numpy reports its buffers to tracemalloc: the peak of every array alive
-    # at once stays under a single n^(N+1)-sided complex matrix
-    p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
-    spec = ChainSpec(p, right_boundary="ansatz")
-    chain_side = p.n ** (p.sites + 1)
-    builds = [lambda: build_transfer(spec, 0.31 - 0.12j, closed=closed)]
-    if not closed:
-        builds.append(lambda: _transfer_derivative_analytic(spec))
-    for build in builds:
-        build()  # warm caches outside the measurement
-        tracemalloc.start()
-        try:
-            build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < chain_side**2 * 16, peak
+    # numpy reports its buffers to tracemalloc. Bounds on the peak of every
+    # array alive at once, in n^N-sided complex matrices (the result's size):
+    # at (3, 4) under one n^(N+1)-sided matrix, n^2 of them; at the
+    # benchmark's (2, 8) and (4, 4) 4.1 for a transfer and 5.1 for the
+    # derivative, whose closing step holds y, y', a block copy and two products
+    sizes = {(3, 4): (9, 9), (2, 8): (4.1, 5.1), (4, 4): (4.1, 5.1)}
+    for (n, sites), (transfer_bound, derivative_bound) in sizes.items():
+        p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=sites)
+        spec = ChainSpec(p, right_boundary="ansatz")
+        unit = n ** (2 * sites) * 16
+        builds = [(lambda: build_transfer(spec, 0.31 - 0.12j, closed=closed), transfer_bound)]
+        if not closed:
+            builds.append((lambda: _transfer_derivative_analytic(spec), derivative_bound))
+        for build, bound in builds:
+            build()  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * unit, (n, sites, peak / unit)
+
+
+def test_inside_out_routes_agree_at_the_benchmark_sizes():
+    # the benchmark's chain sizes, past the oracle sizes above: the grown
+    # transfer against the double row's M-weighted diagonal blocks, and the
+    # analytic derivative route of H against the Hecke form
+    lam = 0.31 - 0.12j
+    for n, sites in ((2, 8), (3, 5)):
+        spec = ChainSpec(ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=sites))
+        assert rel_residual(build_transfer(spec, lam), transfer_from_diagonal(spec, lam)) < 1e-13
+    spec = ChainSpec(ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4))
+    assert rel_residual(build_hamiltonian(spec, "transfer_derivative"),
+                        build_hamiltonian(spec, "hecke_form")) < 1e-12
 
 
 def _written_out_rtt(r, xa, xb):

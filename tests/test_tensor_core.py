@@ -12,6 +12,7 @@ from artifact.tensor_core import (
     aux_blocks,
     basis_matrix,
     close_site,
+    close_site_derivative,
     coalesce,
     comm_residual,
     commutator,
@@ -156,15 +157,11 @@ def test_apply_right_equals_product_with_embedding(case):
     assert np.array_equal(mat, before)
 
 
-@st.composite
-def _site_sandwich(draw):
-    """(y, a, v, w, space): a random y on a first factor of dimension 1-3
-    followed by 0-2 more factors (none: y on the first factor alone), a on
-    the first factor, and v, w on (first factor, a new last factor)."""
-    d0 = draw(st.integers(1, 3))
-    rest = draw(st.lists(st.integers(1, 3), max_size=2))
-    e = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _sandwich_case(d0, rest, e, seed):
+    """(y, a, v, w, space): a random y on a first factor of dimension d0
+    followed by the factors ``rest`` (none: y on the first factor alone), a on
+    the first factor, and v, w on (first factor, a new last factor of e)."""
+    rng = np.random.default_rng(seed)
 
     def rand(side):
         return rng.uniform(-1, 1, (side, side)) + 1j * rng.uniform(-1, 1, (side, side))
@@ -172,6 +169,13 @@ def _site_sandwich(draw):
     y = rand(d0 * math.prod(rest))
     return (y, op(rand(d0), (d0,)), op(rand(d0 * e), (d0, e)), op(rand(d0 * e), (d0, e)),
             (d0, *rest, e))
+
+
+@st.composite
+def _site_sandwich(draw):
+    """``_sandwich_case`` with d0 and e of 1-3 and 0-2 more factors of 1-3."""
+    return _sandwich_case(draw(st.integers(1, 3)), draw(st.lists(st.integers(1, 3), max_size=2)),
+                          draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
 
 
 def _embedded_sandwich(y, v, w, space):
@@ -219,6 +223,23 @@ def test_close_site_equals_traced_product_with_embeddings(case):
     assert_allclose(got, want.mat, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_site_sandwich())
+@example(_sandwich_case(2, [3], 3, 0))
+@example(_sandwich_case(3, [], 2, 1))
+def test_close_site_derivative_is_one_contraction_of_the_three_terms(case):
+    # the closing step of the transfer derivative: one sum over (y, y')
+    # against (D', D) equals the three closed terms of the product rule
+    y, a, v, w, _ = case
+    dy, dv, dw = y @ y, op(v.mat.T, v.dims), op(w.mat.conj(), w.dims)
+    before = y.copy(), dy.copy()
+    got = close_site_derivative(a, y, dy, (v, dv), (w, dw))
+    want = close_site(a, y, dv, w) + close_site(a, dy, v, w) + close_site(a, y, v, dw)
+    assert got.flags.c_contiguous
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(y, before[0]) and np.array_equal(dy, before[1])
+
+
 def test_site_primitives_refuse_mismatched_legs():
     y = np.eye(6, dtype=complex)
     v = identity_op((2, 3))
@@ -232,6 +253,10 @@ def test_site_primitives_refuse_mismatched_legs():
         grow_site_derivative(y, np.eye(12, dtype=complex), (v, v), (v, v))
     with pytest.raises(ValueError):
         grow_site_derivative(y, y, (v, v), (v, identity_op((3, 2))))
+    with pytest.raises(ValueError):
+        close_site_derivative(identity_op((2,)), y, np.eye(12, dtype=complex), (v, v), (v, v))
+    with pytest.raises(ValueError):
+        close_site_derivative(identity_op((3,)), y, y, (v, v), (v, v))
 
 
 def _kron_embedding(local, slots, space):

@@ -26,6 +26,7 @@ def _load(name: str):
 compare_reports = _load("compare_reports")
 bench_pairs = _load("bench_pairs")
 report_matrix = _load("report_matrix")
+pr_evidence = _load("pr_evidence")
 
 
 def _matrix(outdir: Path) -> Path:
@@ -186,3 +187,65 @@ def test_report_matrix_writes_the_rest_when_one_run_fails(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert "29 of 30 reports written" in captured.out
     assert "exit 2: " in captured.err and "refused" in captured.err
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_pr_evidence_runs_both_matrices_the_comparison_then_the_pairs(tmp_path, monkeypatch,
+                                                                      capsys, flip):
+    # the report and benchmark runs are stubbed; the comparison runs for real
+    steps = []
+    real_run_tool = pr_evidence.run_tool
+
+    def export(rev, dest):
+        steps.append(("export", rev))
+        (dest / "src").mkdir()
+        return "abc1234"
+
+    def run_tool(script, args, capture=False):
+        steps.append((script.name, *args))
+        if script.name == "compare_reports.py":
+            return real_run_tool(script, args, capture)
+        if script.name == "report_matrix.py":
+            # the parent's export carries this checkout's matrix script
+            assert script.read_bytes() == (TOOLS / "report_matrix.py").read_bytes()
+            side = "change" if script.parents[1] == ROOT else "parent"
+            outdir = Path(args[0])
+            outdir.mkdir()
+            check = {"id": "chain.tr2", "residual": 1e-16, "scalar": None,
+                     "pass": not (flip and side == "change")}
+            (outdir / "verify.json").write_text(json.dumps({"suite": "chain", "checks": [check]}))
+        return subprocess.CompletedProcess([script, *args], 0, "" if capture else None)
+
+    monkeypatch.setattr(bench_pairs, "export_parent", export)
+    monkeypatch.setattr(pr_evidence, "run_tool", run_tool)
+    outdir = tmp_path / "evidence"
+    code = pr_evidence.main(["HEAD~1", str(outdir), "--pairs", "10", "--claim", "w1:op_s"])
+    parent, change = str(outdir / "parent"), str(outdir / "change")
+    assert steps == [("export", "HEAD~1"), ("report_matrix.py", parent),
+                     ("report_matrix.py", change), ("compare_reports.py", parent, change),
+                     ("bench_pairs.py", "HEAD~1", "--pairs", "10", "--claim", "w1:op_s")]
+    summary = (outdir / "compare.txt").read_text().splitlines()[-1]
+    assert summary in capsys.readouterr().out
+    if flip:  # a pass flip fails the run, and the pairs still run
+        assert code == 1 and summary.startswith("0 identical, 0 moved values, 1 pass flips")
+    else:
+        assert code == 0 and summary.startswith("1 identical, 0 moved values, 0 pass flips")
+
+
+def test_pr_evidence_runs_each_tool_in_a_process_of_its_own(tmp_path):
+    # a child reports the peak resident set of the process that started it,
+    # so the script that starts the pairs must never load numpy itself
+    script = tmp_path / "tool.py"
+    script.write_text("import os, sys\nprint(sys.argv[1], os.environ['PYTHONDONTWRITEBYTECODE'])\n")
+    out = pr_evidence.run_tool(script, ["x"], capture=True)
+    assert (out.returncode, out.stdout) == (0, "x 1\n")
+    loads = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import pr_evidence; "
+             "print(sorted(m for m in sys.modules if m in ('numpy', 'scipy', 'compare_reports')))")
+    out = subprocess.run([sys.executable, "-c", loads], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["HEAD~1"]])
+def test_pr_evidence_refuses_a_missing_argument(argv, capsys):
+    assert pr_evidence.main(argv) == 2
+    assert "usage" in capsys.readouterr().err
