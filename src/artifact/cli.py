@@ -18,7 +18,8 @@ choices and help. Each subcommand takes the long flags of the settings it
 reads (``COMMANDS``; ``spectrum`` only those that change H or the output).
 Flags override an optional key=value config file (--config) whose keys are
 the same long flags, each value converted and checked as its flag is when
-the file is read; errors name path:line. Complex values accept "a+bi" syntax.
+the file is read; errors name path:line. Complex values accept "a+bi" syntax,
+a negative one also as the next token (``--m -0.4+0.7i``).
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ OPTIONS = {
                       help="record wall time per check (breaks byte-determinism)"),
 }
 DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
+_COMPLEX_FLAGS = {f"--{key}" for key, option in OPTIONS.items() if option.convert is parse_complex}
 # The settings each subcommand reads: spectrum's H depends on the model
 # parameters alone (the Hamiltonian's gauge and boundaries are fixed).
 COMMANDS = {
@@ -184,6 +186,29 @@ def read_config(path: str, keys=tuple(OPTIONS)) -> dict:
             raise CliError(f"{path}:{lineno}: {key}: {value!r} is not one of "
                            f"{', '.join(option.choices)}")
     return values
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each complex flag followed by a value that starts with
+    "-" written as one token, ``--m -0.4+0.7i`` as ``--m=-0.4+0.7i``:
+    argparse reads a token that starts with "-" and is not a plain number as
+    a flag, so the spaced form would leave the flag without its value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _COMPLEX_FLAGS and token.startswith("-")
+                and _parses_as_complex(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _parses_as_complex(text: str) -> bool:
+    try:
+        parse_complex(text)
+    except CliError:
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +355,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         settings = _resolve(args)
         set_timings_default(settings["timings"])

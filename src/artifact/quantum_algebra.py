@@ -167,15 +167,20 @@ def eval_generator(
     if label.kind == GeneratorKind.F:
         raising = GeneratorLabel(GeneratorKind.E, i)
         return eval_generator(params, raising, -lam, gauge).T
+    return np.diag(_cartan_diagonal(params, label))
+
+
+def _cartan_diagonal(params: ModelParams, label: GeneratorLabel) -> np.ndarray:
+    """The diagonal of a Cartan generator's single-site image, which depends
+    on neither lam nor the gauge."""
+    n, i = params.n, label.index
     sign = -1.0 if label.inverse else 1.0
     d = np.ones(n, dtype=np.complex128)
-    if label.kind == GeneratorKind.KCARTAN:
-        d[i - 1] = _qpow(params, sign * 0.5)
-    else:  # HCARTAN: q^{(e_ii - e_jj)/2} with j = i+1, wrapping at the affine node
-        j = i + 1 if i < n else 1
-        d[i - 1] = _qpow(params, sign * 0.5)
-        d[j - 1] = _qpow(params, -sign * 0.5)
-    return np.diag(d)
+    d[i - 1] = _qpow(params, sign * 0.5)
+    if label.kind == GeneratorKind.HCARTAN:
+        # q^{(e_ii - e_jj)/2} with j = i+1, wrapping at the affine node
+        d[i % n] = _qpow(params, -sign * 0.5)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,10 @@ def coproduct_rep(
     from the 1-D kron of the site diagonals, and an e/f word
     diag(left) (x) X (x) diag(right)
     is added into its band of the total through a strided view, never formed
-    as a kron chain of n^L-sided matrices.
+    as a kron chain of n^L-sided matrices. Each site generator is read once
+    per call (the insertion X once on the first site and once on the rest),
+    and the prefix and suffix diagonals of consecutive words are grown from
+    one another, multiplied in the same order as when each is built alone.
     """
     _check_index(params, label)
     if L < 1:
@@ -214,37 +222,30 @@ def coproduct_rep(
     if variant not in ("delta", "delta_prime"):
         raise ValueError(f"unknown coproduct variant {variant!r}")
     n = params.n
-    lams = _site_lams(L, first_site_lambda)
-
-    def site(lab: GeneratorLabel, s: int) -> np.ndarray:
-        return eval_generator(params, lab, lams[s], gauge)
-
-    def diagonal(labs, first: int) -> np.ndarray:
-        """kron of the diagonals of the Cartan factors on sites first, first+1, ..."""
-        out = np.ones(1, dtype=np.complex128)
-        for s, lab in enumerate(labs, first):
-            out = (out[:, None] * site(lab, s).diagonal()).ravel()
-        return out
 
     if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-        return np.diag(diagonal([label] * L, 0))
+        # Cartan images ignore lambda: every site carries the same diagonal
+        return np.diag(_kron_prefixes([_cartan_diagonal(params, label)] * L)[L])
 
-    h_plus = GeneratorLabel(GeneratorKind.HCARTAN, label.index)
-    h_minus = GeneratorLabel(GeneratorKind.HCARTAN, label.index, inverse=True)
+    h_minus, h_plus = (
+        _cartan_diagonal(params, GeneratorLabel(GeneratorKind.HCARTAN, label.index, inv))
+        for inv in (True, False))
+    # the insertion on the first site, and on the others, which sit at 0
+    first, rest = _site_lams(2, first_site_lambda)
+    x_first = eval_generator(params, label, first, gauge)
+    x_rest = x_first if first_site_lambda is None else eval_generator(params, label, rest, gauge)
+    # the diagonals left and right of the insertion on site l
+    primed = variant == "delta_prime"
+    lefts = _kron_prefixes([h_plus] + [h_minus] * (L - 2) if primed else [h_minus] * (L - 1))
+    rights = _kron_prefixes([h_plus] * (L - 1))[::-1]
+    if primed:  # the bare first word has h- on every site after it
+        rights[0] = _kron_prefixes([h_minus] * (L - 1))[-1]
     total = np.zeros((n**L, n**L), dtype=np.complex128)
-    for l in range(L):
-        if variant == "delta":
-            labs = [h_minus] * l + [label] + [h_plus] * (L - 1 - l)
-        else:
-            if l == 0:
-                labs = [label] + [h_minus] * (L - 1)
-            else:
-                labs = [h_plus] + [h_minus] * (l - 1) + [label] + [h_plus] * (L - 1 - l)
-        left, right = diagonal(labs[:l], 0), diagonal(labs[l + 1:], l + 1)
+    for l, (left, right) in enumerate(zip(lefts, rights)):
         # band[x, y] is the n x n block at rows and columns (x, :, y)
         band = np.einsum("xayxby->xyab", total.reshape(
             left.size, n, right.size, left.size, n, right.size))
-        band += (left[:, None] * right)[:, :, None, None] * site(label, l)
+        band += (left[:, None] * right)[:, :, None, None] * (x_rest if l else x_first)
     return total
 
 
@@ -258,11 +259,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _kron_powers(diag: np.ndarray, top: int) -> list[np.ndarray]:
-    """The kron of k copies of ``diag`` for k = 0..top, each grown from the one
-    before by the outer-product step of ``coproduct_rep``'s site diagonals."""
+def _kron_prefixes(diags: list) -> list[np.ndarray]:
+    """The kron of the first k of ``diags`` for k = 0..len(diags), each grown
+    from the one before by one outer-product step, so a prefix is multiplied
+    in the same order as when it is built alone."""
     out = [np.ones(1, dtype=np.complex128)]
-    for _ in range(top):
+    for diag in diags:
         out.append((out[-1][:, None] * diag).ravel())
     return out
 
@@ -367,15 +369,15 @@ class Tower:
         if not self.sparse:
             return coproduct_rep(p, label, L, "delta", self.first_site_lambda)
         if label.kind in (GeneratorKind.KCARTAN, GeneratorKind.HCARTAN):
-            return diagonal_entries(_kron_powers(eval_generator(p, label).diagonal(), L)[L])
+            return diagonal_entries(_kron_prefixes([_cartan_diagonal(p, label)] * L)[L])
         # the word with the insertion on site l is diag(h-) (x) X (x) diag(h+):
         # X's one entry (a, b) moves digit l from a to b, on the rows whose
         # digit l is a, with the prefix and suffix diagonals as weights
         n = p.n
         h_minus, h_plus = (
-            eval_generator(p, GeneratorLabel(GeneratorKind.HCARTAN, label.index, inv)).diagonal()
+            _cartan_diagonal(p, GeneratorLabel(GeneratorKind.HCARTAN, label.index, inv))
             for inv in (True, False))
-        lefts, rights = _kron_powers(h_minus, L - 1), _kron_powers(h_plus, L - 1)
+        lefts, rights = _kron_prefixes([h_minus] * (L - 1)), _kron_prefixes([h_plus] * (L - 1))
         words = []
         for l, lam in enumerate(_site_lams(L, self.first_site_lambda)):
             x = eval_generator(p, label, lam)
@@ -517,61 +519,84 @@ def build_lax(
     Homogeneous: e^{lam} (upper-triangular t part) - e^{-lam} (lower t-minus
     part). Principal: diagonal 'e^{lam} t_ii - e^{-lam} t_ii^{-1}', gauge
     phases on the off-diagonal entries, affine corner elements in place of
-    t_1n / t-minus_n1.
+    t_1n / t-minus_n1. Each block is an image of a one-site ``Tower`` times
+    a scalar weight, and only the weights depend on lam: a caller that needs
+    L at several points reads the images once, through ``_LaxFamily``.
     """
-    n = params.n
-    tower = Tower(params)
-    total = np.zeros((n * n, n * n), dtype=np.complex128)
-    blocks = aux_blocks(total, n)
-
-    def put(i, j, coeff, block):
-        blocks[i - 1, :, j - 1, :] += coeff * block
-
-    minus = TElementFamily.t_minus
-    ep, em = cmath.exp(lam), cmath.exp(-lam)
-    if gauge == Gauge.homogeneous:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                put(i, j, ep, tower.t(i, j))
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                put(i, j, -em, tower.t_image(TElementLabel(minus, i, j)))
-        return Operator(total, (n, n))
-
-    for i in range(1, n + 1):
-        tii_inv = tower.t_image(TElementLabel(minus, i, i))
-        put(i, i, 1.0, ep * tower.t(i, i) - em * tii_inv)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) == (1, n):
-                continue
-            coeff = cmath.exp(((i - j) * 2.0 / n + 1.0) * lam)
-            put(i, j, coeff, tower.t(i, j))
-    put(n, 1, cmath.exp(lam - 2.0 * lam / n),
-        tower.t_image(TElementLabel(TElementFamily.t0_n1, n, 1)))
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            if (i, j) == (n, 1):
-                continue
-            coeff = cmath.exp(((i - j) * 2.0 / n - 1.0) * lam)
-            put(i, j, -coeff, tower.t_image(TElementLabel(minus, i, j)))
-    put(1, n, -cmath.exp(-lam + 2.0 * lam / n),
-        tower.t_image(TElementLabel(TElementFamily.t0_minus_1n, 1, n)))
-    return Operator(total, (n, n))
+    return _LaxFamily(params).lax(lam, gauge)
 
 
 def build_lax_hat(
     params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous
 ) -> Operator:
     """Inverse of the Lax matrix at -lam; rejects near-singular points."""
-    a = build_lax(params, -lam, gauge)
-    cond = np.linalg.cond(a.mat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateParameters(
-            f"Lax matrix at {-lam} is numerically singular (cond={cond:.2e}); "
-            "resample the spectral point"
-        )
-    return Operator(np.linalg.inv(a.mat), a.dims)
+    return _LaxFamily(params).lax_hat(lam, gauge)
+
+
+class _LaxFamily:
+    """L(lam) and L-hat(lam) at any lam, in both gauges, from the images of
+    one ``Tower(params)``.
+
+    The images are read once and stacked as (n, n, n, n) arrays, block
+    (i, j) of the auxiliary space at ``[i, :, j, :]``, one stack per weight:
+    homogeneous (t_ij for i <= j, t-minus_ij for i >= j), principal (the
+    off-diagonal blocks, t_ii, t-minus_ii). L(lam) adds weight times stack
+    into zeros, one stack at a time, which gives every block the sum, in the
+    same order, that adding its weighted images one by one would.
+    """
+
+    def __init__(self, params: ModelParams):
+        n = self.n = params.n
+        tower = Tower(params)
+
+        def stack(families: dict) -> np.ndarray:
+            out = np.zeros((n, n, n, n), dtype=np.complex128)
+            for (i, j), fam in families.items():
+                out[i - 1, :, j - 1, :] = tower.t_image(TElementLabel(fam, i, j))
+            return out
+
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        t, t_minus = TElementFamily.t, TElementFamily.t_minus
+        # the affine corners (n, 1) and (1, n) replace the t and t-minus there
+        off = {(i, j): t if i < j else t_minus for i, j in pairs if i != j}
+        off.update({(n, 1): TElementFamily.t0_n1, (1, n): TElementFamily.t0_minus_1n})
+        self._stacks = {
+            Gauge.homogeneous: (stack({(i, j): t for i, j in pairs if i <= j}),
+                                stack({(i, j): t_minus for i, j in pairs if i >= j})),
+            Gauge.principal: (stack(off), stack({(i, i): t for i in range(1, n + 1)}),
+                              stack({(i, i): t_minus for i in range(1, n + 1)})),
+        }
+
+    def lax(self, lam: complex, gauge: Gauge = Gauge.homogeneous) -> Operator:
+        n = self.n
+        ep, em = cmath.exp(lam), cmath.exp(-lam)
+        if gauge == Gauge.homogeneous:
+            weights = (ep, -em)
+        else:
+            # the gauge phase of each off-diagonal block
+            phase = np.array([[0.0 if i == j else
+                               cmath.exp(((i - j) * 2.0 / n + 1.0) * lam) if i < j else
+                               -cmath.exp(((i - j) * 2.0 / n - 1.0) * lam)
+                               for j in range(1, n + 1)] for i in range(1, n + 1)])
+            phase[n - 1, 0] = cmath.exp(lam - 2.0 * lam / n)
+            phase[0, n - 1] = -cmath.exp(-lam + 2.0 * lam / n)
+            weights = (phase[:, None, :, None], ep, -em)
+        total = np.zeros((n * n, n * n), dtype=np.complex128)
+        blocks = aux_blocks(total, n)
+        for weight, stack in zip(weights, self._stacks[gauge]):
+            blocks += weight * stack
+        return Operator(total, (n, n))
+
+    def lax_hat(self, lam: complex, gauge: Gauge = Gauge.homogeneous) -> Operator:
+        """Inverse of L(-lam); rejects near-singular points."""
+        a = self.lax(-lam, gauge)
+        cond = np.linalg.cond(a.mat)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise DegenerateParameters(
+                f"Lax matrix at {-lam} is numerically singular (cond={cond:.2e}); "
+                "resample the spectral point"
+            )
+        return Operator(np.linalg.inv(a.mat), a.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +759,14 @@ def verify_algebra_suite(
                                   build_r(p, lam, Gauge.homogeneous), lam, Gauge.principal)
         rb.add_flag(f"algebra.inter_mismatch.s{s}", mis > 1e-3, mis)
 
-        # RLL relation and the Lax/R identification
+        # RLL relation and the Lax/R identification; every Lax matrix of the
+        # sample is weighted from one tower's images
+        laxes = _LaxFamily(p)
         lam, lam2 = sample_spectral(rng, p, 2)
         for gauge in (Gauge.homogeneous, Gauge.principal):
-            lax1 = build_lax(p, lam, gauge)
+            lax1 = laxes.lax(lam, gauge)
             rb.add(f"algebra.rll.{gauge.value}.s{s}", rtt_residual(
-                build_r(p, lam - lam2, gauge), lax1, build_lax(p, lam2, gauge)), tol)
+                build_r(p, lam - lam2, gauge), lax1, laxes.lax(lam2, gauge)), tol)
             pr = prop_check(lax1, build_r(p, lam, gauge))
             rb.add(f"algebra.lax_is_r.{gauge.value}.s{s}", pr.residual, tol,
                    scalar=pr.scalar)
@@ -751,8 +778,8 @@ def verify_algebra_suite(
         v1m = embed_at(build_gauge_V(p, -lam), [1], [n, n])
         rb.add(
             f"algebra.lax_gauge.s{s}",
-            rel_residual(v1 @ build_lax(p, lam) @ v1m,
-                         build_lax(p, lam, Gauge.principal)),
+            rel_residual(v1 @ laxes.lax(lam) @ v1m,
+                         laxes.lax(lam, Gauge.principal)),
             1e-12,
         )
 
@@ -761,13 +788,13 @@ def verify_algebra_suite(
         # two-site product L_{a,2} L_{a,1} and the inverse pairing of the two
         # product orders
         def dl(u):
-            lax = build_lax(p, u)
+            lax = laxes.lax(u)
             return embed_at(lax, [1, 3], [n] * 3) @ embed_at(lax, [1, 2], [n] * 3)
 
         rb.add(f"algebra.lax_cop.s{s}",
                rtt_residual(build_r(p, lam - lam2), dl(lam), dl(lam2)), tol)
         try:
-            hat1 = build_lax_hat(p, lam)
+            hat1 = laxes.lax_hat(lam)
             dlhat = embed_at(hat1, [1, 2], [n, n, n]) @ embed_at(
                 hat1, [1, 3], [n, n, n]
             )
@@ -775,7 +802,7 @@ def verify_algebra_suite(
                    rel_residual(dlhat @ dl(-lam), identity_op([n, n, n])), 1e-11)
             rb.add(
                 f"algebra.laxhat_inv.s{s}",
-                rel_residual(hat1 @ build_lax(p, -lam), identity_op([n, n])),
+                rel_residual(hat1 @ laxes.lax(-lam), identity_op([n, n])),
                 1e-12,
             )
         except DegenerateParameters:

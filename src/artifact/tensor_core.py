@@ -25,17 +25,18 @@ are enumerated as |11>, |12>, ..., |1 d2>, |21>, ... in row-major order. The
 first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
 its (n, n) grid of blocks.
 
-``embed_at`` writes a local operator out as a dense matrix on the whole space
-(``embed_entries`` densified); ``apply_right`` multiplies a dense matrix by
-such an embedding without forming it, at d^2 times the local operator's side
-per factor instead of d^3; the left-to-right chain products are built from
-it. ``grow_site`` and ``close_site`` build a chain from the inside out, as
-v_{0k} (Y (x) 1_k) w_{0k} = sum_{a'b'} Y_{a'b'} (x) C^{a'b'} with Y_{a'b'}
-the (a', b') block of Y on the auxiliary factor 0 and C^{a'b'} a matrix of
-side d0 e: one GEMM each. ``close_site`` traces factor 0 out on the C's, so
+``embed_at`` writes a local operator out as a dense matrix on the whole
+space, through one strided view of a zero array; ``apply_right`` multiplies
+a dense matrix by such an embedding without forming it, at d^2 times the
+local operator's side per factor instead of d^3; the left-to-right chain
+products are built from it. ``grow_site`` and ``close_site`` build a chain
+from the inside out, as v_{0k} (Y (x) 1_k) w_{0k} = sum_{a'b'} Y_{a'b'} (x)
+C^{a'b'} with Y_{a'b'} the (a', b') block of Y on the auxiliary factor 0 and
+C^{a'b'} a matrix of side d0 e: one GEMM each. ``close_site`` traces factor 0 out on the C's, so
 no matrix on the auxiliary space and every site at once is formed, and the
 ``_derivative`` forms apply the product rule to the C's. ``weight_preserving``
-fills the two-site pattern that R and the bulk Hecke generator share.
+fills the two-site pattern that R and the bulk Hecke generator share, on two
+fixed strided index patterns.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
@@ -53,6 +54,7 @@ Lax operators and the monodromy.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,13 +103,18 @@ class Operator:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=np.complex128)
-        object.__setattr__(self, "mat", mat)
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+        # a complex128 ndarray and a tuple of ints, the common case, are kept
+        # as they are; anything else is converted
+        mat, dims = self.mat, self.dims
+        if type(mat) is not np.ndarray or mat.dtype != np.complex128:
+            mat = np.asarray(mat, dtype=np.complex128)
+            object.__setattr__(self, "mat", mat)
+        if type(dims) is not tuple or any(type(d) is not int for d in dims):
+            dims = tuple(int(d) for d in dims)
+            object.__setattr__(self, "dims", dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got {mat.shape}")
-        if len(dims) == 0 or any(d < 1 for d in dims):
+        if len(dims) == 0 or min(dims) < 1:
             raise ValueError(f"bad factor dimensions {dims}")
         if math.prod(dims) != mat.shape[0]:
             raise ValueError(
@@ -221,16 +228,18 @@ def basis_matrix(n: int, i: int, j: int) -> np.ndarray:
 
 def weight_preserving(n: int, diag, same, swap) -> Operator:
     """sum_i diag(i) e_ii (x) e_ii + sum_{i != j} [same(i, j) e_ii (x) e_jj
-    + swap(i, j) e_ij (x) e_ji] on C^n (x) C^n, filled entry by entry
-    (indices 1-based)."""
+    + swap(i, j) e_ij (x) e_ji] on C^n (x) C^n (indices 1-based).
+
+    The three entry classes lie on two fixed index patterns of the (n, n, n,
+    n) view: (i, j, i, j), the diagonal, holds same(i, j) and, at i = j,
+    diag(i); (i, j, j, i) holds swap(i, j). Each pattern is written in one
+    assignment through a strided view, the swap one first, so that the
+    diagonal wins where the two meet at i = j."""
     m = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        m[(i - 1) * (n + 1), (i - 1) * (n + 1)] = diag(i)
-        for j in range(1, n + 1):
-            if i != j:
-                row = (i - 1) * n + j - 1
-                m[row, row] = same(i, j)
-                m[row, (j - 1) * n + i - 1] = swap(i, j)
+    ks = range(1, n + 1)
+    np.einsum("ijji->ij", m.reshape(n, n, n, n))[...] = [
+        [0.0 if i == j else swap(i, j) for j in ks] for i in ks]
+    m.reshape(-1)[:: n * n + 1] = [diag(i) if i == j else same(i, j) for i in ks for j in ks]
     return Operator(m, (n, n))
 
 
@@ -269,11 +278,23 @@ def embed_at(op: Operator, slots, space) -> Operator:
     ``slots`` is an ordered list matching op.dims factor by factor; the
     remaining slots carry the identity. Non-adjacent and permuted slot lists
     are allowed, e.g. embed_at(R, [1, 3], [n, n, n]) puts the first factor of
-    R on slot 1 and the second on slot 3. The matrix is ``embed_entries``
-    written into ``np.zeros``.
+    R on slot 1 and the second on slot 3. The result is ``np.zeros`` with
+    ``op`` written in once, through one strided view: the (row legs, column
+    legs) view of the matrix with each identity slot's row and column leg
+    taken as one diagonal leg, so no temporary is larger than ``op``.
     """
-    space = tuple(int(d) for d in space)
-    return Operator(densify(math.prod(space), embed_entries(op, slots, space)), space)
+    slots, space = _checked_slots(op, slots, space)
+    side = math.prod(space)
+    out = np.zeros((side, side), dtype=np.complex128)
+    # a letter per leg; the row and column legs of an identity slot share one,
+    # so the view runs along their diagonal
+    row = string.ascii_lowercase[:len(space)]
+    col = "".join(c.upper() if s in slots else c for s, c in enumerate(row, 1))
+    pad = "".join(c for s, c in enumerate(row, 1) if s not in slots)
+    legs = "".join(row[s - 1] for s in slots) + "".join(col[s - 1] for s in slots) + pad
+    view = np.einsum(f"{row}{col}->{legs}", out.reshape(space + space))
+    view[...] = op.mat.reshape(op.dims + op.dims + (1,) * len(pad))
+    return Operator(out, space)
 
 
 def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

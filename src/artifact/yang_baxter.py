@@ -89,24 +89,37 @@ def build_rcheck(params: ModelParams, lam: complex) -> Operator:
     )
 
 
-def build_r(params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous) -> Operator:
+def _r_entries(params: ModelParams, lam: complex, gauge: Gauge) -> tuple:
+    """(a, b, hop) of R(lambda): the e_ii (x) e_ii and e_ii (x) e_jj entries
+    and the hopping entry of e_ij (x) e_ji as a function of (i, j). The
+    homogeneous hop depends only on the side of the diagonal, so its two
+    values are computed once; the principal one is computed entry by entry."""
     n, mu = params.n, params.mu
-    a = cmath.sinh(lam + 1j * mu)
-    b = cmath.sinh(lam)
     c = cmath.sinh(1j * mu)
+    if gauge == Gauge.homogeneous:
+        above, below = c * cmath.exp(lam), c * cmath.exp(-lam)
 
-    def hop(i, j):
-        if gauge == Gauge.homogeneous:
-            return c * cmath.exp(-np.sign(i - j) * lam)
-        return c * cmath.exp(((i - j) * 2.0 / n - np.sign(i - j)) * lam)
+        def hop(i, j):
+            return below if i > j else above
+    else:
+        def hop(i, j):
+            return c * cmath.exp(((i - j) * 2.0 / n - (1 if i > j else -1)) * lam)
+    return cmath.sinh(lam + 1j * mu), cmath.sinh(lam), hop
 
-    return weight_preserving(n, lambda i: a, lambda i, j: b, hop)
+
+def build_r(params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous) -> Operator:
+    a, b, hop = _r_entries(params, lam, gauge)
+    return weight_preserving(params.n, lambda i: a, lambda i, j: b, hop)
 
 
 def build_r_hat(params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous) -> Operator:
-    """P R(lambda) P; for these symmetric R matrices also the total transpose."""
-    p = permutation_swap(params.n)
-    return p @ build_r(params, lam, gauge) @ p
+    """P R(lambda) P; for these symmetric R matrices also the total transpose.
+
+    The swap P exchanges the two legs, so P R P is the weight-preserving
+    fill of R with the hop's arguments exchanged, written directly; no
+    product with P is formed."""
+    a, b, hop = _r_entries(params, lam, gauge)
+    return weight_preserving(params.n, lambda i: a, lambda i, j: b, lambda i, j: hop(j, i))
 
 
 def unitarity_scalar(params: ModelParams, lam: complex) -> complex:

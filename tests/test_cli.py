@@ -176,6 +176,26 @@ def test_bad_flag_value_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["m", "mu", "zeta", "xi"])
+def test_negative_complex_value_after_a_space(flag, tmp_path):
+    # argparse would read "-0.4+0.7i" as a flag; both spellings must give
+    # the same report, and one that the value changed
+    args = ["verify", "--suite", "reflection", "--n", "2", "--samples", "1"]
+    reports = {}
+    for name, extra in (("spaced", [f"--{flag}", "-0.4+0.7i"]),
+                        ("joined", [f"--{flag}=-0.4+0.7i"]), ("default", [])):
+        reports[name] = tmp_path / f"{name}.json"
+        assert main(args + extra + ["--out", str(reports[name])]) == 0
+    spaced, joined, default = (reports[k].read_bytes() for k in ("spaced", "joined", "default"))
+    assert spaced == joined != default
+
+
+def test_a_complex_flag_still_refuses_a_following_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "--n", "2"])
+    assert exc.value.code == 2
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["verify", "--suite", "reflection", "--n", "3", "--samples", "4",
             "--seed", "11"]

@@ -443,6 +443,19 @@ def test_lax_structure_at_zero():
     assert np.allclose(l0[2:4, 2:4], np.diag([0, q - 1 / q]), atol=1e-14)
 
 
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_lax_from_one_shared_tower_equals_a_fresh_build(gauge):
+    # the shared tower's images are read once, at the first lambda; an image
+    # that depended on lambda would show at the later ones
+    for n in (2, 3, 4):
+        p = ModelParams(n=n, mu=0.37 + 0.02j, m=1.1, zeta=0.8)
+        shared = quantum_algebra._LaxFamily(p)
+        for lam in (0.3 - 0.1j, -0.5 + 0.25j, 0.8j):
+            assert np.array_equal(shared.lax(lam, gauge).mat, build_lax(p, lam, gauge).mat)
+            assert np.array_equal(shared.lax_hat(lam, gauge).mat,
+                                  build_lax_hat(p, lam, gauge).mat)
+
+
 def test_lax_hat_inverse_and_degenerate():
     lam = 0.31 - 0.22j
     hat = build_lax_hat(P3, lam)

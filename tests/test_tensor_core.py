@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def test_operator_validation():
         Operator(np.zeros((4, 4)), (2, 3))
     with pytest.raises(ValueError):
         Operator(np.zeros((4, 4)), ())
+
+
+def test_operator_keeps_a_complex_array_and_converts_the_rest():
+    mat = np.eye(4, dtype=np.complex128)
+    kept = Operator(mat, (2, 2))
+    assert kept.mat is mat and kept.dims == (2, 2)
+    converted = Operator(np.eye(4), [np.int64(2), 2.0])
+    assert converted.mat.dtype == np.complex128 and np.array_equal(converted.mat, mat)
+    assert converted.dims == (2, 2) and all(type(d) is int for d in converted.dims)
+    with pytest.raises(ValueError):
+        Operator(mat, (4, 0))
 
 
 def test_kron_identity_and_diag():
@@ -282,6 +294,22 @@ def test_embed_at_equals_the_kron_construction(case):
     assert np.array_equal(got.mat, _kron_embedding(local, slots, space))
 
 
+def test_embed_at_writes_a_dense_operator_without_a_temporary_of_the_output_size():
+    # a dense 128-sided operator on 7 of 8 qubit slots, non-adjacent and
+    # permuted: the result is 1 MB, and listing its entries first took 3.5x
+    rng = np.random.default_rng(7)
+    local = op(rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)), (2,) * 7)
+    slots, space = [8, 1, 3, 5, 2, 7, 4], (2,) * 8
+    tracemalloc.start()
+    try:
+        got = embed_at(local, slots, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.mat, _kron_embedding(local, slots, space))
+    assert peak <= 1.2 * got.mat.nbytes
+
+
 @settings(max_examples=200, deadline=None)
 @given(_local_operator_on_space())
 def test_embed_entries_list_the_nonzeros_of_the_embedding(case):
@@ -502,6 +530,28 @@ def test_worst_of_keeps_nan_and_refuses_empty():
     assert np.isnan(worst_of(r for r in (1e-16, float("nan"), 1e-14)))
     with pytest.raises(ValueError):
         worst_of([])
+
+
+_entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), *(st.lists(_entry, min_size=n * n, max_size=n * n) for _ in range(3)))))
+def test_weight_preserving_equals_the_entry_by_entry_fill(case):
+    n, diag, same, swap = case
+    expected = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        expected[(i - 1) * (n + 1), (i - 1) * (n + 1)] = diag[i - 1]
+        for j in range(1, n + 1):
+            if i != j:
+                row = (i - 1) * n + j - 1
+                expected[row, row] = same[row]
+                expected[row, (j - 1) * n + i - 1] = swap[row]
+    built = weight_preserving(n, lambda i: diag[i - 1], lambda i, j: same[(i - 1) * n + j - 1],
+                              lambda i, j: swap[(i - 1) * n + j - 1])
+    assert built.dims == (n, n)
+    assert np.array_equal(built.mat, expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -205,6 +205,9 @@ def test_pr_evidence_runs_both_matrices_the_comparison_then_the_pairs(tmp_path, 
         steps.append((script.name, *args))
         if script.name == "compare_reports.py":
             return real_run_tool(script, args, capture)
+        if script.name == "run.py":
+            metrics = {"yang_baxter.build_r.calls": {"value": 5, "unit": "count"}}
+            return subprocess.CompletedProcess([script, *args], 0, json.dumps({"metrics": metrics}))
         if script.name == "report_matrix.py":
             # the parent's export carries this checkout's matrix script
             assert script.read_bytes() == (TOOLS / "report_matrix.py").read_bytes()
@@ -221,8 +224,10 @@ def test_pr_evidence_runs_both_matrices_the_comparison_then_the_pairs(tmp_path, 
     outdir = tmp_path / "evidence"
     code = pr_evidence.main(["HEAD~1", str(outdir), "--pairs", "10", "--claim", "w1:op_s"])
     parent, change = str(outdir / "parent"), str(outdir / "change")
+    traced = ("run.py", "--workload", "w1", "--seed", "3", "--seconds", "8", "--trace", "1")
     assert steps == [("export", "HEAD~1"), ("report_matrix.py", parent),
-                     ("report_matrix.py", change), ("compare_reports.py", parent, change),
+                     ("report_matrix.py", change), traced, traced,
+                     ("compare_reports.py", parent, change),
                      ("bench_pairs.py", "HEAD~1", "--pairs", "10", "--claim", "w1:op_s")]
     summary = (outdir / "compare.txt").read_text().splitlines()[-1]
     assert summary in capsys.readouterr().out
@@ -230,6 +235,59 @@ def test_pr_evidence_runs_both_matrices_the_comparison_then_the_pairs(tmp_path, 
         assert code == 1 and summary.startswith("0 identical, 0 moved values, 1 pass flips")
     else:
         assert code == 0 and summary.startswith("1 identical, 0 moved values, 0 pass flips")
+
+
+def test_pr_evidence_writes_both_sides_traced_layers_side_by_side(tmp_path, monkeypatch):
+    # the report, traced and benchmark runs are stubbed; each traced run is
+    # the claimed workload's, from the root of its own side
+    traced = []
+
+    def export(rev, dest):
+        (dest / "src").mkdir()
+        return "abc1234"
+
+    def run_tool(script, args, capture=False):
+        if script.name == "run.py":
+            side = "change" if script.parents[1] == ROOT else "parent"
+            traced.append((side, *args))
+            value = {"parent": 566, "change": 340}[side]
+            metrics = {"yang_baxter.build_r.calls": {"value": value, "unit": "count"},
+                       "yang_baxter.build_r.self_s": {"value": 0.002, "unit": "s"}}
+            out = "machine {}\n" + json.dumps({"correct": True, "metrics": metrics}) + "\n"
+            return subprocess.CompletedProcess([script, *args], 0, out)
+        if script.name == "report_matrix.py":
+            Path(args[0]).mkdir()
+        return subprocess.CompletedProcess([script, *args], 0, "" if capture else None)
+
+    monkeypatch.setattr(bench_pairs, "export_parent", export)
+    monkeypatch.setattr(pr_evidence, "run_tool", run_tool)
+    outdir = tmp_path / "evidence"
+    argv = ["HEAD~1", str(outdir), "--seed", "5", "--seconds", "2", "--claim", "verify-defaults:op_s"]
+    assert pr_evidence.main(argv) == 0
+    flags = ("--workload", "verify-defaults", "--seed", "5", "--seconds", "2", "--trace", "1")
+    assert traced == [("parent", *flags), ("change", *flags)]
+    rows = [line.split() for line in (outdir / "layers.txt").read_text().splitlines()[2:]]
+    assert rows == [["yang_baxter.build_r.calls", "count", "566", "340", "0.601"],
+                    ["yang_baxter.build_r.self_s", "s", "0.002", "0.002", "1.000"]]
+
+
+def test_pr_evidence_traces_nothing_without_a_claim_and_fails_on_a_failed_trace(
+        tmp_path, monkeypatch):
+    calls = []
+
+    def run_tool(script, args, capture=False):
+        calls.append(script.name)
+        if script.name == "report_matrix.py":
+            Path(args[0]).mkdir()
+        return subprocess.CompletedProcess([script, *args], 1 if script.name == "run.py" else 0,
+                                           "" if capture else None)
+
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: "abc1234")
+    monkeypatch.setattr(pr_evidence, "run_tool", run_tool)
+    assert pr_evidence.main(["HEAD~1", str(tmp_path / "a")]) == 0
+    assert "run.py" not in calls
+    assert pr_evidence.main(["HEAD~1", str(tmp_path / "b"), "--claim", "w1:op_s"]) == 1
+    assert calls.count("run.py") == 2 and not (tmp_path / "b" / "layers.txt").exists()
 
 
 def test_pr_evidence_runs_each_tool_in_a_process_of_its_own(tmp_path):
@@ -245,7 +303,7 @@ def test_pr_evidence_runs_each_tool_in_a_process_of_its_own(tmp_path):
     assert out.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [[], ["HEAD~1"]])
+@pytest.mark.parametrize("argv", [[], ["HEAD~1"], ["HEAD~1", "out", "--pairs", "x"]])
 def test_pr_evidence_refuses_a_missing_argument(argv, capsys):
     assert pr_evidence.main(argv) == 2
     assert "usage" in capsys.readouterr().err

@@ -157,3 +157,15 @@ def test_verify_ybe_suite(n, limit):
     p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6)
     report = verify_ybe_suite(p, samples=5, tol=limit, seed=3)
     assert report.passed, [(c.id, c.residual) for c in report.failing()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_r_hat_is_the_swap_conjugate_of_r_exactly(n, gauge):
+    # build_r_hat fills P R P directly with the hop's arguments exchanged;
+    # P has one 1 per row, so the products with it are exact
+    p = ModelParams(n=n, mu=0.41 + 0.05j)
+    swap = permutation_swap(n)
+    for lam in (0.0, 0.3 - 0.1j, -0.7 + 0.2j):
+        conjugated = swap @ build_r(p, lam, gauge) @ swap
+        assert np.array_equal(build_r_hat(p, lam, gauge).mat, conjugated.mat)

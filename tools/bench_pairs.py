@@ -140,13 +140,18 @@ def measure(bench: dict, sides: dict, pairs: int, seconds: float, seed: int) -> 
     return commands, machine, workloads
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC of the claimed gain")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be >= 2, --seconds positive and --seed non-negative")
