@@ -49,20 +49,11 @@ exchanged, the plain (L-1)-site charges on the rest. There the affine charge
 keeps a two-term split. ``cyclic_shift`` stays an independent reference for
 the primed order, and ``charge_block_closed`` holds the closed block forms of
 the primed charges with one evaluated site.
-
-At n = 2 the charge Q_11 peeled from the other end obeys a one-site
-recursion whose eigenvectors are product states (``q11_eigenspaces``).
-Its N + 1 eigenspaces split the Hamiltonian into blocks of side C(N, j)
-(``charge_eigenspace_blocks``), which the spectrum eigensolves one by one.
-Each block is H in the product basis itself, read off H's local terms:
-the product basis is a Gelfand-Tsetlin basis of the nested charges, so U_0
-is diagonal in it and U_l mixes only columns with bits l and l + 1 swapped.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -86,7 +77,6 @@ from .spin_chain import (
     build_double_row,
     build_hamiltonian,
     build_transfer,
-    hamiltonian_terms,
 )
 from .tensor_core import (
     RESIDUAL_FLOOR,
@@ -343,208 +333,6 @@ def _recursive_charges(
     out[n, n] = (join(qx[n, n] + c2 * corners_x, ty.t(n, n) @ ty.t(n, n))
                  + join(corners_x, qy[n, n]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# eigenspaces of Q_11 at n = 2
-# ---------------------------------------------------------------------------
-
-# Smallest relative separation of two Q_11 eigenvalues below which the
-# eigenspaces are not built.
-EIGENSPACE_GAP = 1e-8
-# Smallest sine of the angle between the two eigenvectors of one site step
-# below which the product basis is not built. Near a defective step the basis
-# amplifies rounding, and it does so more the more sites it spans. At
-# mu = 0.15 - 0.1i, zeta = 0.3 - 0.5i, with m = 2 + i delta swept toward the
-# integer, the block eigenvalues leave 1e-11 |lambda|_max + eps ||H||_2 kappa
-# (kappa the eigenvalue's condition number) below a sine of about 5e-4 at
-# N = 4 and 5, 0.004 at N = 6, 0.006 at N = 7 and 0.01 at N = 8 (against
-# 30-digit eigenvalues up to N = 7, the dense eigensolve at N = 8), and not
-# at N = 3 down to 1.8e-4. With m = 1 + i delta the N = 8 crossing is 0.021
-# at mu = 0.41 and 0.035 at mu = 1.1. The gate sits three times above the
-# first point's crossing and under the CLI defaults' 0.091.
-SITE_STEP_SINE = 0.03
-# Largest coefficient of a local term of H off the pattern the charges allow,
-# relative to the term's norm, that the blocks of H accept.
-LEAK_GATE = 1e-9
-
-
-def _site_vectors(params: ModelParams, N: int) -> np.ndarray:
-    """The unit vectors of the site steps of Q_11 at n = 2: entry [k, l, a]
-    is what site k + 1 carries in a column with l <= k ones on the sites
-    before it and bit a on it, (i y, 1) for a = 0 and (1, -i y) for a = 1,
-    normalized, with y = z q^(k - 2l) and z = e^{i mu m}. Entries with l > k
-    are unused. Raises DegenerateParameters where the sine of the angle
-    between a step's two vectors is at most ``SITE_STEP_SINE``: they are
-    parallel at y = +-1, which integer m reaches, and near there the product
-    basis no longer carries the eigenvalues to the blocks' precision."""
-    if params.n != 2:
-        raise ValueError(f"the Q_11 eigenspaces are built for n = 2, got n = {params.n}")
-    q, z = params.q, cmath.exp(1j * params.mu * params.m)
-    k = np.arange(N)[:, None]
-    y = z * q ** (k - 2.0 * np.minimum(k.T, k))  # l > k reads l = k: finite, unused
-    sines = np.abs(y**2 - 1) / (1 + np.abs(y) ** 2)
-    if N and np.min(sines) <= SITE_STEP_SINE:
-        raise DegenerateParameters(
-            f"a site step of Q_11 is (nearly) defective, sine {np.min(sines):.2g}, "
-            f"at mu = {params.mu}, m = {params.m}")
-    one = np.ones_like(y)
-    vectors = np.stack([np.stack([1j * y, one], -1), np.stack([one, -1j * y], -1)], -2)
-    return vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
-
-
-def _label_bits(N: int, label: int) -> np.ndarray:
-    """The bit strings on N sites with ``label`` ones, one per row, in
-    ascending order read with site 1 most significant."""
-    ones = np.array(list(itertools.combinations(range(N), label)), dtype=np.intp)
-    bits = np.zeros((math.comb(N, label), N), dtype=np.intp)
-    np.put_along_axis(bits, ones.reshape(len(bits), label), 1, axis=1)
-    return bits[::-1]  # combinations come in descending order of the strings
-
-
-def q11_eigenspaces(params: ModelParams, N: int):
-    """The eigenspaces of the N-site charge Q_11 at n = 2, as pairs
-    (nu_j, X_j) for j = 0..N: X_j has C(N, j) product-state columns spanning
-    the nu_j-eigenspace, with nu_j = q^N (y_j + 1/y_j), y_j = z q^(N - 2j)
-    and z = e^{i mu m}.
-
-    Peeling off the last site instead of the first, the plain coproduct reads
-    Q_11 = sum_ab Q_ab (x) t_1a t-hat_b1 with the (N-1)-site charges on the
-    rest. At n = 2, Q_12 = Q_21 = -i q^(N-1) are scalars (the (1, n) entry is
-    group-like), no (2, 2) entry enters (K has none), and the one-site words
-    give
-        Q_11^(N) = Q_11^(N-1) (x) diag(q^2, 1) - i w q^N (1 (x) sigma_x),
-    from the empty chain's Q_11^(0) = z + 1/z (so Q_11^(1) is ``eval_Q_rep``
-    at (1, 1)). On x (x) e_1 and x (x) e_2, with Q_11^(k-1) x = nu x, the
-    step is the 2 x 2 matrix [[q^2 nu, b], [b, nu]], b = -i w q^k. Writing
-    nu = q^(k-1) (y + 1/y), its roots are q^k (y q + 1/(y q)) and
-    q^k (y/q + q/y). Label j on k - 1 sites has y = z q^(k-1-2j), so its
-    roots, at y q and y/q, are the labels j and j + 1 on k sites: each root
-    is shared with the neighbouring label's step, and Q_11^(N) has the
-    N + 1 eigenvalues nu_j with multiplicity C(N, j). The
-    eigenvectors of the step are (i y, 1) for the first root and (1, -i y)
-    for the second, whatever q, w and k are. So a column is a product state,
-    one for each bit string c with sum c = j: site k carries the unit
-    vector (i y, 1) if c_k = 0 and (1, -i y) if c_k = 1, with
-    y = z q^(k - 1 - 2 l) and l the number of ones among c_1..c_(k-1)
-    (``_site_vectors``). Columns are in ascending order of c read with
-    site 1 most significant.
-
-    The two vectors of a step are parallel where y = +-1, which integer m
-    reaches: raises DegenerateParameters where ``_site_vectors`` does (near
-    such a step), or where two nu_j are within ``EIGENSPACE_GAP`` of each
-    other relative to the largest. The checks run at the call; each X_j is
-    built as the returned iterator reaches it, so one is held at a time.
-    """
-    vectors = _site_vectors(params, N)
-    labels = np.arange(N + 1)
-    y = cmath.exp(1j * params.mu * params.m) * params.q ** (N - 2.0 * labels)
-    nu = params.q**N * (y + 1 / y)
-    gaps = np.abs(nu[:, None] - nu[None, :])[np.triu_indices(N + 1, 1)]
-    if gaps.size and np.min(gaps) <= EIGENSPACE_GAP * np.max(np.abs(nu)):
-        raise DegenerateParameters(
-            f"two eigenvalues of Q_11 coincide at mu = {params.mu}, m = {params.m}")
-    return ((complex(nu[j]), _product_basis(vectors, _label_bits(N, j))) for j in labels)
-
-
-def _product_basis(vectors: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The product states of ``_site_vectors`` for the rows of ``bits``, one
-    column each, grown one site at a time."""
-    ones = np.zeros(len(bits), dtype=np.intp)
-    x = np.ones((1, len(bits)), dtype=np.complex128)
-    for k in range(bits.shape[1]):
-        vec = vectors[k, ones, bits[:, k]].T
-        x = (x[:, None, :] * vec).reshape(-1, len(bits))
-        ones += bits[:, k]
-    return x
-
-
-# The coefficients of a bulk term on w_ab, (a, b) read as 2a + b, that the
-# charges allow: w_00 and w_11 are kept, w_01 and w_10 mix with each other.
-_BULK_PATTERN = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool)
-
-
-def _local_coefficients(term: np.ndarray, basis: np.ndarray, pattern: np.ndarray,
-                        what: str, params: ModelParams) -> np.ndarray:
-    """C with term @ basis = basis @ C for each stacked basis, the basis
-    vectors as columns. Raises DegenerateParameters where a coefficient off
-    ``pattern`` exceeds ``LEAK_GATE`` relative to ``frob(term)``."""
-    coef = np.linalg.solve(basis, term @ basis)
-    leak = np.max(np.linalg.norm(np.where(pattern, 0, coef), axis=(-2, -1)), initial=0.0)
-    leak /= max(frob(term), RESIDUAL_FLOOR)
-    if not leak <= LEAK_GATE:
-        raise DegenerateParameters(
-            f"the {what} term of H leaks {leak:.2e} out of the Q_11 eigenspaces "
-            f"at mu = {params.mu}, m = {params.m}")
-    return coef
-
-
-def charge_eigenspace_blocks(spec: ChainSpec) -> list[np.ndarray]:
-    """H on each eigenspace of Q_11 at n = 2, one block of side C(N, j) per
-    label j, in label order: B_j = X_j^-1 H X_j in the product basis X_j of
-    ``q11_eigenspaces``, so the blocks' eigenvalues together are H's. Each
-    block is read off H's local terms (``spin_chain.hamiltonian_terms``); no
-    vector on the 2^N-dimensional chain is formed.
-
-    The nested charges Q_11^(k) (x) 1 on the first k sites, k = 1..N, all
-    commute with the boundary Hecke generators on those sites: U_0 and
-    U_1..U_(k-1). By the last-site recursion every column of X_j is an
-    eigenvector of each of them, with the eigenvalue that the number of ones
-    on sites 1..k labels. U_l, on sites (l, l + 1), commutes with every
-    nested charge but the one with k = l: the charges with k < l do not
-    touch its sites, and those with k > l contain it. So U_l keeps the
-    number of ones on every prefix but sites 1..l, and changes only bits l
-    and l + 1; the ones on sites 1..l + 1 are kept, so it maps w_00 and w_11
-    to themselves and mixes w_01 and w_10, where w_ab = v(a; y_l) (x)
-    v(b; y_(l+1)) are the two sites' vectors of ``_site_vectors`` (the
-    second read after l + a ones). The rest of the column is the same in all
-    four. U_0 keeps the count on site 1 alone, so it is diagonal on site 1's
-    two vectors at y = z. Hence:
-
-    * the boundary term contributes its two eigenvalues on v(0; z) and
-      v(1; z) to the diagonal, by the first bit;
-    * on each bond (l, l + 1), for each count of ones before it, one 4 x 4
-      solve writes the bulk term on the four w_ab; a column with bits aa
-      takes the diagonal coefficient, and one with bits 01 or 10 takes the
-      2 x 2 coefficients onto itself and onto the column with the two bits
-      swapped;
-    * the constant adds to the diagonal.
-
-    Each column of B_j thus has at most N nonzeros. The local solves run
-    once for all labels; no eigenvalue of Q_11 needs to differ from another,
-    only each step's two vectors, so roots of unity take this route too.
-    Raises DegenerateParameters where ``_site_vectors`` does (a nearly
-    defective step), or where a local term has a coefficient off that
-    pattern over ``LEAK_GATE`` relative to its norm: the terms leak out of
-    the eigenspaces.
-    """
-    p, N = spec.params, spec.params.sites
-    vectors = _site_vectors(p, N)
-    bulk, boundary, const = hamiltonian_terms(spec)
-    first = _local_coefficients(boundary.mat, vectors[0, 0].T, np.eye(2, dtype=bool),
-                                "boundary", p)
-    # bonds (k, k + 1) of 0-based sites, for l <= k ones before them
-    bond, before = np.tril_indices(N - 1)
-    pairs = (vectors[bond, before][:, :, None, :, None]
-             * vectors[bond[:, None] + 1, before[:, None] + [0, 1]][:, :, :, None, :])
-    coef = np.zeros((N - 1, N - 1, 4, 4), dtype=np.complex128)
-    coef[bond, before] = _local_coefficients(
-        bulk.mat, pairs.reshape(-1, 4, 4).transpose(0, 2, 1), _BULK_PATTERN, "bulk", p)
-    blocks, bonds = [], np.arange(N - 1)
-    for label in range(N + 1):
-        bits = _label_bits(N, label)
-        codes = bits @ (1 << np.arange(N - 1, -1, -1))
-        ones = np.cumsum(bits, axis=1)[:, :-1] - bits[:, :-1]
-        pair = 2 * bits[:, :-1] + bits[:, 1:]
-        block = np.zeros((len(bits), len(bits)), dtype=np.complex128)
-        col, at = np.nonzero(bits[:, :-1] != bits[:, 1:])
-        row = np.searchsorted(codes, codes[col] ^ (3 << (N - 2 - at)))
-        block[row, col] = coef[at, ones[col, at], 3 - pair[col, at], pair[col, at]]
-        block[np.diag_indices(len(bits))] = (
-            const + first[bits[:, 0], bits[:, 0]]
-            + coef[bonds, ones, pair, pair].sum(axis=1))
-        blocks.append(block)
-    return blocks
 
 
 def cyclic_shift(n: int, N: int) -> np.ndarray:

@@ -4,12 +4,13 @@ Two subcommands. ``verify`` runs one suite or all of them at the requested
 parameters and emits VerificationReport JSON (or a text table); the exit code
 is 0 when every check passes, 1 when any fails, 2 on invalid input, 3 on
 output I/O failure. ``spectrum`` diagonalizes the open-chain Hamiltonian
-block by block and reports eigenvalue clusters: at n = 2 one block per
-eigenspace of the boundary charge Q_11, H in its product-state basis read
-off H's local terms (``boundary_charges.charge_eigenspace_blocks``);
-otherwise, and wherever a site step of Q_11 is defective (integer m), one
-per weight sector (``spin_chain.hamiltonian_blocks``); each block is
-eigensolved densely.
+block by block and reports eigenvalue clusters: H commutes with the boundary
+Hecke generators, so it has one block per irreducible module of the type-B
+Hecke algebra, in the module's seminormal basis
+(``hecke_algebra.hecke_blocks``), and each block's eigenvalues count as
+many times as the module occurs; near the algebra's non-semisimple locus,
+where those blocks are refused, one block per weight sector
+(``spin_chain.hamiltonian_blocks``). Each block is eigensolved densely.
 Identical arguments and seed produce byte-identical JSON: timings are
 recorded only under --timings.
 
@@ -33,8 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .boundary_charges import charge_eigenspace_blocks, verify_symmetry_suite
-from .hecke_algebra import verify_hecke_suite
+from .boundary_charges import verify_symmetry_suite
+from .hecke_algebra import hecke_blocks, verify_hecke_suite
 from .params import DegenerateParameters, ModelParams
 from .quantum_algebra import verify_algebra_suite
 from .reflection_k import LeftBoundaryKind, verify_reflection_suite
@@ -49,6 +50,7 @@ from .spin_chain import (
     RIGHT_FAMILIES,
     ChainSpec,
     hamiltonian_blocks,
+    hamiltonian_coefficients,
     hermitian_defect,
     verify_chain_suite,
 )
@@ -287,17 +289,20 @@ def run_verify(settings: dict) -> tuple[int, list]:
     return code, reports
 
 
-def _spectrum_blocks(spec: ChainSpec) -> list[np.ndarray]:
-    """Blocks of H whose eigenvalues together are H's: the Q_11 eigenspace
-    blocks at n = 2, unless a site step of Q_11 is defective or H's local
-    terms leak out of the eigenspaces, and the weight-sector blocks
-    otherwise."""
-    if spec.params.n == 2:
-        try:
-            return charge_eigenspace_blocks(spec)
-        except DegenerateParameters:
-            pass  # the weight-sector route needs no eigenspace of Q_11
-    return [block for _, block in hamiltonian_blocks(spec)]
+def _spectrum_blocks(spec: ChainSpec) -> list[tuple[np.ndarray, int]]:
+    """(block, multiplicity) pairs of H whose eigenvalues, each repeated
+    multiplicity times, together are H's: H = a sum rho(U_l) + b rho(U_0) + c
+    on each seminormal module, or where ``hecke_blocks`` refuses, each weight
+    sector once."""
+    a, b, c = hamiltonian_coefficients(spec)
+    try:
+        blocks = hecke_blocks(spec.params)
+    except DegenerateParameters:
+        return [(block, 1) for _, block in hamiltonian_blocks(spec)]
+    for _, boundary, bulk, _ in blocks:  # weighted in place: one copy of each block
+        bulk *= a
+        bulk[np.diag_indices_from(bulk)] += b * boundary + c
+    return [(bulk, multiplicity) for _, _, bulk, multiplicity in blocks]
 
 
 def run_spectrum(settings: dict) -> SpectrumReport:
@@ -314,7 +319,8 @@ def run_spectrum(settings: dict) -> SpectrumReport:
         defect = hermitian_defect(spec)
     except (ValueError, DegenerateParameters) as exc:
         raise CliError(str(exc))
-    evals = np.concatenate([np.linalg.eigvals(block) for block in blocks])
+    evals = np.concatenate([np.repeat(np.linalg.eigvals(block), multiplicity)
+                            for block, multiplicity in blocks])
     order = np.lexsort((evals.imag, evals.real))
     evals = evals[order]
     clusters = []

@@ -1,4 +1,5 @@
-"""Bulk and boundary Hecke generators and their chain representations.
+"""Bulk and boundary Hecke generators, their chain representations, and the
+irreducible modules of the type-B Hecke algebra they generate.
 
 The bulk generator U acts on C^n (x) C^n,
 
@@ -17,13 +18,22 @@ rescaling the boundary quadratic, the mixed four-term relation and the
 two-term quotient hold with delta0' = -sinh(i mu m)/sinh(i mu) and
 kappa' = sinh(i mu (m-1))/sinh(i mu); the scale-invariant ratio
 delta0/kappa is checked against the unrescaled constants as well.
+
+The chain splits into irreducible modules of that algebra, whose matrices
+are known in closed form in Hoefsmit's seminormal basis
+(``seminormal_modules``); any combination of the generators, such as the
+open Hamiltonian, has one block per module (``hecke_blocks``).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .params import ModelParams
+from .params import DegenerateParameters, ModelParams
 from .reporting import ReportBuilder, VerificationReport
 from .sampling import rng_from_seed, sample_model
 from .tensor_core import (RESIDUAL_FLOOR, Operator, basis_matrix, comm_residual, embed_at,
@@ -34,6 +44,8 @@ __all__ = [
     "rep_bulk",
     "build_boundary_generator",
     "rep_boundary",
+    "seminormal_modules",
+    "hecke_blocks",
     "verify_hecke_suite",
 ]
 
@@ -67,6 +79,148 @@ def rep_boundary(params: ModelParams) -> Operator:
     n, N = params.n, params.sites
     u0 = build_boundary_generator(params)
     return embed_at(u0, [1], [n] * N) * (1.0 / params.boundary_scale)
+
+
+# ---------------------------------------------------------------------------
+# seminormal representation of the type-B Hecke algebra
+# ---------------------------------------------------------------------------
+
+# Smallest |b - a|/|a| over the 2 x 2 blocks of the T_k below which the
+# seminormal blocks are refused. Swept toward the locus against 30-digit
+# eigenvalues (the same blocks in mpmath), the blocks' eigenvalues leave
+# 1e-11 |lambda|_max + eps ||H||_2 kappa (kappa the eigenvalue's condition
+# number in H) between these two separations: at n = 2, zeta = 0.6 and
+# m = 1 + i delta, 2.2e-3 and 4.4e-3 at N = 4, 2.2e-2 and 4.3e-2 at N = 5
+# and 6, 6.4e-2 and 8.4e-2 at N = 7 and 8 (mu = 1.1; at mu = 0.41 below
+# 2.5e-4, 4.9e-3, 1.6e-2, 3.2e-2 and 4.8e-2 for N = 4..8); at (3, 5) with
+# mu = pi/4 + eps, 2.4e-3 and 8.0e-3. The gate sits over every crossing and
+# under the CLI defaults' 0.169. N > 8 is compared with the dense
+# eigensolve only: at N = 9 and 10 the blocks stay within a quarter of the
+# bound at separations 0.17 to 0.33.
+SEMINORMAL_GAP = 0.1
+
+
+class HeckeModule(NamedTuple):
+    """One irreducible module S^(lambda1, lambda2) in Hoefsmit's seminormal
+    basis, one basis vector per standard bitableau: ``jm[t, k - 1]`` is the
+    Jucys-Murphy value L_k on bitableau t, ``generators[k - 1]`` the entry
+    list (rows, cols, vals) of T_k, and ``multiplicity`` the number of
+    copies of the module in (C^n)^N."""
+    label: tuple
+    jm: np.ndarray
+    generators: list
+    multiplicity: int
+
+
+def _bitableaux(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard bitableaux of N boxes whose lambda1 has at most n - 1
+    rows and lambda2 one row, as (words, lengths): word t gives the row of
+    each letter 1..N (rows 0..n-2 are lambda1's, row n-1 is lambda2's), in
+    lexicographic order, and lengths[t] its row lengths. A letter may start
+    a component's first row or go below a longer row of its component."""
+    words = np.zeros((1, 0), dtype=np.intp)
+    lengths = np.zeros((1, n), dtype=np.intp)
+    starts = np.isin(np.arange(n), (0, n - 1))
+    for _ in range(N):
+        word, row = np.nonzero(starts | (np.roll(lengths, 1, axis=1) > lengths))
+        words = np.column_stack([words[word], row])
+        lengths = lengths[word]
+        lengths[np.arange(row.size), row] += 1
+    return words, lengths
+
+
+def _gl_dimension(shape: tuple, a: int) -> int:
+    """dim V_shape(gl_a): the product over the boxes of (a + content)/hook."""
+    cols = [sum(r > j for r in shape) for j in range(shape[0] if shape else 0)]
+    boxes = [(i, j) for i, r in enumerate(shape) for j in range(r)]
+    return (math.prod(a + j - i for i, j in boxes)
+            // math.prod(shape[i] - j + cols[j] - i - 1 for i, j in boxes))
+
+
+def seminormal_modules(params: ModelParams) -> list[HeckeModule]:
+    """The irreducible modules of H_N(q; Q1, Q2) that (C^n)^N holds, in
+    Hoefsmit's seminormal form (Ariki & Koike, Adv. Math. 106 (1994) 216).
+
+    T_l = rho(U_l) + q satisfies (T_l - q)(T_l + 1/q) = 0, and
+    T_0 = 2 sinh(i mu) rho(U_0') + Q1 satisfies (T_0 - Q1)(T_0 - Q2) = 0 and
+    T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0, with Q1 = e^{i mu m} and
+    Q2 = e^{-i mu m}: on one site U_0 has the eigenvalue 0 on an
+    (n - 1)-dimensional kernel and -(Q + 1/Q) once. By Schur-Weyl duality
+    (C^n)^N is the sum of S^(lambda1, lambda2) (x) V_lambda1(gl_(n-1)) over
+    the bipartitions of N with lambda1 of at most n - 1 rows and lambda2 of
+    one row, Q1 labelling lambda1's component. The seminormal basis of S is
+    indexed by the standard bitableaux t. The Jucys-Murphy elements
+    L_1 = T_0, L_(k+1) = T_k L_k T_k act on it diagonally, L_k by
+    Q_c q^(2 content) of the box holding k, c its component; so T_0 is
+    diagonal. T_k is the scalar q where k and k + 1 share a row, -1/q where
+    they share a column, and otherwise, with a = L_k and b = L_(k+1) on t,
+    the 2 x 2 block on (t, s_k t) with diagonal alpha = (q - 1/q) b/(b - a)
+    and delta = -(q - 1/q) a/(b - a), T_k t = alpha t + s_k t where k sits
+    in the earlier row of t, and (alpha delta + 1) s_k t otherwise.
+
+    The denominators b - a vanish on the non-semisimple locus: across the
+    components where e^{2i mu (m + s)} = 1 for an integer s, and inside one
+    (n >= 3 only) where q^(2d) = 1 with 2 <= d < N. Raises
+    DegenerateParameters where some |b - a|/|a| is below
+    ``SEMINORMAL_GAP``, before dividing by it.
+    """
+    n, N, q, w = params.n, params.sites, params.q, params.w
+    z = cmath.exp(1j * params.mu * params.m)
+    words, lengths = _bitableaux(n, N)
+    shapes, group = np.unique(lengths, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    codes = words @ n ** np.arange(N - 1, -1, -1)
+    # the column of a letter is the number of letters before it in its row
+    before = np.cumsum(words[:, :, None] == np.arange(n), axis=1)
+    col = np.take_along_axis(before, words[:, :, None], 2)[:, :, 0] - 1
+    lam1 = words < n - 1  # the letter is in lambda1
+    jm = np.where(lam1, z, 1 / z) * q ** (2 * (col - np.where(lam1, words, 0)))
+    out = []
+    for g, shape in enumerate(shapes):
+        sel = group == g
+        t_words, t_codes, t_col, t_lam1, t_jm = (
+            words[sel], codes[sel], col[sel], lam1[sel], jm[sel])
+        every = np.arange(t_words.shape[0])
+        generators = []
+        for k in range(1, N):
+            r1, r2, a, b = t_words[:, k - 1], t_words[:, k], t_jm[:, k - 1], t_jm[:, k]
+            same_row = r1 == r2
+            same_col = t_lam1[:, k - 1] & t_lam1[:, k] & (t_col[:, k - 1] == t_col[:, k])
+            pair = np.flatnonzero(~(same_row | same_col))
+            a, b, r1, r2 = a[pair], b[pair], r1[pair], r2[pair]
+            gap = np.min(np.abs(b - a) / np.abs(a), initial=np.inf)
+            if not gap >= SEMINORMAL_GAP:
+                raise DegenerateParameters(
+                    f"the Hecke algebra is near its non-semisimple locus, |b - a|/|a| = "
+                    f"{gap:.2g}, at mu = {params.mu}, m = {params.m}")
+            alpha, delta = w * b / (b - a), -w * a / (b - a)
+            diag = np.where(same_row, q, -1 / q)
+            diag[pair] = alpha
+            swapped = t_codes[pair] + (r2 - r1) * (n ** (N - k) - n ** (N - k - 1))
+            generators.append((np.concatenate([every, np.searchsorted(t_codes, swapped)]),
+                               np.concatenate([every, pair]),
+                               np.concatenate([diag, np.where(r1 < r2, 1, alpha * delta + 1)])))
+        label = (tuple(int(r) for r in shape[:-1] if r), tuple(int(r) for r in shape[-1:] if r))
+        out.append(HeckeModule(label, t_jm, generators, _gl_dimension(label[0], n - 1)))
+    return out
+
+
+def hecke_blocks(params: ModelParams) -> list[tuple[tuple, np.ndarray, np.ndarray, int]]:
+    """(label, boundary, bulk, multiplicity) for each ``seminormal_modules``
+    module: ``boundary`` is the diagonal of rho(U_0') = (T_0 - Q1)/(2 sinh(i mu))
+    and ``bulk`` the matrix of sum_l (T_l - q) = sum_l rho(U_l), so any
+    a sum_l rho(U_l) + b rho(U_0') + c acts on the module as
+    a bulk + b diag(boundary) + c."""
+    z = cmath.exp(1j * params.mu * params.m)
+    out = []
+    for module in seminormal_modules(params):
+        side = module.jm.shape[0]
+        bulk = np.zeros((side, side), dtype=np.complex128)
+        for rows, cols, vals in module.generators:
+            bulk[rows, cols] += vals
+        bulk[np.diag_indices(side)] -= (params.sites - 1) * params.q
+        out.append((module.label, (module.jm[:, 0] - z) / params.w, bulk, module.multiplicity))
+    return out
 
 
 # ---------------------------------------------------------------------------

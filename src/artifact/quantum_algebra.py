@@ -493,16 +493,13 @@ def _coproduct_pairs(n: int, label: TElementLabel) -> list:
     raise ValueError(f"no factorized coproduct recorded for {fam.value}")
 
 
-def t_coproduct_sum(
-    params: ModelParams, label: TElementLabel, first_site_lambda=None
-) -> np.ndarray:
+def t_coproduct_sum(first: Tower, second: Tower, label: TElementLabel) -> np.ndarray:
     """Right-hand side of the factorized two-fold coproduct sums: the sum of
-    first (x) second over the label pairs of ``_coproduct_pairs``."""
-    first = Tower(params, 1, first_site_lambda)
-    second = Tower(params, 1)
+    first (x) second over the label pairs of ``_coproduct_pairs``, each leg
+    read from its one-site tower (the first at the first-site lambda)."""
     return sum(
         np.kron(first.t_image(a), second.t_image(b))
-        for a, b in _coproduct_pairs(params.n, label)
+        for a, b in _coproduct_pairs(first.params.n, label)
     )
 
 
@@ -605,23 +602,23 @@ class _LaxFamily:
 
 
 def block_closed_rep(
-    params: ModelParams,
+    tower: Tower,
     which: str,
-    N: int,
     lam: complex,
     index: int | None = None,
 ) -> np.ndarray:
-    """Block-matrix closed forms of (pi_lam (x) pi_0^N) primed coproducts.
+    """Block-matrix closed forms of (pi_lam (x) pi_0^N) primed coproducts,
+    N the site count of ``tower``, whose N-fold images they read.
 
     which: chevalley_e | chevalley_f | cartan_eps, each with a generator
     index in 1..n.
     """
+    params, N = tower.params, tower.L
     n = params.n
     if N < 1:
         raise ValueError("need at least one quantum site")
     q = params.q
     qh = _qpow(params, 0.5)
-    tower = Tower(params, N)
     zero = np.zeros((n**N, n**N), dtype=np.complex128)
     blocks = [[zero] * n for _ in range(n)]
 
@@ -824,8 +821,11 @@ def verify_algebra_suite(
         rb.add(f"algebra.rcheck_comm.s{s}", worst_of(res), tol)
 
     # ---- structural checks (parameter set of the call, once) -------------
+    # one tower per (sites, first-site lambda), shared by every check below
     tower1 = Tower(params, 1)
     tower2 = Tower(params, 2)
+    lam_t = 0.23
+    tower1_at, tower2_at = Tower(params, 1, lam_t), Tower(params, 2, lam_t)
 
     rb.add("algebra.root_pi0", worst_of(
         rel_residual(tower1.root(i, j, hat), basis_matrix(n, i, j))
@@ -887,13 +887,12 @@ def verify_algebra_suite(
                   for j in range(1, n + 1)
                   if i != j and (i < j) == above]
         rb.add(f"algebra.tcop.{fam.value}", worst_of(
-            rel_residual(t_element_rep(params, lab, 2), t_coproduct_sum(params, lab))
+            rel_residual(tower2.t_image(lab), t_coproduct_sum(tower1, tower1, lab))
             for lab in labels
         ), 1e-12)
 
     rb.add("algebra.tcop.affine", worst_of(
-        rel_residual(t_element_rep(params, lab, 2, first_site_lambda=0.23),
-                     t_coproduct_sum(params, lab, first_site_lambda=0.23))
+        rel_residual(tower2_at.t_image(lab), t_coproduct_sum(tower1_at, tower1, lab))
         for lab in (TElementLabel(TElementFamily.t0_n1, n, 1),
                     TElementLabel(TElementFamily.t0hat_1n, 1, n))
     ), 1e-12)
@@ -938,18 +937,18 @@ def verify_algebra_suite(
     # closed-form block matrices against the generic primed coproduct
     res = []
     lamD = 0.29 - 0.17j
-    for N in (1, 2):
+    for tower in (tower1, tower2):
         for i in range(1, n + 1):
             for which, kind in (("chevalley_e", GeneratorKind.E),
                                 ("chevalley_f", GeneratorKind.F)):
-                a = block_closed_rep(params, which, N, lamD, index=i)
-                b = coproduct_rep(params, GeneratorLabel(kind, i), N + 1,
+                a = block_closed_rep(tower, which, lamD, index=i)
+                b = coproduct_rep(params, GeneratorLabel(kind, i), tower.L + 1,
                                   "delta_prime", lamD)
                 res.append(rel_residual(a, b))
             half = coproduct_rep(params,
                                  GeneratorLabel(GeneratorKind.KCARTAN, i),
-                                 N + 1, "delta_prime", lamD)
-            a = block_closed_rep(params, "cartan_eps", N, lamD, index=i)
+                                 tower.L + 1, "delta_prime", lamD)
+            a = block_closed_rep(tower, "cartan_eps", lamD, index=i)
             res.append(rel_residual(a, half @ half))
     rb.add("algebra.blockform", worst_of(res), 1e-11)
 

@@ -28,7 +28,8 @@ and every reader takes that list as it is: ``build_hamiltonian`` densifies
 it, ``hamiltonian_blocks`` densifies one weight sector at a time (H keeps
 the number of sites in each middle state 2..n-1), and ``hermitian_defect``
 coalesces it with its adjoint; only the first forms a d x d matrix.
-The n = 2 charge blocks of ``boundary_charges`` read the local terms alone.
+The spectrum's seminormal blocks read the coefficients
+(``hamiltonian_coefficients``) alone.
 
 The monodromy and the double row are built left to right by right-applying
 their factors with ``tensor_core.apply_right``: each R_{0k} or K factor acts
@@ -269,22 +270,30 @@ def _require_hamiltonian_spec(spec: ChainSpec, what: str) -> None:
         raise ValueError(f"{what} expects the non-diagonal right boundary")
 
 
-def hamiltonian_terms(spec: ChainSpec) -> tuple[Operator, Operator, complex]:
-    """The local terms of the Hecke-form H as (bulk, boundary, c): the bulk
-    term -1/2 rho(U_1) on two sites, which H carries on every bond, the
-    boundary term -sinh^2(i mu)/x(0) rho(U_0) on site 1, and the constant c
-    on the diagonal. The bulk term is built even for one site, where no bond
-    uses it. Raises on a spec the Hamiltonian does not belong to, and
-    DegenerateParameters where x(0) vanishes."""
+def hamiltonian_coefficients(spec: ChainSpec) -> tuple[complex, complex, complex]:
+    """The Hecke-form H = a sum_l rho(U_l) + b rho(U_0) + c as (a, b, c):
+    a = -1/2, b = -sinh^2(i mu)/x(0) and the constant c. Raises on a spec
+    the Hamiltonian does not belong to, and DegenerateParameters where x(0)
+    vanishes."""
     params = spec.params
     _require_hamiltonian_spec(spec, "the Hamiltonian")
     params.require_hamiltonian_ok()
     sh = cmath.sinh(1j * params.mu)
+    return -0.5, -(sh * sh / params.k_diag_x(0.0)), _hamiltonian_constant(params)
+
+
+def hamiltonian_terms(spec: ChainSpec) -> tuple[Operator, Operator, complex]:
+    """The local terms of the Hecke-form H as (bulk, boundary, c): the bulk
+    term a rho(U_1) on two sites, which H carries on every bond, the
+    boundary term b rho(U_0) on site 1, and the constant c on the diagonal,
+    with (a, b, c) the ``hamiltonian_coefficients``. The bulk term is built
+    even for one site, where no bond uses it."""
+    a, b, c = hamiltonian_coefficients(spec)
     # each local term is its generator's representation on the smallest
     # chain that holds it: rho(U_1) on two sites, rho(U_0) on one
-    bulk = rep_bulk(replace(params, sites=2), 1) * -0.5
-    boundary = rep_boundary(replace(params, sites=1)) * -(sh * sh / params.k_diag_x(0.0))
-    return bulk, boundary, _hamiltonian_constant(params)
+    bulk = rep_bulk(replace(spec.params, sites=2), 1) * a
+    boundary = rep_boundary(replace(spec.params, sites=1)) * b
+    return bulk, boundary, c
 
 
 def _hamiltonian_entries(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

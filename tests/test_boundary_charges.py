@@ -12,11 +12,9 @@ import math
 import tracemalloc
 from functools import cache, partial
 
-import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -29,7 +27,6 @@ from artifact.boundary_charges import (
     braid_exchange_residuals,
     build_boundary_charges,
     charge_block_closed,
-    charge_eigenspace_blocks,
     coproduct_charges,
     cyclic_shift,
     degeneracy_witness,
@@ -37,7 +34,6 @@ from artifact.boundary_charges import (
     eval_Q_rep,
     exchange_relation_residuals,
     principal_asymptotic_residual,
-    q11_eigenspaces,
     verify_symmetry_suite,
 )
 from artifact.params import DegenerateParameters
@@ -48,8 +44,9 @@ from artifact.quantum_algebra import (
     t_element_rep,
 )
 from artifact.reflection_k import build_k_explicit
-from artifact.spin_chain import ChainSpec, build_hamiltonian
-from artifact.tensor_core import Operator, basis_matrix, frob, rel_residual
+from artifact.hecke_algebra import hecke_blocks
+from artifact.spin_chain import ChainSpec, build_hamiltonian, hamiltonian_coefficients
+from artifact.tensor_core import rel_residual
 from artifact.yang_baxter import Gauge
 
 P31 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=1)
@@ -492,7 +489,7 @@ def test_suite_green_n2():
 
 
 # ---------------------------------------------------------------------------
-# eigenspaces of Q_11 at n = 2
+# Q_11 at n = 2 by the last-site recursion
 # ---------------------------------------------------------------------------
 
 # (mu, m, zeta): the defaults, a complex mu, and a large mu with complex m
@@ -518,6 +515,30 @@ def test_q11_last_site_recursion_matches_the_products(mu, m, zeta):
         assert rel_residual(_q11_by_last_site(p, L), want) <= 1e-13, L
 
 
+@pytest.mark.parametrize("mu, m, zeta", Q11_POINTS)
+def test_q11_eigenspaces_are_eigenspaces(mu, m, zeta):
+    # Q_11 on L sites has the eigenvalue nu_j = q^L (y + 1/y), y = e^{i mu m}
+    # q^(L - 2j), on C(L, j) dimensions, and H, which commutes with it, acts
+    # on that eigenspace as on the n = 2 seminormal module ((L - j), (j))
+    for L in range(1, 7):
+        p = ModelParams(n=2, mu=mu, m=m, zeta=zeta, sites=L)
+        spec = ChainSpec(p)
+        q11, h = _q11_by_last_site(p, L), build_hamiltonian(spec).mat
+        a, b, c = hamiltonian_coefficients(spec)
+        blocks = {label: a * bulk + np.diag(b * boundary + c)
+                  for label, boundary, bulk, _ in hecke_blocks(p)}
+        for j in range(L + 1):
+            y = cmath.exp(1j * mu * m) * p.q ** (L - 2 * j)
+            _, sv, vh = np.linalg.svd(q11 - p.q**L * (y + 1 / y) * np.eye(2**L))
+            space = vh[sv <= 1e-10 * sv[0]].conj().T
+            assert space.shape[1] == math.comb(L, j), (L, j)
+            block = blocks[tuple(r for r in (L - j,) if r), tuple(r for r in (j,) if r)]
+            got = np.linalg.eigvals(space.conj().T @ h @ space)
+            want = np.linalg.eigvals(block)
+            i, k = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+            assert np.max(np.abs(got[i] - want[k])) <= 1e-11 * np.linalg.norm(h), (L, j)
+
+
 def _coord(lo, hi):
     return st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi))
 
@@ -540,123 +561,3 @@ def _n2_model(draw):
 def test_q11_last_site_recursion_over_the_sampling_boxes(p):
     want = build_boundary_charges(p, p.sites).entries[1, 1].mat
     assert rel_residual(_q11_by_last_site(p, p.sites), want) <= 1e-13
-
-
-@pytest.mark.parametrize("mu, m, zeta", Q11_POINTS)
-def test_q11_eigenspaces_are_eigenspaces(mu, m, zeta):
-    for L in range(1, 9):
-        p = ModelParams(n=2, mu=mu, m=m, zeta=zeta, sites=L)
-        q11 = _q11_by_last_site(p, L)
-        scale = np.linalg.norm(q11)
-        spaces = list(q11_eigenspaces(p, L))
-        assert [x.shape for _, x in spaces] == [(2**L, math.comb(L, j)) for j in range(L + 1)]
-        for nu, x in spaces:
-            assert np.linalg.norm(q11 @ x - nu * x) <= 1e-12 * scale * np.linalg.norm(x), L
-        # the labels' spaces together span the whole chain
-        assert np.linalg.matrix_rank(np.hstack([x for _, x in spaces])) == 2**L
-
-
-@pytest.mark.parametrize("mu, m", [(0.41, 0.0), (0.41, 1.0), (0.7, 2.0),
-                                   (0.15 - 0.1j, 2 + 0.001953125j)])
-def test_q11_eigenspaces_refuse_integer_m(mu, m):
-    # a site step is defective where z q^(k - 2l) = +-1, which integer m
-    # reaches, and nearly so next to it (the last point's sine is 3.5e-4)
-    p = ModelParams(n=2, mu=mu, m=m, zeta=0.6, sites=6)
-    with pytest.raises(DegenerateParameters, match="defective"):
-        q11_eigenspaces(p, 6)
-
-
-def test_q11_eigenspaces_refuse_coinciding_labels():
-    # at q^6 = 1 the steps stay regular, but y_0 = z q^3 = z q^-3 = y_3
-    p = ModelParams(n=2, mu=math.pi / 3, m=0.9 + 0.2j, zeta=0.6, sites=3)
-    with pytest.raises(DegenerateParameters, match="coincide"):
-        q11_eigenspaces(p, 3)
-
-
-def test_q11_eigenspaces_are_for_n_two():
-    with pytest.raises(ValueError, match="n = 2"):
-        q11_eigenspaces(P32, 2)
-
-
-def test_charge_eigenspace_blocks_carry_the_spectrum():
-    p = ModelParams(n=2, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=5)
-    blocks = charge_eigenspace_blocks(ChainSpec(p))
-    assert [b.shape[0] for b in blocks] == [math.comb(5, j) for j in range(6)]
-    h = build_hamiltonian(ChainSpec(p)).mat
-    assert abs(sum(np.trace(b) for b in blocks) - np.trace(h)) <= 1e-13 * np.linalg.norm(h)
-
-
-@pytest.mark.parametrize("mu, m, zeta", Q11_POINTS)
-def test_charge_eigenspace_blocks_are_h_in_the_product_basis(mu, m, zeta):
-    # H X_j = X_j B_j with the dense H and the q11_eigenspaces basis, and B_j
-    # keeps the local pattern: the diagonal plus one swap per unequal bond
-    for N in range(1, 7):
-        p = ModelParams(n=2, mu=mu, m=m, zeta=zeta, sites=N)
-        h = build_hamiltonian(ChainSpec(p)).mat
-        blocks = charge_eigenspace_blocks(ChainSpec(p))
-        for (_, x), block in zip(q11_eigenspaces(p, N), blocks, strict=True):
-            hx = h @ x
-            assert np.linalg.norm(hx - x @ block) <= 1e-12 * np.linalg.norm(hx), N
-            assert np.max(np.count_nonzero(block, axis=0)) <= N
-
-
-def test_charge_eigenspace_blocks_form_no_chain_sized_array():
-    # at N = 11 one 2^N-row basis of the largest label takes 2048 x 462 x 16 B
-    # = 15 MB; beyond the blocks it returns, the route holds a block at most
-    N = 11
-    p = ModelParams(n=2, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=N)
-    tracemalloc.start()
-    try:
-        blocks = charge_eigenspace_blocks(ChainSpec(p))
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(b.nbytes for b in blocks) <= held
-    assert peak - held < 2**N * math.comb(N, N // 2) * 16 / 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(_n2_model())
-@example(ModelParams(n=2, mu=0.15, m=0.3 + 0.25j, zeta=0.3, sites=4))
-@example(ModelParams(n=2, mu=0.94921875, m=2 + 5.960464477539063e-08j, zeta=2 - 0.5j, sites=3))
-@example(ModelParams(n=2, mu=0.15 - 0.1j, m=2 + 0.001953125j, zeta=0.3 - 0.5j, sites=4))
-def test_charge_eigenspace_blocks_carry_the_dense_eigenvalues(p):
-    try:
-        blocks = charge_eigenspace_blocks(ChainSpec(p))
-    except DegenerateParameters:
-        assume(False)  # a (nearly) defective site step, m near an integer
-    h = build_hamiltonian(ChainSpec(p)).mat
-    dense, left, right = scipy.linalg.eig(h, left=True, right=True)
-    # H is far from normal in places (||H||_2 = 37 with |eigenvalues| <= 3 at
-    # mu = 0.15, m = 0.3 + 0.25i, zeta = 0.3, N = 4), and there the blocks,
-    # formed in double precision, may err by eps ||H||_2 kappa_i, kappa_i the
-    # condition number of the i-th eigenvalue. The dense eigensolve errs by as
-    # much and, by a nearly defective pair, by more (6.9e-9 against an
-    # estimate of 3.1e-9 at mu = 0.949, m = 2 + 6e-8i, zeta = 2 - 0.5i,
-    # N = 3, where the blocks err by 7e-10), so it lends only kappa and the
-    # eigenvalues come from a 30-digit eigensolve
-    kappa = (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
-             / np.abs(np.sum(left.conj() * right, axis=0)))
-    with mpmath.workdps(30):
-        exact = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(h.tolist()),
-                                                          left=False, right=False)])
-    _, d = linear_sum_assignment(np.abs(exact[:, None] - dense[None, :]))
-    bound = 1e-11 * np.max(np.abs(exact)) + np.finfo(float).eps * np.linalg.norm(h, 2) * kappa[d]
-    got = np.concatenate([np.linalg.eigvals(block) for block in blocks])
-    i, j = linear_sum_assignment(np.abs(exact[:, None] - got[None, :]))
-    assert np.all(np.abs(exact[i] - got[j]) <= bound[i])
-
-
-def test_charge_eigenspace_blocks_refuse_a_leak(monkeypatch):
-    # the bulk term plus a small |11><00| no longer commutes with the charges
-    terms = boundary_charges.hamiltonian_terms
-
-    def broken(spec):
-        bulk, boundary, const = terms(spec)
-        kick = Operator(1e-6 * frob(bulk) * basis_matrix(4, 4, 1), bulk.dims)
-        return bulk + kick, boundary, const
-
-    monkeypatch.setattr(boundary_charges, "hamiltonian_terms", broken)
-    p = ModelParams(n=2, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)
-    with pytest.raises(DegenerateParameters, match="leaks"):
-        charge_eigenspace_blocks(ChainSpec(p))

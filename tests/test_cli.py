@@ -332,7 +332,7 @@ def test_spectrum_forms_no_dense_hamiltonian(monkeypatch):
             monkeypatch.setattr(module, "embed_at", local_only)
     report = cli.run_spectrum(dict(cli.DEFAULTS, n=3, sites=4))
     assert report.total_multiplicity == len(report.eigenvalues) == 81
-    # n = 2 takes the charge eigenspaces, not its one weight sector
+    # n = 2 takes the seminormal blocks, not its one weight sector
     monkeypatch.setattr(cli, "hamiltonian_blocks", refuse)
     report = cli.run_spectrum(dict(cli.DEFAULTS, n=2, sites=6))
     assert report.total_multiplicity == len(report.eigenvalues) == 64
@@ -353,33 +353,46 @@ def _worst_move(got, want):
 
 
 def _weight_sector_report(monkeypatch, settings):
-    def degenerate(spec):
+    def degenerate(params):
         raise DegenerateParameters("weight-sector route forced")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "charge_eigenspace_blocks", degenerate)
+        patch.setattr(cli, "hecke_blocks", degenerate)
         return cli.run_spectrum(settings)
 
 
-@pytest.mark.parametrize("mu, m, zeta", [
-    (0.41, 0.9 + 0.2j, 0.6), (0.3 + 0.2j, 1.5, 0.25), (1.1, -0.4 + 0.7j, 0.25)])
-@pytest.mark.parametrize("sites", range(1, 9))
-def test_spectrum_at_n2_matches_the_dense_eigensolve(monkeypatch, sites, mu, m, zeta):
-    settings = dict(cli.DEFAULTS, n=2, sites=sites, mu=mu, m=m, zeta=zeta)
-    returned = []
-    inner = cli.charge_eigenspace_blocks
+SPECTRUM_POINTS = [(0.41, 0.9 + 0.2j, 0.6), (0.3 + 0.2j, 1.5, 0.25), (1.1, -0.4 + 0.7j, 0.25)]
 
-    def charge_blocks(spec):
-        returned.append(inner(spec))
+
+def _check_block_route(monkeypatch, settings):
+    """The spectrum takes the seminormal blocks, and matches the dense
+    eigensolve and the weight sectors' cluster multiplicities."""
+    returned = []
+    inner = cli.hecke_blocks
+
+    def blocks(params):
+        returned.append(inner(params))
         return returned[-1]
 
-    monkeypatch.setattr(cli, "charge_eigenspace_blocks", charge_blocks)
+    monkeypatch.setattr(cli, "hecke_blocks", blocks)
     report = cli.run_spectrum(settings)
-    assert len(returned) == 1  # the charge route, not the fallback
+    assert len(returned) == 1  # the block route, not the fallback
     assert _worst_move(report.eigenvalues, _dense_spectrum(settings)) <= 1e-11
     dense = _weight_sector_report(monkeypatch, settings)
     assert [c["multiplicity"] for c in report.clusters] == [
         c["multiplicity"] for c in dense.clusters]
+
+
+@pytest.mark.parametrize("mu, m, zeta", SPECTRUM_POINTS)
+@pytest.mark.parametrize("sites", range(1, 9))
+def test_spectrum_at_n2_matches_the_dense_eigensolve(monkeypatch, sites, mu, m, zeta):
+    _check_block_route(monkeypatch, dict(cli.DEFAULTS, n=2, sites=sites, mu=mu, m=m, zeta=zeta))
+
+
+@pytest.mark.parametrize("mu, m, zeta", SPECTRUM_POINTS)
+@pytest.mark.parametrize("n, sites", [(3, s) for s in range(1, 6)] + [(4, s) for s in range(1, 5)])
+def test_spectrum_at_n3_and_n4_matches_the_dense_eigensolve(monkeypatch, n, sites, mu, m, zeta):
+    _check_block_route(monkeypatch, dict(cli.DEFAULTS, n=n, sites=sites, mu=mu, m=m, zeta=zeta))
 
 
 def test_spectrum_at_n2_reaches_ten_sites():
@@ -391,7 +404,9 @@ def test_spectrum_at_n2_reaches_ten_sites():
 
 @pytest.mark.parametrize("sites", range(3, 9))
 def test_spectrum_at_a_root_of_unity_takes_the_charge_route(monkeypatch, sites):
-    # at q^6 = 1 labels of Q_11 coincide, but no site step is defective
+    # q^6 = 1, but at n = 2 no component has two rows, so no separation
+    # b - a of the seminormal blocks is q^(2d) - 1; at n = 2 the blocks are
+    # H on the eigenspaces of the charge Q_11
     settings = dict(cli.DEFAULTS, n=2, sites=sites, mu=math.pi / 3)
 
     def refuse(spec):
@@ -405,8 +420,9 @@ def test_spectrum_at_a_root_of_unity_takes_the_charge_route(monkeypatch, sites):
 @pytest.mark.parametrize("mu, m", [(0.41, 0), (0.41, 1), (0.7, 2),
                                    (0.15 - 0.1j, 2 + 0.001953125j)])
 def test_spectrum_at_integer_m_takes_the_weight_sectors(monkeypatch, mu, m):
-    # the Q_11 eigenspaces are degenerate there (nearly so at the last
-    # point), so the one weight sector of n = 2 is eigensolved whole
+    # e^{2i mu (m - s)} = 1 across the components there (nearly so at the
+    # last point), so the seminormal blocks are refused and the one weight
+    # sector of n = 2 is eigensolved whole
     settings = dict(cli.DEFAULTS, n=2, sites=6, mu=mu, m=m)
     calls = []
     inner = cli.hamiltonian_blocks

@@ -408,7 +408,7 @@ def test_factorized_coproduct_matches_homomorphism():
     assert rel_residual(lhs, acc) < 1e-13
     # and the module's own sum helper agrees
     assert rel_residual(
-        lhs, t_coproduct_sum(P3, TElementLabel(TElementFamily.t, 1, 3))
+        lhs, t_coproduct_sum(Tower(P3), Tower(P3), TElementLabel(TElementFamily.t, 1, 3))
     ) < 1e-13
 
 
@@ -416,7 +416,7 @@ def test_affine_coproduct_sum():
     lam = 0.27
     lab = TElementLabel(TElementFamily.t0hat_1n, 1, 3)
     direct = t_element_rep(P3, lab, L=2, first_site_lambda=lam)
-    via_sum = t_coproduct_sum(P3, lab, first_site_lambda=lam)
+    via_sum = t_coproduct_sum(Tower(P3, 1, lam), Tower(P3), lab)
     assert rel_residual(direct, via_sum) < 1e-13
 
 
@@ -471,12 +471,12 @@ def test_lax_hat_inverse_and_degenerate():
 def test_block_closed_chevalley_blocks():
     lam = 0.23 + 0.19j
     # non-affine raising: diagonal blocks dressed at slots i, i+1
-    got = block_closed_rep(P3, "chevalley_e", 2, lam, index=1)
+    got = block_closed_rep(Tower(P3, 2), "chevalley_e", lam, index=1)
     want = coproduct_rep(P3, GeneratorLabel(GeneratorKind.E, 1), 3,
                          "delta_prime", lam)
     assert rel_residual(got, want) < 1e-13
     # affine: corner block carries e^{-2 lambda}
-    got = block_closed_rep(P3, "chevalley_e", 2, lam, index=3)
+    got = block_closed_rep(Tower(P3, 2), "chevalley_e", lam, index=3)
     want = coproduct_rep(P3, GeneratorLabel(GeneratorKind.E, 3), 3,
                          "delta_prime", lam)
     assert rel_residual(got, want) < 1e-13
@@ -489,16 +489,16 @@ def test_block_closed_chevalley_blocks():
 
 def test_block_closed_cartan_and_errors():
     lam = 0.4
-    got = block_closed_rep(P3, "cartan_eps", 1, lam, index=2)
+    got = block_closed_rep(Tower(P3), "cartan_eps", lam, index=2)
     half = coproduct_rep(P3, GeneratorLabel(GeneratorKind.KCARTAN, 2), 2,
                          "delta_prime", lam)
     assert rel_residual(got, half @ half) < 1e-13
     with pytest.raises(ValueError):
-        block_closed_rep(P3, "chevalley_e", 1, lam)  # missing index
+        block_closed_rep(Tower(P3), "chevalley_e", lam)  # missing index
     with pytest.raises(ValueError):
-        block_closed_rep(P3, (1, 1), 1, lam)  # a charge position, not a generator form
+        block_closed_rep(Tower(P3), (1, 1), lam)  # a charge position, not a generator form
     with pytest.raises(ValueError):
-        block_closed_rep(P3, "nonsense", 1, lam)
+        block_closed_rep(Tower(P3), "nonsense", lam)
 
 
 def test_intertwining_cross_gauge_fails():

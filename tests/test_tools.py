@@ -158,7 +158,7 @@ def test_bench_pairs_runs_this_checkouts_benchmark():
 
 def test_report_matrix_names_every_report_once(tmp_path):
     names = [name for name, _ in report_matrix.runs(tmp_path / "matrix.cfg")]
-    assert len(names) == 30
+    assert len(names) == 31
     assert len(set(names)) == len(names)
 
 
@@ -185,7 +185,7 @@ def test_report_matrix_writes_the_rest_when_one_run_fails(tmp_path, monkeypatch,
     names = {name for name, _ in report_matrix.runs(outdir / "matrix.cfg")}
     assert written == names - {failing}
     captured = capsys.readouterr()
-    assert "29 of 30 reports written" in captured.out
+    assert "30 of 31 reports written" in captured.out
     assert "exit 2: " in captured.err and "refused" in captured.err
 
 

@@ -1,4 +1,4 @@
-"""Write the byte-identity matrix of one checkout: 22 verify and 8 spectrum reports.
+"""Write the byte-identity matrix of one checkout: 22 verify and 9 spectrum reports.
 
     python3 tools/report_matrix.py OUTDIR
 
@@ -13,9 +13,11 @@ The verify reports are seeds 0-2 times seven settings: the defaults, three
 other (n, sites), a one-sample symmetry run at (3, 5), the transpose-shift
 left boundary and the principal gauge; one more verify run reads
 ``CONFIG``, written into OUTDIR, and overrides its sites by a flag. The
-spectrum reports are seven sizes at the defaults and (2, 5) at m = 1, where
-the n = 2 charge eigenspaces are degenerate and the weight-sector route is
-taken.
+spectrum reports are seven sizes at the defaults and two points on the
+non-semisimple locus of the type-B Hecke algebra, where the seminormal
+blocks are refused and the weight-sector route is taken: (2, 5) at m = 1,
+where the components' Jucys-Murphy values meet, and (3, 5) at mu = pi/4,
+where q^8 = 1 inside one component.
 
 The exit code is 0 when every run exited 0, and 1 otherwise; a run that
 fails prints its command and stderr.
@@ -55,6 +57,8 @@ def runs(config: Path) -> list[tuple[str, list[str]]]:
     out += [(f"spectrum_n{n}_sites{sites}", ["spectrum", "--n", str(n), "--sites", str(sites)])
             for n, sites in SPECTRUM_SIZES]
     out.append(("spectrum_n2_sites5_m1", ["spectrum", "--n", "2", "--sites", "5", "--m", "1"]))
+    out.append(("spectrum_n3_sites5_mu_pi4",
+                ["spectrum", "--n", "3", "--sites", "5", "--mu", "0.7853981633974483"]))
     return out
 
 
