@@ -28,7 +28,8 @@ lam moderate and avoids subtractive loss between grades of very different
 size.
 
 Every tower entry, generator coproduct and Cartan square on a given site
-count and first-site lambda is read from one ``quantum_algebra.Tower``. A
+count and first-site lambda (a plain value, 0.0 unless given, as in every
+builder here) is read from one ``quantum_algebra.Tower``. A
 ``ChargeSet`` carries the tower its charges were read from, so every check
 on the charge set (exchange relations, the affine defect, the block closed
 forms, the braid exchange) reads the same images. The coproduct recursion
@@ -154,7 +155,7 @@ class ChargeSet:
 
 
 def build_boundary_charges(
-    params: ModelParams, N: int, first_site_lambda: complex | None = None
+    params: ModelParams, N: int, first_site_lambda: complex = 0.0
 ) -> ChargeSet:
     """Assemble the full charge set as the product T+ K T-hat of one ``Tower``.
 
@@ -264,7 +265,7 @@ def coproduct_charges(
     L: int,
     which: tuple,
     variant: str = "delta",
-    first_site_lambda: complex | None = None,
+    first_site_lambda: complex = 0.0,
 ) -> np.ndarray:
     """Charge on L sites through the one-site splitting of the coproduct.
 
@@ -287,8 +288,8 @@ def _recursive_charges(
     params: ModelParams,
     L: int,
     variant: str,
-    first_site_lambda: complex | None,
-    tower: Callable[[int, complex | None], Tower],
+    first_site_lambda: complex,
+    tower: Callable[[int, complex], Tower],
     affine_only: bool = False,
 ) -> dict:
     """Every charge on L sites, by position, through the reflection algebra's
@@ -307,14 +308,13 @@ def _recursive_charges(
     (n, n) charge of the rest, so it carries that one down.
     """
     n = params.n
-    lam0 = 0.0 if first_site_lambda is None else first_site_lambda
     positions = ((n, n),) if affine_only else _charge_positions(n)
-    one = {pos: eval_Q_rep(params, pos, lam0) for pos in positions}
+    one = {pos: eval_Q_rep(params, pos, first_site_lambda) for pos in positions}
     if L == 1:
         return one
-    below = _recursive_charges(params, L - 1, "delta", None, tower,
+    below = _recursive_charges(params, L - 1, "delta", 0.0, tower,
                                affine_only=affine_only or variant == "delta")
-    first, rest = tower(1, first_site_lambda), tower(L - 1, None)
+    first, rest = tower(1, first_site_lambda), tower(L - 1, 0.0)
     if variant == "delta":
         (qx, tx), (qy, ty), join = (one, first), (below, rest), np.kron
     else:
@@ -846,12 +846,12 @@ def verify_symmetry_suite(
     rec_tower = cache(partial(Tower, p))
     shift = cyclic_shift(n, N)
     shift_inv = shift.T  # permutation, so the transpose inverts it
-    plain = _recursive_charges(p, N, "delta", None, rec_tower)
+    plain = _recursive_charges(p, N, "delta", 0.0, rec_tower)
     res = worst_of(sym_residual(plain[pos], charges.charge(pos))
                    for pos in _charge_positions(n))
     rb.add("symmetry.recursion", res, 1e-11)
 
-    primed = _recursive_charges(p, N, "delta_prime", None, rec_tower)
+    primed = _recursive_charges(p, N, "delta_prime", 0.0, rec_tower)
     res = worst_of(sym_residual(primed[pos], shift @ charges.charge(pos) @ shift_inv)
                    for pos in _charge_positions(n))
     rb.add("symmetry.recursion_prime", res, 1e-11)

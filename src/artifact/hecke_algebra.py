@@ -86,18 +86,19 @@ def rep_boundary(params: ModelParams) -> Operator:
 # ---------------------------------------------------------------------------
 
 # Smallest |b - a|/|a| over the 2 x 2 blocks of the T_k below which the
-# seminormal blocks are refused. Swept toward the locus against 30-digit
-# eigenvalues (the same blocks in mpmath), the blocks' eigenvalues leave
-# 1e-11 |lambda|_max + eps ||H||_2 kappa (kappa the eigenvalue's condition
-# number in H) between these two separations: at n = 2, zeta = 0.6 and
-# m = 1 + i delta, 2.2e-3 and 4.4e-3 at N = 4, 2.2e-2 and 4.3e-2 at N = 5
-# and 6, 6.4e-2 and 8.4e-2 at N = 7 and 8 (mu = 1.1; at mu = 0.41 below
+# seminormal blocks are refused, by site count. Against 30-digit eigenvalues
+# of the same blocks (mpmath), the blocks' eigenvalues leave 1e-11
+# |lambda|_max + eps ||H||_2 kappa (kappa the eigenvalue's condition number
+# in H) between these two separations: at n = 2, zeta = 0.6, m = 1 + i delta,
+# 2.2e-3 and 4.4e-3 at N = 4, 2.2e-2 and 4.3e-2 at N = 5 and 6, 6.4e-2 and
+# 8.4e-2 at N = 7 and 8, 0.15 and 0.16 at N = 9 (mu = 1.1; at mu = 0.41 below
 # 2.5e-4, 4.9e-3, 1.6e-2, 3.2e-2 and 4.8e-2 for N = 4..8); at (3, 5) with
 # mu = pi/4 + eps, 2.4e-3 and 8.0e-3. The gate sits over every crossing and
-# under the CLI defaults' 0.169. N > 8 is compared with the dense
-# eigensolve only: at N = 9 and 10 the blocks stay within a quarter of the
-# bound at separations 0.17 to 0.33.
-SEMINORMAL_GAP = 0.1
+# under the CLI defaults' 0.169. N >= 10 is unmeasured against 30 digits; at
+# N = 10 the blocks stay within a quarter of the dense eigensolve's bound at
+# separations 0.17 to 0.33.
+def _seminormal_gap(sites: int) -> float:
+    return 0.1 if sites <= 8 else 0.16
 
 
 class HeckeModule(NamedTuple):
@@ -162,7 +163,7 @@ def seminormal_modules(params: ModelParams) -> list[HeckeModule]:
     components where e^{2i mu (m + s)} = 1 for an integer s, and inside one
     (n >= 3 only) where q^(2d) = 1 with 2 <= d < N. Raises
     DegenerateParameters where some |b - a|/|a| is below
-    ``SEMINORMAL_GAP``, before dividing by it.
+    ``_seminormal_gap(N)``, before dividing by it.
     """
     n, N, q, w = params.n, params.sites, params.q, params.w
     z = cmath.exp(1j * params.mu * params.m)
@@ -189,7 +190,7 @@ def seminormal_modules(params: ModelParams) -> list[HeckeModule]:
             pair = np.flatnonzero(~(same_row | same_col))
             a, b, r1, r2 = a[pair], b[pair], r1[pair], r2[pair]
             gap = np.min(np.abs(b - a) / np.abs(a), initial=np.inf)
-            if not gap >= SEMINORMAL_GAP:
+            if not gap >= _seminormal_gap(N):
                 raise DegenerateParameters(
                     f"the Hecke algebra is near its non-semisimple locus, |b - a|/|a| = "
                     f"{gap:.2g}, at mu = {params.mu}, m = {params.m}")
@@ -227,6 +228,13 @@ def hecke_blocks(params: ModelParams) -> list[tuple[tuple, np.ndarray, np.ndarra
 # relation suite
 # ---------------------------------------------------------------------------
 
+# Smallest |kappa'| and |delta0'| (0 at m = 1 and m = 0) of the caller's
+# parameters that the suite checks: near 0 the quotient relations cancel.
+# Swept at N = 2, 3, n = 2..4 and four directions of m, the last failing
+# |kappa'| is 4.0e-6 at mu = 0.41 and 1.3e-6 at mu = 1.1, the last failing
+# |delta0'| 1.3e-6 and 5.0e-7; every point from 5.0e-6 on passes.
+BOUNDARY_CONSTANT_GAP = 1e-5
+
 
 def verify_hecke_suite(
     params: ModelParams,
@@ -238,11 +246,16 @@ def verify_hecke_suite(
 
     The rank and site count come from `params`; the deformation and boundary
     parameters are resampled per instance so the relations are exercised at
-    generic points, with `params` itself as instance s0.
+    generic points, with `params` itself as instance s0, which is refused
+    (DegenerateParameters) under ``BOUNDARY_CONSTANT_GAP``.
     """
     n, N = params.n, params.sites
     if N < 2:
         raise ValueError("relation suite needs at least two sites")
+    for name, value in (("kappa'", params.kappa_rescaled), ("delta0'", params.delta0_rescaled)):
+        if not abs(value) >= BOUNDARY_CONSTANT_GAP:
+            raise DegenerateParameters(f"the hecke relations cancel: |{name}| = {abs(value):.1e}"
+                                       f" is under BOUNDARY_CONSTANT_GAP = {BOUNDARY_CONSTANT_GAP}")
     rng = rng_from_seed(seed)
     rb = ReportBuilder(
         "hecke",

@@ -25,15 +25,15 @@ Conventions that the checks pin down empirically:
 
 Everything is realized as plain arrays on (C^n)^{(x) L}, except the Lax
 operators, which the chain embeds and so are ``Operator``s; the first tensor
-slot optionally carries the spectral parameter, all the others sit at 0.
+slot carries a spectral parameter, 0.0 unless given, and the others sit at 0.
 A ``Tower`` fixes (params, L, first-site lambda), always in the homogeneous
 gradation, and builds each plain generator coproduct, root element and tower
 entry once; above ``CSR_ABOVE`` rows it stores each as a ``tensor_core``
 entry list, built from its entries, never from a dense array, and sums,
 multiplies and densifies them with ``tensor_core``'s functions. Its public
 reads and product sums are dense arrays, each written once. Every L-site
-image any module reads comes from one, and ``t_element_rep`` is its one-shot
-wrapper.
+image any module reads comes from one, and ``LaxFamily`` reads the Lax
+operators off a one-site tower.
 The checks that compare independent routes call ``coproduct_rep`` (both
 orders) and ``_coproduct_recursive`` directly. ``intertwine_residual`` is the
 linear intertwining relation Delta'(g) X = X Delta(g), written once for R,
@@ -80,10 +80,8 @@ __all__ = [
     "Tower",
     "eval_generator",
     "coproduct_rep",
-    "t_element_rep",
     "t_coproduct_sum",
-    "build_lax",
-    "build_lax_hat",
+    "LaxFamily",
     "block_closed_rep",
     "intertwine_residual",
     "verify_algebra_suite",
@@ -188,17 +186,12 @@ def _cartan_diagonal(params: ModelParams, label: GeneratorLabel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _site_lams(L: int, first_site_lambda) -> list[complex]:
-    first = 0.0 if first_site_lambda is None else first_site_lambda
-    return [first] + [0.0] * (L - 1)
-
-
 def coproduct_rep(
     params: ModelParams,
     label: GeneratorLabel,
     L: int,
     variant: str = "delta",
-    first_site_lambda=None,
+    first_site_lambda: complex = 0.0,
     gauge: Gauge = Gauge.homogeneous,
 ) -> np.ndarray:
     """Image of the L-fold coproduct on (C^n)^{(x) L}.
@@ -231,9 +224,8 @@ def coproduct_rep(
         _cartan_diagonal(params, GeneratorLabel(GeneratorKind.HCARTAN, label.index, inv))
         for inv in (True, False))
     # the insertion on the first site, and on the others, which sit at 0
-    first, rest = _site_lams(2, first_site_lambda)
-    x_first = eval_generator(params, label, first, gauge)
-    x_rest = x_first if first_site_lambda is None else eval_generator(params, label, rest, gauge)
+    x_first = eval_generator(params, label, first_site_lambda, gauge)
+    x_rest = x_first if first_site_lambda == 0 else eval_generator(params, label, 0.0, gauge)
     # the diagonals left and right of the insertion on site l
     primed = variant == "delta_prime"
     lefts = _kron_prefixes([h_plus] + [h_minus] * (L - 2) if primed else [h_minus] * (L - 1))
@@ -306,7 +298,7 @@ class Tower:
     towers.
     """
 
-    def __init__(self, params, L=1, first_site_lambda=None):
+    def __init__(self, params, L=1, first_site_lambda: complex = 0.0):
         self.params = params
         self.L = L
         self.first_site_lambda = first_site_lambda
@@ -379,7 +371,7 @@ class Tower:
             for inv in (True, False))
         lefts, rights = _kron_prefixes([h_minus] * (L - 1)), _kron_prefixes([h_plus] * (L - 1))
         words = []
-        for l, lam in enumerate(_site_lams(L, self.first_site_lambda)):
+        for l, lam in enumerate([self.first_site_lambda] + [0.0] * (L - 1)):
             x = eval_generator(p, label, lam)
             [(a, b)] = np.argwhere(x).tolist()
             left, right = lefts[l], rights[L - 1 - l]
@@ -467,12 +459,6 @@ class Tower:
         return dressed(pref, 1, n, sign, self._stored(GeneratorLabel(core_kind, n)))
 
 
-def t_element_rep(
-    params: ModelParams, label: TElementLabel, L: int = 1, first_site_lambda=None
-) -> np.ndarray:
-    return Tower(params, L, first_site_lambda).t_image(label)
-
-
 def _coproduct_pairs(n: int, label: TElementLabel) -> list:
     """(first-leg, second-leg) labels of the terms of a two-fold coproduct.
 
@@ -508,33 +494,15 @@ def t_coproduct_sum(first: Tower, second: Tower, label: TElementLabel) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def build_lax(
-    params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous
-) -> Operator:
-    """Lax matrix on aux (x) one quantum site.
+class LaxFamily:
+    """The Lax matrix L(lam) on aux (x) one quantum site and L-hat(lam), at
+    any lam and in both gauges, from the images of one ``Tower(params)``.
 
     Homogeneous: e^{lam} (upper-triangular t part) - e^{-lam} (lower t-minus
     part). Principal: diagonal 'e^{lam} t_ii - e^{-lam} t_ii^{-1}', gauge
     phases on the off-diagonal entries, affine corner elements in place of
-    t_1n / t-minus_n1. Each block is an image of a one-site ``Tower`` times
-    a scalar weight, and only the weights depend on lam: a caller that needs
-    L at several points reads the images once, through ``_LaxFamily``.
-    """
-    return _LaxFamily(params).lax(lam, gauge)
-
-
-def build_lax_hat(
-    params: ModelParams, lam: complex, gauge: Gauge = Gauge.homogeneous
-) -> Operator:
-    """Inverse of the Lax matrix at -lam; rejects near-singular points."""
-    return _LaxFamily(params).lax_hat(lam, gauge)
-
-
-class _LaxFamily:
-    """L(lam) and L-hat(lam) at any lam, in both gauges, from the images of
-    one ``Tower(params)``.
-
-    The images are read once and stacked as (n, n, n, n) arrays, block
+    t_1n / t-minus_n1. Only the scalar weights of the blocks depend on lam:
+    the images are read once and stacked as (n, n, n, n) arrays, block
     (i, j) of the auxiliary space at ``[i, :, j, :]``, one stack per weight:
     homogeneous (t_ij for i <= j, t-minus_ij for i >= j), principal (the
     off-diagonal blocks, t_ii, t-minus_ii). L(lam) adds weight times stack
@@ -758,7 +726,7 @@ def verify_algebra_suite(
 
         # RLL relation and the Lax/R identification; every Lax matrix of the
         # sample is weighted from one tower's images
-        laxes = _LaxFamily(p)
+        laxes = LaxFamily(p)
         lam, lam2 = sample_spectral(rng, p, 2)
         for gauge in (Gauge.homogeneous, Gauge.principal):
             lax1 = laxes.lax(lam, gauge)

@@ -37,20 +37,21 @@ on the auxiliary slot and at most one site, so it costs d^2 n^2 on the
 d = n^(N+1) space and is never embedded as a d x d matrix. The transfer
 matrices are grown from the inside out instead, as the coproduct recursion
 DR_k = R_{0k} (DR_{k-1} (x) 1) Rhat_{0k} of the double row: from
-Y_0 = K^{(r)}, ``tensor_core.grow_site`` adds sites 1..N-1 and
-``tensor_core.close_site`` adds site N and traces the auxiliary slot against
+Y_0 = K^{(r)}, N - 1 calls of ``tensor_core.site_step`` add sites 1..N-1,
+and one more adds site N and traces the auxiliary slot against
 M_0 K^{(l)}_0 (the closed chain takes Y_0, Rhat and M K^{(l)} to be the
 identity). Each step is one GEMM of Y's auxiliary blocks against n^2-sided
 coefficients of R and Rhat, and the largest matrix has side n^N. The
 derivative route applies the product rule to those coefficients:
-``grow_site_derivative`` takes (Y, Y') to (v Y w, (v' Y + v Y') w + v Y w')
-and ``close_site_derivative`` closes both in one sum. This inside-out order
-is independent of the left-to-right double row, so comparing the transfer
-with its M-weighted diagonal blocks compares two computations. The three
-intertwiner checks (boundary K, double row, dressed coproduct) are one
-relation, S(lambda) X = X S(-lambda) read block by block on a second
-auxiliary space, with S the ``reflection_k.reflection_sandwich``; they stay
-dense products of embeddings.
+``site_step_derivative`` takes (Y, Y') to (v' Y + v Y') w + v Y w', next to
+``site_step``'s v Y w, and closes both terms under one trace. This
+inside-out order is independent of the left-to-right double row, so
+comparing the transfer with its M-weighted diagonal blocks compares two
+computations. The three intertwiner checks (boundary K, double row,
+dressed coproduct) are one relation, S(lambda) X = X S(-lambda) read block
+by block on a second auxiliary space, with S the
+``reflection_k.reflection_sandwich``; they stay dense products of
+embeddings.
 """
 
 import cmath
@@ -79,20 +80,18 @@ from .tensor_core import (
     Operator,
     apply_right,
     aux_blocks,
-    close_site,
-    close_site_derivative,
     coalesce,
     comm_residual,
     densify,
     embed_at,
     embed_entries,
     frob,
-    grow_site,
-    grow_site_derivative,
     identity_op,
     permutation_swap,
     rel_residual,
     rtt_residual,
+    site_step,
+    site_step_derivative,
     worst_of,
 )
 from .yang_baxter import (
@@ -238,8 +237,8 @@ def build_transfer(spec: ChainSpec, lam: complex, closed: bool = False) -> Opera
         y, w = right_k(spec, lam).mat, build_r_inverse(p, -lam, spec.gauge)
         a = build_M(p, spec.gauge) @ left_k(spec, lam)
     for _ in range(p.sites - 1):
-        y = grow_site(y, r, w)
-    return Operator(close_site(a, y, r, w), (p.n,) * p.sites)
+        y = site_step(y, r, w)
+    return Operator(site_step(y, r, w, a), (p.n,) * p.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +400,17 @@ def _transfer_derivative_analytic(spec: ChainSpec) -> Operator:
     grown from the inside out like ``build_transfer``: starting from
     (Y, Y') = (K, K'), each site's R pair (v, v') and transposed R pair
     (w, w') take (Y, Y') to (v Y w, (v' Y + v Y') w + v Y w') through
-    ``grow_site_derivative``, and ``close_site_derivative`` closes the last
-    site against M_0. The factors are homogeneous R's with the explicit or
-    ansatz right K and no left K, so any other spec raises ValueError."""
+    ``site_step`` and ``site_step_derivative``; the last step traces against
+    M_0. The factors are homogeneous R's with the explicit or ansatz right K
+    and no left K, so any other spec raises ValueError."""
     _require_hamiltonian_spec(spec, "the transfer derivative")
     p = spec.params
     (v, dv), (k, dk), (w, dw) = _factor_profiles(spec)
     y, dy = k.mat, dk.mat
     for _ in range(p.sites - 1):
-        y, dy = grow_site_derivative(y, dy, (v, dv), (w, dw))
+        y, dy = site_step(y, v, w), site_step_derivative(y, dy, (v, dv), (w, dw))
     m = build_M(p, spec.gauge)
-    return Operator(close_site_derivative(m, y, dy, (v, dv), (w, dw)), (p.n,) * p.sites)
+    return Operator(site_step_derivative(y, dy, (v, dv), (w, dw), m), (p.n,) * p.sites)
 
 
 def transfer_derivative_numeric(spec: ChainSpec) -> Operator:

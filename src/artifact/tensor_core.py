@@ -29,14 +29,14 @@ its (n, n) grid of blocks.
 space, through one strided view of a zero array; ``apply_right`` multiplies
 a dense matrix by such an embedding without forming it, at d^2 times the
 local operator's side per factor instead of d^3; the left-to-right chain
-products are built from it. ``grow_site`` and ``close_site`` build a chain
-from the inside out, as v_{0k} (Y (x) 1_k) w_{0k} = sum_{a'b'} Y_{a'b'} (x)
-C^{a'b'} with Y_{a'b'} the (a', b') block of Y on the auxiliary factor 0 and
-C^{a'b'} a matrix of side d0 e: one GEMM each. ``close_site`` traces factor 0 out on the C's, so
-no matrix on the auxiliary space and every site at once is formed, and the
-``_derivative`` forms apply the product rule to the C's. ``weight_preserving``
-fills the two-site pattern that R and the bulk Hecke generator share, on two
-fixed strided index patterns.
+products are built from it. ``site_step`` builds a chain from the inside
+out, as v_{0k} (Y (x) 1_k) w_{0k} = sum_{a'b'} Y_{a'b'} (x) C^{a'b'} with
+Y_{a'b'} the (a', b') block of Y on the auxiliary factor 0 and C^{a'b'} a
+matrix of side d0 e: one GEMM a step. Given a closing operator it traces
+factor 0 out on the C's, so no matrix on the auxiliary space and every site
+at once is formed, and ``site_step_derivative`` applies the product rule to
+the C's. ``weight_preserving`` fills the two-site pattern that R and the
+bulk Hecke generator share, on two fixed strided index patterns.
 
 Residuals are Frobenius-norm ratios in three conventions: ``rel_residual``
 (distance from a reference), ``sym_residual`` (two equal-standing sides) and
@@ -70,10 +70,8 @@ __all__ = [
     "diagonal_entries",
     "densify",
     "apply_right",
-    "grow_site",
-    "grow_site_derivative",
-    "close_site",
-    "close_site_derivative",
+    "site_step",
+    "site_step_derivative",
     "permutation_swap",
     "partial_trace_first",
     "partial_transpose",
@@ -425,50 +423,30 @@ def _block_sum(terms) -> np.ndarray:
     return out.reshape(lead, e, lead, e, r, r).transpose(0, 4, 1, 2, 5, 3).reshape(lead * r * e, -1)
 
 
-def _derivative(y: np.ndarray, dy: np.ndarray, v: tuple, w: tuple, a=None) -> np.ndarray:
-    """sum y_{a'b'} (x) C' + y'_{a'b'} (x) C for v = (v, v') and w = (w, w'):
-    the product rule on the coefficients, C' = C(v', w) + C(v, w')."""
+def site_step(y: np.ndarray, v: Operator, w: Operator, a: Operator | None = None) -> np.ndarray:
+    """``v_{0k} (y (x) 1_k) w_{0k}`` with k a new last slot, or with ``a``
+    given, ``tr_0[a_0 v_{0k} (y (x) 1_k) w_{0k}]``.
+
+    ``y`` acts on a first (auxiliary) factor 0 followed by any rest; ``v`` and
+    ``w`` act on (0, k), ``a`` on factor 0 alone. As sum_{a'b'} y_{a'b'} (x)
+    C^{a'b'} it is one GEMM of d0^4 e^2 r^2 (d0, e, r the sides of 0, k and
+    the rest) and one transpose; the result acts on (0, rest, k). With ``a``
+    the trace is taken on the coefficients, D^{a'b'} = tr_0[a_0 C^{a'b'}], so
+    the GEMM is d0^2 e^2 r^2 and the result acts on (rest, k)."""
+    return _block_sum([(y, _coefficients(y, v, w, a))])
+
+
+def site_step_derivative(y: np.ndarray, dy: np.ndarray, v: tuple, w: tuple,
+                         a: Operator | None = None) -> np.ndarray:
+    """The product-rule derivative of ``site_step`` with the operator pairs
+    v = (v, v') and w = (w, w'): (v' y + v y') w + v y w', traced against
+    ``a`` when given, as sum y_{a'b'} (x) C' + y'_{a'b'} (x) C with
+    C' = C(v', w) + C(v, w')."""
     (v, dv), (w, dw) = v, w
     if dy.shape != y.shape:
         raise ValueError(f"y' of shape {dy.shape} does not match y of shape {y.shape}")
     dc = _coefficients(y, dv, w, a) + _coefficients(y, v, dw, a)
     return _block_sum([(y, dc), (dy, _coefficients(y, v, w, a))])
-
-
-def grow_site(y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
-    """``v_{0k} (y (x) 1_k) w_{0k}`` with k a new last slot.
-
-    ``y`` acts on a first (auxiliary) factor 0 followed by any rest; ``v`` and
-    ``w`` act on (0, k). The result acts on (0, rest, k). As
-    sum_{a'b'} y_{a'b'} (x) C^{a'b'} it is one GEMM of d0^4 e^2 r^2 (d0, e, r
-    the sides of 0, k and the rest) and one transpose of the result."""
-    return _block_sum([(y, _coefficients(y, v, w))])
-
-
-def grow_site_derivative(y: np.ndarray, dy: np.ndarray, v: tuple, w: tuple) -> tuple:
-    """``grow_site`` of (y, y') and its product-rule derivative: with the
-    operator pairs v = (v, v') and w = (w, w'), returns (v y w, (v' y + v y')
-    w + v y w'), the latter as sum y_{a'b'} (x) C' + y'_{a'b'} (x) C with
-    C' = C(v', w) + C(v, w'): three GEMMs of ``grow_site``'s size."""
-    return grow_site(y, v[0], w[0]), _derivative(y, dy, v, w)
-
-
-def close_site(a: Operator, y: np.ndarray, v: Operator, w: Operator) -> np.ndarray:
-    """``tr_0[a_0 v_{0k} (y (x) 1_k) w_{0k}]`` with k a new last slot.
-
-    The legs are those of ``grow_site``, and ``a`` acts on factor 0 alone.
-    The trace is taken on the coefficients, D^{a'b'} = tr_0[a_0 C^{a'b'}], so
-    sum_{a'b'} y_{a'b'} (x) D^{a'b'} is one GEMM of d0^2 e^2 r^2 and one
-    transpose. The result acts on (rest, k)."""
-    return _block_sum([(y, _coefficients(y, v, w, a))])
-
-
-def close_site_derivative(a: Operator, y: np.ndarray, dy: np.ndarray, v: tuple,
-                          w: tuple) -> np.ndarray:
-    """The product-rule derivative of ``close_site`` with the operator pairs
-    v = (v, v') and w = (w, w'), tr_0[a_0 ((v' y + v y') w + v y w')], as
-    sum y_{a'b'} (x) D' + y'_{a'b'} (x) D with D' = D(v', w) + D(v, w')."""
-    return _derivative(y, dy, v, w, a)
 
 
 def permutation_swap(d: int) -> Operator:

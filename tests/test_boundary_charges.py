@@ -41,7 +41,6 @@ from artifact.quantum_algebra import (
     TElementFamily,
     TElementLabel,
     Tower,
-    t_element_rep,
 )
 from artifact.reflection_k import build_k_explicit
 from artifact.hecke_algebra import hecke_blocks
@@ -134,13 +133,13 @@ def test_affine_charge_dominant_balance():
     # swamps the O(1) corner products, leaving the square of Delta(t_nn)
     p = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6 - 50j, sites=2)
     c2 = 2 * cmath.cosh(2j * p.mu * p.zeta)
-    tnn = t_element_rep(p, TElementLabel(TElementFamily.t, 3, 3), L=2)
+    tnn = Tower(p, 2).t(3, 3)
     assert rel_residual(build_boundary_charges(p, 2).affine.mat, -c2 * tnn @ tnn) < 1e-12
 
 
 def test_recursion_matches_products():
     charges = build_boundary_charges(P32, 2)
-    built = _recursive_charges(P32, 2, "delta", None, cache(partial(Tower, P32)))
+    built = _recursive_charges(P32, 2, "delta", 0.0, cache(partial(Tower, P32)))
     for pos in boundary_entry_indices(3):
         assert rel_residual(built[pos], charges.entries[pos].mat) < 1e-12
     assert rel_residual(built[3, 3], charges.affine.mat) < 1e-12
@@ -154,8 +153,8 @@ def test_recursion_prime_is_cycled_recursion():
         shift = cyclic_shift(n, 3)
         inv = shift.conj().T
         tower = cache(partial(Tower, p))
-        plain = _recursive_charges(p, 3, "delta", None, tower)
-        primed = _recursive_charges(p, 3, "delta_prime", None, tower)
+        plain = _recursive_charges(p, 3, "delta", 0.0, tower)
+        primed = _recursive_charges(p, 3, "delta_prime", 0.0, tower)
         for pos in boundary_entry_indices(n) + ((n, n),):
             cycled = shift @ plain[pos] @ inv
             assert rel_residual(primed[pos], cycled) < 1e-12, (n, pos)
@@ -174,7 +173,7 @@ def test_plain_recursion_carries_only_the_affine_charge_down(monkeypatch):
         return inner(self, *args)
 
     monkeypatch.setattr(Tower, "h", counted)
-    built = _recursive_charges(P32, 4, "delta", None, cache(partial(Tower, P32)))
+    built = _recursive_charges(P32, 4, "delta", 0.0, cache(partial(Tower, P32)))
     assert len(reads) == 15
     assert set(built) == set(boundary_entry_indices(3)) | {(3, 3)}
     p4 = ModelParams(n=3, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4)

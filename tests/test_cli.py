@@ -51,6 +51,13 @@ def test_ybe_suite_passes_at_large_imaginary_mu(capsys):
         "ybe.crossing.fit.prin", "ybe.crossing.drift.prin"}
 
 
+def test_ybe_suite_passes_at_integer_m(capsys):
+    # the hecke suite refuses m = 1; the R-matrix checks do not read m
+    code = main(["verify", "--suite", "ybe", "--m", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_verify_all_is_array_of_suites(capsys):
     code = main(["verify", "--suite", "all", "--n", "2", "--samples", "2"])
     out = capsys.readouterr().out
@@ -142,6 +149,9 @@ def test_impossible_tolerance_exits_one(capsys):
                      id="m-nan"),
         pytest.param(["--samples", "1", "--zeta", "nan"], "zeta must be finite",
                      id="zeta-nan"),
+        # integer m: kappa' (m = 1) or delta0' (m = 0) of the hecke suite is 0
+        pytest.param(["--m", "1"], "BOUNDARY_CONSTANT_GAP", id="m-one"),
+        pytest.param(["--m", "0"], "BOUNDARY_CONSTANT_GAP", id="m-zero"),
         pytest.param(["--suite", "ybe", "--mu", "inf"], "mu must be finite",
                      id="mu-inf"),
         pytest.param(["--suite", "chain", "--xi", "nan"], "xi must be finite",

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from artifact.hecke_algebra import (
+    BOUNDARY_CONSTANT_GAP,
     build_boundary_generator,
     build_bulk_generator,
     hecke_blocks,
@@ -141,6 +142,22 @@ def test_verify_hecke_suite(n, sites, mu, m, limit):
     assert report.max_residual() < limit
 
 
+@pytest.mark.parametrize("mu", [0.41, 1.1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("zero_at", [1, 0])  # kappa' vanishes at m = 1, delta0' at m = 0
+def test_verify_hecke_suite_refuses_within_the_boundary_constant_gap(zero_at, n, mu):
+    # |kappa'| = |sin(mu (m - 1))| / sin(mu) and |delta0'| = |sin(mu m)| / sin(mu)
+    def at(scale):
+        step = math.asin(scale * BOUNDARY_CONSTANT_GAP * math.sin(mu)) / mu
+        return ModelParams(n=n, mu=mu, m=zero_at + step, zeta=0.6, sites=2)
+
+    for scale in (0.0, 0.95):
+        with pytest.raises(DegenerateParameters, match="BOUNDARY_CONSTANT_GAP"):
+            verify_hecke_suite(at(scale), samples=1)
+    report = verify_hecke_suite(at(1.05), samples=1)
+    assert report.passed, [c.id for c in report.failing()]
+
+
 # (mu, m): the CLI defaults and a large mu with complex m
 SEMINORMAL_POINTS = [(0.41, 0.9 + 0.2j), (1.1, -0.4 + 0.7j)]
 
@@ -217,6 +234,7 @@ def test_hecke_blocks_carry_the_generators():
     # the last point, separation 7e-4)
     (2, 6, 0.41, 0), (2, 6, 0.41, 1), (2, 6, 0.7, 2), (2, 6, 0.15 - 0.1j, 2 + 0.001953125j),
     (3, 5, math.pi / 4, 0.9 + 0.2j),  # q^8 = 1 inside lambda1
+    (2, 9, 1.1, 1 + 0.0739j),  # separation 0.150: over the gate at N <= 8, under it at N = 9
 ])
 def test_seminormal_modules_refuse_the_non_semisimple_locus(n, sites, mu, m):
     p = ModelParams(n=n, mu=mu, m=m, zeta=0.6, sites=sites)

@@ -7,6 +7,8 @@ No linter ships with the package, so these tests are its import lint:
   module (an attribute base like ``np`` in ``np.zeros`` included) or is
   listed in ``__all__``. ``__future__`` imports and the re-exports of
   ``__init__.py`` are exempt;
+* every name a module lists in ``__all__`` is bound in it, so a deleted
+  function cannot stay exported;
 * no module imports a ``_``-prefixed name from another module of the
   package, so a private helper or storage detail stays in its module;
 * no module imports scipy: the package runs on numpy alone, and a
@@ -20,6 +22,7 @@ A fresh interpreter then shows that ``verify --suite all`` at its defaults,
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -53,6 +56,13 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 )
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_in_all_is_bound(path):
+    module = importlib.import_module("artifact" if path.stem == "__init__"
+                                     else f"artifact.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
 
 def _imports(path: Path):

@@ -246,8 +246,8 @@ def test_charge_recursion_matches_the_products(p):
     charges = build_boundary_charges(p, N)
     shift = cyclic_shift(n, N)
     tower = cache(partial(Tower, p))
-    plain = _recursive_charges(p, N, "delta", None, tower)
-    primed = _recursive_charges(p, N, "delta_prime", None, tower)
+    plain = _recursive_charges(p, N, "delta", 0.0, tower)
+    primed = _recursive_charges(p, N, "delta_prime", 0.0, tower)
     for pos in _charge_positions(n):
         assert rel_residual(plain[pos], charges.charge(pos)) < BOUND, pos
         assert rel_residual(primed[pos], shift @ charges.charge(pos) @ shift.T) < BOUND, pos

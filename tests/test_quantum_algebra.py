@@ -19,17 +19,15 @@ from artifact.params import DegenerateParameters
 from artifact.quantum_algebra import (
     GeneratorKind,
     GeneratorLabel,
+    LaxFamily,
     TElementFamily,
     TElementLabel,
     Tower,
     block_closed_rep,
-    build_lax,
-    build_lax_hat,
     coproduct_rep,
     eval_generator,
     intertwine_residual,
     t_coproduct_sum,
-    t_element_rep,
     verify_algebra_suite,
 )
 from artifact.tensor_core import (
@@ -230,7 +228,9 @@ def test_tower_entries_equal_one_shot_images():
     labels += [TElementLabel(TElementFamily.t0_n1, 3, 1),
                TElementLabel(TElementFamily.t0hat_1n, 1, 3)]
     for lab in labels:
-        one_shot = t_element_rep(P3, lab, L=2, first_site_lambda=0.23)
+        # a fresh tower per label: the shared tower's reads must not depend
+        # on what it read before
+        one_shot = Tower(P3, 2, 0.23).t_image(lab)
         assert np.array_equal(tower.t_image(lab), one_shot), lab
         if lab.family == TElementFamily.t:
             assert tower.t(lab.i, lab.j) is tower.t_image(lab)
@@ -372,39 +372,39 @@ def test_csr_generator_images_build_no_dense_array():
 
 def test_t_elements_at_pi0():
     w = 2j * math.sin(0.41)
-    t13 = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, 3))
+    tower = Tower(P3)
+    t13 = tower.t_image(TElementLabel(TElementFamily.t, 1, 3))
     assert np.allclose(t13, w * basis_matrix(3, 3, 1), atol=1e-14)
-    that31 = t_element_rep(P3, TElementLabel(TElementFamily.t_hat, 3, 1))
+    that31 = tower.t_image(TElementLabel(TElementFamily.t_hat, 3, 1))
     assert np.allclose(that31, w * basis_matrix(3, 1, 3), atol=1e-14)
     q = cmath.exp(0.41j)
-    t22 = t_element_rep(P3, TElementLabel(TElementFamily.t, 2, 2))
+    t22 = tower.t_image(TElementLabel(TElementFamily.t, 2, 2))
     assert np.allclose(t22, np.diag([1, q, 1]), atol=1e-14)
-    t22m = t_element_rep(P3, TElementLabel(TElementFamily.t_minus, 2, 2))
+    t22m = tower.t_image(TElementLabel(TElementFamily.t_minus, 2, 2))
     assert np.allclose(t22m, np.diag([1, 1 / q, 1]), atol=1e-14)
     # affine corner at spectral lambda
     lam = 0.4 + 0.1j
-    t0 = t_element_rep(P3, TElementLabel(TElementFamily.t0_n1, 3, 1),
-                       first_site_lambda=lam)
+    t0 = Tower(P3, 1, lam).t_image(TElementLabel(TElementFamily.t0_n1, 3, 1))
     assert np.allclose(t0, w * cmath.exp(2 * lam) * basis_matrix(3, 1, 3), atol=1e-13)
 
 
 def test_t_element_index_validation():
+    tower = Tower(P3)
     with pytest.raises(ValueError):
-        t_element_rep(P3, TElementLabel(TElementFamily.t, 3, 1))
+        tower.t_image(TElementLabel(TElementFamily.t, 3, 1))
     with pytest.raises(ValueError):
-        t_element_rep(P3, TElementLabel(TElementFamily.t_hat, 1, 3))
+        tower.t_image(TElementLabel(TElementFamily.t_hat, 1, 3))
     with pytest.raises(ValueError):
-        t_element_rep(P3, TElementLabel(TElementFamily.t0_n1, 1, 3))
+        tower.t_image(TElementLabel(TElementFamily.t0_n1, 1, 3))
 
 
 def test_factorized_coproduct_matches_homomorphism():
     # hand-built sum for Delta(t_13) at n=3: k runs over 1..3
-    lhs = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, 3), L=2)
+    lhs = Tower(P3, 2).t_image(TElementLabel(TElementFamily.t, 1, 3))
     acc = np.zeros((9, 9), dtype=complex)
+    one = Tower(P3)
     for k in (1, 2, 3):
-        a = t_element_rep(P3, TElementLabel(TElementFamily.t, k, 3))
-        b = t_element_rep(P3, TElementLabel(TElementFamily.t, 1, k))
-        acc += np.kron(a, b)
+        acc += np.kron(one.t(k, 3), one.t(1, k))
     assert rel_residual(lhs, acc) < 1e-13
     # and the module's own sum helper agrees
     assert rel_residual(
@@ -415,7 +415,7 @@ def test_factorized_coproduct_matches_homomorphism():
 def test_affine_coproduct_sum():
     lam = 0.27
     lab = TElementLabel(TElementFamily.t0hat_1n, 1, 3)
-    direct = t_element_rep(P3, lab, L=2, first_site_lambda=lam)
+    direct = Tower(P3, 2, lam).t_image(lab)
     via_sum = t_coproduct_sum(Tower(P3, 1, lam), Tower(P3), lab)
     assert rel_residual(direct, via_sum) < 1e-13
 
@@ -425,7 +425,7 @@ def test_lax_is_twice_r():
         p = ModelParams(n=n, mu=0.37, m=1.1, zeta=0.8)
         for lam in (0.3, -0.5 + 0.25j):
             for gauge in (Gauge.homogeneous, Gauge.principal):
-                assert rel_residual(build_lax(p, lam, gauge),
+                assert rel_residual(LaxFamily(p).lax(lam, gauge),
                                     2 * build_r(p, lam, gauge)) < 1e-13
 
 
@@ -433,7 +433,7 @@ def test_lax_structure_at_zero():
     # L(0) = L+ - L-; off-diagonal entries are the w-scaled matrix units and
     # the diagonal collapses to 2 sinh(i mu) identity-like blocks
     p = ModelParams(n=2, mu=0.3)
-    l0 = build_lax(p, 0.0).mat
+    l0 = LaxFamily(p).lax(0.0).mat
     w = 2j * math.sin(0.3)
     q = cmath.exp(0.3j)
     # aux (1,2) block carries t_12 -> w e_21; aux (2,1) carries -t-minus_21 -> +w e_12
@@ -449,23 +449,25 @@ def test_lax_from_one_shared_tower_equals_a_fresh_build(gauge):
     # that depended on lambda would show at the later ones
     for n in (2, 3, 4):
         p = ModelParams(n=n, mu=0.37 + 0.02j, m=1.1, zeta=0.8)
-        shared = quantum_algebra._LaxFamily(p)
+        shared = LaxFamily(p)
         for lam in (0.3 - 0.1j, -0.5 + 0.25j, 0.8j):
-            assert np.array_equal(shared.lax(lam, gauge).mat, build_lax(p, lam, gauge).mat)
+            fresh = LaxFamily(p)
+            assert np.array_equal(shared.lax(lam, gauge).mat, fresh.lax(lam, gauge).mat)
             assert np.array_equal(shared.lax_hat(lam, gauge).mat,
-                                  build_lax_hat(p, lam, gauge).mat)
+                                  fresh.lax_hat(lam, gauge).mat)
 
 
 def test_lax_hat_inverse_and_degenerate():
     lam = 0.31 - 0.22j
-    hat = build_lax_hat(P3, lam)
-    prod = hat @ build_lax(P3, -lam)
+    laxes = LaxFamily(P3)
+    hat = laxes.lax_hat(lam)
+    prod = hat @ laxes.lax(-lam)
     assert rel_residual(prod.mat, np.eye(9)) < 1e-13
     # L(0) for this parameter set is 2 sinh(i mu) P, perfectly regular;
     # a genuinely singular point sits where sinh(lam + i mu) vanishes on the
     # diagonal subspace: lam = -i mu kills the symmetric sector
     with pytest.raises(DegenerateParameters):
-        build_lax_hat(P3, 0.41j)  # L(-lam) at lam = i mu is singular
+        laxes.lax_hat(0.41j)  # L(-lam) at lam = i mu is singular
 
 
 def test_block_closed_chevalley_blocks():

@@ -12,16 +12,12 @@ from artifact.tensor_core import (
     apply_right,
     aux_blocks,
     basis_matrix,
-    close_site,
-    close_site_derivative,
     coalesce,
     comm_residual,
     commutator,
     densify,
     embed_at,
     embed_entries,
-    grow_site,
-    grow_site_derivative,
     identity_op,
     kron,
     partial_trace_first,
@@ -29,6 +25,8 @@ from artifact.tensor_core import (
     permutation_swap,
     product_terms,
     prop_check,
+    site_step,
+    site_step_derivative,
     sym_residual,
     weight_preserving,
     worst_of,
@@ -202,7 +200,7 @@ def _embedded_sandwich(y, v, w, space):
 def test_grow_site_equals_product_with_embeddings(case):
     y, _, v, w, space = case
     before = y.copy()
-    got = grow_site(y, v, w)
+    got = site_step(y, v, w)
     d = math.prod(space)
     assert got.shape == (d, d)
     assert got.flags.c_contiguous
@@ -217,9 +215,8 @@ def test_grow_site_derivative_is_the_three_term_product_rule(case):
     y, _, v, w, _ = case
     dy, dv, dw = y @ y, op(v.mat.T, v.dims), op(w.mat.conj(), w.dims)
     before = y.copy(), dy.copy()
-    grown, derivative = grow_site_derivative(y, dy, (v, dv), (w, dw))
-    assert np.array_equal(grown, grow_site(y, v, w))
-    want = grow_site(y, dv, w) + grow_site(dy, v, w) + grow_site(y, v, dw)
+    derivative = site_step_derivative(y, dy, (v, dv), (w, dw))
+    want = site_step(y, dv, w) + site_step(dy, v, w) + site_step(y, v, dw)
     assert derivative.flags.c_contiguous
     assert_allclose(derivative, want, rtol=0, atol=1e-12)
     assert np.array_equal(y, before[0]) and np.array_equal(dy, before[1])
@@ -230,7 +227,7 @@ def test_grow_site_derivative_is_the_three_term_product_rule(case):
 def test_close_site_equals_traced_product_with_embeddings(case):
     y, a, v, w, space = case
     want = partial_trace_first(embed_at(a, [1], space) @ _embedded_sandwich(y, v, w, space))
-    got = close_site(a, y, v, w)
+    got = site_step(y, v, w, a)
     assert got.shape == want.mat.shape
     assert_allclose(got, want.mat, rtol=0, atol=1e-12)
 
@@ -245,8 +242,8 @@ def test_close_site_derivative_is_one_contraction_of_the_three_terms(case):
     y, a, v, w, _ = case
     dy, dv, dw = y @ y, op(v.mat.T, v.dims), op(w.mat.conj(), w.dims)
     before = y.copy(), dy.copy()
-    got = close_site_derivative(a, y, dy, (v, dv), (w, dw))
-    want = close_site(a, y, dv, w) + close_site(a, dy, v, w) + close_site(a, y, v, dw)
+    got = site_step_derivative(y, dy, (v, dv), (w, dw), a)
+    want = site_step(y, dv, w, a) + site_step(dy, v, w, a) + site_step(y, v, dw, a)
     assert got.flags.c_contiguous
     assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(y, before[0]) and np.array_equal(dy, before[1])
@@ -256,19 +253,19 @@ def test_site_primitives_refuse_mismatched_legs():
     y = np.eye(6, dtype=complex)
     v = identity_op((2, 3))
     with pytest.raises(ValueError):
-        grow_site(y, v, identity_op((3, 2)))
+        site_step(y, v, identity_op((3, 2)))
     with pytest.raises(ValueError):
-        grow_site(np.eye(5, dtype=complex), v, v)
+        site_step(np.eye(5, dtype=complex), v, v)
     with pytest.raises(ValueError):
-        close_site(identity_op((3,)), y, v, v)
+        site_step(y, v, v, identity_op((3,)))
     with pytest.raises(ValueError):  # y' on other legs than y
-        grow_site_derivative(y, np.eye(12, dtype=complex), (v, v), (v, v))
+        site_step_derivative(y, np.eye(12, dtype=complex), (v, v), (v, v))
     with pytest.raises(ValueError):
-        grow_site_derivative(y, y, (v, v), (v, identity_op((3, 2))))
+        site_step_derivative(y, y, (v, v), (v, identity_op((3, 2))))
     with pytest.raises(ValueError):
-        close_site_derivative(identity_op((2,)), y, np.eye(12, dtype=complex), (v, v), (v, v))
+        site_step_derivative(y, np.eye(12, dtype=complex), (v, v), (v, v), identity_op((2,)))
     with pytest.raises(ValueError):
-        close_site_derivative(identity_op((3,)), y, y, (v, v), (v, v))
+        site_step_derivative(y, y, (v, v), (v, v), identity_op((3,)))
 
 
 def _kron_embedding(local, slots, space):
