@@ -81,10 +81,10 @@ from .spin_chain import (
 from .tensor_core import (
     RESIDUAL_FLOOR,
     Operator,
+    apply_right,
     aux_blocks,
     basis_matrix,
     comm_residual,
-    embed_at,
     frob,
     permutation_swap,
     rel_residual,
@@ -342,8 +342,9 @@ def cyclic_shift(n: int, N: int) -> np.ndarray:
     against the plain one without reusing any of its code.
     """
     c = np.eye(n**N, dtype=np.complex128)
+    swap = permutation_swap(n)
     for k in range(1, N):
-        c = c @ embed_at(permutation_swap(n), [k, k + 1], [n] * N).mat
+        c = apply_right(c, swap, [k, k + 1], [n] * N)
     return c
 
 

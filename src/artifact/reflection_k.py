@@ -47,6 +47,8 @@ from .sampling import rng_from_seed, sample_model, sample_spectral
 from .tensor_core import (
     RESIDUAL_FLOOR,
     Operator,
+    apply_left,
+    apply_right,
     embed_at,
     identity_op,
     kron,
@@ -197,11 +199,11 @@ def build_abad_rios_k(params: ModelParams, lam: complex, ar: AbadRiosParams) -> 
 def reflection_sandwich(params, k1: Operator, l1: complex, v: complex,
                         gauge: Gauge = Gauge.homogeneous) -> Operator:
     """R12(l1-v) K1 R21(l1+v), with ``k1`` = K(l1) already placed on
-    auxiliary spaces 1 and 2 followed by the quantum spaces."""
+    auxiliary spaces 1 and 2 followed by the quantum spaces. The two R's are
+    applied to K1, never embedded."""
     space = k1.dims
-    r12 = embed_at(build_r(params, l1 - v, gauge), [1, 2], space)
-    r21 = embed_at(build_r_hat(params, l1 + v, gauge), [1, 2], space)
-    return r12 @ k1 @ r21
+    r12k1 = apply_left(build_r(params, l1 - v, gauge), k1.mat, [1, 2], space)
+    return Operator(apply_right(r12k1, build_r_hat(params, l1 + v, gauge), [1, 2], space), space)
 
 
 def reflection_residual(params, k_of_lam, l1: complex, l2: complex,

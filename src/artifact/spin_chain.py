@@ -50,8 +50,12 @@ comparing the transfer with its M-weighted diagonal blocks compares two
 computations. The three intertwiner checks (boundary K, double row,
 dressed coproduct) are one relation, S(lambda) X = X S(-lambda) read block
 by block on a second auxiliary space, with S the
-``reflection_k.reflection_sandwich``; they stay dense products of
-embeddings.
+``reflection_k.reflection_sandwich``; its R's and the coproduct's dressing
+T and That are applied with ``tensor_core.apply_left``/``apply_right``,
+and only K(lambda') is embedded. ``verify_chain_suite`` reads each
+sample's monodromies, double rows and transfer matrices through one
+``_Built``, which builds each (builder, spec, lambda) once and keeps it
+read-only until the next sample.
 """
 
 import cmath
@@ -78,6 +82,7 @@ from .sampling import rng_from_seed, sample_spectral
 from .tensor_core import (
     RESIDUAL_FLOOR,
     Operator,
+    apply_left,
     apply_right,
     aux_blocks,
     coalesce,
@@ -203,15 +208,20 @@ def build_monodromy_hat(spec: ChainSpec, lam: complex, method: str = "inverse") 
     of per-site closed-form inverses."""
     p = spec.params
     if method == "inverse":
-        t = build_monodromy(spec, -lam)
-        if np.linalg.cond(t.mat) > 1e12:
-            raise DegenerateParameters(f"monodromy singular at lambda = {-lam}")
-        return t.inv()
+        return _inverse(build_monodromy(spec, -lam), -lam)
     if method == "per_site":
         rinv = build_r_inverse(p, -lam, spec.gauge)
         return Operator(_site_product(_on_sites(rinv, range(1, p.sites + 1)), spec.space),
                         spec.space)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _inverse(t: Operator, lam: complex) -> Operator:
+    """The inverse of the monodromy ``t`` = T(lambda); DegenerateParameters
+    where it is singular."""
+    if np.linalg.cond(t.mat) > 1e12:
+        raise DegenerateParameters(f"monodromy singular at lambda = {lam}")
+    return t.inv()
 
 
 def build_double_row(spec: ChainSpec, lam: complex) -> Operator:
@@ -439,16 +449,39 @@ def transfer_derivative_numeric(spec: ChainSpec) -> Operator:
 # ---------------------------------------------------------------------------
 
 
+class _Built:
+    """Chain operators by builder and arguments, each built once and
+    read-only, for one sample of ``verify_chain_suite``: called as
+    ``built(build_double_row, spec, lam)``. A check that reads an operator
+    cannot change it for the next one, and nothing is kept past the sample."""
+
+    def __init__(self):
+        self._ops = {}
+
+    def __call__(self, build, *args) -> Operator:
+        key = (build, *args)
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = build(*args)
+            op.mat.flags.writeable = False
+        return op
+
+
 def _intertwiner_residual(params: ModelParams, gauge: Gauge, k1: Operator, x: np.ndarray,
                           lamp: complex, lam: complex, dress=None) -> float:
     """S(lambda) X = X S(-lambda) read block by block on auxiliary space 1:
     the worst rel_residual(S_ij X, X S(-)_ij), where S(v) is the
     ``reflection_sandwich`` of ``k1`` = K(lambda') at v, dressed as
-    T S That when ``dress`` = (T, That), and X acts on the remaining spaces."""
+    T S That when ``dress`` = (T, That), T and That applied on auxiliary
+    space 1 and the quantum spaces, and X acts on the remaining spaces."""
+    space = k1.dims
+    outer = [1, *range(3, len(space) + 1)]
 
     def sandwich(v):
-        out = reflection_sandwich(params, k1, lamp, v, gauge)
-        return (out if dress is None else dress[0] @ out @ dress[1]).mat
+        out = reflection_sandwich(params, k1, lamp, v, gauge).mat
+        if dress is None:
+            return out
+        return apply_right(apply_left(dress[0], out, outer, space), dress[1], outer, space)
 
     n = params.n
     plus, minus = aux_blocks(sandwich(lam), n), aux_blocks(sandwich(-lam), n)
@@ -465,26 +498,27 @@ def boundary_commutation_residual(
     return _intertwiner_residual(params, gauge, k1, k_of_lam(lam).mat, lamp, lam)
 
 
-def double_row_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex) -> float:
+def double_row_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex,
+                                    built: _Built) -> float:
     """The primed (N+1)-fold coproducts of the reflection algebra, realized
     with the double row DR_{a'}(lambda') on a' and the sites, exchange with
-    DR(lambda)."""
+    DR(lambda). The double rows are read through ``built``."""
     p = spec.params
     space, outer = (p.n,) * (p.sites + 2), [1] + list(range(3, p.sites + 3))
-    k1 = embed_at(build_double_row(spec, lamp), outer, space)
-    x = build_double_row(spec, lam).mat
+    k1 = embed_at(built(build_double_row, spec, lamp), outer, space)
+    x = built(build_double_row, spec, lam).mat
     return _intertwiner_residual(p, spec.gauge, k1, x, lamp, lam)
 
 
-def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex) -> float:
+def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex,
+                                   built: _Built) -> float:
     """The unprimed-coproduct realization T_{a'}(lambda') R_{a's} K_{a'}
     Rhat_{a's} That_{a'}(lambda') exchanges with the c-number K on the
-    evaluation site s."""
+    evaluation site s. T and That, read through ``built``, are applied to
+    the sandwich, never embedded."""
     p = spec.params
-    space, outer = (p.n,) * (p.sites + 2), [1] + list(range(3, p.sites + 3))
-    k1 = embed_at(right_k(spec, lamp), [1], space)
-    dress = (embed_at(build_monodromy(spec, lamp), outer, space),
-             embed_at(build_monodromy_hat(spec, lamp, "per_site"), outer, space))
+    k1 = embed_at(right_k(spec, lamp), [1], (p.n,) * (p.sites + 2))
+    dress = (built(build_monodromy, spec, lamp), built(build_monodromy_hat, spec, lamp, "per_site"))
     x = embed_at(right_k(spec, lam), [1], spec.space).mat
     return _intertwiner_residual(p, spec.gauge, k1, x, lamp, lam, dress)
 
@@ -494,22 +528,22 @@ def coproduct_commutation_residual(spec: ChainSpec, lamp: complex, lam: complex)
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_block_sum(spec: ChainSpec, lam: complex, weights) -> Operator:
+def _diagonal_block_sum(spec: ChainSpec, lam: complex, weights, built: _Built) -> Operator:
     """sum_j weights[j] DR_jj(lambda) over the auxiliary-diagonal blocks of
-    the double row."""
+    the double row, read through ``built``."""
     p = spec.params
-    blocks = aux_blocks(build_double_row(spec, lam).mat, p.n)
+    blocks = aux_blocks(built(build_double_row, spec, lam).mat, p.n)
     acc = sum(weights[j] * blocks[j, :, j, :] for j in range(p.n))
     return Operator(acc, (p.n,) * p.sites)
 
 
-def transfer_from_diagonal(spec: ChainSpec, lam: complex) -> Operator:
+def transfer_from_diagonal(spec: ChainSpec, lam: complex, built: _Built) -> Operator:
     """M-weighted diagonal blocks of the double row; must reassemble the open
     transfer matrix when the left boundary is present only through M."""
-    return _diagonal_block_sum(spec, lam, np.diag(build_M(spec.params, spec.gauge).mat))
+    return _diagonal_block_sum(spec, lam, np.diag(build_M(spec.params, spec.gauge).mat), built)
 
 
-def affine_limit_transfer_combination(spec: ChainSpec, lam: complex) -> Operator:
+def affine_limit_transfer_combination(spec: ChainSpec, lam: complex, built: _Built) -> Operator:
     """e^{-2l-imu} A_1 + e^{-2l} sum_{1<j<n} q^{-2j+1} A_j + e^{2l+imu} A_n from
     the double-row diagonal, the closed form the affine-limit left boundary
     produces."""
@@ -517,7 +551,7 @@ def affine_limit_transfer_combination(spec: ChainSpec, lam: complex) -> Operator
     weights = ([cmath.exp(-2 * lam - 1j * p.mu)]
                + [cmath.exp(-2 * lam) * p.q ** (-2 * j + 1) for j in range(2, p.n)]
                + [cmath.exp(2 * lam + 1j * p.mu)])
-    return _diagonal_block_sum(spec, lam, weights)
+    return _diagonal_block_sum(spec, lam, weights, built)
 
 
 def monodromy_asymptotic_residual(spec: ChainSpec) -> float:
@@ -557,26 +591,33 @@ def verify_chain_suite(
 
     for s in range(samples):
         l1, l2 = sample_spectral(rng, p, 2)
-        t, that_ps = build_monodromy(spec, l1), build_monodromy_hat(spec, l1, "per_site")
-        rb.add(f"chain.rtt.s{s}",
-               rtt_residual(build_r(p, l1 - l2, spec.gauge), t, build_monodromy(spec, l2)), tol)
-        that = build_monodromy_hat(spec, l1, "inverse")
+        built = _Built()
+        t = built(build_monodromy, spec, l1)
+        that_ps = built(build_monodromy_hat, spec, l1, "per_site")
+        rb.add(f"chain.rtt.s{s}", rtt_residual(build_r(p, l1 - l2, spec.gauge), t,
+                                               built(build_monodromy, spec, l2)), tol)
+        t_minus = built(build_monodromy, spec, -l1)
+        that = _inverse(t_minus, -l1)
         rb.add(f"chain.that_inverse.s{s}",
-               rel_residual(that @ build_monodromy(spec, -l1), identity_op(spec.space)), 1e-12)
+               rel_residual(that @ t_minus, identity_op(spec.space)), 1e-12)
         rb.add(f"chain.that_methods.s{s}", rel_residual(that, that_ps), 1e-11)
         rb.add(f"chain.re_double.s{s}",
-               reflection_residual(p, partial(build_double_row, spec), l1, l2, spec.gauge), tol)
-        v0 = embed_at(build_gauge_V(p, l1), [1], spec.space)
+               reflection_residual(p, partial(built, build_double_row, spec), l1, l2, spec.gauge),
+               tol)
+        v0 = build_gauge_V(p, l1)
+        gauged = apply_left(v0, built(build_double_row, hspec0, l1).mat, [1], spec.space)
         rb.add(f"chain.tp_gauge.s{s}",
-               rel_residual(v0 @ build_double_row(hspec0, l1) @ v0, build_double_row(pspec, l1)),
-               1e-11)
+               rel_residual(apply_right(gauged, v0, [1], spec.space),
+                            built(build_double_row, pspec, l1)), 1e-11)
         rb.add(f"chain.tp_transfer.s{s}",
-               rel_residual(build_transfer(pspec, l1), build_transfer(hspec0, l1)), 1e-11)
+               rel_residual(built(build_transfer, pspec, l1), built(build_transfer, hspec0, l1)),
+               1e-11)
         rb.add(f"chain.ttcomm_closed.s{s}",
-               comm_residual(build_transfer(spec, l1, closed=True),
-                             build_transfer(spec, l2, closed=True)), tol)
+               comm_residual(built(build_transfer, spec, l1, True),
+                             built(build_transfer, spec, l2, True)), tol)
         rb.add(f"chain.ttcomm_open.s{s}",
-               comm_residual(build_transfer(spec, l1), build_transfer(spec, l2)), tol)
+               comm_residual(built(build_transfer, spec, l1), built(build_transfer, spec, l2)),
+               tol)
         rb.add(f"chain.intert.s{s}", worst_of(
             intertwine_residual(p, lab, t, l1, spec.gauge) for lab in labels), tol)
         rb.add(f"chain.intert_hat.s{s}", worst_of(
@@ -586,13 +627,13 @@ def verify_chain_suite(
                boundary_commutation_residual(
                    p, lambda u: build_k_explicit(p, u, spec.gauge), l1, l2, spec.gauge),
                tol)
-        rb.add(f"chain.it0.s{s}", double_row_commutation_residual(spec, l1, l2), tol)
-        rb.add(f"chain.iik.s{s}", coproduct_commutation_residual(spec, l1, l2), tol)
-        rb.add(f"chain.tr2.s{s}",
-               rel_residual(build_transfer(ispec, l1), transfer_from_diagonal(ispec, l1)), 1e-13)
+        rb.add(f"chain.it0.s{s}", double_row_commutation_residual(spec, l1, l2, built), tol)
+        rb.add(f"chain.iik.s{s}", coproduct_commutation_residual(spec, l1, l2, built), tol)
+        rb.add(f"chain.tr2.s{s}", rel_residual(built(build_transfer, ispec, l1),
+                                               transfer_from_diagonal(ispec, l1, built)), 1e-13)
         rb.add(f"chain.tt3.s{s}",
-               rel_residual(build_transfer(aspec, l1),
-                            affine_limit_transfer_combination(aspec, l1)), 1e-13)
+               rel_residual(built(build_transfer, aspec, l1),
+                            affine_limit_transfer_combination(aspec, l1, built)), 1e-13)
 
     rb.add("chain.asym", monodromy_asymptotic_residual(ispec), 1e-10)
 

@@ -26,10 +26,14 @@ first factor of a chain operator is the auxiliary space; ``aux_blocks`` views
 its (n, n) grid of blocks.
 
 ``embed_at`` writes a local operator out as a dense matrix on the whole
-space, through one strided view of a zero array; ``apply_right`` multiplies
-a dense matrix by such an embedding without forming it, at d^2 times the
-local operator's side per factor instead of d^3; the left-to-right chain
-products are built from it. ``site_step`` builds a chain from the inside
+space, through one strided view of a zero array; ``apply_right`` and
+``apply_left`` multiply a dense matrix by such an embedding, from the right
+or the left, without forming it, at d^2 times the local operator's side
+instead of d^3; the left-to-right chain products and the checks' products
+with local factors are built from them. All three read a plan made once per
+(operator dims, slots, space) and cached by those shapes alone: the view's
+strides, or the applies' leg splits and transposes, with the slots checked
+when it is made. ``site_step`` builds a chain from the inside
 out, as v_{0k} (Y (x) 1_k) w_{0k} = sum_{a'b'} Y_{a'b'} (x) C^{a'b'} with
 Y_{a'b'} the (a', b') block of Y on the auxiliary factor 0 and C^{a'b'} a
 matrix of side d0 e: one GEMM a step. Given a closing operator it traces
@@ -53,9 +57,10 @@ Lax operators and the monodromy.
 
 from __future__ import annotations
 
+import functools
 import math
-import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +75,7 @@ __all__ = [
     "diagonal_entries",
     "densify",
     "apply_right",
+    "apply_left",
     "site_step",
     "site_step_derivative",
     "permutation_swap",
@@ -250,24 +256,71 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat), a.dims + b.dims)
 
 
-def _checked_slots(op: Operator, slots, space) -> tuple[list[int], tuple[int, ...]]:
-    """``slots`` and ``space`` as ints, after checking that ``op`` fits them."""
+def _checked_slots(dims: tuple, slots, space) -> tuple[list[int], tuple[int, ...]]:
+    """``slots`` and ``space`` as ints, after checking that an operator with
+    factor dimensions ``dims`` fits them."""
     space = tuple(int(d) for d in space)
     slots = [int(s) for s in slots]
     k = len(space)
-    if len(slots) != len(op.dims):
+    if len(slots) != len(dims):
         raise ValueError("slot count must match operator factor count")
     if len(set(slots)) != len(slots):
         raise ValueError(f"duplicate slots in {slots}")
     for pos, s in enumerate(slots):
         if not (1 <= s <= k):
             raise ValueError(f"slot {s} out of range 1..{k}")
-        if space[s - 1] != op.dims[pos]:
+        if space[s - 1] != dims[pos]:
             raise ValueError(
                 f"slot {s} has dimension {space[s-1]} but operator factor "
-                f"{pos+1} has dimension {op.dims[pos]}"
+                f"{pos+1} has dimension {dims[pos]}"
             )
     return slots, space
+
+
+class _Plan(NamedTuple):
+    """How an operator of factor dimensions ``dims`` on ``slots`` of ``space``
+    is embedded or applied; made once per (dims, slots, space) by ``_plan``.
+
+    ``view`` is embed_at's (shape, byte strides, source shape). ``right`` and
+    ``left`` are the applies' (legs, order, product legs, back): the
+    multiplied matrix is split into ``legs`` and transposed to ``order``,
+    which puts the slots' legs last (right) or first (left), multiplied by the
+    operator as one GEMM, split into ``product legs`` and transposed ``back``.
+    """
+
+    space: tuple[int, ...]
+    side: int
+    op_side: int
+    view: tuple
+    right: tuple
+    left: tuple
+
+
+@functools.cache
+def _plan(dims: tuple, slots: tuple, space: tuple) -> _Plan:
+    """The ``_Plan`` of ``embed_at`` and the applies, after ``_checked_slots``;
+    keyed on shapes only, so a bad call raises here however many good calls
+    came before it."""
+    slots, space = _checked_slots(dims, slots, space)
+    k, side = len(space), math.prod(space)
+    rest = [s for s in range(1, k + 1) if s not in slots]
+    rest_dims = tuple(space[s - 1] for s in rest)
+    # slot s steps the row (column) index by stride[s - 1]; in the flat
+    # side x side array a row step is side elements, a column step one
+    stride = [math.prod(space[s:]) for s in range(1, k + 1)]
+    item = np.dtype(np.complex128).itemsize
+    view = (dims + dims + rest_dims,
+            tuple(item * side * stride[s - 1] for s in slots)
+            + tuple(item * stride[s - 1] for s in slots)
+            + tuple(item * (side + 1) * stride[s - 1] for s in rest),
+            dims + dims + (1,) * len(rest))
+    order = rest + slots
+    right = ((side,) + space, (0, *order), (side,) + rest_dims + dims,
+             (0, *(1 + order.index(s) for s in range(1, k + 1))))
+    order = slots + rest
+    left = (space + (side,), (*(s - 1 for s in order), k), dims + rest_dims + (side,),
+            (*(order.index(s) for s in range(1, k + 1)), k))
+    return _Plan(space, side, math.prod(dims), view, right, left)
 
 
 def embed_at(op: Operator, slots, space) -> Operator:
@@ -281,18 +334,11 @@ def embed_at(op: Operator, slots, space) -> Operator:
     legs) view of the matrix with each identity slot's row and column leg
     taken as one diagonal leg, so no temporary is larger than ``op``.
     """
-    slots, space = _checked_slots(op, slots, space)
-    side = math.prod(space)
-    out = np.zeros((side, side), dtype=np.complex128)
-    # a letter per leg; the row and column legs of an identity slot share one,
-    # so the view runs along their diagonal
-    row = string.ascii_lowercase[:len(space)]
-    col = "".join(c.upper() if s in slots else c for s, c in enumerate(row, 1))
-    pad = "".join(c for s, c in enumerate(row, 1) if s not in slots)
-    legs = "".join(row[s - 1] for s in slots) + "".join(col[s - 1] for s in slots) + pad
-    view = np.einsum(f"{row}{col}->{legs}", out.reshape(space + space))
-    view[...] = op.mat.reshape(op.dims + op.dims + (1,) * len(pad))
-    return Operator(out, space)
+    plan = _plan(op.dims, tuple(slots), tuple(space))
+    shape, strides, source = plan.view
+    out = np.zeros(plan.side * plan.side, dtype=np.complex128)
+    np.ndarray(shape, np.complex128, out, 0, strides)[...] = op.mat.reshape(source)
+    return Operator(out.reshape(plan.side, plan.side), plan.space)
 
 
 def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,7 +350,7 @@ def embed_entries(op: Operator, slots, space) -> tuple[np.ndarray, np.ndarray, n
     slots, so there are nnz(op) * (d / prod(op.dims)) entries and no two share
     a (row, col).
     """
-    slots, space = _checked_slots(op, slots, space)
+    slots, space = _checked_slots(op.dims, slots, space)
     k = len(space)
     stride = [math.prod(space[s:]) for s in range(1, k + 1)]  # slot s steps by stride[s - 1]
     rest = np.zeros(1, dtype=np.intp)
@@ -366,26 +412,30 @@ def densify(dim: int, entries: tuple) -> np.ndarray:
     return out
 
 
-def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:
-    """``mat @ embed_at(op, slots, space).mat`` without forming the embedding.
+def _apply(op: Operator, mat: np.ndarray, slots, space, left: bool) -> np.ndarray:
+    """``embed_at(op, slots, space).mat`` times ``mat`` from the left if
+    ``left``, else from the right, without forming the embedding: the legs of
+    ``mat``'s row (left) or column (right) index at ``slots`` are contracted
+    with ``op`` in one GEMM, d^2 * prod(op.dims) work instead of d^3. Returns
+    a new C-contiguous (d, d) array; ``mat`` is left as it was."""
+    plan = _plan(op.dims, tuple(slots), tuple(space))
+    legs, order, product_legs, back = plan.left if left else plan.right
+    split = mat.reshape(legs).transpose(order)
+    if left:
+        product = op.mat.dot(split.reshape(plan.op_side, -1))
+    else:
+        product = split.reshape(-1, plan.op_side).dot(op.mat)
+    return product.reshape(product_legs).transpose(back).reshape(plan.side, plan.side)
 
-    The column index of ``mat`` is split into the legs of ``space`` and the
-    legs at ``slots`` are contracted with the row legs of ``op`` in one
-    ``tensordot``: d^2 * prod(op.dims) work instead of d^3. Returns a new
-    C-contiguous (d, d) array; ``mat`` is left as it was.
-    """
-    slots, space = _checked_slots(op, slots, space)
-    d = math.prod(space)
-    k = len(space)
-    tens = np.tensordot(
-        mat.reshape((d,) + space),
-        op.mat.reshape(op.dims + op.dims),
-        axes=(slots, list(range(len(slots)))),
-    )
-    # tens holds the row index, the untouched legs, then op's column legs
-    order = [s for s in range(1, k + 1) if s not in slots] + slots
-    axes = [0] + [1 + order.index(s) for s in range(1, k + 1)]
-    return tens.transpose(axes).reshape(d, d)
+
+def apply_right(mat: np.ndarray, op: Operator, slots, space) -> np.ndarray:
+    """``mat @ embed_at(op, slots, space).mat`` without forming the embedding."""
+    return _apply(op, mat, slots, space, left=False)
+
+
+def apply_left(op: Operator, mat: np.ndarray, slots, space) -> np.ndarray:
+    """``embed_at(op, slots, space).mat @ mat`` without forming the embedding."""
+    return _apply(op, mat, slots, space, left=True)
 
 
 def _coefficients(y: np.ndarray, v: Operator, w: Operator, a: Operator | None = None):
@@ -487,16 +537,16 @@ def commutator(a: Operator, b: Operator) -> Operator:
 def rtt_residual(r: Operator, xa: Operator, xb: Operator) -> float:
     """sym_residual of R_ab X_a X_b = X_b X_a R_ab.
 
-    ``r`` acts on the auxiliary pair (a, b); ``xa`` and ``xb`` act on one
-    auxiliary space followed by the same quantum spaces, and are placed on
-    a and on b respectively.
+    ``r`` acts on the auxiliary pair (a, b) and is applied, not embedded;
+    ``xa`` and ``xb`` act on one auxiliary space followed by the same quantum
+    spaces, and are placed on a and on b respectively.
     """
     space = r.dims + xa.dims[1:]
     quantum = list(range(3, len(space) + 1))
-    rab = embed_at(r, [1, 2], space)
     ta = embed_at(xa, [1] + quantum, space)
     tb = embed_at(xb, [2] + quantum, space)
-    return sym_residual(rab @ ta @ tb, tb @ ta @ rab)
+    return sym_residual(apply_left(r, ta.mat @ tb.mat, [1, 2], space),
+                        apply_right(tb.mat @ ta.mat, r, [1, 2], space))
 
 
 def prop_check(a: Operator | np.ndarray, b: Operator | np.ndarray) -> ProportionalityResult:

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_verify_all_at_defaults_lists_the_benchmark_check_ids(tmp_path):
+    # the benchmark's verify-defaults gate, read and never written here: a
+    # changed, added or dropped default check id fails this test first
+    ids_file = Path(__file__).resolve().parents[1] / "perfbench" / "verify_defaults_check_ids.json"
+    expected = json.loads(ids_file.read_text(encoding="utf-8"))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text(encoding="utf-8"))
+    assert [c["id"] for r in reports for c in r["checks"]] == expected
+    assert all(r["pass"] is True for r in reports)
 
 
 def test_config_defaults_and_cli_override(tmp_path, capsys):

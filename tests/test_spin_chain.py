@@ -121,7 +121,7 @@ def test_open_transfer_matches_hand_assembly():
         acc += weights[j] * dr[j * 9:(j + 1) * 9, j * 9:(j + 1) * 9]
     got = build_transfer(spec, lam)
     assert rel_residual(got, acc) < 1e-14
-    assert rel_residual(got, transfer_from_diagonal(spec, lam)) < 1e-14
+    assert rel_residual(got, transfer_from_diagonal(spec, lam, spin_chain._Built())) < 1e-14
 
 
 def test_transfer_families_commute():
@@ -151,7 +151,7 @@ def test_affine_limit_combination():
     spec = ChainSpec(P32, left_boundary=LeftBoundaryKind.affine_limit)
     lam = 0.29 + 0.11j
     assert rel_residual(build_transfer(spec, lam),
-                        affine_limit_transfer_combination(spec, lam)) < 1e-13
+                        affine_limit_transfer_combination(spec, lam, spin_chain._Built())) < 1e-13
 
 
 def test_principal_transfer_equals_homogeneous():
@@ -341,17 +341,18 @@ def test_boundary_commutation():
 
 
 def test_double_row_commutation():
-    assert double_row_commutation_residual(ChainSpec(P32), 0.37, 0.18 + 0.09j) < 1e-13
+    assert double_row_commutation_residual(ChainSpec(P32), 0.37, 0.18 + 0.09j,
+                                           spin_chain._Built()) < 1e-13
 
 
 def test_double_row_commutation_fails_for_a_double_row_at_the_wrong_lambda(monkeypatch):
     spec = ChainSpec(P32)
     lamp, lam = 0.37, 0.18 + 0.09j
-    assert double_row_commutation_residual(spec, lamp, lam) < 1e-13
+    assert double_row_commutation_residual(spec, lamp, lam, spin_chain._Built()) < 1e-13
     right = spin_chain.build_double_row
     monkeypatch.setattr(spin_chain, "build_double_row",
                         lambda s, u: right(s, u + 0.25 if u == lam else u))
-    assert double_row_commutation_residual(spec, lamp, lam) > 1e-3
+    assert double_row_commutation_residual(spec, lamp, lam, spin_chain._Built()) > 1e-3
 
 
 def test_monodromy_asymptotics():
@@ -373,6 +374,41 @@ def test_verify_chain_suite():
     prep = verify_chain_suite(ChainSpec(P32, gauge=Gauge.principal),
                               samples=2, tol=1e-9, seed=2)
     assert prep.passed, [c.id for c in prep.failing()]
+
+
+def test_verify_chain_suite_builds_each_chain_operator_once(monkeypatch):
+    # one default call: every double row, monodromy (either route of That
+    # included) and transfer matrix is built at most once per argument list
+    calls = {}
+    for name in ("build_double_row", "build_monodromy", "build_monodromy_hat", "build_transfer"):
+        inner = getattr(spin_chain, name)
+
+        def counted(*args, name=name, inner=inner, **kwargs):
+            key = (name, *args, *sorted(kwargs.items()))
+            calls[key] = calls.get(key, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spin_chain, name, counted)
+    assert verify_chain_suite(ChainSpec(P32)).passed
+    repeated = {key: count for key, count in calls.items() if count > 1}
+    assert not repeated, repeated
+    assert {key[0] for key in calls} == {"build_double_row", "build_monodromy",
+                                         "build_monodromy_hat", "build_transfer"}
+
+
+def test_shared_chain_operators_are_built_once_and_read_only():
+    built = spin_chain._Built()
+    spec, lam = ChainSpec(P32), 0.31 - 0.12j
+    dr = built(build_double_row, spec, lam)
+    assert built(build_double_row, spec, lam) is dr
+    assert built(build_double_row, ChainSpec(P32), lam) is dr
+    assert built(build_double_row, spec, -lam) is not dr
+    assert np.array_equal(dr.mat, build_double_row(spec, lam).mat)
+    for op in (dr, built(build_transfer, spec, lam), built(build_monodromy, spec, lam)):
+        with pytest.raises(ValueError):
+            op.mat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op.mat += 1.0
 
 
 # Dense oracles: every factor embedded on the whole space with embed_at and
@@ -515,7 +551,8 @@ def test_inside_out_routes_agree_at_the_benchmark_sizes():
     lam = 0.31 - 0.12j
     for n, sites in ((2, 8), (3, 5)):
         spec = ChainSpec(ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=sites))
-        assert rel_residual(build_transfer(spec, lam), transfer_from_diagonal(spec, lam)) < 1e-13
+        assert rel_residual(build_transfer(spec, lam),
+                            transfer_from_diagonal(spec, lam, spin_chain._Built())) < 1e-13
     spec = ChainSpec(ModelParams(n=4, mu=0.41, m=0.9 + 0.2j, zeta=0.6, sites=4))
     assert rel_residual(build_hamiltonian(spec, "transfer_derivative"),
                         build_hamiltonian(spec, "hecke_form")) < 1e-12

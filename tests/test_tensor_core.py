@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from artifact.tensor_core import (
     Operator,
+    _plan,
+    apply_left,
     apply_right,
     aux_blocks,
     basis_matrix,
@@ -157,13 +159,16 @@ def _local_operator_on_space(draw):
 @settings(max_examples=200, deadline=None)
 @given(_local_operator_on_space())
 def test_apply_right_equals_product_with_embedding(case):
+    # and apply_left the product from the other side, on the same slots
     mat, local, slots, space = case
     before = mat.copy()
-    got = apply_right(mat, local, slots, space)
+    embedded = embed_at(local, slots, space).mat
     d = math.prod(space)
-    assert got.shape == (d, d)
-    assert got.flags.c_contiguous
-    assert_allclose(got, mat @ embed_at(local, slots, space).mat, rtol=0, atol=1e-13)
+    for got, want in ((apply_right(mat, local, slots, space), mat @ embedded),
+                      (apply_left(local, mat, slots, space), embedded @ mat)):
+        assert got.shape == (d, d)
+        assert got.flags.c_contiguous
+        assert_allclose(got, want, rtol=0, atol=1e-13)
     assert np.array_equal(mat, before)
 
 
@@ -388,14 +393,50 @@ def test_coalesce_sums_a_repeated_entry_in_the_order_given():
     assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 
 
+def _applies(x, mat, slots, space):
+    """Both applies of ``x`` to ``mat``, and its embedding, each called."""
+    return [lambda: apply_right(mat, x, slots, space), lambda: apply_left(x, mat, slots, space),
+            lambda: embed_at(x, slots, space)]
+
+
 def test_apply_right_errors():
+    # on both sides
     x = op(np.eye(2), (2,))
-    with pytest.raises(ValueError):
-        apply_right(np.eye(4), x, [3], [2, 2])
-    with pytest.raises(ValueError):
-        apply_right(np.eye(6), x, [1], [3, 2])
-    with pytest.raises(ValueError):  # more slots than factors
-        apply_right(np.eye(4), x, [1, 2], [2, 2])
+    u = op(np.eye(4), (2, 2))
+    for bad in ((x, np.eye(4), [3], [2, 2]),
+                (x, np.eye(6), [1], [3, 2]),
+                (u, np.eye(4), [1, 1], [2, 2]),
+                (x, np.eye(4), [1, 2], [2, 2]),  # more slots than factors
+                (x, np.eye(6), [1], [2, 2])):  # a matrix of the wrong side
+        for call in _applies(*bad)[:2]:
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_a_bad_call_raises_after_a_good_one_with_the_same_operator_dims():
+    # the plans are cached by shape; validation is never skipped for a key
+    # that differs from a cached one only in what makes it bad
+    x, u = op(np.eye(2), (2,)), op(np.eye(4), (2, 2))
+    for good, bad in (((x, [1], [2, 2]), (x, [3], [2, 2])),
+                      ((x, [2], [3, 2]), (x, [1], [3, 2])),
+                      ((u, [2, 1], [2, 2]), (u, [1, 1], [2, 2])),
+                      ((u, [1, 3], [2, 2, 2]), (u, [1, 3], [2, 2]))):
+        for call in _applies(good[0], np.eye(math.prod(good[2])), *good[1:]):
+            call()
+        for call in _applies(bad[0], np.eye(4), *bad[1:]):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_plans_are_made_once_per_shape():
+    x = op(np.eye(3), (3,))
+    embed_at(x, [2], [2, 3])
+    size = _plan.cache_info().currsize
+    for slots, space in (([2], [2, 3]), ((2,), (2, 3)), ([np.int64(2)], [2, np.int64(3)])):
+        apply_right(np.eye(6), x, slots, space)
+        apply_left(x, np.eye(6), slots, space)
+        embed_at(x, slots, space)
+    assert _plan.cache_info().currsize == size
 
 
 def test_permutation_swap_basis_action():
