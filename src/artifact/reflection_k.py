@@ -214,15 +214,17 @@ def reflection_residual(params, k_of_lam, l1: complex, l2: complex,
 
     ``k_of_lam(u)`` acts on one auxiliary space, optionally followed by
     quantum spaces (the double row); K1 and K2 put it on auxiliary space 1
-    and 2 with the same quantum spaces.
+    and 2 with the same quantum spaces. K1 is embedded for the sandwiches;
+    K2 is applied to them, never embedded.
     """
     ka = k_of_lam(l1)
     space = (params.n, params.n) + ka.dims[1:]
     quantum = list(range(3, len(space) + 1))
     k1 = embed_at(ka, [1] + quantum, space)
-    k2 = embed_at(k_of_lam(l2), [2] + quantum, space)
-    return sym_residual(reflection_sandwich(params, k1, l1, l2, gauge) @ k2,
-                        k2 @ reflection_sandwich(params, k1, l1, -l2, gauge))
+    k2 = k_of_lam(l2)
+    return sym_residual(
+        apply_right(reflection_sandwich(params, k1, l1, l2, gauge).mat, k2, [2] + quantum, space),
+        apply_left(k2, reflection_sandwich(params, k1, l1, -l2, gauge).mat, [2] + quantum, space))
 
 
 def _braid_reflection_residual(params, k_of_lam, l1, l2) -> float:

@@ -97,6 +97,7 @@ from .tensor_core import (
     rtt_residual,
     site_step,
     site_step_derivative,
+    stack_chunks,
     worst_of,
 )
 from .yang_baxter import (
@@ -473,7 +474,8 @@ def _intertwiner_residual(params: ModelParams, gauge: Gauge, k1: Operator, x: np
     the worst rel_residual(S_ij X, X S(-)_ij), where S(v) is the
     ``reflection_sandwich`` of ``k1`` = K(lambda') at v, dressed as
     T S That when ``dress`` = (T, That), T and That applied on auxiliary
-    space 1 and the quantum spaces, and X acts on the remaining spaces."""
+    space 1 and the quantum spaces, and X acts on the remaining spaces. The
+    n^2 blocks are multiplied by X as one stack of blocks."""
     space = k1.dims
     outer = [1, *range(3, len(space) + 1)]
 
@@ -485,8 +487,13 @@ def _intertwiner_residual(params: ModelParams, gauge: Gauge, k1: Operator, x: np
 
     n = params.n
     plus, minus = aux_blocks(sandwich(lam), n), aux_blocks(sandwich(-lam), n)
-    return worst_of(rel_residual(plus[i, :, j, :] @ x, x @ minus[i, :, j, :])
-                    for i in range(n) for j in range(n))
+    blocks = [(i, j) for i in range(n) for j in range(n)]
+
+    def worst(chunk) -> float:
+        i, j = np.array(chunk).T
+        return rel_residual(plus[i, :, j, :] @ x, x @ minus[i, :, j, :])
+
+    return worst_of(worst(chunk) for chunk in stack_chunks(blocks, x.shape[0]))
 
 
 def boundary_commutation_residual(
@@ -618,11 +625,9 @@ def verify_chain_suite(
         rb.add(f"chain.ttcomm_open.s{s}",
                comm_residual(built(build_transfer, spec, l1), built(build_transfer, spec, l2)),
                tol)
-        rb.add(f"chain.intert.s{s}", worst_of(
-            intertwine_residual(p, lab, t, l1, spec.gauge) for lab in labels), tol)
-        rb.add(f"chain.intert_hat.s{s}", worst_of(
-            intertwine_residual(p, lab, that_ps, -l1, spec.gauge, primed_left=False)
-            for lab in labels), tol)
+        rb.add(f"chain.intert.s{s}", intertwine_residual(p, labels, t, l1, spec.gauge), tol)
+        rb.add(f"chain.intert_hat.s{s}",
+               intertwine_residual(p, labels, that_ps, -l1, spec.gauge, primed_left=False), tol)
         rb.add(f"chain.bcomm.s{s}",
                boundary_commutation_residual(
                    p, lambda u: build_k_explicit(p, u, spec.gauge), l1, l2, spec.gauge),

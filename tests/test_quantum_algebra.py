@@ -25,6 +25,7 @@ from artifact.quantum_algebra import (
     Tower,
     block_closed_rep,
     coproduct_rep,
+    coproduct_stack,
     eval_generator,
     intertwine_residual,
     t_coproduct_sum,
@@ -147,18 +148,26 @@ def _kron_word_coproduct(p, label, L, variant, lam, gauge):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_coproduct_rep_matches_kron_words(n):
+    # every label in a shuffled order, read as one stack: entry k is label
+    # k's kron-word coproduct and, bit for bit, its one-label coproduct_rep
     p = ModelParams(n=n, mu=0.41, m=0.9 + 0.2j, zeta=0.6)
     lam = 0.31 - 0.17j
+    labels = [GeneratorLabel(kind, index, inverse) for kind in GeneratorKind
+              for index in range(1, n + 1) for inverse in (False, True)]
+    labels = [labels[k] for k in np.random.default_rng(n).permutation(len(labels))]
     for L in (1, 2, 3, 4):
-        for kind in GeneratorKind:
-            for index in range(1, n + 1):
-                for inverse in (False, True):
-                    label = GeneratorLabel(kind, index, inverse)
-                    for variant in ("delta", "delta_prime"):
-                        for gauge in Gauge:
-                            want = _kron_word_coproduct(p, label, L, variant, lam, gauge)
-                            got = coproduct_rep(p, label, L, variant, lam, gauge)
-                            assert rel_residual(got, want) <= 1e-15, (label, L, variant, gauge)
+        for variant in ("delta", "delta_prime"):
+            for gauge in Gauge:
+                stack = coproduct_stack(p, labels, L, variant, lam, gauge)
+                assert stack.shape == (len(labels), n**L, n**L)
+                for label, got in zip(labels, stack):
+                    key = (label, L, variant, gauge)
+                    assert np.array_equal(got, coproduct_rep(p, label, L, variant, lam, gauge)), key
+                    want = _kron_word_coproduct(p, label, L, variant, lam, gauge)
+                    assert rel_residual(got, want) <= 1e-15, key
+    assert coproduct_stack(p, [], 2).shape == (0, n * n, n * n)
+    with pytest.raises(ValueError):
+        coproduct_stack(p, [GeneratorLabel(GeneratorKind.E, n + 1)], 2)
 
 
 def test_root_elements_at_pi0():
@@ -505,13 +514,47 @@ def test_block_closed_cartan_and_errors():
         block_closed_rep(Tower(P3), "nonsense", lam)
 
 
+def test_intertwining_over_labels_is_the_worst_label():
+    # the stacked residual of a label list is the worst of its one-label
+    # residuals, each with the same bits, in either order of the primed side
+    lam = 0.33 - 0.12j
+    labels = [GeneratorLabel(kind, i) for kind in GeneratorKind for i in (1, 2, 3)]
+    r = build_r(P3, lam, Gauge.principal)
+    worst = {}
+    for primed_left in (True, False):
+        worst[primed_left] = intertwine_residual(P3, labels, r, lam, Gauge.principal, primed_left)
+        assert worst[primed_left] == max(
+            intertwine_residual(P3, [lab], r, lam, Gauge.principal, primed_left)
+            for lab in labels)
+    assert worst[True] < 1e-13 < 1e-3 < worst[False]  # R intertwines Delta with Delta'
+    with pytest.raises(ValueError):
+        intertwine_residual(P3, [], r, lam, Gauge.principal)
+
+
+def test_plan_caches_do_not_grow_with_the_ops(tmp_path):
+    # the coproduct writer's index plans are keyed on (n, L) alone and the
+    # embedding plans on shapes alone: the first of a hundred default verify
+    # ops makes all they need, the other 99 none
+    from artifact import tensor_core
+    from artifact.cli import main
+
+    caches = (quantum_algebra._word_plan, tensor_core._plan)
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--suite", "all", "--seed", "0", "--out", out]) == 0
+    sizes = [cache.cache_info().currsize for cache in caches]
+    assert min(sizes) > 0
+    for seed in range(1, 100):
+        assert main(["verify", "--suite", "all", "--seed", str(seed), "--out", out]) == 0
+    assert [cache.cache_info().currsize for cache in caches] == sizes
+
+
 def test_intertwining_cross_gauge_fails():
     lam = 0.33 - 0.12j
     lab = GeneratorLabel(GeneratorKind.E, 3)
-    ok = intertwine_residual(P3, lab, build_r(P3, lam, Gauge.principal), lam, Gauge.principal)
+    ok = intertwine_residual(P3, [lab], build_r(P3, lam, Gauge.principal), lam, Gauge.principal)
     assert ok < 1e-13
     mismatched = intertwine_residual(
-        P3, lab, build_r(P3, lam, Gauge.homogeneous), lam, Gauge.principal
+        P3, [lab], build_r(P3, lam, Gauge.homogeneous), lam, Gauge.principal
     )
     assert mismatched > 1e-3
 

@@ -324,7 +324,7 @@ def test_monodromy_intertwining():
     t = build_monodromy(spec, lam)
     for lab in (GeneratorLabel(GeneratorKind.E, 1), GeneratorLabel(GeneratorKind.E, 3),
                 GeneratorLabel(GeneratorKind.F, 2), GeneratorLabel(GeneratorKind.KCARTAN, 3)):
-        assert intertwine_residual(P32, lab, t, lam, spec.gauge) < 1e-13
+        assert intertwine_residual(P32, [lab], t, lam, spec.gauge) < 1e-13
 
 
 def test_boundary_commutation():

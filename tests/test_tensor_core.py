@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from artifact import tensor_core
 from artifact.tensor_core import (
     Operator,
     _plan,
@@ -20,6 +21,7 @@ from artifact.tensor_core import (
     densify,
     embed_at,
     embed_entries,
+    frob,
     identity_op,
     kron,
     partial_trace_first,
@@ -27,8 +29,10 @@ from artifact.tensor_core import (
     permutation_swap,
     product_terms,
     prop_check,
+    rel_residual,
     site_step,
     site_step_derivative,
+    stack_chunks,
     sym_residual,
     weight_preserving,
     worst_of,
@@ -568,6 +572,54 @@ def test_worst_of_keeps_nan_and_refuses_empty():
     assert np.isnan(worst_of(r for r in (1e-16, float("nan"), 1e-14)))
     with pytest.raises(ValueError):
         worst_of([])
+
+
+def _stack(rng, g, d):
+    return rng.normal(size=(g, d, d)) + 1j * rng.normal(size=(g, d, d))
+
+
+@pytest.mark.parametrize("d", [3, 9, 27, 81])
+def test_stacked_residuals_are_the_worst_of_the_matrix_calls(d):
+    # each entry of a stack is computed with the bits of its 2-D call, so the
+    # stacked residual is exactly the worst of them; a matrix on one side is
+    # paired with every entry of the other
+    rng = np.random.default_rng(d)
+    a, b = _stack(rng, 5, d), _stack(rng, 5, d)
+    b[2] = a[2] + 1e-9 * b[2]  # one near pair, so the worst is not that entry
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    assert np.array_equal(frob(a), [frob(x) for x in a])
+    for helper in (rel_residual, sym_residual, comm_residual):
+        assert helper(a, b) == worst_of(helper(x, y) for x, y in zip(a, b)), helper
+        assert helper(a, m) == worst_of(helper(x, m) for x in a), helper
+        assert helper(m, b) == worst_of(helper(m, y) for y in b), helper
+        assert type(helper(a, b)) is float
+
+
+def test_stacked_residuals_keep_nan_and_refuse_an_empty_stack():
+    rng = np.random.default_rng(1)
+    for k in range(4):
+        a, b = _stack(rng, 4, 5), _stack(rng, 4, 5)
+        a[k, 1, 2] = np.nan
+        for helper in (rel_residual, sym_residual, comm_residual):
+            assert np.isnan(helper(a, b)), (helper, k)
+            assert np.isnan(helper(b, a)), (helper, k)
+    empty = np.zeros((0, 5, 5), dtype=complex)
+    for helper in (rel_residual, sym_residual, comm_residual):
+        with pytest.raises(ValueError):
+            helper(empty, empty)
+        with pytest.raises(ValueError):
+            helper(empty, np.eye(5))
+
+
+def test_stack_chunks_bound_each_stack():
+    side = 27
+    per = tensor_core.STACK_BYTES // (16 * side * side)
+    items = list(range(3 * per + 1))
+    chunks = stack_chunks(items, side)
+    assert [x for chunk in chunks for x in chunk] == items
+    assert [len(chunk) for chunk in chunks] == [per, per, per, 1]
+    assert stack_chunks(range(3), 4096) == [[0], [1], [2]]  # one item at least
+    assert stack_chunks([], side) == []
 
 
 _entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
